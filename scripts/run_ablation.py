@@ -29,8 +29,6 @@ def main() -> int:
                                      seed=args.seed)
     config = hz.TrainConfig(n_images=args.images, drop_rate=args.drop_rate,
                             total_iters=args.total_iters,
-                            milestones=(args.total_iters // 2,
-                                        args.total_iters * 4 // 5),
                             seed_data=args.seed, seed_init=args.seed,
                             seed_sample=args.seed)
     rows = hz.ablate_threshold(config, records, thresholds)

@@ -33,7 +33,6 @@ def main() -> int:
             config = hz.TrainConfig(
                 mode=mode, t=args.t, n_images=args.images,
                 drop_rate=args.drop_rate, total_iters=args.total_iters,
-                milestones=(args.total_iters // 2, args.total_iters * 4 // 5),
                 seed_data=seed, seed_init=seed, seed_sample=seed)
             params, _ = hz.train(config, records)
             report = hz.evaluate(params, records, config)

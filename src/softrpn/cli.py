@@ -97,7 +97,10 @@ def cmd_train(args) -> int:
 
 def _load_checkpoint_config(path) -> tuple[dict, hz.TrainConfig]:
     params, meta = mdl.load_checkpoint(path)
-    config = hz.TrainConfig.from_dict(meta["config"])
+    try:
+        config = hz.TrainConfig.from_dict(meta["config"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise mdl.CheckpointError(f"{path}: no valid meta.config ({e!r})") from e
     expected = mdl.init_params(config.d_embed, config.n_anchors,
                                np.random.default_rng(0))
     for name, tensor in expected.items():

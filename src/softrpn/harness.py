@@ -36,7 +36,7 @@ class TrainConfig:
     lr: float = 0.02 * 4 / 48          # reference LR scaled linearly to batch 4
     momentum: float = 0.9
     total_iters: int = 1000
-    milestones: tuple[int, ...] = (500, 800)
+    milestones: Optional[tuple[int, ...]] = None   # None: half and 4/5 of total_iters
     lr_decay: float = 0.1
     batch_images: int = 4
     minibatch_size: int = 64
@@ -60,7 +60,14 @@ class TrainConfig:
             raise ValueError(f"t must lie in (0, 1), got {self.t}")
         if self.mode not in ("baseline", "soft_label"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        ms = tuple(self.milestones)
+        if self.stride != mdl.BACKBONE_STRIDE:
+            raise ValueError(f"stride must equal the backbone stride "
+                             f"{mdl.BACKBONE_STRIDE}, got {self.stride}")
+        if self.milestones is None:
+            # LR decays at half and four fifths of the run, (500, 800) of 1000.
+            self.milestones = sorted({self.total_iters // 2,
+                                      self.total_iters * 4 // 5} - {0})
+        self.milestones = ms = tuple(self.milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])) or (ms and ms[-1] >= self.total_iters):
             raise ValueError("milestones must be strictly increasing and < total_iters")
         if len(self.anchor_scales) != self.n_anchors:
@@ -75,8 +82,6 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        if "milestones" in d:
-            d["milestones"] = tuple(d["milestones"])
         if "anchor_scales" in d:
             d["anchor_scales"] = tuple(d["anchor_scales"])
         return cls(**d)
@@ -108,6 +113,22 @@ def anchors_for(config: TrainConfig) -> list[Anchor]:
     fh = config.image_size // config.stride
     return generate_anchors(fh, fh, config.stride, config.anchor_scales,
                             config.anchor_aspect)
+
+
+def anchor_boxes(config: TrainConfig) -> np.ndarray:
+    """The (N, 4) corner-form array of anchors_for(config)."""
+    return boxes_to_array([a.box for a in anchors_for(config)])
+
+
+def check_image_size(records: Sequence[ImageRecord], config: TrainConfig):
+    """Anchors are laid out for config.image_size; any other image extent
+    would index the wrong anchors."""
+    for rec in records:
+        if rec.image.shape[:2] != (config.image_size, config.image_size):
+            h, w = rec.image.shape[:2]
+            raise ValueError(
+                f"image {rec.file_name} is {h}x{w} but config.image_size is "
+                f"{config.image_size}; set image_size in the config")
 
 
 def match_dataset(records: Sequence[ImageRecord], anchors: Sequence[Anchor],
@@ -155,6 +176,7 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
     final parameters and a per-iteration metric log."""
     if not records:
         raise ValueError("dataset is empty")
+    check_image_size(records, config)
     anchors = anchors_for(config)
     matched = match_dataset(records, anchors, config)
     params = mdl.init_params(config.d_embed, config.n_anchors,
@@ -192,8 +214,10 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
 
 # -- inference / evaluation ----------------------------------------------------
 
-def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float) -> np.ndarray:
-    """Greedy suppression by descending score; returns kept indices."""
+def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
+        top_k: Optional[int] = None) -> np.ndarray:
+    """Greedy suppression by descending score; returns kept indices, at most
+    top_k of them (the same prefix an unlimited run keeps)."""
     order = np.argsort(-scores, kind="stable")
     keep = []
     suppressed = np.zeros(len(boxes), dtype=bool)
@@ -201,15 +225,19 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float) -> np.ndarray:
         if suppressed[i]:
             continue
         keep.append(i)
+        if len(keep) == top_k:
+            break
         ious = iou_matrix(boxes[i:i + 1], boxes)[0]
         suppressed |= ious > iou_thresh
     return np.array(keep, dtype=np.intp)
 
 
-def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Decoded, suppressed, top-k proposals: (boxes (M, 4), scores (M,))."""
-    anchors = boxes_to_array([a.box for a in anchors_for(config)])
+def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig,
+            anchors: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Decoded, suppressed, top-k proposals: (boxes (M, 4), scores (M,)).
+    ``anchors`` is anchor_boxes(config), built here when not given."""
+    if anchors is None:
+        anchors = anchor_boxes(config)
     with ag.no_grad():
         batch = mdl.forward_rpn(Tensor(record.image), params,
                                 config.n_anchors, config.d_embed)
@@ -218,8 +246,62 @@ def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
     boxes[:, [0, 2]] = boxes[:, [0, 2]].clip(0.0, size)
     boxes[:, [1, 3]] = boxes[:, [1, 3]].clip(0.0, size)
     scores = batch.probs.data
-    keep = nms(boxes, scores, config.nms_iou)[:config.top_k]
+    keep = nms(boxes, scores, config.nms_iou, config.top_k)
     return boxes[keep], scores[keep]
+
+
+def _greedy_match(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Greedy matching of one image's detections against its ground truth at
+    every threshold at once. ``ious`` is (D, G) with rows in rank order; each
+    detection takes its best still-unmatched box when that IoU reaches the
+    threshold. Returns (T, D) true-positive flags."""
+    n_det, n_gt = ious.shape
+    hits = np.zeros((len(thresholds), n_det), dtype=bool)
+    if n_gt == 0:
+        return hits
+    matched = np.zeros((len(thresholds), n_gt), dtype=bool)
+    rows = np.arange(len(thresholds))
+    # Masking only lowers IoUs, so a row below every threshold never matches.
+    for d in np.flatnonzero(ious.max(axis=1) >= thresholds.min()):
+        cand = np.where(matched, -1.0, ious[d])
+        j = cand.argmax(axis=1)
+        hit = cand[rows, j] >= thresholds
+        matched[rows[hit], j[hit]] = True
+        hits[:, d] = hit
+    return hits
+
+
+def average_precisions(image_ids: np.ndarray, scores: np.ndarray,
+                       ious: dict[int, np.ndarray], n_gt: int,
+                       thresholds: Sequence[float]) -> np.ndarray:
+    """Single-class AP at each threshold. Detections are ranked globally by
+    descending score, then image id, then index; ``ious[img]`` is the (D, G)
+    IoU matrix of image img's detections, rows in index order, against its
+    ground truth. Integrates precision over recall with all-points
+    interpolation, summing terms from the last rank to the first."""
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    n = len(scores)
+    if n_gt == 0 or n == 0:
+        return np.zeros(len(thresholds))
+    order = np.lexsort((np.arange(n), image_ids, -scores))
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    tp = np.zeros((len(thresholds), n), dtype=bool)
+    for img, m in ious.items():
+        ranks = rank[image_ids == img]
+        by_rank = np.argsort(ranks)
+        tp[:, ranks[by_rank]] = _greedy_match(m[by_rank], thresholds)
+    # One threshold at a time keeps the float temporaries at O(n).
+    aps = np.empty(len(thresholds))
+    for t, hits in enumerate(tp):
+        cum_tp = np.cumsum(hits)
+        recall = cum_tp / n_gt
+        precision = cum_tp / np.arange(1, n + 1)
+        envelope = np.maximum.accumulate(precision[::-1])
+        steps = np.diff(recall, prepend=0.0)[::-1]
+        # add.accumulate sums sequentially, so the float order is fixed
+        aps[t] = np.add.accumulate(steps * envelope)[-1]
+    return aps
 
 
 def average_precision(detections: Sequence[tuple[int, float, np.ndarray]],
@@ -227,36 +309,13 @@ def average_precision(detections: Sequence[tuple[int, float, np.ndarray]],
     """Single-class AP: detections are (image_id, score, box corner-form),
     ranked globally by score, greedily matched (each gt at most once) at the
     given IoU threshold, integrated with all-points interpolation."""
+    image_ids = np.array([d[0] for d in detections], dtype=np.int64)
+    scores = np.array([d[1] for d in detections], dtype=np.float64)
+    boxes = np.array([d[2] for d in detections], dtype=np.float64).reshape(-1, 4)
+    ious = {img: iou_matrix(boxes[image_ids == img], gts)
+            for img, gts in gt_boxes.items() if len(gts)}
     n_gt = sum(len(b) for b in gt_boxes.values())
-    if n_gt == 0:
-        return 0.0
-    order = sorted(range(len(detections)),
-                   key=lambda i: (-detections[i][1], detections[i][0], i))
-    matched = {img: np.zeros(len(b), dtype=bool) for img, b in gt_boxes.items()}
-    tp = np.zeros(len(order))
-    for rank, i in enumerate(order):
-        img, _, box = detections[i]
-        gts = gt_boxes.get(img)
-        if gts is None or not len(gts):
-            continue
-        ious = iou_matrix(box[None, :], gts)[0]
-        ious[matched[img]] = -1.0
-        j = int(np.argmax(ious))
-        if ious[j] >= iou_thresh:
-            matched[img][j] = True
-            tp[rank] = 1.0
-    cum_tp = np.cumsum(tp)
-    recall = cum_tp / n_gt
-    precision = cum_tp / np.arange(1, len(order) + 1)
-    # precision envelope, then sum area over recall increments
-    ap = 0.0
-    best = 0.0
-    prev_recall = recall[-1] if len(recall) else 0.0
-    for k in range(len(order) - 1, -1, -1):
-        best = max(best, precision[k])
-        r_prev = recall[k - 1] if k > 0 else 0.0
-        ap += (recall[k] - r_prev) * best
-    return float(ap)
+    return float(average_precisions(image_ids, scores, ious, n_gt, (iou_thresh,))[0])
 
 
 COCO_IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 1.00, 0.05), 2))
@@ -266,24 +325,23 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
              config: TrainConfig) -> EvalReport:
     """Score proposals single-class against the full (undropped) ground
     truth: COCO-convention AP plus proposal recall at IoU 0.5."""
-    detections = []
-    gt_boxes = {}
+    check_image_size(records, config)
+    anchors = anchor_boxes(config)
+    counts, scores, ious = [], [np.zeros(0)], {}
+    n_gt = n_hit = 0
     for idx, rec in enumerate(records):
-        boxes, scores = predict(params, rec, config)
-        for b, s in zip(boxes, scores):
-            detections.append((idx, float(s), b))
-        gt_boxes[idx] = boxes_to_array(rec.full)
-    aps = {thr: average_precision(detections, gt_boxes, thr)
-           for thr in COCO_IOU_THRESHOLDS}
-    n_gt = sum(len(b) for b in gt_boxes.values())
-    n_hit = 0
-    for idx, rec in enumerate(records):
-        gts = gt_boxes[idx]
-        if not len(gts):
-            continue
-        dets = np.array([d[2] for d in detections if d[0] == idx])
-        if len(dets):
-            n_hit += int((iou_matrix(gts, dets).max(axis=1) >= 0.5).sum())
+        boxes, s = predict(params, rec, config, anchors)
+        counts.append(len(s))
+        scores.append(s)
+        gts = boxes_to_array(rec.full)
+        n_gt += len(gts)
+        if len(gts):
+            ious[idx] = m = iou_matrix(boxes, gts)
+            if len(boxes):
+                n_hit += int((m.max(axis=0) >= 0.5).sum())
+    image_ids = np.repeat(np.arange(len(counts)), counts)
+    aps = dict(zip(COCO_IOU_THRESHOLDS, average_precisions(
+        image_ids, np.concatenate(scores), ious, n_gt, COCO_IOU_THRESHOLDS).tolist()))
     return EvalReport(
         ap50=aps[0.5], ap75=aps[0.75],
         ap=float(np.mean([aps[t] for t in COCO_IOU_THRESHOLDS])),
@@ -307,6 +365,7 @@ def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
     sampling protocol as training (the row-softmax scale depends on how many
     positives enter the attention map, so the audit must mirror training)."""
     t = config.t if t is None else t
+    check_image_size(records, config)
     anchors = anchors_for(config)
     matched = match_dataset(records, anchors, config)
     flags: list[Flag] = []
@@ -370,7 +429,7 @@ def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord]
     """Expected dropped-box recall of a size-matched uniformly random anchor
     flag set, computed in closed form per image from the hypergeometric
     no-hit probability."""
-    anchors = boxes_to_array([a.box for a in anchors_for(config)])
+    anchors = anchor_boxes(config)
     n = len(anchors)
     counts: dict[int, int] = {}
     for f in flags:

@@ -19,6 +19,7 @@ that similarity as a soft target instead of a hard zero.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -251,37 +252,57 @@ class CheckpointError(Exception):
 
 def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None):
     """Binary checkpoint: magic, version, JSON header (names, shapes, meta),
-    then the raw float64 little-endian payload in header order."""
+    then the raw float64 little-endian payload in header order. Written to
+    a temporary file and renamed, so a failed save never leaves a partial
+    file at path."""
     header = {
         "version": CHECKPOINT_VERSION,
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in sorted(params.items())],
         "meta": meta or {},
     }
     hb = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
+    tmp = str(path) + ".tmp"
+    with open(tmp, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(hb)))
         f.write(hb)
         for k in sorted(params):
             f.write(params[k].data.astype("<f8").tobytes())
+    os.replace(tmp, path)
+
+
+def _read_header(f, path) -> tuple[list[tuple[str, tuple[int, ...]]], dict]:
+    """(name, shape) of each tensor in payload order, and the meta dict."""
+    if f.read(4) != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    fixed = f.read(8)
+    if len(fixed) != 8:
+        raise CheckpointError(f"{path}: truncated checkpoint header")
+    version, hlen = struct.unpack("<II", fixed)
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        header = json.loads(f.read(hlen).decode("utf-8"))
+        tensors = [(str(rec["name"]), tuple(int(d) for d in rec["shape"]))
+                   for rec in header["tensors"]]
+        meta = header.get("meta", {})
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise CheckpointError(f"{path}: malformed checkpoint header ({e!r})") from e
+    if not isinstance(meta, dict) or any(d < 0 for _, shape in tensors for d in shape):
+        raise CheckpointError(f"{path}: malformed checkpoint header")
+    return tensors, meta
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
     with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        version, hlen = struct.unpack("<II", f.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        tensors, meta = _read_header(f, path)
         params: dict[str, Tensor] = {}
-        for rec in header["tensors"]:
-            shape = tuple(rec["shape"])
+        for name, shape in tensors:
             count = int(np.prod(shape)) if shape else 1
             raw = f.read(count * 8)
             if len(raw) != count * 8:
-                raise CheckpointError(f"{path}: truncated payload for tensor {rec['name']}")
-            params[rec["name"]] = Tensor(
+                raise CheckpointError(f"{path}: truncated payload for tensor {name}")
+            params[name] = Tensor(
                 np.frombuffer(raw, dtype="<f8").reshape(shape).copy(),
                 requires_grad=True)
-    return params, header.get("meta", {})
+    return params, meta

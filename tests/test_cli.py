@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import struct
 
 import pytest
 
+from softrpn import model as mdl
 from softrpn.cli import main
 
 
@@ -34,6 +36,21 @@ def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "bench"
     assert run(["synth", "--out", str(out), "--images", "10", "--seed", "3"]) == 0
     return str(out)
+
+
+@pytest.fixture(scope="module")
+def dataset128(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data128") / "bench"
+    assert run(["synth", "--out", str(out), "--images", "2", "--size", "128",
+                "--seed", "3"]) == 0
+    return str(out)
+
+
+def single_error_line(capsys) -> str:
+    """The captured stderr, asserted to be exactly one `error:` line."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
 
 
 @pytest.fixture(scope="module")
@@ -131,9 +148,25 @@ class TestTrainCmd:
             run(["train", "--out", str(tmp_path)])
         assert e.value.code == 2
 
-    def test_missing_dataset_is_runtime_error(self, tmp_path):
+    def test_missing_dataset_is_runtime_error(self, tmp_path, capsys):
         assert run(["train", "--data", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "out"), *FAST]) == 1
+        assert str(tmp_path / "nope") in single_error_line(capsys)
+
+    def test_total_iters_flag_alone_scales_milestones(self, dataset, tmp_path):
+        out = tmp_path / "short"
+        assert run(["train", "--data", dataset, "--out", str(out), *FAST]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["config"]["milestones"] == [6, 9]
+        assert len((out / "train_log.jsonl").read_text().splitlines()) == 12
+
+    def test_image_size_mismatch_fails_before_training(self, dataset128, tmp_path,
+                                                       capsys):
+        out = tmp_path / "run128"
+        assert run(["train", "--data", dataset128, "--out", str(out), *FAST]) == 1
+        err = single_error_line(capsys)
+        assert "128x128" in err and "image_size is 64" in err
+        assert not (out / "checkpoint.srpn").exists()
 
 
 class TestEvalCmd:
@@ -153,6 +186,31 @@ class TestEvalCmd:
         bad.write_bytes(b"not a checkpoint")
         assert run(["eval", "--checkpoint", str(bad), "--data", dataset,
                     "--report", str(tmp_path / "r.json")]) == 1
+
+    @pytest.mark.parametrize("kind", ["magic_only", "bad_json", "no_config"])
+    def test_malformed_checkpoint_gives_one_error_line(self, kind, dataset,
+                                                       checkpoint, tmp_path, capsys):
+        bad = tmp_path / "bad.srpn"
+        if kind == "magic_only":
+            bad.write_bytes(mdl.CHECKPOINT_MAGIC)
+        elif kind == "bad_json":
+            header = b"{oops"
+            bad.write_bytes(mdl.CHECKPOINT_MAGIC + struct.pack(
+                "<II", mdl.CHECKPOINT_VERSION, len(header)) + header)
+        else:
+            params, _ = mdl.load_checkpoint(checkpoint)
+            mdl.save_checkpoint(bad, params, meta={})
+        report = tmp_path / "r.json"
+        assert run(["eval", "--checkpoint", str(bad), "--data", dataset,
+                    "--report", str(report)]) == 1
+        assert str(bad) in single_error_line(capsys)
+        assert not report.exists()
+
+    def test_image_size_mismatch_is_runtime_error(self, dataset128, checkpoint,
+                                                  tmp_path, capsys):
+        assert run(["eval", "--checkpoint", checkpoint, "--data", dataset128,
+                    "--report", str(tmp_path / "r.json")]) == 1
+        assert "128x128" in single_error_line(capsys)
 
 
 class TestAuditCmd:

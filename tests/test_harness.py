@@ -26,10 +26,21 @@ class TestTrainConfig:
         dict(milestones=(800, 500)),
         dict(milestones=(500, 1000)),          # not < total_iters
         dict(anchor_scales=(16.0, 32.0)),      # wrong arity for n_anchors=3
+        dict(stride=16),                       # the backbone stride is 8
+        dict(total_iters=12, milestones=(6, 12)),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
             hz.TrainConfig(**bad)
+
+    @pytest.mark.parametrize("total_iters, milestones", [
+        (1000, (500, 800)), (12, (6, 9)), (3, (1, 2)), (2, (1,)), (1, ()),
+    ])
+    def test_default_milestones_scale_with_total_iters(self, total_iters, milestones):
+        assert hz.TrainConfig(total_iters=total_iters).milestones == milestones
+
+    def test_explicit_milestones_kept(self):
+        assert hz.TrainConfig(total_iters=12, milestones=[2, 5]).milestones == (2, 5)
 
     def test_dict_round_trip(self):
         cfg = hz.TrainConfig(t=0.6, mode="baseline", milestones=(100, 200),
@@ -59,6 +70,16 @@ class TestNms:
         boxes = np.array([[0, 0, 10, 10], [4, 0, 14, 10], [8, 0, 18, 10]], float)
         keep = hz.nms(boxes, np.array([0.9, 0.8, 0.7]), 0.3)
         assert sorted(keep) == [0, 2]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_limit_keeps_prefix_of_unlimited(self, seed, top_k):
+        gen = np.random.default_rng(seed)
+        xy = gen.random((40, 2)) * 30
+        boxes = np.concatenate([xy, xy + 2 + gen.random((40, 2)) * 12], axis=1)
+        scores = np.round(gen.random(40), 1)            # ties exercise stability
+        full = hz.nms(boxes, scores, 0.5)
+        assert np.array_equal(hz.nms(boxes, scores, 0.5, top_k), full[:top_k])
 
     def test_kept_in_descending_score_order(self, rng):
         boxes = rng.random((20, 2)) * 40
@@ -126,6 +147,29 @@ def random_ap_instance(gen):
     return detections, gt_boxes
 
 
+def multi_image_instance(gen):
+    """Detections over 3-5 images with scores on a 0.1 grid, so ties across
+    images are common. Image 0 has no detections, the last image has no
+    ground truth, and some detections fall on an image absent from gt_boxes."""
+    n_img = int(gen.integers(3, 6))
+    gt_boxes = {}
+    for img in range(n_img):
+        n = int(gen.integers(1, 4)) if img < n_img - 1 else 0
+        b = gen.random((n, 2)) * 30
+        gt_boxes[img] = np.concatenate([b, b + 4 + gen.random((n, 2)) * 12], axis=1)
+    detections = []
+    for _ in range(int(gen.integers(0, 16))):
+        img = int(gen.integers(1, n_img + 1))
+        gts = gt_boxes.get(img, np.zeros((0, 4)))
+        if len(gts) and gen.random() < 0.5:         # jittered copy of a gt box
+            box = gts[int(gen.integers(0, len(gts)))] + gen.normal(0, 1.5, 4)
+        else:
+            xy = gen.random(2) * 30
+            box = np.concatenate([xy, xy + 4 + gen.random(2) * 12])
+        detections.append((img, round(float(gen.random()), 1), box))
+    return detections, gt_boxes
+
+
 class TestAveragePrecision:
     def test_perfect_predictions_give_one(self, rng):
         b = rng.random((4, 2)) * 30
@@ -159,6 +203,54 @@ class TestAveragePrecision:
         gen = np.random.default_rng(seed)
         detections, gt_boxes = random_ap_instance(gen)
         for thr in (0.5, 0.75):
+            assert hz.average_precision(detections, gt_boxes, thr) == \
+                ap_oracle(detections, gt_boxes, thr)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_all_thresholds_at_once_match_oracle(self, seed):
+        gen = np.random.default_rng(seed)
+        detections, gt_boxes = multi_image_instance(gen)
+        image_ids = np.array([d[0] for d in detections], dtype=np.int64)
+        scores = np.array([d[1] for d in detections])
+        boxes = np.array([d[2] for d in detections]).reshape(-1, 4)
+        ious = {img: iou_matrix(boxes[image_ids == img], gts)
+                for img, gts in gt_boxes.items() if len(gts)}
+        n_gt = sum(len(b) for b in gt_boxes.values())
+        got = hz.average_precisions(image_ids, scores, ious, n_gt,
+                                    hz.COCO_IOU_THRESHOLDS)
+        assert got.shape == (len(hz.COCO_IOU_THRESHOLDS),)
+        for thr, ap in zip(hz.COCO_IOU_THRESHOLDS, got):
+            assert ap == ap_oracle(detections, gt_boxes, thr), f"AP@{thr}"
+
+    def test_iou_equal_to_threshold_is_a_hit(self):
+        gt_boxes = {0: np.array([[0.0, 0.0, 10.0, 10.0], [40.0, 0.0, 50.0, 10.0]])}
+        detections = [(0, 0.9, np.array([0.0, 0.0, 10.0, 20.0])),     # IoU 0.5
+                      (0, 0.8, np.array([40.0, 0.0, 50.0, 7.5]))]     # IoU 0.75
+        ious = {0: iou_matrix(np.array([d[2] for d in detections]), gt_boxes[0])}
+        got = hz.average_precisions(np.zeros(2, dtype=np.int64), np.array([0.9, 0.8]),
+                                    ious, 2, (0.5, 0.75, 0.8))
+        assert got.tolist() == [1.0, 0.5 * 0.5, 0.0]
+
+    def test_hundred_detection_instance_matches_oracle(self):
+        """Long enough that summing the area terms pairwise (np.sum) rather
+        than in the oracle's sequential order changes AP at five of these
+        six thresholds."""
+        gen = np.random.default_rng(4)
+        gt_boxes = {}
+        for img in range(4):
+            b = gen.random((6, 2)) * 40
+            gt_boxes[img] = np.concatenate([b, b + 4 + gen.random((6, 2)) * 12], axis=1)
+        detections = []
+        for _ in range(100):
+            img = int(gen.integers(0, 4))
+            if gen.random() < 0.5:
+                box = gt_boxes[img][int(gen.integers(0, 6))] + gen.normal(0, 1.5, 4)
+            else:
+                xy = gen.random(2) * 40
+                box = np.concatenate([xy, xy + 4 + gen.random(2) * 12])
+            detections.append((img, float(gen.random()), box))
+        for thr in hz.COCO_IOU_THRESHOLDS[:6]:
             assert hz.average_precision(detections, gt_boxes, thr) == \
                 ap_oracle(detections, gt_boxes, thr)
 
@@ -260,6 +352,47 @@ class TestEvaluate:
         for v in (rep.ap50, rep.ap75, rep.ap, rep.recall50):
             assert 0.0 <= v <= 1.0
         assert rep.ap <= rep.ap50 + 1e-12
+
+
+    def test_report_equals_oracle_on_multi_image_instance(self):
+        from softrpn.geometry import iou
+        cfg = tiny_config(top_k=20)
+        params, _ = hz.train(cfg, dat.generate_benchmark(cfg.n_images, 64, 0.3,
+                                                         seed=0))
+        records = dat.generate_benchmark(4, 64, 0.3, seed=4)
+        records.insert(2, make_record(99, [], []))          # no ground truth
+        detections, gt_boxes = [], {}
+        for idx, rec in enumerate(records):
+            boxes, scores = hz.predict(params, rec, cfg)
+            detections += [(idx, float(s), b) for b, s in zip(boxes, scores)]
+            gt_boxes[idx] = boxes_to_array(rec.full)
+        aps = [ap_oracle(detections, gt_boxes, t) for t in hz.COCO_IOU_THRESHOLDS]
+        gts = [(idx, g) for idx, rec in enumerate(records) for g in rec.full]
+        hits = sum(any(img == idx and iou(g, Box(*box)) >= 0.5
+                       for img, _, box in detections) for idx, g in gts)
+        want = hz.EvalReport(ap50=aps[0], ap75=aps[5], ap=float(np.mean(aps)),
+                             recall50=hits / len(gts))
+        assert want.ap50 > 0.0 and want.recall50 > 0.0
+        assert hz.evaluate(params, records, cfg) == want
+
+
+class TestImageSizeCheck:
+    @staticmethod
+    def _no_work(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    @pytest.mark.parametrize("entry", ["train", "evaluate", "audit_flags"])
+    def test_mismatch_raises_before_any_work(self, entry, monkeypatch):
+        import softrpn.model as mdl
+        records = dat.generate_benchmark(2, 128, 0.3, seed=0)
+        cfg = tiny_config()
+        params = mdl.init_params(cfg.d_embed, cfg.n_anchors,
+                                 np.random.default_rng(0))
+        monkeypatch.setattr(mdl, "forward_rpn", self._no_work)
+        monkeypatch.setattr(hz, "match_dataset", self._no_work)
+        args = (cfg, records) if entry == "train" else (params, records, cfg)
+        with pytest.raises(ValueError, match="is 128x128 but config.image_size is 64"):
+            getattr(hz, entry)(*args)
 
 
 def make_record(image_id, kept, dropped, size=64):

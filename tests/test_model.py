@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,3 +320,46 @@ class TestCheckpoint:
         path.write_bytes(data[:-16])
         with pytest.raises(mdl.CheckpointError):
             mdl.load_checkpoint(path)
+
+    def test_magic_only_file_rejected(self, tmp_path):
+        path = tmp_path / "short.srpn"
+        path.write_bytes(mdl.CHECKPOINT_MAGIC)
+        with pytest.raises(mdl.CheckpointError, match="truncated"):
+            mdl.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        b"{not json", b"\xff\xfe", b"[1, 2]", b'{"tensors": 3}',
+        b'{"tensors": [{"name": "w"}]}', b'{"tensors": [{"name": "w", "shape": [-2]}]}',
+        b'{"tensors": [], "meta": 7}',
+    ])
+    def test_malformed_header_rejected(self, header, tmp_path):
+        path = tmp_path / "bad.srpn"
+        path.write_bytes(mdl.CHECKPOINT_MAGIC
+                         + struct.pack("<II", mdl.CHECKPOINT_VERSION, len(header))
+                         + header)
+        with pytest.raises(mdl.CheckpointError, match="malformed"):
+            mdl.load_checkpoint(path)
+
+    def test_save_replaces_whole_file_and_leaves_no_temporary(self, params, tmp_path):
+        path = tmp_path / "model.srpn"
+        path.write_bytes(b"x" * 10**6)
+        mdl.save_checkpoint(path, params)
+        assert mdl.load_checkpoint(path)[0].keys() == params.keys()
+        assert os.listdir(tmp_path) == ["model.srpn"]
+
+    def test_failed_save_keeps_previous_checkpoint(self, params, tmp_path):
+        path = tmp_path / "model.srpn"
+        mdl.save_checkpoint(path, params, meta={"note": "old"})
+        before = path.read_bytes()
+        broken = {**params, "zz.broken": object()}   # no .data: fails mid-payload
+        with pytest.raises(AttributeError):
+            mdl.save_checkpoint(path, broken, meta={"note": "new"})
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("name", ["ckpt64.srpn", "ckpt128.srpn"])
+    def test_committed_benchmark_checkpoints_resave_byte_identical(self, name, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", name)
+        loaded, meta = mdl.load_checkpoint(src)
+        mdl.save_checkpoint(tmp_path / name, loaded, meta=meta)
+        with open(src, "rb") as f:
+            assert (tmp_path / name).read_bytes() == f.read()
