@@ -30,10 +30,8 @@ def main() -> int:
     for seed in seeds:
         records = dat.generate_benchmark(args.images, 64, args.drop_rate, seed=seed)
         for mode in ("baseline", "soft_label"):
-            config = hz.TrainConfig(
-                mode=mode, t=args.t, n_images=args.images,
-                drop_rate=args.drop_rate, total_iters=args.total_iters,
-                seed_data=seed, seed_init=seed, seed_sample=seed)
+            config = hz.TrainConfig(mode=mode, t=args.t, total_iters=args.total_iters,
+                                    seed_init=seed, seed_sample=seed)
             params, _ = hz.train(config, records)
             report = hz.evaluate(params, records, config)
             results[mode].append(report)

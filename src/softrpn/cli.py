@@ -47,9 +47,10 @@ def _load_config(args) -> hz.TrainConfig:
     if getattr(args, "config", None):
         with open(args.config) as f:
             base = json.load(f)
-    for key in ("t", "mode", "lr", "total_iters", "d_embed", "seed_data",
-                "seed_init", "seed_sample", "drop_rate"):
-        val = getattr(args, key.replace("-", "_"), None)
+        if not isinstance(base, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+    for key in ("t", "mode", "lr", "total_iters", "d_embed", "seed_init", "seed_sample"):
+        val = getattr(args, key, None)
         if val is not None:
             base[key] = val
     return hz.TrainConfig.from_dict(base)
@@ -76,12 +77,12 @@ def cmd_train(args) -> int:
     started = time.time()
     config = _load_config(args)
     records = dat.load_dataset(args.data)
-    os.makedirs(args.out, exist_ok=True)
     try:
         params, log = hz.train(config, records)
     except hz.DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.srpn")
     mdl.save_checkpoint(ckpt, params, meta={"config": config.to_dict()})
     hz.write_metric_log(os.path.join(args.out, "train_log.jsonl"), log)
@@ -162,8 +163,8 @@ def cmd_ablate(args) -> int:
     if not all(0.0 < t < 1.0 for t in thresholds):
         print("error: thresholds must lie in (0, 1)", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
     rows = hz.ablate_threshold(config, records, thresholds)
+    os.makedirs(args.out, exist_ok=True)
     _atomic_write_json(os.path.join(args.out, "ablation.json"), rows)
     table = hz.format_ablation_table(rows)
     with open(os.path.join(args.out, "ablation.txt"), "w") as f:

@@ -1,10 +1,12 @@
-"""Boxes, anchor grids, IoU, ground-truth matching, and delta coding."""
+"""Boxes, anchor grids, IoU, ground-truth matching, and delta coding.
+
+Boxes are (N, 4) float64 corner-form arrays (x1, y1, x2, y2); the Box
+dataclass is the per-box form of data files and audit reports."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,31 +42,6 @@ class Box:
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class Anchor:
-    box: Box
-    grid_y: int
-    grid_x: int
-    anchor_index: int
-
-
-@dataclass(frozen=True)
-class BoxDelta:
-    dx: float
-    dy: float
-    dw: float
-    dh: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dw, self.dh], dtype=np.float64)
-
-
-class ProposalLabel(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    IGNORE = "ignore"
-
-
 def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:
     if not boxes:
         return np.zeros((0, 4), dtype=np.float64)
@@ -72,27 +49,18 @@ def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:
 
 
 def generate_anchors(feat_h: int, feat_w: int, stride: int,
-                     scales: Sequence[float], aspect: float = 1.0) -> list[Anchor]:
-    """Square-rooted aspect anchors centered at (grid + 0.5) * stride,
-    ordered row-major with anchor_index fastest."""
+                     scales: Sequence[float], aspect: float = 1.0) -> np.ndarray:
+    """(N, 4) corner-form anchors centered at (grid + 0.5) * stride, width
+    s * sqrt(aspect) and height s / sqrt(aspect) for each scale s, ordered
+    row-major (gy, gx, anchor) with the anchor index fastest."""
     if stride < 1:
         raise GeometryError("stride must be >= 1")
-    anchors = []
-    for gy in range(feat_h):
-        cy = (gy + 0.5) * stride
-        for gx in range(feat_w):
-            cx = (gx + 0.5) * stride
-            for ai, s in enumerate(scales):
-                w = s * np.sqrt(aspect)
-                h = s / np.sqrt(aspect)
-                anchors.append(Anchor(
-                    Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
-                    grid_y=gy, grid_x=gx, anchor_index=ai))
-    return anchors
-
-
-def iou(a: Box, b: Box) -> float:
-    return float(iou_matrix(np.array([a.as_array()]), np.array([b.as_array()]))[0, 0])
+    gy, gx, s = (g.ravel() for g in np.meshgrid(
+        np.arange(feat_h), np.arange(feat_w), np.asarray(scales, dtype=np.float64),
+        indexing="ij"))
+    cy, cx = (gy + 0.5) * stride, (gx + 0.5) * stride
+    half_w, half_h = s * np.sqrt(aspect) / 2, s / np.sqrt(aspect) / 2
+    return np.stack([cx - half_w, cy - half_h, cx + half_w, cy + half_h], axis=1)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,76 +80,63 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def match_anchors(anchors: Sequence[Anchor], gt: Sequence[Box],
+def match_anchors(anchors: np.ndarray, gt: np.ndarray,
                   pos_thresh: float = 0.7, neg_thresh: float = 0.3
-                  ) -> list[tuple[ProposalLabel, Optional[int]]]:
-    """Label each anchor positive / negative / ignore against ground truth.
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Label (N, 4) anchors against (G, 4) ground truth: returns labels
+    (N,), 1 positive / 0 negative / -1 ignore, and (N, 4) delta targets,
+    zero except on positive rows.
 
     Positive when max-IoU >= pos_thresh, or when the anchor is (within 1e-9
     of) the best anchor for some gt box, so every annotated object owns at
-    least one positive. Negative when max-IoU < neg_thresh. With no gt,
+    least one positive; a positive regresses to its best box, or to the last
+    box it is forced by. Negative when max-IoU < neg_thresh. With no gt,
     everything is negative.
     """
     if pos_thresh <= neg_thresh:
         raise GeometryError("pos_thresh must exceed neg_thresh")
-    if not gt:
-        return [(ProposalLabel.NEGATIVE, None) for _ in anchors]
-    a = boxes_to_array([an.box for an in anchors])
-    g = boxes_to_array(list(gt))
-    m = iou_matrix(a, g)
-    best_gt = m.argmax(axis=1)
-    best_iou = m[np.arange(len(anchors)), best_gt]
-    labels = np.where(best_iou >= pos_thresh, 0,
-                      np.where(best_iou < neg_thresh, 1, 2))  # 0 pos, 1 neg, 2 ignore
-    # force the argmax anchor(s) of each gt positive
+    labels = np.zeros(len(anchors), dtype=np.int64)
+    targets = np.zeros((len(anchors), 4))
+    if not len(gt):
+        return labels, targets
+    m = iou_matrix(anchors, gt)
+    best_iou = m.max(axis=1)
+    labels[best_iou >= pos_thresh] = 1
+    labels[(best_iou >= neg_thresh) & (best_iou < pos_thresh)] = -1
     gt_best = m.max(axis=0)
-    for j in range(len(gt)):
-        if gt_best[j] <= 0:
-            continue
-        forced = np.nonzero(m[:, j] >= gt_best[j] - 1e-9)[0]
-        labels[forced] = 0
-        best_gt[forced] = j
-    out = []
-    for i in range(len(anchors)):
-        if labels[i] == 0:
-            out.append((ProposalLabel.POSITIVE, int(best_gt[i])))
-        elif labels[i] == 1:
-            out.append((ProposalLabel.NEGATIVE, None))
-        else:
-            out.append((ProposalLabel.IGNORE, None))
-    return out
+    forced = (m >= gt_best - 1e-9) & (gt_best > 0)
+    is_forced = forced.any(axis=1)
+    assigned = np.where(is_forced, len(gt) - 1 - forced[:, ::-1].argmax(axis=1),
+                        m.argmax(axis=1))
+    labels[is_forced] = 1
+    pos = labels == 1
+    targets[pos] = encode_deltas_array(anchors[pos], gt[assigned[pos]])
+    return labels, targets
 
 
-def encode_delta(anchor: Box, gt: Box) -> BoxDelta:
-    if gt.width <= 0 or gt.height <= 0:
-        raise GeometryError(f"ground-truth box has non-positive extent: {gt}")
-    if anchor.width <= 0 or anchor.height <= 0:
-        raise GeometryError(f"anchor has non-positive extent: {anchor}")
-    ax, ay = (anchor.x1 + anchor.x2) / 2, (anchor.y1 + anchor.y2) / 2
-    gx, gy = (gt.x1 + gt.x2) / 2, (gt.y1 + gt.y2) / 2
-    return BoxDelta(
-        dx=(gx - ax) / anchor.width,
-        dy=(gy - ay) / anchor.height,
-        dw=float(np.log(gt.width / anchor.width)),
-        dh=float(np.log(gt.height / anchor.height)),
-    )
+def _centers_and_sizes(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
+    w = boxes[:, 2] - boxes[:, 0]
+    h = boxes[:, 3] - boxes[:, 1]
+    return (boxes[:, 0] + boxes[:, 2]) / 2, (boxes[:, 1] + boxes[:, 3]) / 2, w, h
 
 
-def decode_delta(anchor: Box, d: BoxDelta) -> Box:
-    ax, ay = (anchor.x1 + anchor.x2) / 2, (anchor.y1 + anchor.y2) / 2
-    cx = ax + d.dx * anchor.width
-    cy = ay + d.dy * anchor.height
-    w = anchor.width * float(np.exp(d.dw))
-    h = anchor.height * float(np.exp(d.dh))
-    return Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+def encode_deltas_array(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """(N, 4) regression targets (dx, dy, dw, dh) of corner-form gt boxes
+    relative to their anchors, row by row; both must have positive extent."""
+    ax, ay, aw, ah = _centers_and_sizes(anchors)
+    gx, gy, gw, gh = _centers_and_sizes(gt)
+    if (gw <= 0).any() or (gh <= 0).any():
+        raise GeometryError("ground-truth box has non-positive extent")
+    if (aw <= 0).any() or (ah <= 0).any():
+        raise GeometryError("anchor has non-positive extent")
+    return np.stack([(gx - ax) / aw, (gy - ay) / ah,
+                     np.log(gw / aw), np.log(gh / ah)], axis=1)
 
 
 def decode_deltas_array(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Vectorized decode: anchors (N, 4) corner form, deltas (N, 4)."""
-    aw = anchors[:, 2] - anchors[:, 0]
-    ah = anchors[:, 3] - anchors[:, 1]
-    ax = (anchors[:, 0] + anchors[:, 2]) / 2
-    ay = (anchors[:, 1] + anchors[:, 3]) / 2
+    """Inverse of encode_deltas_array: anchors (N, 4) corner form, deltas
+    (N, 4)."""
+    ax, ay, aw, ah = _centers_and_sizes(anchors)
     cx = ax + deltas[:, 0] * aw
     cy = ay + deltas[:, 1] * ah
     w = aw * np.exp(deltas[:, 2])

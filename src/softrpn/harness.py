@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -14,9 +15,8 @@ from . import autograd as ag
 from . import model as mdl
 from .autograd import Tensor
 from .data import ImageRecord
-from .geometry import (Anchor, Box, ProposalLabel, boxes_to_array,
-                       decode_deltas_array, encode_delta, generate_anchors,
-                       iou_matrix)
+from .geometry import (Box, boxes_to_array, decode_deltas_array, generate_anchors,
+                       iou_matrix, match_anchors)
 
 
 class DivergenceError(Exception):
@@ -27,8 +27,9 @@ class DivergenceError(Exception):
 
 @dataclass
 class TrainConfig:
-    """Every tunable of a run; serializable, and sufficient (with the seeds)
-    to reproduce a run exactly."""
+    """Every tunable of a run; serializable, and sufficient (with the seeds
+    and the dataset) to reproduce a run exactly. The anchor grid follows
+    each image's own extent and model.BACKBONE_STRIDE."""
     t: float = 0.8
     d_embed: int = 32
     n_anchors: int = 3
@@ -41,17 +42,12 @@ class TrainConfig:
     batch_images: int = 4
     minibatch_size: int = 64
     pos_fraction: float = 0.25
-    drop_rate: float = 0.3
-    image_size: int = 64
-    n_images: int = 200
     anchor_scales: tuple[float, ...] = (16.0, 32.0, 64.0)
     anchor_aspect: float = 1.0
-    stride: int = 8
     pos_thresh: float = 0.7
     neg_thresh: float = 0.3
     nms_iou: float = 0.7
     top_k: int = 50
-    seed_data: int = 0
     seed_init: int = 0
     seed_sample: int = 0
 
@@ -60,9 +56,6 @@ class TrainConfig:
             raise ValueError(f"t must lie in (0, 1), got {self.t}")
         if self.mode not in ("baseline", "soft_label"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.stride != mdl.BACKBONE_STRIDE:
-            raise ValueError(f"stride must equal the backbone stride "
-                             f"{mdl.BACKBONE_STRIDE}, got {self.stride}")
         if self.milestones is None:
             # LR decays at half and four fifths of the run, (500, 800) of 1000.
             self.milestones = sorted({self.total_iters // 2,
@@ -81,10 +74,44 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
+        """Build from a JSON object, checking every key and value type.
+        Retired keys are accepted and dropped, so older configs and
+        checkpoints still load; a retired stride must still be the
+        backbone stride."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+        if d.get("stride", mdl.BACKBONE_STRIDE) != mdl.BACKBONE_STRIDE:
+            raise ValueError(f"stride must equal the backbone stride "
+                             f"{mdl.BACKBONE_STRIDE}, got {d['stride']!r}")
+        d = {k: v for k, v in d.items() if k not in RETIRED_CONFIG_KEYS}
+        hints = typing.get_type_hints(cls)
+        for key, value in d.items():
+            if key not in hints:
+                raise ValueError(f"unknown config key {key!r}")
+            if not _conforms(value, hints[key]):
+                raise ValueError(f"config key {key!r} must be {cls.__annotations__[key]}, "
+                                 f"got {value!r}")
         if "anchor_scales" in d:
             d["anchor_scales"] = tuple(d["anchor_scales"])
         return cls(**d)
+
+
+# Keys of earlier TrainConfig versions: the image extent and the stride now
+# come from the data and the backbone, and the dataset keys belong to the
+# dataset's own manifest.
+RETIRED_CONFIG_KEYS = ("image_size", "stride", "n_images", "drop_rate", "seed_data")
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits a TrainConfig field annotation."""
+    if isinstance(value, bool):
+        return False
+    if typing.get_origin(hint) is typing.Union:          # Optional[X]
+        return value is None or _conforms(value, typing.get_args(hint)[0])
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _conforms(v, typing.get_args(hint)[0]) for v in value)
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass
@@ -109,42 +136,31 @@ class MatchedImage:
     delta_targets: np.ndarray   # (N, 4); rows valid only where labels == 1
 
 
-def anchors_for(config: TrainConfig) -> list[Anchor]:
-    fh = config.image_size // config.stride
-    return generate_anchors(fh, fh, config.stride, config.anchor_scales,
-                            config.anchor_aspect)
+def anchors_for(image: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """The (N, 4) anchors of an (H, W, 1) image, index-aligned with the
+    outputs of model.forward_rpn on it."""
+    stride = mdl.BACKBONE_STRIDE
+    return generate_anchors(image.shape[0] // stride, image.shape[1] // stride, stride,
+                            config.anchor_scales, config.anchor_aspect)
 
 
-def anchor_boxes(config: TrainConfig) -> np.ndarray:
-    """The (N, 4) corner-form array of anchors_for(config)."""
-    return boxes_to_array([a.box for a in anchors_for(config)])
-
-
-def check_image_size(records: Sequence[ImageRecord], config: TrainConfig):
-    """Anchors are laid out for config.image_size; any other image extent
-    would index the wrong anchors."""
+def check_extents(records: Sequence[ImageRecord]):
+    """Refuse, before any work, an image that model.forward_rpn cannot run."""
     for rec in records:
-        if rec.image.shape[:2] != (config.image_size, config.image_size):
-            h, w = rec.image.shape[:2]
+        h, w = rec.image.shape[:2]
+        if not mdl.extent_ok(h, w):
             raise ValueError(
-                f"image {rec.file_name} is {h}x{w} but config.image_size is "
-                f"{config.image_size}; set image_size in the config")
+                f"image {rec.file_name} is {h}x{w}; both extents must be multiples "
+                f"of {mdl.BACKBONE_STRIDE} and at least {mdl.MIN_EXTENT}")
 
 
-def match_dataset(records: Sequence[ImageRecord], anchors: Sequence[Anchor],
-                  config: TrainConfig) -> list[MatchedImage]:
-    from .geometry import match_anchors
+def match_dataset(records: Sequence[ImageRecord], config: TrainConfig
+                  ) -> list[MatchedImage]:
     out = []
     for rec in records:
-        matches = match_anchors(anchors, rec.kept, config.pos_thresh, config.neg_thresh)
-        labels = np.full(len(anchors), 0, dtype=np.int64)
-        targets = np.zeros((len(anchors), 4))
-        for i, (lab, gi) in enumerate(matches):
-            if lab is ProposalLabel.POSITIVE:
-                labels[i] = 1
-                targets[i] = encode_delta(anchors[i].box, rec.kept[gi]).as_array()
-            elif lab is ProposalLabel.IGNORE:
-                labels[i] = -1
+        labels, targets = match_anchors(anchors_for(rec.image, config),
+                                        boxes_to_array(rec.kept),
+                                        config.pos_thresh, config.neg_thresh)
         out.append(MatchedImage(record=rec, labels=labels, delta_targets=targets))
     return out
 
@@ -176,9 +192,8 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
     final parameters and a per-iteration metric log."""
     if not records:
         raise ValueError("dataset is empty")
-    check_image_size(records, config)
-    anchors = anchors_for(config)
-    matched = match_dataset(records, anchors, config)
+    check_extents(records)
+    matched = match_dataset(records, config)
     params = mdl.init_params(config.d_embed, config.n_anchors,
                              np.random.default_rng(config.seed_init))
     velocity = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -232,19 +247,17 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
     return np.array(keep, dtype=np.intp)
 
 
-def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig,
-            anchors: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Decoded, suppressed, top-k proposals: (boxes (M, 4), scores (M,)).
-    ``anchors`` is anchor_boxes(config), built here when not given."""
-    if anchors is None:
-        anchors = anchor_boxes(config)
+def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Decoded, image-clipped, suppressed, top-k proposals: (boxes (M, 4),
+    scores (M,))."""
     with ag.no_grad():
         batch = mdl.forward_rpn(Tensor(record.image), params,
                                 config.n_anchors, config.d_embed)
-    boxes = decode_deltas_array(anchors, batch.deltas.data)
-    size = float(config.image_size)
-    boxes[:, [0, 2]] = boxes[:, [0, 2]].clip(0.0, size)
-    boxes[:, [1, 3]] = boxes[:, [1, 3]].clip(0.0, size)
+    boxes = decode_deltas_array(anchors_for(record.image, config), batch.deltas.data)
+    h, w = record.image.shape[:2]
+    boxes[:, [0, 2]] = boxes[:, [0, 2]].clip(0.0, float(w))
+    boxes[:, [1, 3]] = boxes[:, [1, 3]].clip(0.0, float(h))
     scores = batch.probs.data
     keep = nms(boxes, scores, config.nms_iou, config.top_k)
     return boxes[keep], scores[keep]
@@ -325,12 +338,11 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
              config: TrainConfig) -> EvalReport:
     """Score proposals single-class against the full (undropped) ground
     truth: COCO-convention AP plus proposal recall at IoU 0.5."""
-    check_image_size(records, config)
-    anchors = anchor_boxes(config)
+    check_extents(records)
     counts, scores, ious = [], [np.zeros(0)], {}
     n_gt = n_hit = 0
     for idx, rec in enumerate(records):
-        boxes, s = predict(params, rec, config, anchors)
+        boxes, s = predict(params, rec, config)
         counts.append(len(s))
         scores.append(s)
         gts = boxes_to_array(rec.full)
@@ -365,9 +377,8 @@ def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
     sampling protocol as training (the row-softmax scale depends on how many
     positives enter the attention map, so the audit must mirror training)."""
     t = config.t if t is None else t
-    check_image_size(records, config)
-    anchors = anchors_for(config)
-    matched = match_dataset(records, anchors, config)
+    check_extents(records)
+    matched = match_dataset(records, config)
     flags: list[Flag] = []
     for idx, mi in enumerate(matched):
         rng = np.random.default_rng([config.seed_sample, idx, 0xA0D17])
@@ -380,10 +391,11 @@ def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
                 continue
             amap = mdl.attention_map(ag.gather_rows(batch.embeddings, neg_idx),
                                      ag.gather_rows(batch.embeddings, pos_idx))
+        anchors = anchors_for(mi.record.image, config)
         for i in sorted(mdl.detect_false_negatives(amap, t)):
             ai = int(neg_idx[i])
             flags.append(Flag(image_index=idx, anchor_index=ai,
-                              box=anchors[ai].box, score=float(amap.row_max[i])))
+                              box=Box(*anchors[ai]), score=float(amap.row_max[i])))
     flags.sort(key=lambda f: -f.score)
     return flags
 
@@ -429,8 +441,6 @@ def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord]
     """Expected dropped-box recall of a size-matched uniformly random anchor
     flag set, computed in closed form per image from the hypergeometric
     no-hit probability."""
-    anchors = anchor_boxes(config)
-    n = len(anchors)
     counts: dict[int, int] = {}
     for f in flags:
         counts[f.image_index] = counts.get(f.image_index, 0) + 1
@@ -439,6 +449,8 @@ def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord]
     for idx, rec in enumerate(records):
         if not rec.dropped:
             continue
+        anchors = anchors_for(rec.image, config)
+        n = len(anchors)
         m = min(counts.get(idx, 0), n)
         covers = (iou_matrix(boxes_to_array(rec.dropped), anchors) >= 0.5).sum(axis=1)
         for c in covers:

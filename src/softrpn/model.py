@@ -30,6 +30,7 @@ from . import autograd as ag
 from .autograd import Tensor
 
 BACKBONE_STRIDE = 8
+MIN_EXTENT = 16
 BACKBONE_CHANNELS = (8, 16, 32)
 
 
@@ -47,8 +48,8 @@ class AttentionMap:
 
 @dataclass
 class ProposalBatch:
-    """Flat per-anchor model outputs for one image, index-aligned with the
-    row-major anchor ordering of geometry.generate_anchors."""
+    """Flat per-anchor model outputs for one image in row-major (gy, gx,
+    anchor) order, index-aligned with harness.anchors_for on that image."""
     probs: Tensor        # (N,) objectness
     deltas: Tensor       # (N, 4)
     embeddings: Tensor   # (N, D)
@@ -86,12 +87,20 @@ def init_params(d_embed: int, n_anchors: int, rng: np.random.Generator) -> dict[
     return params
 
 
+def extent_ok(h: int, w: int) -> bool:
+    """Whether forward_rpn runs on an h x w image: both extents multiples of
+    BACKBONE_STRIDE and at least MIN_EXTENT."""
+    return not (h % BACKBONE_STRIDE or w % BACKBONE_STRIDE
+                or h < MIN_EXTENT or w < MIN_EXTENT)
+
+
 def forward_rpn(image: Tensor, params: dict[str, Tensor],
                 n_anchors: int, d_embed: int) -> ProposalBatch:
-    """Run backbone + heads on an (H, W, 1) image; H and W must divide by 8."""
+    """Run backbone + heads on an (H, W, 1) image; see extent_ok."""
     h, w = image.shape[0], image.shape[1]
-    if h % BACKBONE_STRIDE or w % BACKBONE_STRIDE or h < 16 or w < 16:
-        raise ag.GraphError(f"image extent {h}x{w} must be >= 16 and divisible by 8")
+    if not extent_ok(h, w):
+        raise ag.GraphError(f"image extent {h}x{w} must be >= {MIN_EXTENT} and "
+                            f"divisible by {BACKBONE_STRIDE}")
     x = image
     for i in range(len(BACKBONE_CHANNELS)):
         x = ag.relu(ag.add(ag.conv2d(x, params[f"backbone.conv{i}.w"], stride=2, pad=1),

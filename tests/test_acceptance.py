@@ -109,7 +109,7 @@ class TestAttentionInvariants:
 class TestBaselineDegradation:
     def test_soft_mode_with_unreachable_threshold_is_baseline(self):
         records = dat.generate_benchmark(16, 64, 0.3, seed=5)
-        common = dict(total_iters=100, milestones=(50, 80), n_images=16)
+        common = dict(total_iters=100, milestones=(50, 80))
         base_cfg = hz.TrainConfig(mode="baseline", **common)
         soft_cfg = hz.TrainConfig(mode="soft_label", t=1.0 - 1e-9, **common)
         _, base_log = hz.train(base_cfg, records)
@@ -150,7 +150,7 @@ def benchmark_runs():
     runs = []
     for seed in SEEDS:
         records = dat.generate_benchmark(200, 64, 0.3, seed=seed)
-        common = dict(seed_data=seed, seed_init=seed, seed_sample=seed)
+        common = dict(seed_init=seed, seed_sample=seed)
         base_cfg = hz.TrainConfig(mode="baseline", **common)
         soft_cfg = hz.TrainConfig(mode="soft_label", t=0.8, **common)
         base_params, _ = hz.train(base_cfg, records)
@@ -201,7 +201,7 @@ class TestDetectionSignal:
 class TestAblationShape:
     def test_three_threshold_ablation_completes_and_is_well_formed(self):
         records = dat.generate_benchmark(16, 64, 0.3, seed=9)
-        config = hz.TrainConfig(total_iters=60, milestones=(30, 45), n_images=16)
+        config = hz.TrainConfig(total_iters=60, milestones=(30, 45))
         thresholds = (0.6, 0.8, 0.9)
         rows = hz.ablate_threshold(config, records, thresholds)
         assert [r["t"] for r in rows] == list(thresholds)

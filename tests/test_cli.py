@@ -5,8 +5,13 @@ import struct
 
 import pytest
 
+from softrpn import cli
+from softrpn import data as dat
+from softrpn import harness as hz
 from softrpn import model as mdl
 from softrpn.cli import main
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def run(argv):
@@ -46,6 +51,17 @@ def dataset128(tmp_path_factory):
     return str(out)
 
 
+@pytest.fixture(scope="module")
+def dataset60(tmp_path_factory):
+    """Two 60x60 images: not a multiple of the backbone stride."""
+    records = dat.generate_benchmark(2, 64, 0.3, seed=3)
+    for rec in records:
+        rec.image = rec.image[:60, :60]
+    out = tmp_path_factory.mktemp("data60") / "bench"
+    dat.save_dataset(out, records)
+    return str(out)
+
+
 def single_error_line(capsys) -> str:
     """The captured stderr, asserted to be exactly one `error:` line."""
     lines = capsys.readouterr().err.splitlines()
@@ -56,9 +72,7 @@ def single_error_line(capsys) -> str:
 @pytest.fixture(scope="module")
 def fast_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "fast.json"
-    path.write_text(json.dumps({
-        "total_iters": 12, "milestones": [6, 9], "n_images": 10,
-    }))
+    path.write_text(json.dumps({"total_iters": 12, "milestones": [6, 9]}))
     return str(path)
 
 
@@ -160,13 +174,64 @@ class TestTrainCmd:
         assert doc["config"]["milestones"] == [6, 9]
         assert len((out / "train_log.jsonl").read_text().splitlines()) == 12
 
-    def test_image_size_mismatch_fails_before_training(self, dataset128, tmp_path,
+    def test_image_size_mismatch_fails_before_training(self, dataset60, tmp_path,
                                                        capsys):
-        out = tmp_path / "run128"
-        assert run(["train", "--data", dataset128, "--out", str(out), *FAST]) == 1
+        out = tmp_path / "run60"
+        assert run(["train", "--data", dataset60, "--out", str(out), *FAST]) == 1
         err = single_error_line(capsys)
-        assert "128x128" in err and "image_size is 64" in err
-        assert not (out / "checkpoint.srpn").exists()
+        assert "60x60" in err and "multiples of 8" in err
+        assert not out.exists()
+
+    def test_128_images_with_default_config_label_every_output(self, dataset128,
+                                                                tmp_path, monkeypatch):
+        """The anchor grid follows the image: labels line up with the 768
+        outputs of a 128x128 forward pass (not the 192 of a 64x64 grid)."""
+        label_counts, output_counts = [], []
+        match_dataset, forward_rpn = hz.match_dataset, mdl.forward_rpn
+
+        def counting_match(records, config):
+            matched = match_dataset(records, config)
+            label_counts.extend(len(mi.labels) for mi in matched)
+            return matched
+
+        def counting_forward(*args, **kwargs):
+            batch = forward_rpn(*args, **kwargs)
+            output_counts.append(batch.probs.shape[0])
+            return batch
+
+        monkeypatch.setattr(hz, "match_dataset", counting_match)
+        monkeypatch.setattr(mdl, "forward_rpn", counting_forward)
+        out = tmp_path / "run128"
+        assert run(["train", "--data", dataset128, "--out", str(out), *FAST]) == 0
+        assert (out / "checkpoint.srpn").exists()
+        assert label_counts == [768, 768]
+        assert set(output_counts) == {768} and len(output_counts) == 12 * 4
+
+    @pytest.mark.parametrize("doc, needle", [
+        ({"bogus": 1}, "unknown config key 'bogus'"),
+        ({"t": "x"}, "config key 't' must be"),
+        ([1, 2], "config must be a JSON object"),
+        ({"stride": 16}, "stride must equal the backbone stride 8"),
+    ])
+    def test_bad_config_file_gives_one_error_line(self, doc, needle, dataset,
+                                                  tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["train", "--data", dataset, "--out", str(out),
+                    "--config", str(path), *FAST]) == 1
+        assert needle in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_retired_config_keys_still_load(self, dataset, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"total_iters": 12, "image_size": 64, "stride": 8,
+                                    "n_images": 10, "drop_rate": 0.3, "seed_data": 0}))
+        out = tmp_path / "old"
+        assert run(["train", "--data", dataset, "--out", str(out),
+                    "--config", str(path)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert len(config) == 20 and "image_size" not in config
 
 
 class TestEvalCmd:
@@ -206,11 +271,28 @@ class TestEvalCmd:
         assert str(bad) in single_error_line(capsys)
         assert not report.exists()
 
-    def test_image_size_mismatch_is_runtime_error(self, dataset128, checkpoint,
+    def test_image_size_mismatch_is_runtime_error(self, dataset60, checkpoint,
                                                   tmp_path, capsys):
-        assert run(["eval", "--checkpoint", checkpoint, "--data", dataset128,
-                    "--report", str(tmp_path / "r.json")]) == 1
-        assert "128x128" in single_error_line(capsys)
+        report = tmp_path / "r.json"
+        assert run(["eval", "--checkpoint", checkpoint, "--data", dataset60,
+                    "--report", str(report)]) == 1
+        assert "60x60" in single_error_line(capsys)
+        assert not report.exists()
+
+    @pytest.mark.parametrize("name, data", [("ckpt64.srpn", "dataset"),
+                                            ("ckpt128.srpn", "dataset128")])
+    def test_committed_benchmark_checkpoints_evaluate(self, name, data, request,
+                                                      tmp_path):
+        """Checkpoints whose meta.config carries the retired keys still load
+        and evaluate on data of their image size."""
+        path = os.path.join(PERFBENCH, name)
+        _, config = cli._load_checkpoint_config(path)
+        assert config.milestones and config.total_iters > 1
+        report = tmp_path / "r.json"
+        assert run(["eval", "--checkpoint", path, "--data",
+                    request.getfixturevalue(data), "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert all(0.0 <= doc[k] <= 1.0 for k in ("ap50", "ap", "recall50"))
 
 
 class TestAuditCmd:
@@ -223,6 +305,14 @@ class TestAuditCmd:
         scores = [f["attention_score"] for f in doc["flags"]]
         assert scores == sorted(scores, reverse=True)
         assert "fn_precision" in doc and "fn_recall" in doc
+
+    def test_bad_extents_give_one_error_line(self, dataset60, checkpoint, tmp_path,
+                                             capsys):
+        report = tmp_path / "audit.json"
+        assert run(["audit", "--checkpoint", checkpoint, "--data", dataset60,
+                    "--report", str(report)]) == 1
+        assert "60x60" in single_error_line(capsys)
+        assert not report.exists()
 
     def test_threshold_above_all_scores_empty(self, dataset, checkpoint,
                                               tmp_path):

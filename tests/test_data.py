@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 from softrpn import data as dat
 from softrpn.data import (Box, CocoAnnotation, CocoDataset, CocoFormatError,
                           CocoImage, EllipseSpec, SceneSpec)
-from softrpn.geometry import iou
+from softrpn.geometry import iou_matrix
+
+
+def iou(a: Box, b: Box) -> float:
+    return float(iou_matrix(a.as_array()[None], b.as_array()[None])[0, 0])
 
 
 def scene_with(objects, seed=0, size=64, noise=0.03):

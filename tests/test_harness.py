@@ -8,12 +8,15 @@ from softrpn import harness as hz
 from softrpn.geometry import Box, iou_matrix, boxes_to_array
 
 
-# A small config for fast training tests.
+# A small config and dataset for fast training tests.
 def tiny_config(**over):
-    base = dict(total_iters=20, milestones=(8, 14), n_images=12,
-                seed_data=0, seed_init=0, seed_sample=0)
+    base = dict(total_iters=20, milestones=(8, 14), seed_init=0, seed_sample=0)
     base.update(over)
     return hz.TrainConfig(**base)
+
+
+def tiny_records(n_images=12, size=64, drop_rate=0.3, seed=0):
+    return dat.generate_benchmark(n_images, size, drop_rate, seed=seed)
 
 
 class TestTrainConfig:
@@ -26,12 +29,32 @@ class TestTrainConfig:
         dict(milestones=(800, 500)),
         dict(milestones=(500, 1000)),          # not < total_iters
         dict(anchor_scales=(16.0, 32.0)),      # wrong arity for n_anchors=3
-        dict(stride=16),                       # the backbone stride is 8
+        dict(stride=16),                       # retired key; the backbone stride is 8
         dict(total_iters=12, milestones=(6, 12)),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
-            hz.TrainConfig(**bad)
+            hz.TrainConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"bogus": 1}, "unknown config key 'bogus'"),
+        ({"t": "x"}, "config key 't' must be"),
+        ({"total_iters": 12.5}, "config key 'total_iters' must be"),
+        ({"top_k": True}, "config key 'top_k' must be"),
+        ({"anchor_scales": [16, "32", 64]}, "config key 'anchor_scales' must be"),
+        ({"milestones": 5}, "config key 'milestones' must be"),
+        ([1, 2], "config must be a JSON object"),
+    ])
+    def test_from_dict_names_the_bad_key(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            hz.TrainConfig.from_dict(doc)
+
+    def test_retired_keys_accepted_and_dropped(self):
+        retired = {"image_size": 128, "stride": 8, "n_images": 60, "drop_rate": 0.3,
+                   "seed_data": 4}
+        cfg = hz.TrainConfig.from_dict({**retired, "t": 0.6, "milestones": None})
+        assert cfg == hz.TrainConfig(t=0.6)
+        assert not set(retired) & set(cfg.to_dict())
 
     @pytest.mark.parametrize("total_iters, milestones", [
         (1000, (500, 800)), (12, (6, 9)), (3, (1, 2)), (2, (1,)), (1, ()),
@@ -267,8 +290,7 @@ class TestAveragePrecision:
 class TestTrain:
     def test_deterministic(self):
         cfg = tiny_config()
-        records = dat.generate_benchmark(cfg.n_images, cfg.image_size,
-                                         cfg.drop_rate, seed=cfg.seed_data)
+        records = tiny_records()
         p1, log1 = hz.train(cfg, records)
         p2, log2 = hz.train(cfg, records)
         for k in p1:
@@ -289,8 +311,7 @@ class TestTrain:
 
     def test_lr_decays_tenfold_at_each_milestone(self):
         cfg = tiny_config()
-        records = dat.generate_benchmark(cfg.n_images, cfg.image_size,
-                                         cfg.drop_rate, seed=0)
+        records = tiny_records()
         _, log = hz.train(cfg, records)
         lrs = [r["lr"] for r in log]
         assert lrs[0] == cfg.lr
@@ -303,9 +324,8 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_iteration(self):
-        cfg = tiny_config(total_iters=5, milestones=(4,), n_images=2)
-        records = dat.generate_benchmark(cfg.n_images, cfg.image_size,
-                                         cfg.drop_rate, seed=0)
+        cfg = tiny_config(total_iters=5, milestones=(4,))
+        records = tiny_records(2)
         # an overflowing input drives the regression loss to infinity
         records[0].image[...] = 1e200
         records[1].image[...] = 1e200
@@ -316,8 +336,7 @@ class TestTrain:
 
     def test_log_records_loss_components(self):
         cfg = tiny_config(total_iters=3, milestones=(2,))
-        records = dat.generate_benchmark(cfg.n_images, cfg.image_size,
-                                         cfg.drop_rate, seed=0)
+        records = tiny_records()
         _, log = hz.train(cfg, records)
         assert len(log) == 3
         for rec in log:
@@ -331,10 +350,8 @@ class TestEvaluate:
     def test_learning_happens(self):
         """Trained AP50 on the training set (no drops) beats untrained."""
         import softrpn.model as mdl
-        cfg = tiny_config(total_iters=150, milestones=(100, 130), drop_rate=0.0,
-                          n_images=16)
-        records = dat.generate_benchmark(cfg.n_images, cfg.image_size,
-                                         0.0, seed=0)
+        cfg = tiny_config(total_iters=150, milestones=(100, 130))
+        records = tiny_records(16, drop_rate=0.0)
         trained, _ = hz.train(cfg, records)
         untrained = mdl.init_params(cfg.d_embed, cfg.n_anchors,
                                     np.random.default_rng(cfg.seed_init))
@@ -355,10 +372,8 @@ class TestEvaluate:
 
 
     def test_report_equals_oracle_on_multi_image_instance(self):
-        from softrpn.geometry import iou
         cfg = tiny_config(top_k=20)
-        params, _ = hz.train(cfg, dat.generate_benchmark(cfg.n_images, 64, 0.3,
-                                                         seed=0))
+        params, _ = hz.train(cfg, tiny_records())
         records = dat.generate_benchmark(4, 64, 0.3, seed=4)
         records.insert(2, make_record(99, [], []))          # no ground truth
         detections, gt_boxes = [], {}
@@ -368,7 +383,7 @@ class TestEvaluate:
             gt_boxes[idx] = boxes_to_array(rec.full)
         aps = [ap_oracle(detections, gt_boxes, t) for t in hz.COCO_IOU_THRESHOLDS]
         gts = [(idx, g) for idx, rec in enumerate(records) for g in rec.full]
-        hits = sum(any(img == idx and iou(g, Box(*box)) >= 0.5
+        hits = sum(any(img == idx and iou_matrix(g.as_array()[None], box[None])[0, 0] >= 0.5
                        for img, _, box in detections) for idx, g in gts)
         want = hz.EvalReport(ap50=aps[0], ap75=aps[5], ap=float(np.mean(aps)),
                              recall50=hits / len(gts))
@@ -383,16 +398,75 @@ class TestImageSizeCheck:
 
     @pytest.mark.parametrize("entry", ["train", "evaluate", "audit_flags"])
     def test_mismatch_raises_before_any_work(self, entry, monkeypatch):
+        """A 60x60 image, last in the dataset, stops every entry point
+        before the first forward pass or anchor match."""
         import softrpn.model as mdl
-        records = dat.generate_benchmark(2, 128, 0.3, seed=0)
+        records = tiny_records(2) + [make_record(7, [], [], size=60)]
         cfg = tiny_config()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors,
                                  np.random.default_rng(0))
         monkeypatch.setattr(mdl, "forward_rpn", self._no_work)
         monkeypatch.setattr(hz, "match_dataset", self._no_work)
         args = (cfg, records) if entry == "train" else (params, records, cfg)
-        with pytest.raises(ValueError, match="is 128x128 but config.image_size is 64"):
+        with pytest.raises(ValueError, match="img_7.pgm is 60x60; both extents must "
+                                             "be multiples of 8 and at least 16"):
             getattr(hz, entry)(*args)
+
+    @pytest.mark.parametrize("shape", [(60, 60), (8, 8), (64, 60), (12, 16), (16, 0)])
+    def test_bad_extents_rejected(self, shape):
+        record = dat.ImageRecord(image_id=0, file_name="x.pgm",
+                                 image=np.zeros((*shape, 1)), kept=[], dropped=[])
+        with pytest.raises(ValueError, match=f"is {shape[0]}x{shape[1]}"):
+            hz.check_extents([record])
+
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (128, 128), (64, 128)])
+    def test_good_extents_accepted(self, shape):
+        record = dat.ImageRecord(image_id=0, file_name="x.pgm",
+                                 image=np.zeros((*shape, 1)), kept=[], dropped=[])
+        hz.check_extents([record])
+
+
+class TestAnchorsFromImage:
+    @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (64, 128), (16, 40)])
+    def test_anchor_count_equals_forward_output_count(self, shape):
+        import softrpn.model as mdl
+        from softrpn.autograd import Tensor
+        cfg = hz.TrainConfig()
+        params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
+        image = np.zeros((*shape, 1))
+        batch = mdl.forward_rpn(Tensor(image), params, cfg.n_anchors, cfg.d_embed)
+        anchors = hz.anchors_for(image, cfg)
+        assert anchors.shape == (batch.probs.shape[0], 4)
+        assert len(anchors) == (shape[0] // 8) * (shape[1] // 8) * 3
+        # the last anchor sits on the bottom-right cell, at the largest scale
+        assert anchors[-1].tolist() == [shape[1] - 36, shape[0] - 36,
+                                        shape[1] + 28, shape[0] + 28]
+
+    def test_mixed_extents_train_evaluate_and_audit(self):
+        records = tiny_records(4) + tiny_records(2, size=128, seed=1)
+        cfg = tiny_config(total_iters=8, milestones=(4,))
+        params, log = hz.train(cfg, records)
+        assert len(log) == 8 and all(np.isfinite(r["total"]) for r in log)
+        report = hz.evaluate(params, records, cfg)
+        for v in (report.ap50, report.ap75, report.ap, report.recall50):
+            assert 0.0 <= v <= 1.0
+        for f in hz.audit_flags(params, records, cfg, t=0.5):
+            size = records[f.image_index].image.shape[0]
+            assert f.box == Box(*hz.anchors_for(records[f.image_index].image,
+                                                cfg)[f.anchor_index])
+            assert f.anchor_index < 3 * (size // 8) ** 2
+
+    def test_predict_clips_x_to_width_and_y_to_height(self):
+        import softrpn.model as mdl
+        cfg = tiny_config(top_k=1000)
+        params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
+        record = dat.ImageRecord(image_id=0, file_name="wide.pgm",
+                                 image=np.random.default_rng(1).random((32, 96, 1)),
+                                 kept=[], dropped=[])
+        boxes, _ = hz.predict(params, record, cfg)
+        assert boxes.min() >= 0.0
+        assert boxes[:, [0, 2]].max() <= 96.0 and boxes[:, [1, 3]].max() <= 32.0
+        assert boxes[:, 2].max() > 32.0
 
 
 def make_record(image_id, kept, dropped, size=64):
@@ -443,10 +517,10 @@ class TestExpectedRandomRecall:
     def test_matches_monte_carlo(self):
         """Closed-form hypergeometric expectation vs simulation."""
         cfg = hz.TrainConfig()
-        anchors = boxes_to_array([a.box for a in hz.anchors_for(cfg)])
-        n = len(anchors)
         dropped = [Box(6.0, 6.0, 22.0, 22.0), Box(38.0, 38.0, 54.0, 54.0)]
         records = [make_record(0, [], dropped)]
+        anchors = hz.anchors_for(records[0].image, cfg)
+        n = len(anchors)
         m = 10
         flags = [flag_at(0, Box(0, 0, 8, 8)) for _ in range(m)]
         analytic = hz.expected_random_recall(flags, records, cfg)
@@ -471,8 +545,8 @@ class TestExpectedRandomRecall:
 
     def test_flagging_everything_gives_full_recall(self):
         cfg = hz.TrainConfig()
-        n = len(hz.anchors_for(cfg))
         records = [make_record(0, [], [Box(6.0, 6.0, 22.0, 22.0)])]
+        n = len(hz.anchors_for(records[0].image, cfg))
         flags = [flag_at(0, Box(0, 0, 8, 8)) for _ in range(n)]
         assert hz.expected_random_recall(flags, records, cfg) == pytest.approx(1.0)
 
@@ -480,8 +554,7 @@ class TestExpectedRandomRecall:
 class TestAblation:
     def test_single_row_matches_direct_run(self):
         cfg = tiny_config(mode="soft_label")
-        records = dat.generate_benchmark(cfg.n_images, cfg.image_size,
-                                         cfg.drop_rate, seed=0)
+        records = tiny_records()
         rows = hz.ablate_threshold(cfg, records, [0.8])
         params, _ = hz.train(cfg, records)
         direct = hz.evaluate(params, records, cfg)
@@ -491,8 +564,7 @@ class TestAblation:
 
     def test_unreachable_threshold_row_equals_baseline(self):
         cfg = tiny_config()
-        records = dat.generate_benchmark(cfg.n_images, cfg.image_size,
-                                         cfg.drop_rate, seed=0)
+        records = tiny_records()
         rows = hz.ablate_threshold(cfg, records, [1.0 - 1e-9])
         base_cfg = tiny_config(mode="baseline")
         params, _ = hz.train(base_cfg, records)
@@ -500,9 +572,8 @@ class TestAblation:
         assert rows[0]["ap50"] == pytest.approx(base.ap50, abs=1e-9)
 
     def test_three_thresholds_three_rows_and_table(self):
-        cfg = tiny_config(total_iters=6, milestones=(4,), n_images=6)
-        records = dat.generate_benchmark(cfg.n_images, cfg.image_size,
-                                         cfg.drop_rate, seed=0)
+        cfg = tiny_config(total_iters=6, milestones=(4,))
+        records = tiny_records(6)
         rows = hz.ablate_threshold(cfg, records, [0.6, 0.8, 0.9])
         assert [r["t"] for r in rows] == [0.6, 0.8, 0.9]
         table = hz.format_ablation_table(rows)
