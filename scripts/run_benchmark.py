@@ -37,11 +37,10 @@ def main() -> int:
             results[mode].append(report)
             if mode == "soft_label":
                 flags = hz.audit_flags(params, records, config)
-                fn = hz.score_fn_detection(flags, records)
                 rand = hz.expected_random_recall(flags, records, config)
                 fn_lines.append(
                     f"  seed {seed}: {len(flags)} flags, precision "
-                    f"{fn.precision:.4f}, recall {fn.recall:.4f} "
+                    f"{report.fn_precision:.4f}, recall {report.fn_recall:.4f} "
                     f"(size-matched random: {rand:.4f})")
             print(f"seed {seed} {mode:>10}: ap50 {report.ap50:.4f} "
                   f"recall50 {report.recall50:.4f}")

@@ -77,11 +77,7 @@ def cmd_train(args) -> int:
     started = time.time()
     config = _load_config(args)
     records = dat.load_dataset(args.data)
-    try:
-        params, log = hz.train(config, records)
-    except hz.DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    params, log = hz.train(config, records)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.srpn")
     mdl.save_checkpoint(ckpt, params, meta={"config": config.to_dict()})
@@ -119,10 +115,6 @@ def cmd_eval(args) -> int:
     params, config = _load_checkpoint_config(args.checkpoint)
     records = dat.load_dataset(args.data)
     report = hz.evaluate(params, records, config)
-    flags = hz.audit_flags(params, records, config)
-    fn = hz.score_fn_detection(flags, records)
-    report.fn_precision, report.fn_recall = fn.precision, fn.recall
-    report.fn_vacuous = fn.vacuous
     _atomic_write_json(args.report, report.to_dict())
     out_dir = os.path.dirname(os.path.abspath(args.report))
     _write_manifest(out_dir, config, {"report": os.path.abspath(args.report),
@@ -232,8 +224,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, mdl.CheckpointError, dat.CocoFormatError,
-            ValueError) as e:
+    except (OSError, ValueError, mdl.CheckpointError, dat.CocoFormatError,
+            hz.DivergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import dataclass, asdict
+from collections import Counter
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,8 +53,10 @@ class TrainConfig:
     seed_sample: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.t < 1.0:
-            raise ValueError(f"t must lie in (0, 1), got {self.t}")
+        mdl.check_threshold(self.t)
+        for name in ("total_iters", "batch_images"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.mode not in ("baseline", "soft_label"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.milestones is None:
@@ -63,14 +66,12 @@ class TrainConfig:
         self.milestones = ms = tuple(self.milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])) or (ms and ms[-1] >= self.total_iters):
             raise ValueError("milestones must be strictly increasing and < total_iters")
+        self.anchor_scales = tuple(self.anchor_scales)
         if len(self.anchor_scales) != self.n_anchors:
             raise ValueError("anchor_scales must have n_anchors entries")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["milestones"] = list(self.milestones)
-        d["anchor_scales"] = list(self.anchor_scales)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -91,8 +92,6 @@ class TrainConfig:
             if not _conforms(value, hints[key]):
                 raise ValueError(f"config key {key!r} must be {cls.__annotations__[key]}, "
                                  f"got {value!r}")
-        if "anchor_scales" in d:
-            d["anchor_scales"] = tuple(d["anchor_scales"])
         return cls(**d)
 
 
@@ -120,9 +119,9 @@ class EvalReport:
     ap75: float
     ap: float
     recall50: float
-    fn_precision: Optional[float] = None
-    fn_recall: Optional[float] = None
-    fn_vacuous: bool = False
+    fn_precision: float
+    fn_recall: float
+    fn_vacuous: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -130,7 +129,7 @@ class EvalReport:
 
 @dataclass
 class MatchedImage:
-    """Static per-image matching state, computed once before training."""
+    """Static per-image matching state, computed once per run."""
     record: ImageRecord
     labels: np.ndarray          # 1 pos, 0 neg, -1 ignore
     delta_targets: np.ndarray   # (N, 4); rows valid only where labels == 1
@@ -165,6 +164,17 @@ def match_dataset(records: Sequence[ImageRecord], config: TrainConfig
     return out
 
 
+def _attend(batch: mdl.ProposalBatch, pos_idx: np.ndarray, neg_idx: np.ndarray
+            ) -> Optional[mdl.AttentionMap]:
+    """Attention of sampled negatives to sampled positives, for training and
+    the audit alike; None below two positives (one makes every row max 1,
+    the softmax of one logit, flagging all negatives) or without a negative."""
+    if len(pos_idx) < 2 or not len(neg_idx):
+        return None
+    return mdl.attention_map(ag.gather_rows(batch.embeddings, neg_idx),
+                             ag.gather_rows(batch.embeddings, pos_idx))
+
+
 def _image_loss(params: dict[str, Tensor], mi: MatchedImage, config: TrainConfig,
                 rng: np.random.Generator) -> mdl.RpnLosses:
     """Forward one image, sample a proposal minibatch, and build the loss."""
@@ -172,17 +182,10 @@ def _image_loss(params: dict[str, Tensor], mi: MatchedImage, config: TrainConfig
                             config.n_anchors, config.d_embed)
     pos_idx, neg_idx = mdl.sample_proposals(mi.labels, config.minibatch_size,
                                             config.pos_fraction, rng)
-    pos_p = ag.gather_rows(batch.probs, pos_idx)
-    neg_p = ag.gather_rows(batch.probs, neg_idx)
-    pos_d = ag.gather_rows(batch.deltas, pos_idx)
-    amap = None
-    # A single positive makes every attention row max exactly 1 (softmax of
-    # one logit), which would flag all negatives at any threshold below 1;
-    # skip the attention path until at least two positives are sampled.
-    if config.mode == "soft_label" and len(pos_idx) >= 2 and len(neg_idx):
-        amap = mdl.attention_map(ag.gather_rows(batch.embeddings, neg_idx),
-                                 ag.gather_rows(batch.embeddings, pos_idx))
-    return mdl.soft_label_loss(pos_p, neg_p, pos_d,
+    amap = _attend(batch, pos_idx, neg_idx) if config.mode == "soft_label" else None
+    return mdl.soft_label_loss(ag.gather_rows(batch.probs, pos_idx),
+                               ag.gather_rows(batch.probs, neg_idx),
+                               ag.gather_rows(batch.deltas, pos_idx),
                                mi.delta_targets[pos_idx], amap, config.t)
 
 
@@ -211,10 +214,8 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
         for k in picks:
             losses = _image_loss(params, matched[k], config, rng)
             ag.scale(losses.total, 1.0 / config.batch_images).backward()
-            sums["l_pos"] += losses.l_pos.item()
-            sums["l_neg"] += losses.l_neg.item()
-            sums["l_reg"] += losses.l_reg.item()
-            sums["total"] += losses.total.item()
+            for key in sums:
+                sums[key] += getattr(losses, key).item()
             n_flagged += len(losses.flagged)
         means = {k: v / config.batch_images for k, v in sums.items()}
         if not math.isfinite(means["total"]):
@@ -247,20 +248,30 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
     return np.array(keep, dtype=np.intp)
 
 
-def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Decoded, image-clipped, suppressed, top-k proposals: (boxes (M, 4),
-    scores (M,))."""
+def _infer(params: dict[str, Tensor], image: np.ndarray, config: TrainConfig
+           ) -> mdl.ProposalBatch:
+    """One forward pass without a tape."""
     with ag.no_grad():
-        batch = mdl.forward_rpn(Tensor(record.image), params,
-                                config.n_anchors, config.d_embed)
-    boxes = decode_deltas_array(anchors_for(record.image, config), batch.deltas.data)
-    h, w = record.image.shape[:2]
+        return mdl.forward_rpn(Tensor(image), params, config.n_anchors, config.d_embed)
+
+
+def _proposals(batch: mdl.ProposalBatch, image: np.ndarray, config: TrainConfig
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Decoded, image-clipped, suppressed, top-k proposals of a forward pass
+    over image: (boxes (M, 4), scores (M,))."""
+    boxes = decode_deltas_array(anchors_for(image, config), batch.deltas.data)
+    h, w = image.shape[:2]
     boxes[:, [0, 2]] = boxes[:, [0, 2]].clip(0.0, float(w))
     boxes[:, [1, 3]] = boxes[:, [1, 3]].clip(0.0, float(h))
     scores = batch.probs.data
     keep = nms(boxes, scores, config.nms_iou, config.top_k)
     return boxes[keep], scores[keep]
+
+
+def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Proposals of one image; see _proposals."""
+    return _proposals(_infer(params, record.image, config), record.image, config)
 
 
 def _greedy_match(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -337,15 +348,19 @@ COCO_IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 1.00, 0.05), 2))
 def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
              config: TrainConfig) -> EvalReport:
     """Score proposals single-class against the full (undropped) ground
-    truth: COCO-convention AP plus proposal recall at IoU 0.5."""
+    truth: COCO-convention AP plus proposal recall at IoU 0.5. The same
+    forward pass feeds the audit at config.t (fn_*, see audit_flags)."""
     check_extents(records)
-    counts, scores, ious = [], [np.zeros(0)], {}
+    mdl.check_threshold(config.t)
+    counts, scores, ious, flags = [], [np.zeros(0)], {}, []
     n_gt = n_hit = 0
-    for idx, rec in enumerate(records):
-        boxes, s = predict(params, rec, config)
+    for idx, mi in enumerate(match_dataset(records, config)):
+        batch = _infer(params, mi.record.image, config)
+        boxes, s = _proposals(batch, mi.record.image, config)
+        flags += _audit_image(batch, mi, idx, config, config.t)
         counts.append(len(s))
         scores.append(s)
-        gts = boxes_to_array(rec.full)
+        gts = boxes_to_array(mi.record.full)
         n_gt += len(gts)
         if len(gts):
             ious[idx] = m = iou_matrix(boxes, gts)
@@ -354,10 +369,12 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
     image_ids = np.repeat(np.arange(len(counts)), counts)
     aps = dict(zip(COCO_IOU_THRESHOLDS, average_precisions(
         image_ids, np.concatenate(scores), ious, n_gt, COCO_IOU_THRESHOLDS).tolist()))
+    fn = score_fn_detection(flags, records)
     return EvalReport(
         ap50=aps[0.5], ap75=aps[0.75],
         ap=float(np.mean([aps[t] for t in COCO_IOU_THRESHOLDS])),
         recall50=(n_hit / n_gt) if n_gt else 0.0,
+        fn_precision=fn.precision, fn_recall=fn.recall, fn_vacuous=fn.vacuous,
     )
 
 
@@ -371,31 +388,34 @@ class Flag:
     score: float
 
 
+def _audit_image(batch: mdl.ProposalBatch, mi: MatchedImage, idx: int,
+                 config: TrainConfig, t: float) -> list[Flag]:
+    """Flags of image idx from one forward pass over it; see audit_flags."""
+    rng = np.random.default_rng([config.seed_sample, idx, 0xA0D17])
+    pos_idx, neg_idx = mdl.sample_proposals(mi.labels, config.minibatch_size,
+                                            config.pos_fraction, rng)
+    amap = _attend(batch, pos_idx, neg_idx)
+    if amap is None:
+        return []
+    anchors = anchors_for(mi.record.image, config)
+    flagged = mdl.detect_false_negatives(amap, t)
+    return [Flag(image_index=idx, anchor_index=int(ai), box=Box(*anchors[ai]),
+                 score=float(score))
+            for ai, score in zip(neg_idx[flagged], amap.row_max[flagged])]
+
+
 def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
                 config: TrainConfig, t: Optional[float] = None) -> list[Flag]:
-    """Flag suspected false negatives per image with the same minibatch
-    sampling protocol as training (the row-softmax scale depends on how many
-    positives enter the attention map, so the audit must mirror training)."""
+    """Suspected false negatives of every image at threshold t (default
+    config.t), best first. Each image's minibatch is sampled from its own
+    generator and attended by the code training uses (_attend), so the
+    row-softmax scale matches training's."""
     t = config.t if t is None else t
     check_extents(records)
-    matched = match_dataset(records, config)
-    flags: list[Flag] = []
-    for idx, mi in enumerate(matched):
-        rng = np.random.default_rng([config.seed_sample, idx, 0xA0D17])
-        with ag.no_grad():
-            batch = mdl.forward_rpn(Tensor(mi.record.image), params,
-                                    config.n_anchors, config.d_embed)
-            pos_idx, neg_idx = mdl.sample_proposals(
-                mi.labels, config.minibatch_size, config.pos_fraction, rng)
-            if len(pos_idx) < 2 or not len(neg_idx):
-                continue
-            amap = mdl.attention_map(ag.gather_rows(batch.embeddings, neg_idx),
-                                     ag.gather_rows(batch.embeddings, pos_idx))
-        anchors = anchors_for(mi.record.image, config)
-        for i in sorted(mdl.detect_false_negatives(amap, t)):
-            ai = int(neg_idx[i])
-            flags.append(Flag(image_index=idx, anchor_index=ai,
-                              box=Box(*anchors[ai]), score=float(amap.row_max[i])))
+    mdl.check_threshold(t)
+    flags = [f for idx, mi in enumerate(match_dataset(records, config))
+             for f in _audit_image(_infer(params, mi.record.image, config),
+                                   mi, idx, config, t)]
     flags.sort(key=lambda f: -f.score)
     return flags
 
@@ -405,9 +425,6 @@ class FnScore:
     precision: float
     recall: float
     vacuous: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def score_fn_detection(flags: Sequence[Flag], records: Sequence[ImageRecord]
@@ -440,10 +457,9 @@ def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord]
                            config: TrainConfig) -> float:
     """Expected dropped-box recall of a size-matched uniformly random anchor
     flag set, computed in closed form per image from the hypergeometric
-    no-hit probability."""
-    counts: dict[int, int] = {}
-    for f in flags:
-        counts[f.image_index] = counts.get(f.image_index, 0) + 1
+    no-hit probability (math.comb gives 0 when the flags outnumber the
+    anchors that miss a box)."""
+    counts = Counter(f.image_index for f in flags)
     total = 0
     expected = 0.0
     for idx, rec in enumerate(records):
@@ -451,16 +467,11 @@ def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord]
             continue
         anchors = anchors_for(rec.image, config)
         n = len(anchors)
-        m = min(counts.get(idx, 0), n)
+        m = min(counts[idx], n)
         covers = (iou_matrix(boxes_to_array(rec.dropped), anchors) >= 0.5).sum(axis=1)
+        total += len(covers)
         for c in covers:
-            total += 1
-            if m == 0 or c == 0:
-                continue
-            if n - int(c) < m:
-                expected += 1.0
-            else:
-                expected += 1.0 - math.comb(n - int(c), m) / math.comb(n, m)
+            expected += 1.0 - math.comb(n - int(c), m) / math.comb(n, m)
     return expected / total if total else 0.0
 
 
@@ -472,15 +483,9 @@ def ablate_threshold(config: TrainConfig, records: Sequence[ImageRecord],
     one table row per threshold."""
     rows = []
     for t in thresholds:
-        cfg = TrainConfig.from_dict({**config.to_dict(), "t": t, "mode": "soft_label"})
+        cfg = replace(config, t=t, mode="soft_label")
         params, _ = train(cfg, records)
-        report = evaluate(params, records, cfg)
-        flags = audit_flags(params, records, cfg)
-        fn = score_fn_detection(flags, records)
-        report.fn_precision = fn.precision
-        report.fn_recall = fn.recall
-        report.fn_vacuous = fn.vacuous
-        rows.append({"t": t, **report.to_dict()})
+        rows.append({"t": t, **evaluate(params, records, cfg).to_dict()})
     return rows
 
 
@@ -489,9 +494,7 @@ def format_ablation_table(rows: Sequence[dict]) -> str:
     header = "  ".join(f"{c:>12}" for c in cols)
     lines = [header, "-" * len(header)]
     for r in rows:
-        lines.append("  ".join(
-            f"{r[c]:>12.4f}" if isinstance(r[c], float) else f"{r[c]!s:>12}"
-            for c in cols))
+        lines.append("  ".join(f"{r[c]:>12.4f}" for c in cols))
     return "\n".join(lines)
 
 

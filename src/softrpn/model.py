@@ -184,11 +184,16 @@ def attention_map(neg_embeddings: Tensor, pos_embeddings: Tensor,
     return AttentionMap(a=a, row_max=a.data.max(axis=1), row_argmax=a.data.argmax(axis=1))
 
 
-def detect_false_negatives(amap: AttentionMap, t: float) -> set[int]:
-    """Negative indices whose best similarity to any positive is >= t."""
+def check_threshold(t: float):
+    """Refuse an attention threshold outside (0, 1)."""
     if not 0.0 < t < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {t}")
-    return set(int(i) for i in np.nonzero(amap.row_max >= t)[0])
+        raise ValueError(f"t must lie in (0, 1), got {t}")
+
+
+def detect_false_negatives(amap: AttentionMap, t: float) -> np.ndarray:
+    """Sorted indices of the negatives whose row max is >= t."""
+    check_threshold(t)
+    return np.flatnonzero(amap.row_max >= t)
 
 
 def soft_label_loss(pos_probs: Tensor, neg_probs: Tensor,
@@ -205,14 +210,13 @@ def soft_label_loss(pos_probs: Tensor, neg_probs: Tensor,
     With amap None (no positives exist) L_pos and L_reg are zero and every
     negative keeps its hard zero target.
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {t}")
+    check_threshold(t)
     n_pos = pos_probs.shape[0]
     n_neg = neg_probs.shape[0]
     targets = np.zeros(n_neg)
     flagged = np.zeros(0, dtype=np.intp)
     if amap is not None and n_neg:
-        flagged = np.nonzero(amap.row_max >= t)[0]
+        flagged = detect_false_negatives(amap, t)
         targets[flagged] = amap.row_max[flagged]
     if n_neg:
         l_neg = ag.scale(ag.tsum(ag.bce_loss(neg_probs, targets)), 1.0 / n_neg)

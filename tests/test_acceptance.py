@@ -101,7 +101,7 @@ class TestAttentionInvariants:
 
             strict = mdl.detect_false_negatives(amap, 0.9)
             loose = mdl.detect_false_negatives(amap, 0.6)
-            assert strict <= loose
+            assert np.isin(strict, loose).all()
 
 
 # -- baseline degradation -------------------------------------------

@@ -167,6 +167,53 @@ class TestTrainCmd:
                     "--out", str(tmp_path / "out"), *FAST]) == 1
         assert str(tmp_path / "nope") in single_error_line(capsys)
 
+    def test_config_directory_is_runtime_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["train", "--data", dataset, "--out", str(out),
+                    "--config", str(tmp_path)]) == 1
+        assert str(tmp_path) in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_data_regular_file_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        path.write_text("not a dataset")
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(path), "--out", str(out), *FAST]) == 1
+        assert str(path) in single_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["--total-iters", "0"], "total_iters must be at least 1, got 0"),
+        (["--total-iters", "-3"], "total_iters must be at least 1, got -3"),
+    ])
+    def test_run_length_below_one_fails_before_training(self, argv, needle, dataset,
+                                                        tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["train", "--data", dataset, "--out", str(out), *argv]) == 1
+        assert needle in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_zero_batch_images_in_config_fails_before_training(self, dataset, tmp_path,
+                                                                capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"total_iters": 12, "batch_images": 0}))
+        out = tmp_path / "out"
+        assert run(["train", "--data", dataset, "--out", str(out),
+                    "--config", str(path)]) == 1
+        assert "batch_images must be at least 1, got 0" in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_divergence_gives_one_error_line(self, dataset, tmp_path, capsys,
+                                             monkeypatch):
+        def diverge(config, records):
+            raise hz.DivergenceError(3)
+
+        monkeypatch.setattr(hz, "train", diverge)
+        out = tmp_path / "out"
+        assert run(["train", "--data", dataset, "--out", str(out), *FAST]) == 1
+        assert "non-finite at iteration 3" in single_error_line(capsys)
+        assert not out.exists()
+
     def test_total_iters_flag_alone_scales_milestones(self, dataset, tmp_path):
         out = tmp_path / "short"
         assert run(["train", "--data", dataset, "--out", str(out), *FAST]) == 0
@@ -246,6 +293,31 @@ class TestEvalCmd:
             assert 0.0 <= doc[key] <= 1.0
         assert doc["ap"] <= doc["ap50"] + 1e-12
 
+    def test_one_forward_pass_per_image(self, dataset, checkpoint, tmp_path,
+                                        monkeypatch):
+        """Proposals and the fn_* audit share each image's forward pass."""
+        calls = []
+        forward_rpn = mdl.forward_rpn
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return forward_rpn(*args, **kwargs)
+
+        monkeypatch.setattr(mdl, "forward_rpn", counting_forward)
+        assert run(["eval", "--checkpoint", checkpoint, "--data", dataset,
+                    "--report", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == len(dat.load_dataset(dataset)) == 10
+
+    def test_fn_fields_equal_audit_report(self, dataset, checkpoint, tmp_path):
+        assert run(["eval", "--checkpoint", checkpoint, "--data", dataset,
+                    "--report", str(tmp_path / "r.json")]) == 0
+        assert run(["audit", "--checkpoint", checkpoint, "--data", dataset,
+                    "--report", str(tmp_path / "a.json")]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        audit = json.loads((tmp_path / "a.json").read_text())
+        assert (report["fn_precision"], report["fn_recall"]) == \
+            (audit["fn_precision"], audit["fn_recall"])
+
     def test_corrupt_checkpoint_is_runtime_error(self, dataset, tmp_path):
         bad = tmp_path / "bad.srpn"
         bad.write_bytes(b"not a checkpoint")
@@ -313,6 +385,16 @@ class TestAuditCmd:
                     "--report", str(report)]) == 1
         assert "60x60" in single_error_line(capsys)
         assert not report.exists()
+
+    @pytest.mark.parametrize("t", ["1.5", "0", "-0.2"])
+    def test_threshold_outside_unit_interval_gives_one_error_line(
+            self, t, dataset, checkpoint, tmp_path, capsys):
+        report = tmp_path / "audit.json"
+        assert run(["audit", "--checkpoint", checkpoint, "--data", dataset,
+                    "--t", t, "--report", str(report)]) == 1
+        assert "t must lie in (0, 1)" in single_error_line(capsys)
+        assert not report.exists()
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_threshold_above_all_scores_empty(self, dataset, checkpoint,
                                               tmp_path):

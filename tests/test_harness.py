@@ -31,6 +31,7 @@ class TestTrainConfig:
         dict(anchor_scales=(16.0, 32.0)),      # wrong arity for n_anchors=3
         dict(stride=16),                       # retired key; the backbone stride is 8
         dict(total_iters=12, milestones=(6, 12)),
+        dict(total_iters=0), dict(total_iters=-3), dict(batch_images=0),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -44,6 +45,8 @@ class TestTrainConfig:
         ({"anchor_scales": [16, "32", 64]}, "config key 'anchor_scales' must be"),
         ({"milestones": 5}, "config key 'milestones' must be"),
         ([1, 2], "config must be a JSON object"),
+        ({"total_iters": -3}, "total_iters must be at least 1, got -3"),
+        ({"batch_images": 0}, "batch_images must be at least 1, got 0"),
     ])
     def test_from_dict_names_the_bad_key(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -385,10 +388,28 @@ class TestEvaluate:
         gts = [(idx, g) for idx, rec in enumerate(records) for g in rec.full]
         hits = sum(any(img == idx and iou_matrix(g.as_array()[None], box[None])[0, 0] >= 0.5
                        for img, _, box in detections) for idx, g in gts)
+        fn = hz.score_fn_detection(hz.audit_flags(params, records, cfg), records)
         want = hz.EvalReport(ap50=aps[0], ap75=aps[5], ap=float(np.mean(aps)),
-                             recall50=hits / len(gts))
+                             recall50=hits / len(gts), fn_precision=fn.precision,
+                             fn_recall=fn.recall, fn_vacuous=fn.vacuous)
         assert want.ap50 > 0.0 and want.recall50 > 0.0
         assert hz.evaluate(params, records, cfg) == want
+
+    @pytest.mark.parametrize("drop_rate", [0.3, 0.0])
+    def test_fn_fields_equal_the_audit_at_config_t(self, drop_rate):
+        """evaluate's fn_* come from the same sampling and attention as
+        audit_flags at config.t; with nothing withheld they are vacuous."""
+        cfg = tiny_config(t=0.5)
+        records = tiny_records(drop_rate=drop_rate)
+        params, _ = hz.train(cfg, records)
+        flags = hz.audit_flags(params, records, cfg)
+        fn = hz.score_fn_detection(flags, records)
+        report = hz.evaluate(params, records, cfg)
+        assert (report.fn_precision, report.fn_recall, report.fn_vacuous) == \
+            (fn.precision, fn.recall, fn.vacuous)
+        assert flags and fn.vacuous == (drop_rate == 0.0)
+        if drop_rate:
+            assert 0.0 < fn.recall < 1.0
 
 
 class TestImageSizeCheck:
@@ -411,6 +432,25 @@ class TestImageSizeCheck:
         with pytest.raises(ValueError, match="img_7.pgm is 60x60; both extents must "
                                              "be multiples of 8 and at least 16"):
             getattr(hz, entry)(*args)
+
+    @pytest.mark.parametrize("entry", ["evaluate", "audit_flags"])
+    def test_bad_threshold_raises_before_any_work(self, entry, monkeypatch):
+        """A threshold outside (0, 1) stops evaluate (config.t, changed
+        after construction) and audit_flags (t=) before the first forward
+        pass, even when no image would reach the attention map."""
+        import softrpn.model as mdl
+        records = tiny_records(2)
+        cfg = tiny_config()
+        params = mdl.init_params(cfg.d_embed, cfg.n_anchors,
+                                 np.random.default_rng(0))
+        monkeypatch.setattr(mdl, "forward_rpn", self._no_work)
+        monkeypatch.setattr(hz, "match_dataset", self._no_work)
+        with pytest.raises(ValueError, match=r"t must lie in \(0, 1\), got 1.5"):
+            if entry == "evaluate":
+                cfg.t = 1.5
+                hz.evaluate(params, records, cfg)
+            else:
+                hz.audit_flags(params, records, cfg, t=1.5)
 
     @pytest.mark.parametrize("shape", [(60, 60), (8, 8), (64, 60), (12, 16), (16, 0)])
     def test_bad_extents_rejected(self, shape):

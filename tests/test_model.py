@@ -160,17 +160,18 @@ def amap_with_row_maxes(row_maxes):
 class TestDetectFalseNegatives:
     def test_direct_comparison(self):
         amap = amap_with_row_maxes([0.85, 0.5, 0.92])
-        assert mdl.detect_false_negatives(amap, 0.8) == {0, 2}
+        np.testing.assert_array_equal(mdl.detect_false_negatives(amap, 0.8), [0, 2])
 
     def test_threshold_above_all_is_empty(self):
         amap = amap_with_row_maxes([0.85, 0.5, 0.92])
-        assert mdl.detect_false_negatives(amap, 0.95) == set()
+        assert mdl.detect_false_negatives(amap, 0.95).shape == (0,)
 
     def test_single_positive_flags_everything(self, rng):
         amap = mdl.attention_map(Tensor(rng.standard_normal((6, D))),
                                  Tensor(rng.standard_normal((1, D))))
         # softmax over one logit is exactly 1, so any t < 1 flags every row
-        assert mdl.detect_false_negatives(amap, 0.999999) == set(range(6))
+        np.testing.assert_array_equal(mdl.detect_false_negatives(amap, 0.999999),
+                                      np.arange(6))
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
            st.floats(0.05, 0.95), st.floats(0.05, 0.95))
@@ -178,8 +179,10 @@ class TestDetectFalseNegatives:
     def test_flag_sets_nested_in_threshold(self, maxes, t1, t2):
         lo, hi = sorted((t1, t2))
         amap = amap_with_row_maxes(maxes)
-        assert mdl.detect_false_negatives(amap, hi) <= \
-            mdl.detect_false_negatives(amap, lo)
+        strict = mdl.detect_false_negatives(amap, hi)
+        loose = mdl.detect_false_negatives(amap, lo)
+        assert np.isin(strict, loose).all()
+        assert (np.diff(loose) > 0).all()
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
