@@ -21,24 +21,20 @@ class GraphError(Exception):
     """Raised on contract violations (shape mismatches, non-scalar backward)."""
 
 
-_grad_enabled = True
+_recording = True
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable tape recording inside the block (used by finite differences
     and inference paths where graph bookkeeping is pure overhead)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    global _recording
+    prev = _recording
+    _recording = False
     try:
         yield
     finally:
-        _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
+        _recording = prev
 
 
 class Tensor:
@@ -107,22 +103,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
@@ -136,7 +116,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
     """Wrap an op result; records the tape only when grad mode is on and
     some parent participates in differentiation."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._prev for p in parents):
+    if _recording and any(p.requires_grad or p._prev for p in parents):
         out._prev = tuple(parents)
         out._backward = backward
         out.requires_grad = False

@@ -132,10 +132,10 @@ def cmd_audit(args) -> int:
     doc = {
         "t": args.t if args.t is not None else config.t,
         "flags": [{"image_id": records[f.image_index].image_id,
-                   "box": [f.box.x1, f.box.y1, f.box.x2, f.box.y2],
+                   "box": f.box.tolist(),
                    "attention_score": f.score} for f in flags],
     }
-    if any(rec.dropped for rec in records):
+    if any(len(rec.dropped) for rec in records):
         fn = hz.score_fn_detection(flags, records)
         doc["fn_precision"], doc["fn_recall"] = fn.precision, fn.recall
     _atomic_write_json(args.report, doc)
@@ -150,11 +150,10 @@ def cmd_audit(args) -> int:
 def cmd_ablate(args) -> int:
     started = time.time()
     config = _load_config(args)
-    records = dat.load_dataset(args.data)
     thresholds = [float(v) for v in args.thresholds.split(",") if v]
-    if not all(0.0 < t < 1.0 for t in thresholds):
-        print("error: thresholds must lie in (0, 1)", file=sys.stderr)
-        return 2
+    for t in thresholds:
+        mdl.check_threshold(t)
+    records = dat.load_dataset(args.data)
     rows = hz.ablate_threshold(config, records, thresholds)
     os.makedirs(args.out, exist_ok=True)
     _atomic_write_json(os.path.join(args.out, "ablation.json"), rows)

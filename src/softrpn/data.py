@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-from .geometry import Box
 
 BACKGROUND = 0.5
 SUPERSAMPLE = 4
@@ -43,20 +42,21 @@ class SceneSpec:
     seed: int
 
 
-def ellipse_bounds(e: EllipseSpec) -> Box:
-    """Tight axis-aligned bounds of a rotated ellipse, in closed form."""
+def ellipse_bounds(e: EllipseSpec) -> tuple[float, float, float, float]:
+    """Tight axis-aligned bounds (x1, y1, x2, y2) of a rotated ellipse, in
+    closed form."""
     c, s = math.cos(e.theta), math.sin(e.theta)
     half_x = math.sqrt((e.ax * c) ** 2 + (e.ay * s) ** 2)
     half_y = math.sqrt((e.ax * s) ** 2 + (e.ay * c) ** 2)
-    return Box(e.cx - half_x, e.cy - half_y, e.cx + half_x, e.cy + half_y)
+    return e.cx - half_x, e.cy - half_y, e.cx + half_x, e.cy + half_y
 
 
 def _coverage(e: EllipseSpec, height: int, width: int) -> np.ndarray:
     """Per-pixel area fraction covered by the ellipse (supersampled)."""
     ss = SUPERSAMPLE
-    b = ellipse_bounds(e)
-    y0, y1 = max(0, int(b.y1) - 1), min(height, int(b.y2) + 2)
-    x0, x1 = max(0, int(b.x1) - 1), min(width, int(b.x2) + 2)
+    bx1, by1, bx2, by2 = ellipse_bounds(e)
+    y0, y1 = max(0, int(by1) - 1), min(height, int(by2) + 2)
+    x0, x1 = max(0, int(bx1) - 1), min(width, int(bx2) + 2)
     cov = np.zeros((height, width))
     if y0 >= y1 or x0 >= x1:
         return cov
@@ -80,9 +80,9 @@ def render_noiseless(spec: SceneSpec) -> np.ndarray:
     return img
 
 
-def synthesize_scene(spec: SceneSpec) -> tuple[np.ndarray, list[Box]]:
+def synthesize_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
     """Render a scene and return (image (H, W, 1) float64 in [0, 1], tight
-    boxes in object order). Deterministic per spec.seed."""
+    (K, 4) boxes in object order). Deterministic per spec.seed."""
     if spec.height % 8 or spec.width % 8:
         raise ValueError("scene extents must be divisible by 8")
     rng = np.random.default_rng(spec.seed)
@@ -90,8 +90,8 @@ def synthesize_scene(spec: SceneSpec) -> tuple[np.ndarray, list[Box]]:
     if spec.noise_sigma > 0:
         img = img + rng.normal(0.0, spec.noise_sigma, size=img.shape)
     img = np.clip(img, 0.0, 1.0)
-    boxes = [ellipse_bounds(e) for e in spec.objects]
-    return img[..., None], boxes
+    boxes = np.array([ellipse_bounds(e) for e in spec.objects], dtype=np.float64)
+    return img[..., None], boxes.reshape(-1, 4)
 
 
 def random_scene(height: int, width: int, seed: int,
@@ -121,23 +121,21 @@ def random_scene(height: int, width: int, seed: int,
                      noise_sigma=noise_sigma, seed=seed)
 
 
-def drop_annotations(boxes: Sequence[Box], drop_rate: float, rng_seed: int
-                     ) -> tuple[list[Box], list[Box]]:
-    """Withhold each box independently with probability drop_rate,
-    re-sampling until at least one box survives (training needs positives)."""
+def drop_annotations(boxes: np.ndarray, drop_rate: float, rng_seed: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Split (K, 4) boxes into (kept, dropped), withholding each box
+    independently with probability drop_rate and re-sampling until at least
+    one box survives (training needs positives). Both keep box order."""
     if not 0.0 <= drop_rate < 1.0:
         raise ValueError(f"drop_rate must lie in [0, 1), got {drop_rate}")
-    boxes = list(boxes)
-    if not boxes:
-        return [], []
+    if not len(boxes):
+        return boxes, boxes
     rng = np.random.default_rng(rng_seed)
     while True:
         mask = rng.random(len(boxes)) >= drop_rate
         if mask.any():
             break
-    kept = [b for b, m in zip(boxes, mask) if m]
-    dropped = [b for b, m in zip(boxes, mask) if not m]
-    return kept, dropped
+    return boxes[mask], boxes[~mask]
 
 
 # -- benchmark datasets ---------------------------------------------------------
@@ -146,16 +144,17 @@ def drop_annotations(boxes: Sequence[Box], drop_rate: float, rng_seed: int
 class ImageRecord:
     """One benchmark image with its split annotations. ``kept`` is what
     training sees; ``dropped`` is the withheld ground truth (sidecar only);
-    the full set is their union."""
+    the full set is their union. Each box set is a (G, 4) float64 corner-form
+    array, (0, 4) when empty."""
     image_id: int
     file_name: str
     image: np.ndarray          # (H, W, 1) float64 in [0, 1]
-    kept: list[Box]
-    dropped: list[Box]
+    kept: np.ndarray
+    dropped: np.ndarray
 
     @property
-    def full(self) -> list[Box]:
-        return self.kept + self.dropped
+    def full(self) -> np.ndarray:
+        return np.concatenate([self.kept, self.dropped])
 
 
 def _derived_seed(*parts: int) -> int:
@@ -190,9 +189,10 @@ def _records_to_coco(records: Sequence[ImageRecord], which: str) -> CocoDataset:
                   "full": [(rec.kept, False), (rec.dropped, False)],
                   "dropped": [(rec.dropped, True)]}[which]
         for boxes, mark in groups:
-            for b in boxes:
+            sizes = boxes[:, 2:] - boxes[:, :2]
+            for x, y, w, h in np.concatenate([boxes[:, :2], sizes], axis=1).tolist():
                 ds.annotations.append(CocoAnnotation(
-                    id=ann_id, image_id=rec.image_id, bbox=box_to_bbox(b),
+                    id=ann_id, image_id=rec.image_id, bbox=(x, y, w, h),
                     dropped=mark))
                 ann_id += 1
     return ds
@@ -202,7 +202,6 @@ def save_dataset(directory, records: Sequence[ImageRecord]):
     """Write PGM images plus three COCO-lite files: train.json (kept boxes
     only), full.json (complete ground truth for evaluation), and the
     dropped.json sidecar marking every withheld box."""
-    import os
     directory = str(directory)
     os.makedirs(os.path.join(directory, "images"), exist_ok=True)
     for rec in records:
@@ -212,17 +211,32 @@ def save_dataset(directory, records: Sequence[ImageRecord]):
                        _records_to_coco(records, which))
 
 
+def _boxes_by_image(ds: CocoDataset) -> dict[int, np.ndarray]:
+    """Corner-form (G, 4) boxes of each annotated image id, in file order."""
+    grouped: dict[int, list] = {}
+    for a in ds.annotations:
+        grouped.setdefault(a.image_id, []).append(a.bbox)
+    out = {}
+    for image_id, bboxes in grouped.items():
+        b = np.array(bboxes, dtype=np.float64)
+        out[image_id] = np.concatenate([b[:, :2], b[:, :2] + b[:, 2:]], axis=1)
+    return out
+
+
 def load_dataset(directory) -> list[ImageRecord]:
-    import os
+    """Records of every image in train.json, with its kept boxes from there
+    and its withheld boxes from the dropped.json sidecar."""
     directory = str(directory)
     train = read_cocolite(os.path.join(directory, "train.json"))
     sidecar = read_cocolite(os.path.join(directory, "dropped.json"))
+    kept, dropped = _boxes_by_image(train), _boxes_by_image(sidecar)
+    empty = np.zeros((0, 4))
     records = []
     for im in train.images:
         img = dequantize_image(read_pgm(os.path.join(directory, "images", im.file_name)))
         records.append(ImageRecord(
             image_id=im.id, file_name=im.file_name, image=img[..., None],
-            kept=train.boxes_for(im.id), dropped=sidecar.boxes_for(im.id)))
+            kept=kept.get(im.id, empty), dropped=dropped.get(im.id, empty)))
     return records
 
 
@@ -263,6 +277,9 @@ def read_pgm(path) -> np.ndarray:
     payload = raw[m.end():]
     if maxval != PGM_MAXVAL:
         raise ValueError(f"{path}: expected maxval {PGM_MAXVAL}, got {maxval}")
+    if len(payload) < 2 * h * w:
+        raise ValueError(f"{path}: truncated PGM, {w}x{h} needs {2 * h * w} bytes "
+                         f"of samples, found {len(payload)}")
     img = np.frombuffer(payload, dtype=">u2", count=h * w).reshape(h, w)
     return img.astype(np.uint16)
 
@@ -296,18 +313,6 @@ class CocoDataset:
     annotations: list[CocoAnnotation] = field(default_factory=list)
     categories: list[dict] = field(default_factory=lambda: [{"id": 1, "name": "flake"}])
 
-    def boxes_for(self, image_id: int) -> list[Box]:
-        return [bbox_to_box(a.bbox) for a in self.annotations if a.image_id == image_id]
-
-
-def box_to_bbox(b: Box) -> tuple[float, float, float, float]:
-    return (b.x1, b.y1, b.width, b.height)
-
-
-def bbox_to_box(bbox: Sequence[float]) -> Box:
-    x, y, w, h = bbox
-    return Box(x, y, x + w, y + h)
-
 
 def write_cocolite(path, dataset: CocoDataset):
     doc = {
@@ -325,30 +330,83 @@ def write_cocolite(path, dataset: CocoDataset):
         json.dump(doc, f, indent=1)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:          # an int beyond the float range
+        return False
+
+
+def _is_plain_name(v) -> bool:
+    return isinstance(v, str) and os.path.basename(v) == v and v not in ("", ".", "..")
+
+
+def _is_bbox(v) -> bool:
+    if not (isinstance(v, list) and len(v) == 4 and all(_is_finite(c) for c in v)):
+        return False
+    x, y, w, h = (float(c) for c in v)
+    return w >= 0 and h >= 0 and math.isfinite(x + w) and math.isfinite(y + h)
+
+
+def _objects(path, doc: dict, key: str) -> list[dict]:
+    items = doc.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(r, dict) for r in items):
+        raise CocoFormatError(f"{path}: {key!r} must be a list of objects")
+    return items
+
+
+def _field(path, where: str, rec: dict, key: str, ok, want: str):
+    if key not in rec:
+        raise CocoFormatError(f"{path}: {where}: missing field {key!r}")
+    if not ok(rec[key]):
+        raise CocoFormatError(f"{path}: {where}: field {key!r} must be {want}, "
+                              f"got {rec[key]!r}")
+    return rec[key]
+
+
+_INT = "an integer"
+
+
 def read_cocolite(path) -> CocoDataset:
+    """Read a COCO-lite file, checking every field the dataset uses; any
+    failure is a CocoFormatError naming the file and the field."""
     try:
         with open(path) as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise CocoFormatError(f"{path}: malformed JSON ({e})") from e
-    images = []
-    for rec in doc.get("images", []):
-        images.append(CocoImage(id=int(rec["id"]), file_name=str(rec["file_name"]),
-                                height=int(rec["height"]), width=int(rec["width"])))
-    image_ids = {im.id for im in images}
+    if not isinstance(doc, dict):
+        raise CocoFormatError(f"{path}: the top level must be a JSON object")
+    images, image_ids = [], set()
+    for i, rec in enumerate(_objects(path, doc, "images")):
+        where = f"images[{i}]"
+        image = CocoImage(
+            id=_field(path, where, rec, "id", _is_int, _INT),
+            file_name=_field(path, where, rec, "file_name", _is_plain_name,
+                             "a plain file name inside images/"),
+            height=_field(path, where, rec, "height", _is_int, _INT),
+            width=_field(path, where, rec, "width", _is_int, _INT))
+        if image.id in image_ids:     # its boxes would go to both images
+            raise CocoFormatError(f"{path}: {where}: duplicate id {image.id}")
+        image_ids.add(image.id)
+        images.append(image)
     annotations = []
-    for rec in doc.get("annotations", []):
-        ann_id = rec.get("id")
-        if int(rec["image_id"]) not in image_ids:
-            raise CocoFormatError(
-                f"annotation {ann_id}: dangling image_id {rec['image_id']}")
-        bbox = rec["bbox"]
-        if len(bbox) != 4 or bbox[2] < 0 or bbox[3] < 0:
-            raise CocoFormatError(f"annotation {ann_id}: invalid bbox {bbox}")
+    for i, rec in enumerate(_objects(path, doc, "annotations")):
+        ann_id = _field(path, f"annotations[{i}]", rec, "id", _is_int, _INT)
+        where = f"annotations[{i}] (id {ann_id})"
+        image_id = _field(path, where, rec, "image_id", _is_int, _INT)
+        if image_id not in image_ids:
+            raise CocoFormatError(f"{path}: {where}: dangling image_id {image_id}")
+        bbox = _field(path, where, rec, "bbox", _is_bbox,
+                      "four finite numbers [x, y, width, height], width and height >= 0")
         annotations.append(CocoAnnotation(
-            id=int(ann_id), image_id=int(rec["image_id"]),
-            bbox=tuple(float(v) for v in bbox),
-            category_id=int(rec.get("category_id", 1)),
+            id=ann_id, image_id=image_id, bbox=tuple(float(v) for v in bbox),
+            category_id=_field(path, where, {"category_id": 1, **rec}, "category_id",
+                               _is_int, _INT),
             dropped=bool(rec.get("dropped", False))))
     return CocoDataset(images=images, annotations=annotations,
                        categories=doc.get("categories",

@@ -1,11 +1,9 @@
 """Boxes, anchor grids, IoU, ground-truth matching, and delta coding.
 
-Boxes are (N, 4) float64 corner-form arrays (x1, y1, x2, y2); the Box
-dataclass is the per-box form of data files and audit reports."""
+Boxes are (N, 4) float64 corner-form arrays (x1, y1, x2, y2)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -13,39 +11,6 @@ import numpy as np
 
 class GeometryError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Box:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise GeometryError(f"degenerate box {self}")
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
-
-
-def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:
-    if not boxes:
-        return np.zeros((0, 4), dtype=np.float64)
-    return np.stack([b.as_array() for b in boxes])
 
 
 def generate_anchors(feat_h: int, feat_w: int, stride: int,
@@ -110,7 +75,7 @@ def match_anchors(anchors: np.ndarray, gt: np.ndarray,
                         m.argmax(axis=1))
     labels[is_forced] = 1
     pos = labels == 1
-    targets[pos] = encode_deltas_array(anchors[pos], gt[assigned[pos]])
+    targets[pos] = encode_deltas(anchors[pos], gt[assigned[pos]])
     return labels, targets
 
 
@@ -120,7 +85,7 @@ def _centers_and_sizes(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
     return (boxes[:, 0] + boxes[:, 2]) / 2, (boxes[:, 1] + boxes[:, 3]) / 2, w, h
 
 
-def encode_deltas_array(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
+def encode_deltas(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """(N, 4) regression targets (dx, dy, dw, dh) of corner-form gt boxes
     relative to their anchors, row by row; both must have positive extent."""
     ax, ay, aw, ah = _centers_and_sizes(anchors)
@@ -133,8 +98,8 @@ def encode_deltas_array(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
                      np.log(gw / aw), np.log(gh / ah)], axis=1)
 
 
-def decode_deltas_array(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Inverse of encode_deltas_array: anchors (N, 4) corner form, deltas
+def decode_deltas(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Inverse of encode_deltas: anchors (N, 4) corner form, deltas
     (N, 4)."""
     ax, ay, aw, ah = _centers_and_sizes(anchors)
     cx = ax + deltas[:, 0] * aw

@@ -16,8 +16,7 @@ from . import autograd as ag
 from . import model as mdl
 from .autograd import Tensor
 from .data import ImageRecord
-from .geometry import (Box, boxes_to_array, decode_deltas_array, generate_anchors,
-                       iou_matrix, match_anchors)
+from .geometry import decode_deltas, generate_anchors, iou_matrix, match_anchors
 
 
 class DivergenceError(Exception):
@@ -157,8 +156,7 @@ def match_dataset(records: Sequence[ImageRecord], config: TrainConfig
                   ) -> list[MatchedImage]:
     out = []
     for rec in records:
-        labels, targets = match_anchors(anchors_for(rec.image, config),
-                                        boxes_to_array(rec.kept),
+        labels, targets = match_anchors(anchors_for(rec.image, config), rec.kept,
                                         config.pos_thresh, config.neg_thresh)
         out.append(MatchedImage(record=rec, labels=labels, delta_targets=targets))
     return out
@@ -259,7 +257,7 @@ def _proposals(batch: mdl.ProposalBatch, image: np.ndarray, config: TrainConfig
                ) -> tuple[np.ndarray, np.ndarray]:
     """Decoded, image-clipped, suppressed, top-k proposals of a forward pass
     over image: (boxes (M, 4), scores (M,))."""
-    boxes = decode_deltas_array(anchors_for(image, config), batch.deltas.data)
+    boxes = decode_deltas(anchors_for(image, config), batch.deltas.data)
     h, w = image.shape[:2]
     boxes[:, [0, 2]] = boxes[:, [0, 2]].clip(0.0, float(w))
     boxes[:, [1, 3]] = boxes[:, [1, 3]].clip(0.0, float(h))
@@ -360,7 +358,7 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
         flags += _audit_image(batch, mi, idx, config, config.t)
         counts.append(len(s))
         scores.append(s)
-        gts = boxes_to_array(mi.record.full)
+        gts = mi.record.full
         n_gt += len(gts)
         if len(gts):
             ious[idx] = m = iou_matrix(boxes, gts)
@@ -384,7 +382,7 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
 class Flag:
     image_index: int
     anchor_index: int
-    box: Box
+    box: np.ndarray          # (4,) corner-form anchor
     score: float
 
 
@@ -397,11 +395,12 @@ def _audit_image(batch: mdl.ProposalBatch, mi: MatchedImage, idx: int,
     amap = _attend(batch, pos_idx, neg_idx)
     if amap is None:
         return []
-    anchors = anchors_for(mi.record.image, config)
     flagged = mdl.detect_false_negatives(amap, t)
-    return [Flag(image_index=idx, anchor_index=int(ai), box=Box(*anchors[ai]),
-                 score=float(score))
-            for ai, score in zip(neg_idx[flagged], amap.row_max[flagged])]
+    rows = neg_idx[flagged]
+    # a copy of the flagged rows only: a view would keep every image's anchors alive
+    boxes = anchors_for(mi.record.image, config)[rows]
+    return [Flag(image_index=idx, anchor_index=int(ai), box=box, score=float(score))
+            for ai, box, score in zip(rows, boxes, amap.row_max[flagged])]
 
 
 def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
@@ -433,24 +432,22 @@ def score_fn_detection(flags: Sequence[Flag], records: Sequence[ImageRecord]
     a flag is a true positive when it has IoU >= 0.5 with some dropped box of
     its image. With no dropped boxes anywhere recall is vacuous, reported as
     1 with the vacuous marker; precision is then 0 if anything was flagged."""
-    dropped = {i: boxes_to_array(rec.dropped) for i, rec in enumerate(records)}
-    n_dropped = sum(len(b) for b in dropped.values())
+    n_dropped = sum(len(rec.dropped) for rec in records)
     if n_dropped == 0:
         return FnScore(precision=0.0 if flags else 1.0, recall=1.0, vacuous=True)
     if not flags:
         return FnScore(precision=1.0, recall=0.0)
-    tp = 0
-    hit = {i: np.zeros(len(b), dtype=bool) for i, b in dropped.items()}
+    by_image: dict[int, list[np.ndarray]] = {}
     for f in flags:
-        boxes = dropped.get(f.image_index)
-        if boxes is None or not len(boxes):
-            continue
-        ious = iou_matrix(np.array([f.box.as_array()]), boxes)[0]
-        if ious.max() >= 0.5:
-            tp += 1
-            hit[f.image_index] |= ious >= 0.5
-    return FnScore(precision=tp / len(flags),
-                   recall=sum(int(h.sum()) for h in hit.values()) / n_dropped)
+        by_image.setdefault(f.image_index, []).append(f.box)
+    tp = n_hit = 0
+    for idx, boxes in by_image.items():
+        dropped = records[idx].dropped
+        if len(dropped):
+            close = iou_matrix(np.stack(boxes), dropped) >= 0.5
+            tp += int(close.any(axis=1).sum())
+            n_hit += int(close.any(axis=0).sum())
+    return FnScore(precision=tp / len(flags), recall=n_hit / n_dropped)
 
 
 def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord],
@@ -463,12 +460,12 @@ def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord]
     total = 0
     expected = 0.0
     for idx, rec in enumerate(records):
-        if not rec.dropped:
+        if not len(rec.dropped):
             continue
         anchors = anchors_for(rec.image, config)
         n = len(anchors)
         m = min(counts[idx], n)
-        covers = (iou_matrix(boxes_to_array(rec.dropped), anchors) >= 0.5).sum(axis=1)
+        covers = (iou_matrix(rec.dropped, anchors) >= 0.5).sum(axis=1)
         total += len(covers)
         for c in covers:
             expected += 1.0 - math.comb(n - int(c), m) / math.comb(n, m)

@@ -34,16 +34,10 @@ MIN_EXTENT = 16
 BACKBONE_CHANNELS = (8, 16, 32)
 
 
-class NoPositives(Exception):
-    """Signalled when an attention map is requested with zero positives;
-    callers fall back to hard negative labels."""
-
-
 @dataclass
 class AttentionMap:
     a: Tensor                 # (N_neg, N_pos), rows sum to 1
     row_max: np.ndarray       # (N_neg,)
-    row_argmax: np.ndarray    # (N_neg,) index of best-matching positive
 
 
 @dataclass
@@ -167,7 +161,7 @@ def attention_map(neg_embeddings: Tensor, pos_embeddings: Tensor,
     (mean, transform) pair, which keeps the map a fixed function of its
     inputs under finite-difference probing."""
     if pos_embeddings.shape[0] == 0:
-        raise NoPositives("attention map needs at least one positive proposal")
+        raise ag.GraphError("attention map needs at least one positive proposal")
     if neg_embeddings.shape[0] == 0:
         raise ag.GraphError("attention map needs at least one negative proposal")
     zn = ag.standardize_rows(neg_embeddings)
@@ -181,7 +175,7 @@ def attention_map(neg_embeddings: Tensor, pos_embeddings: Tensor,
     cp = ag.l2_normalize_rows(ag.matmul(ag.add(zp, shift), white))
     logits = ag.scale(ag.matmul(cn, ag.transpose(cp)), ATTENTION_LOGIT_SCALE)
     a = ag.softmax_rows(logits)
-    return AttentionMap(a=a, row_max=a.data.max(axis=1), row_argmax=a.data.argmax(axis=1))
+    return AttentionMap(a=a, row_max=a.data.max(axis=1))
 
 
 def check_threshold(t: float):

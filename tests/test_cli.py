@@ -415,11 +415,93 @@ class TestAblateCmd:
         table = (out / "ablation.txt").read_text()
         assert len(table.strip().splitlines()) == 5
 
-    def test_bad_threshold_is_usage_error(self, dataset, tmp_path):
+    def test_bad_threshold_is_runtime_error(self, dataset, tmp_path, capsys):
         assert run(["ablate", "--data", dataset, "--out", str(tmp_path / "x"),
-                    "--thresholds", "0.6,1.5"]) == 2
+                    "--thresholds", "0.6,1.5"]) == 1
+        assert "t must lie in (0, 1), got 1.5" in single_error_line(capsys)
+        assert not (tmp_path / "x").exists()
+
+    def test_bad_threshold_fails_before_loading_data(self, tmp_path, capsys):
+        assert run(["ablate", "--data", str(tmp_path / "nope"), "--out",
+                    str(tmp_path / "x"), "--thresholds", "0"]) == 1
+        assert "t must lie in (0, 1)" in single_error_line(capsys)
 
     def test_unknown_command_exit_2(self):
         with pytest.raises(SystemExit) as e:
             run(["frobnicate"])
         assert e.value.code == 2
+
+
+MISSING = object()
+
+
+def edited(doc, *path_and_value):
+    """doc with the value at path replaced (or deleted, for MISSING)."""
+    *path, key, value = path_and_value
+    node = doc
+    for k in path:
+        node = node[k]
+    if value is MISSING:
+        del node[key]
+    else:
+        node[key] = value
+    return doc
+
+
+class TestMalformedInput:
+    """Malformed COCO-lite or PGM input exits 1 with one error line that
+    names the file, before any training."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        out = tmp_path / "data"
+        dat.save_dataset(out, dat.generate_benchmark(2, 64, 0.5, seed=3))
+        assert json.loads((out / "dropped.json").read_text())["annotations"]
+        return out
+
+    def assert_refused(self, data, bad_file, capsys, needle):
+        out = data.parent / "run"
+        assert run(["train", "--data", str(data), "--out", str(out), *FAST]) == 1
+        line = single_error_line(capsys)
+        assert str(bad_file) in line and needle in line, line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, edit, needle", [
+        ("train.json", lambda d: [d], "top level"),
+        ("train.json", lambda d: edited(d, "images", 5), "'images'"),
+        ("train.json", lambda d: edited(d, "images", [5]), "'images'"),
+        ("train.json", lambda d: edited(d, "annotations", {"id": 1}), "'annotations'"),
+        ("train.json", lambda d: edited(d, "annotations", 0, "bbox", MISSING), "'bbox'"),
+        ("train.json", lambda d: edited(d, "images", 0, "file_name", MISSING),
+         "'file_name'"),
+        ("train.json", lambda d: edited(d, "images", 0, "id", "0"), "'id'"),
+        ("train.json", lambda d: edited(d, "images", 0, "height", 64.0), "'height'"),
+        ("train.json", lambda d: edited(d, "images", 1, "id", d["images"][0]["id"]),
+         "duplicate id"),
+        ("train.json", lambda d: edited(d, "annotations", 0, "image_id", True),
+         "'image_id'"),
+        ("train.json", lambda d: edited(d, "images", 0, "file_name", "../../x.pgm"),
+         "'file_name'"),
+        ("train.json", lambda d: edited(d, "images", 0, "file_name", ".."), "'file_name'"),
+        ("train.json", lambda d: edited(d, "annotations", 0, "bbox", [1, 2, "x", 4]),
+         "'bbox'"),
+        ("train.json", lambda d: edited(d, "annotations", 0, "bbox", [1, 2, float("nan"), 4]),
+         "'bbox'"),
+        ("dropped.json", lambda d: edited(d, "annotations", 0, "bbox",
+                                          [1, 2, float("inf"), 4]), "'bbox'"),
+        ("train.json", lambda d: edited(d, "annotations", 0, "bbox", [1, 2, -1, 4]),
+         "'bbox'"),
+        ("train.json", lambda d: edited(d, "annotations", 0, "bbox", [1, 2, 3]), "'bbox'"),
+    ], ids=["top-level-list", "images-int", "image-not-object", "annotations-object",
+            "bbox-missing", "file-name-missing", "id-string", "height-float", "id-duplicate",
+            "image-id-bool", "file-name-outside", "file-name-dotdot", "bbox-string",
+            "bbox-nan", "sidecar-bbox-inf", "bbox-negative-width", "bbox-three-numbers"])
+    def test_malformed_cocolite(self, name, edit, needle, data, capsys):
+        path = data / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        self.assert_refused(data, path, capsys, needle)
+
+    def test_truncated_pgm(self, data, capsys):
+        path = data / "images" / "img_000001.pgm"
+        path.write_bytes(path.read_bytes()[:100])
+        self.assert_refused(data, path, capsys, "truncated")

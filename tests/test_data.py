@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softrpn import data as dat
-from softrpn.data import (Box, CocoAnnotation, CocoDataset, CocoFormatError,
+from softrpn.data import (CocoAnnotation, CocoDataset, CocoFormatError,
                           CocoImage, EllipseSpec, SceneSpec)
 from softrpn.geometry import iou_matrix
 
 
-def iou(a: Box, b: Box) -> float:
-    return float(iou_matrix(a.as_array()[None], b.as_array()[None])[0, 0])
+def iou(a, b) -> float:
+    """IoU of two corner-form boxes through iou_matrix."""
+    return float(iou_matrix(np.array([a], dtype=np.float64),
+                            np.array([b], dtype=np.float64))[0, 0])
 
 
 def scene_with(objects, seed=0, size=64, noise=0.03):
@@ -23,16 +27,17 @@ def scene_with(objects, seed=0, size=64, noise=0.03):
 class TestSynthesizeScene:
     def test_zero_objects_pure_noise(self):
         img, boxes = dat.synthesize_scene(scene_with([]))
-        assert boxes == []
+        assert boxes.shape == (0, 4) and boxes.dtype == np.float64
         assert img.shape == (64, 64, 1)
         assert abs(img.mean() - dat.BACKGROUND) < 0.02
 
     def test_axis_aligned_ellipse_box(self):
         e = EllipseSpec(cy=32, cx=32, ay=8, ax=8, theta=0.0, intensity=0.9)
         _, (box,) = dat.synthesize_scene(scene_with([e]))
-        assert box.width == pytest.approx(16.0, abs=1.0)
-        assert box.height == pytest.approx(16.0, abs=1.0)
-        assert (box.x1 + box.x2) / 2 == pytest.approx(32.0, abs=0.5)
+        x1, y1, x2, y2 = box
+        assert x2 - x1 == pytest.approx(16.0, abs=1.0)
+        assert y2 - y1 == pytest.approx(16.0, abs=1.0)
+        assert (x1 + x2) / 2 == pytest.approx(32.0, abs=0.5)
 
     def test_deterministic_per_seed(self):
         e = EllipseSpec(cy=20, cx=40, ay=6, ax=9, theta=0.7, intensity=0.2)
@@ -62,14 +67,14 @@ class TestSynthesizeScene:
             u = (xx * c + yy * s) / e.ax
             v = (-xx * s + yy * c) / e.ay
             ys, xs = np.nonzero(u * u + v * v <= 1.0)
-            scan = Box(coords[xs.min()], coords[ys.min()],
-                       coords[xs.max()], coords[ys.max()])
+            scan = (coords[xs.min()], coords[ys.min()],
+                    coords[xs.max()], coords[ys.max()])
             assert iou(box, scan) >= 0.9
             # whole-pixel scan of the actual render stays consistent too
             solo = dat.render_noiseless(scene_with([e], noise=0.0))
             hit = np.abs(solo - dat.BACKGROUND) > abs(e.intensity - dat.BACKGROUND) / 2
             py, px = np.nonzero(hit)
-            coarse = Box(px.min(), py.min(), px.max() + 1, py.max() + 1)
+            coarse = (px.min(), py.min(), px.max() + 1, py.max() + 1)
             assert iou(box, coarse) >= 0.7
 
     def test_values_in_unit_interval(self):
@@ -79,18 +84,34 @@ class TestSynthesizeScene:
 
 
 class TestDropAnnotations:
-    BOXES = [Box(i, i, i + 5, i + 5) for i in range(10)]
+    BOXES = np.array([[i, i, i + 5, i + 5] for i in range(10)], dtype=np.float64)
 
     def test_zero_rate_drops_nothing(self):
         kept, dropped = dat.drop_annotations(self.BOXES, 0.0, rng_seed=1)
-        assert kept == self.BOXES and dropped == []
+        np.testing.assert_array_equal(kept, self.BOXES)
+        assert dropped.shape == (0, 4)
 
     def test_partition(self):
         kept, dropped = dat.drop_annotations(self.BOXES, 0.5, rng_seed=1)
-        assert sorted(kept + dropped, key=lambda b: b.x1) == self.BOXES
+        both = np.concatenate([kept, dropped])
+        np.testing.assert_array_equal(both[np.argsort(both[:, 0])], self.BOXES)
+
+    def test_same_draws_as_a_per_box_split(self):
+        """One mask keeps box order and makes the rng draws a per-box loop
+        would: the first draw at which some box survives decides the split."""
+        for seed in range(20):
+            kept, dropped = dat.drop_annotations(self.BOXES, 0.7, rng_seed=seed)
+            rng = np.random.default_rng(seed)
+            while True:
+                u = rng.random(len(self.BOXES))
+                if any(v >= 0.7 for v in u):
+                    break
+            want_kept = [b for b, v in zip(self.BOXES.tolist(), u) if v >= 0.7]
+            want_dropped = [b for b, v in zip(self.BOXES.tolist(), u) if v < 0.7]
+            assert kept.tolist() == want_kept and dropped.tolist() == want_dropped
 
     def test_binomial_concentration(self):
-        boxes = [Box(0, 0, 1, 1)] * 10000
+        boxes = np.tile([0.0, 0.0, 1.0, 1.0], (10000, 1))
         kept, _ = dat.drop_annotations(boxes, 0.5, rng_seed=9)
         assert abs(len(kept) / 10000 - 0.5) < 0.02
 
@@ -102,10 +123,12 @@ class TestDropAnnotations:
     def test_deterministic(self):
         a = dat.drop_annotations(self.BOXES, 0.4, rng_seed=7)
         b = dat.drop_annotations(self.BOXES, 0.4, rng_seed=7)
-        assert a == b
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_empty_input(self):
-        assert dat.drop_annotations([], 0.5, rng_seed=0) == ([], [])
+        kept, dropped = dat.drop_annotations(np.zeros((0, 4)), 0.5, rng_seed=0)
+        assert kept.shape == dropped.shape == (0, 4)
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
@@ -166,10 +189,17 @@ class TestCocolite:
         assert doc["images"] == [] and doc["annotations"] == []
         assert doc["categories"]
 
-    def test_bbox_corner_conversion(self):
-        box = dat.bbox_to_box([10, 20, 30, 40])
-        assert box == Box(10, 20, 40, 60)
-        assert dat.box_to_bbox(box) == (10, 20, 30, 40)
+    def test_bbox_corner_conversion(self, tmp_path):
+        """Corner boxes go to disk as [x, y, width, height] and come back."""
+        rec = dat.ImageRecord(image_id=0, file_name="a.pgm", image=np.zeros((16, 16, 1)),
+                              kept=np.array([[10.0, 20.0, 40.0, 60.0]]),
+                              dropped=np.zeros((0, 4)))
+        dat.save_dataset(tmp_path, [rec])
+        doc = json.loads((tmp_path / "train.json").read_text())
+        assert [a["bbox"] for a in doc["annotations"]] == [[10, 20, 30, 40]]
+        (back,) = dat.load_dataset(tmp_path)
+        assert back.kept.tolist() == [[10, 20, 40, 60]]
+        assert back.dropped.shape == (0, 4)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_round_trip_identity(self, tmp_path, seed):
@@ -222,7 +252,8 @@ class TestBenchmarkDataset:
         b = dat.generate_benchmark(3, 64, 0.3, seed=11)
         for ra, rb in zip(a, b):
             assert ra.image.tobytes() == rb.image.tobytes()
-            assert ra.kept == rb.kept and ra.dropped == rb.dropped
+            np.testing.assert_array_equal(ra.kept, rb.kept)
+            np.testing.assert_array_equal(ra.dropped, rb.dropped)
 
     def test_save_load_round_trip(self, tmp_path):
         records = dat.generate_benchmark(4, 64, 0.3, seed=2)
@@ -231,11 +262,53 @@ class TestBenchmarkDataset:
         assert len(loaded) == 4
         for orig, back in zip(records, loaded):
             assert back.image.tobytes() == orig.image.tobytes()
-            for bo, bb in zip(orig.kept, back.kept):
-                np.testing.assert_allclose(bb.as_array(), bo.as_array(), atol=1e-9)
-            for bo, bb in zip(orig.dropped, back.dropped):
-                np.testing.assert_allclose(bb.as_array(), bo.as_array(), atol=1e-9)
+            for bo, bb in ((orig.kept, back.kept), (orig.dropped, back.dropped)):
+                assert bb.shape == bo.shape and bb.dtype == np.float64
+                np.testing.assert_allclose(bb, bo, atol=1e-9)
 
     def test_drop_rate_zero_sidecar_empty(self, tmp_path):
         records = dat.generate_benchmark(3, 64, 0.0, seed=2)
-        assert all(not r.dropped for r in records)
+        assert all(r.dropped.shape == (0, 4) for r in records)
+
+
+def filter_oracle(ds: CocoDataset, image_id: int) -> np.ndarray:
+    """The boxes of one image by a scan of every annotation, in file order."""
+    rows = [[x, y, x + w, y + h] for a in ds.annotations if a.image_id == image_id
+            for x, y, w, h in [a.bbox]]
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+bbox_rows = st.tuples(st.integers(0, 5), st.booleans(),
+                      *[st.floats(0, 50, allow_nan=False)] * 4)
+
+
+class TestLoadGrouping:
+    @given(n_images=st.integers(0, 5), anns=st.lists(bbox_rows, max_size=25),
+           id_offset=st.integers(-3, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_group_by_equals_per_image_filter(self, n_images, anns, id_offset):
+        """load_dataset's one-pass grouping gives each image exactly the boxes
+        of a per-image filter, in file order, and (0, 4) where it has none."""
+        ids = [7 * i + id_offset for i in range(n_images)]
+        images = [CocoImage(id=i, file_name=f"im{i}.pgm", height=8, width=8) for i in ids]
+        train, sidecar = CocoDataset(images=images), CocoDataset(images=images)
+        for k, (img, to_sidecar, x, y, w, h) in enumerate(anns):
+            if not ids:
+                break
+            target = sidecar if to_sidecar else train
+            target.annotations.append(CocoAnnotation(
+                id=k + 1, image_id=ids[img % len(ids)], bbox=(x, y, w, h),
+                dropped=to_sidecar))
+        with tempfile.TemporaryDirectory() as root:
+            os.makedirs(os.path.join(root, "images"))
+            for im in images:
+                dat.write_pgm(os.path.join(root, "images", im.file_name), np.zeros((8, 8)))
+            dat.write_cocolite(os.path.join(root, "train.json"), train)
+            dat.write_cocolite(os.path.join(root, "dropped.json"), sidecar)
+            records = dat.load_dataset(root)
+        assert [r.image_id for r in records] == ids
+        for rec in records:
+            for got, ds in ((rec.kept, train), (rec.dropped, sidecar)):
+                want = filter_oracle(ds, rec.image_id)
+                assert got.shape == want.shape and got.dtype == np.float64
+                assert got.tobytes() == want.tobytes()

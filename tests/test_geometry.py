@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softrpn.geometry import (Box, GeometryError, boxes_to_array,
-                              decode_deltas_array, encode_deltas_array,
+from softrpn.geometry import (GeometryError, decode_deltas, encode_deltas,
                               generate_anchors, iou_matrix, match_anchors)
 
 
 def coord_boxes(max_extent=100.0):
     coord = st.floats(0.0, max_extent, allow_nan=False)
     side = st.floats(0.1, max_extent)
-    return st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
+    return st.builds(lambda x, y, w, h: np.array([x, y, x + w, y + h]),
                      coord, coord, side, side)
 
 
@@ -64,17 +63,10 @@ def decode_oracle(anchor, d) -> list[float]:
     return [cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2]
 
 
-def iou(a: Box, b: Box) -> float:
-    return float(iou_matrix(a.as_array()[None], b.as_array()[None])[0, 0])
-
-
-class TestBox:
-    def test_degenerate_rejected(self):
-        with pytest.raises(GeometryError):
-            Box(5, 0, 4, 1)
-
-    def test_area(self):
-        assert Box(0, 0, 2, 3).area == 6
+def iou(a, b) -> float:
+    """IoU of two corner-form boxes through iou_matrix."""
+    return float(iou_matrix(np.array([a], dtype=np.float64),
+                            np.array([b], dtype=np.float64))[0, 0])
 
 
 class TestGenerateAnchors:
@@ -108,14 +100,14 @@ class TestGenerateAnchors:
 
 class TestIou:
     def test_identical(self):
-        b = Box(1, 2, 5, 7)
+        b = (1, 2, 5, 7)
         assert iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert iou(Box(0, 0, 1, 1), Box(5, 5, 6, 6)) == 0.0
+        assert iou((0, 0, 1, 1), (5, 5, 6, 6)) == 0.0
 
     def test_half_overlapping_unit_squares(self):
-        assert iou(Box(0, 0, 1, 1), Box(0.5, 0, 1.5, 1)) == pytest.approx(1 / 3)
+        assert iou((0, 0, 1, 1), (0.5, 0, 1.5, 1)) == pytest.approx(1 / 3)
 
     @given(coord_boxes(), coord_boxes())
     @settings(max_examples=100, deadline=None)
@@ -123,10 +115,10 @@ class TestIou:
         v = iou(a, b)
         assert 0.0 <= v <= 1.0
         assert v == pytest.approx(iou(b, a), abs=1e-12)
-        assert v == pytest.approx(iou_oracle(a.as_array(), b.as_array()), abs=1e-12)
+        assert v == pytest.approx(iou_oracle(a, b), abs=1e-12)
 
     def test_zero_area_boxes(self):
-        z = Box(1, 1, 1, 1)
+        z = (1, 1, 1, 1)
         assert iou(z, z) == 0.0
 
 
@@ -163,7 +155,7 @@ class TestMatchAnchors:
 
     def test_every_anchor_gets_exactly_one_label(self):
         anchors = generate_anchors(4, 4, 8, [16, 32, 64])
-        gt = boxes_to_array([Box(1, 1, 17, 15), Box(10, 12, 30, 29)])
+        gt = np.array([[1.0, 1, 17, 15], [10, 12, 30, 29]])
         labels, targets = match_anchors(anchors, gt)
         assert labels.shape == (len(anchors),) and targets.shape == (len(anchors), 4)
         assert set(labels.tolist()) <= {-1, 0, 1}
@@ -231,12 +223,12 @@ class TestMatchAnchors:
 class TestDeltaCoding:
     def test_identical_boxes_zero_delta(self):
         b = np.array([[3.0, 4.0, 19.0, 20.0]])
-        assert encode_deltas_array(b, b).tolist() == [[0.0, 0.0, 0.0, 0.0]]
+        assert encode_deltas(b, b).tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_double_width_log2(self):
         anchor = np.array([[0.0, 0.0, 16.0, 16.0]])
         gt = np.array([[-8.0, 0.0, 24.0, 16.0]])
-        d = encode_deltas_array(anchor, gt)[0]
+        d = encode_deltas(anchor, gt)[0]
         assert d[2] == pytest.approx(np.log(2))
         assert d[3] == 0.0
 
@@ -247,19 +239,19 @@ class TestDeltaCoding:
         g_xy, g_wh = gen.uniform(0, 50, (100, 2)), gen.uniform(1, 60, (100, 2))
         anchors = np.concatenate([a_xy, a_xy + a_wh], axis=1)
         gt = np.concatenate([g_xy, g_xy + g_wh], axis=1)
-        back = decode_deltas_array(anchors, encode_deltas_array(anchors, gt))
+        back = decode_deltas(anchors, encode_deltas(anchors, gt))
         np.testing.assert_allclose(back, gt, atol=1e-9)
 
     def test_degenerate_gt_rejected(self):
         with pytest.raises(GeometryError):
-            encode_deltas_array(np.array([[0.0, 0.0, 8.0, 8.0]]),
-                                np.array([[2.0, 2.0, 2.0, 5.0]]))
+            encode_deltas(np.array([[0.0, 0.0, 8.0, 8.0]]),
+                          np.array([[2.0, 2.0, 2.0, 5.0]]))
 
     def test_vectorized_encode_matches_scalar(self):
         gen = np.random.default_rng(5)
         xy = gen.uniform(0, 30, size=(2, 10, 2))
         boxes = np.concatenate([xy, xy + gen.uniform(2, 20, size=(2, 10, 2))], axis=2)
-        got = encode_deltas_array(boxes[0], boxes[1])
+        got = encode_deltas(boxes[0], boxes[1])
         for i in range(10):
             np.testing.assert_allclose(got[i], encode_oracle(boxes[0][i], boxes[1][i]),
                                        rtol=0, atol=1e-12)
@@ -269,7 +261,7 @@ class TestDeltaCoding:
         x, y, w, h = gen.uniform(2, 20, size=(4, 10))
         anchors = np.stack([x, y, x + w, y + h], axis=1)
         deltas = gen.standard_normal((10, 4)) * 0.3
-        got = decode_deltas_array(anchors, deltas)
+        got = decode_deltas(anchors, deltas)
         for i in range(10):
             np.testing.assert_allclose(got[i], decode_oracle(anchors[i], deltas[i]),
                                        rtol=0, atol=1e-12)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from softrpn import data as dat
 from softrpn import harness as hz
-from softrpn.geometry import Box, iou_matrix, boxes_to_array
+from softrpn.geometry import iou_matrix
 
 
 # A small config and dataset for fast training tests.
@@ -383,10 +383,10 @@ class TestEvaluate:
         for idx, rec in enumerate(records):
             boxes, scores = hz.predict(params, rec, cfg)
             detections += [(idx, float(s), b) for b, s in zip(boxes, scores)]
-            gt_boxes[idx] = boxes_to_array(rec.full)
+            gt_boxes[idx] = rec.full
         aps = [ap_oracle(detections, gt_boxes, t) for t in hz.COCO_IOU_THRESHOLDS]
         gts = [(idx, g) for idx, rec in enumerate(records) for g in rec.full]
-        hits = sum(any(img == idx and iou_matrix(g.as_array()[None], box[None])[0, 0] >= 0.5
+        hits = sum(any(img == idx and iou_matrix(g[None], box[None])[0, 0] >= 0.5
                        for img, _, box in detections) for idx, g in gts)
         fn = hz.score_fn_detection(hz.audit_flags(params, records, cfg), records)
         want = hz.EvalReport(ap50=aps[0], ap75=aps[5], ap=float(np.mean(aps)),
@@ -455,14 +455,16 @@ class TestImageSizeCheck:
     @pytest.mark.parametrize("shape", [(60, 60), (8, 8), (64, 60), (12, 16), (16, 0)])
     def test_bad_extents_rejected(self, shape):
         record = dat.ImageRecord(image_id=0, file_name="x.pgm",
-                                 image=np.zeros((*shape, 1)), kept=[], dropped=[])
+                                 image=np.zeros((*shape, 1)), kept=box_array(),
+                                 dropped=box_array())
         with pytest.raises(ValueError, match=f"is {shape[0]}x{shape[1]}"):
             hz.check_extents([record])
 
     @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (128, 128), (64, 128)])
     def test_good_extents_accepted(self, shape):
         record = dat.ImageRecord(image_id=0, file_name="x.pgm",
-                                 image=np.zeros((*shape, 1)), kept=[], dropped=[])
+                                 image=np.zeros((*shape, 1)), kept=box_array(),
+                                 dropped=box_array())
         hz.check_extents([record])
 
 
@@ -492,8 +494,8 @@ class TestAnchorsFromImage:
             assert 0.0 <= v <= 1.0
         for f in hz.audit_flags(params, records, cfg, t=0.5):
             size = records[f.image_index].image.shape[0]
-            assert f.box == Box(*hz.anchors_for(records[f.image_index].image,
-                                                cfg)[f.anchor_index])
+            np.testing.assert_array_equal(
+                f.box, hz.anchors_for(records[f.image_index].image, cfg)[f.anchor_index])
             assert f.anchor_index < 3 * (size // 8) ** 2
 
     def test_predict_clips_x_to_width_and_y_to_height(self):
@@ -502,32 +504,53 @@ class TestAnchorsFromImage:
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
         record = dat.ImageRecord(image_id=0, file_name="wide.pgm",
                                  image=np.random.default_rng(1).random((32, 96, 1)),
-                                 kept=[], dropped=[])
+                                 kept=box_array(), dropped=box_array())
         boxes, _ = hz.predict(params, record, cfg)
         assert boxes.min() >= 0.0
         assert boxes[:, [0, 2]].max() <= 96.0 and boxes[:, [1, 3]].max() <= 32.0
         assert boxes[:, 2].max() > 32.0
 
 
+def box_array(*rows):
+    """A (G, 4) float64 box array, (0, 4) without rows."""
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
 def make_record(image_id, kept, dropped, size=64):
     return dat.ImageRecord(image_id=image_id, file_name=f"img_{image_id}.pgm",
-                           image=np.zeros((size, size, 1)), kept=kept,
-                           dropped=dropped)
+                           image=np.zeros((size, size, 1)), kept=box_array(*kept),
+                           dropped=box_array(*dropped))
 
 
 def flag_at(image_index, box):
-    return hz.Flag(image_index=image_index, anchor_index=0, box=box, score=0.9)
+    return hz.Flag(image_index=image_index, anchor_index=0,
+                   box=np.array(box, dtype=np.float64), score=0.9)
+
+
+def score_oracle(flags, records):
+    """score_fn_detection one flag and one withheld box at a time."""
+    n_dropped = sum(len(r.dropped) for r in records)
+    if n_dropped == 0:
+        return hz.FnScore(precision=0.0 if flags else 1.0, recall=1.0, vacuous=True)
+    if not flags:
+        return hz.FnScore(precision=1.0, recall=0.0)
+    def close(f, g):
+        return iou_matrix(f.box[None], g[None])[0, 0] >= 0.5
+    tp = sum(any(close(f, g) for g in records[f.image_index].dropped) for f in flags)
+    found = sum(any(f.image_index == i and close(f, g) for f in flags)
+                for i, r in enumerate(records) for g in r.dropped)
+    return hz.FnScore(precision=tp / len(flags), recall=found / n_dropped)
 
 
 class TestScoreFnDetection:
     def test_hand_computed_counts(self):
-        dropped = [Box(8, 8, 24, 24), Box(40, 40, 56, 56)]
-        records = [make_record(0, [Box(0, 0, 8, 8)], dropped)]
+        dropped = [(8, 8, 24, 24), (40, 40, 56, 56)]
+        records = [make_record(0, [(0, 0, 8, 8)], dropped)]
         flags = [
-            flag_at(0, Box(8, 8, 24, 24)),     # exact hit on dropped 0
-            flag_at(0, Box(9, 9, 25, 25)),     # IoU 0.77 with dropped 0: hit
-            flag_at(0, Box(0, 0, 8, 8)),       # miss (kept, not dropped)
-            flag_at(0, Box(30, 30, 38, 38)),   # miss
+            flag_at(0, (8, 8, 24, 24)),     # exact hit on dropped 0
+            flag_at(0, (9, 9, 25, 25)),     # IoU 0.77 with dropped 0: hit
+            flag_at(0, (0, 0, 8, 8)),       # miss (kept, not dropped)
+            flag_at(0, (30, 30, 38, 38)),   # miss
         ]
         score = hz.score_fn_detection(flags, records)
         assert score.precision == pytest.approx(2 / 4)
@@ -535,36 +558,55 @@ class TestScoreFnDetection:
         assert not score.vacuous
 
     def test_perfect_flags(self):
-        dropped = [Box(8, 8, 24, 24)]
+        dropped = [(8, 8, 24, 24)]
         records = [make_record(0, [], dropped)]
         score = hz.score_fn_detection([flag_at(0, dropped[0])], records)
         assert score.precision == 1.0 and score.recall == 1.0
 
     def test_vacuous_no_dropped(self):
-        records = [make_record(0, [Box(0, 0, 8, 8)], [])]
+        records = [make_record(0, [(0, 0, 8, 8)], [])]
         empty = hz.score_fn_detection([], records)
         assert empty.vacuous and empty.recall == 1.0 and empty.precision == 1.0
-        flagged = hz.score_fn_detection([flag_at(0, Box(0, 0, 8, 8))], records)
+        flagged = hz.score_fn_detection([flag_at(0, (0, 0, 8, 8))], records)
         assert flagged.vacuous and flagged.precision == 0.0
 
     def test_no_flags_zero_recall(self):
-        records = [make_record(0, [], [Box(8, 8, 24, 24)])]
+        records = [make_record(0, [], [(8, 8, 24, 24)])]
         score = hz.score_fn_detection([], records)
         assert score.precision == 1.0 and score.recall == 0.0
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_flag_oracle(self, seed):
+        """Generated anchor flags on images with and without withheld boxes
+        score exactly as a per-flag, per-box scan does."""
+        gen = np.random.default_rng(seed)
+        cfg = hz.TrainConfig()
+        anchors = hz.anchors_for(np.zeros((64, 64, 1)), cfg)
+        records, flags = [], []
+        for i in range(int(gen.integers(1, 4))):
+            # withheld boxes near anchors, so hits and misses both occur
+            picks = anchors[gen.integers(0, len(anchors), size=int(gen.integers(0, 4)))]
+            records.append(make_record(i, [], picks + gen.uniform(-4, 4, picks.shape)))
+            for ai in gen.integers(0, len(anchors), size=int(gen.integers(0, 12))):
+                flags.append(hz.Flag(image_index=i, anchor_index=int(ai),
+                                     box=anchors[ai], score=0.9))
+        flags += [flag_at(0, r.dropped[0]) for r in records[:1] if len(r.dropped)]
+        assert hz.score_fn_detection(flags, records) == score_oracle(flags, records)
 
 
 class TestExpectedRandomRecall:
     def test_matches_monte_carlo(self):
         """Closed-form hypergeometric expectation vs simulation."""
         cfg = hz.TrainConfig()
-        dropped = [Box(6.0, 6.0, 22.0, 22.0), Box(38.0, 38.0, 54.0, 54.0)]
+        dropped = box_array((6.0, 6.0, 22.0, 22.0), (38.0, 38.0, 54.0, 54.0))
         records = [make_record(0, [], dropped)]
         anchors = hz.anchors_for(records[0].image, cfg)
         n = len(anchors)
         m = 10
-        flags = [flag_at(0, Box(0, 0, 8, 8)) for _ in range(m)]
+        flags = [flag_at(0, (0, 0, 8, 8)) for _ in range(m)]
         analytic = hz.expected_random_recall(flags, records, cfg)
-        covers = (iou_matrix(boxes_to_array(dropped), anchors) >= 0.5).sum(axis=1)
+        covers = (iou_matrix(dropped, anchors) >= 0.5).sum(axis=1)
         assert covers.min() > 0, "toy boxes must match some anchor"
         gen = np.random.default_rng(7)
         trials = 4000
@@ -573,21 +615,21 @@ class TestExpectedRandomRecall:
             chosen = gen.choice(n, size=m, replace=False)
             sel = np.zeros(n, dtype=bool)
             sel[chosen] = True
-            iou = iou_matrix(boxes_to_array(dropped), anchors[sel])
+            iou = iou_matrix(dropped, anchors[sel])
             hits += int((iou.max(axis=1) >= 0.5).sum())
         mc = hits / (trials * len(dropped))
         assert analytic == pytest.approx(mc, abs=0.02)
 
     def test_zero_flags_zero_recall(self):
         cfg = hz.TrainConfig()
-        records = [make_record(0, [], [Box(6.0, 6.0, 22.0, 22.0)])]
+        records = [make_record(0, [], [(6.0, 6.0, 22.0, 22.0)])]
         assert hz.expected_random_recall([], records, cfg) == 0.0
 
     def test_flagging_everything_gives_full_recall(self):
         cfg = hz.TrainConfig()
-        records = [make_record(0, [], [Box(6.0, 6.0, 22.0, 22.0)])]
+        records = [make_record(0, [], [(6.0, 6.0, 22.0, 22.0)])]
         n = len(hz.anchors_for(records[0].image, cfg))
-        flags = [flag_at(0, Box(0, 0, 8, 8)) for _ in range(n)]
+        flags = [flag_at(0, (0, 0, 8, 8)) for _ in range(n)]
         assert hz.expected_random_recall(flags, records, cfg) == pytest.approx(1.0)
 
 
