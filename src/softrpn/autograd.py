@@ -7,6 +7,8 @@ accumulates gradients into every reachable tensor with ``requires_grad``.
 
 Scope is deliberately small: only the ops needed by a tiny conv backbone,
 RPN heads, cosine attention, and the classification/regression losses.
+Every contraction is a fixed matmul or broadcast: a convolution is im2col
+plus one matmul (see conv2d).
 """
 
 from __future__ import annotations
@@ -203,11 +205,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
+def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """The (ho*wo, k*k*C) matrix whose rows are the k x k windows of a
+    C-contiguous (H, W, C) array, one row per output position, each row in
+    (i, j, c) order to match a (k, k, C, Cout) kernel reshaped to 2-d."""
+    s0, s1, s2 = xp.strides
+    windows = np.ndarray((ho, wo, k, k, xp.shape[2]), xp.dtype, xp, 0,
+                         (s0 * stride, s1 * stride, s0, s1, s2))
+    return windows.reshape(ho * wo, -1)
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-d convolution, channels-last: x is (H, W, Cin), kernel is
     (k, k, Cin, Cout). Output extent is floor((H + 2*pad - k) / stride) + 1;
     trailing rows that do not fill a window are dropped, so a 3x3/stride-2/
-    pad-1 conv exactly halves even extents."""
+    pad-1 conv exactly halves even extents.
+
+    Computed as im2col + one matmul: the windows of the zero-padded input
+    become the rows of a (Ho*Wo, k*k*Cin) matrix that multiplies the kernel
+    reshaped to (k*k*Cin, Cout). The backward rebuilds that matrix rather
+    than holding it, and skips the input gradient when x neither requires a
+    gradient nor has a tape (a raw image)."""
     k = kernel.shape[0]
     if kernel.data.ndim != 4 or kernel.shape[1] != k:
         raise GraphError(f"kernel must be (k, k, Cin, Cout), got {kernel.shape}")
@@ -223,22 +241,33 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                          f"k={k}, stride={stride}, pad={pad}")
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
-    xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0))) if pad else x.data
-    # windows: (ho, wo, Cin, k, k)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))
-    win = win[::stride, ::stride]
-    data = np.einsum("hwcij,ijco->hwo", win, kernel.data, optimize=True)
+    cout = kernel.shape[3]
+    if pad:
+        xp = np.zeros((h + 2 * pad, w + 2 * pad, cin))
+        xp[pad:pad + h, pad:pad + w] = x.data
+    else:
+        xp = np.ascontiguousarray(x.data)
+    kmat = kernel.data.reshape(k * k * cin, cout)
+    data = (_im2col(xp, k, stride, ho, wo) @ kmat).reshape(ho, wo, cout)
+    needs_gx = x.requires_grad or bool(x._prev)
 
     def backward(g):
-        gk = np.einsum("hwcij,hwo->ijco", win, g, optimize=True)
+        g2 = g.reshape(ho * wo, cout)
+        # The columns are freed before gcols is allocated: holding both
+        # (~1.2 MB at 128x128) made the allocator return and re-fault heap
+        # pages on every backward.
+        gk = (_im2col(xp, k, stride, ho, wo).T @ g2).reshape(kernel.shape)
+        if not needs_gx:
+            return None, gk
+        # g @ K^T, laid out tap-major: (k*k, Ho*Wo, Cin), one block per tap
+        taps_t = kmat.reshape(k * k, cin, cout).transpose(0, 2, 1)
+        gcols = np.matmul(g2, taps_t).reshape(k, k, ho, wo, cin)
         gxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):
-                # each kernel tap scatters g back onto a strided slab
-                gxp[i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                    g @ kernel.data[i, j].T
-        gx = gxp[pad:pad + h, pad:pad + w] if pad else gxp
-        return gx, gk
+                # each kernel tap adds its block back onto a strided slab
+                gxp[i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[i, j]
+        return (gxp[pad:pad + h, pad:pad + w] if pad else gxp), gk
 
     return _make(data, (x, kernel), backward)
 
@@ -246,17 +275,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 def anchor_scores(fe: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Grouped 1x1 scoring head: fe is (H, W, na*D), w is (na, D), b is
     (na,). Anchor a's score at each cell reads only its own D-slice, so the
-    output (H, W, na) never mixes embeddings across anchors."""
+    output (H, W, na) never mixes embeddings across anchors. Computed as a
+    broadcast multiply and a sum over D."""
     na, d = w.shape
     h, wd, c = fe.shape
     if c != na * d:
         raise GraphError(f"embedding channels {c} != na*D = {na * d}")
     fe4 = fe.data.reshape(h, wd, na, d)
-    data = np.einsum("hwad,ad->hwa", fe4, w.data, optimize=True) + b.data
+    data = (fe4 * w.data).sum(axis=-1) + b.data
 
     def backward(g):
-        gfe = (g[..., None] * w.data).reshape(h, wd, c)
-        gw = np.einsum("hwad,hwa->ad", fe4, g, optimize=True)
+        g4 = g[..., None]
+        gfe = (g4 * w.data).reshape(h, wd, c)
+        gw = (fe4 * g4).sum(axis=(0, 1))
         gb = g.sum(axis=(0, 1))
         return gfe, gw, gb
 

@@ -21,7 +21,8 @@ from .geometry import decode_deltas, generate_anchors, iou_matrix, match_anchors
 
 class DivergenceError(Exception):
     def __init__(self, iteration: int):
-        super().__init__(f"loss became non-finite at iteration {iteration}")
+        super().__init__(f"training diverged: a value overflowed or the loss "
+                         f"became non-finite at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -204,24 +205,30 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
     for it in range(config.total_iters):
         if it in config.milestones:
             lr *= config.lr_decay
-        for p in params.values():
-            p.zero_grad()
-        picks = rng.integers(0, len(matched), size=config.batch_images)
-        sums = {"l_pos": 0.0, "l_neg": 0.0, "l_reg": 0.0, "total": 0.0}
-        n_flagged = 0
-        for k in picks:
-            losses = _image_loss(params, matched[k], config, rng)
-            ag.scale(losses.total, 1.0 / config.batch_images).backward()
-            for key in sums:
-                sums[key] += getattr(losses, key).item()
-            n_flagged += len(losses.flagged)
-        means = {k: v / config.batch_images for k, v in sums.items()}
-        if not math.isfinite(means["total"]):
-            raise DivergenceError(it)
-        for k, p in params.items():
-            if p.grad is not None:
-                velocity[k] = config.momentum * velocity[k] + p.grad
-                p.data -= lr * velocity[k]
+        # A run can blow up while every value stays finite (|param| ~1e209
+        # under lr 1e30), so an overflow anywhere in the step is divergence.
+        try:
+            with np.errstate(over="raise"):
+                for p in params.values():
+                    p.zero_grad()
+                picks = rng.integers(0, len(matched), size=config.batch_images)
+                sums = {"l_pos": 0.0, "l_neg": 0.0, "l_reg": 0.0, "total": 0.0}
+                n_flagged = 0
+                for k in picks:
+                    losses = _image_loss(params, matched[k], config, rng)
+                    ag.scale(losses.total, 1.0 / config.batch_images).backward()
+                    for key in sums:
+                        sums[key] += getattr(losses, key).item()
+                    n_flagged += len(losses.flagged)
+                means = {k: v / config.batch_images for k, v in sums.items()}
+                if not math.isfinite(means["total"]):
+                    raise DivergenceError(it)
+                for k, p in params.items():
+                    if p.grad is not None:
+                        velocity[k] = config.momentum * velocity[k] + p.grad
+                        p.data -= lr * velocity[k]
+        except FloatingPointError as e:
+            raise DivergenceError(it) from e
         log.append({"iter": it, "lr": lr, "flagged": n_flagged, **means})
     return params, log
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softrpn import autograd as ag
@@ -27,6 +27,37 @@ class TestMatmul:
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         assert_grad_matches(lambda: ag.tsum(ag.matmul(a, b)), a, rel_tol=1e-4)
         assert_grad_matches(lambda: ag.tsum(ag.matmul(a, b)), b, rel_tol=1e-4)
+
+
+def conv_oracle(x, k, stride, pad, g):
+    """Direct-loop forward, input gradient and kernel gradient of conv2d for
+    an upstream gradient g of the output's shape."""
+    h, w, _ = x.shape
+    kk, cout = k.shape[0], k.shape[3]
+    ho, wo = (h + 2 * pad - kk) // stride + 1, (w + 2 * pad - kk) // stride + 1
+    out, gx, gk = np.zeros((ho, wo, cout)), np.zeros_like(x), np.zeros_like(k)
+    for oy in range(ho):
+        for ox in range(wo):
+            for i in range(kk):
+                for j in range(kk):
+                    y, xx = oy * stride + i - pad, ox * stride + j - pad
+                    if 0 <= y < h and 0 <= xx < w:
+                        out[oy, ox] += x[y, xx] @ k[i, j]
+                        gx[y, xx] += k[i, j] @ g[oy, ox]
+                        gk[i, j] += np.outer(x[y, xx], g[oy, ox])
+    return out, gx, gk
+
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.sampled_from([1, 3]))
+    stride = draw(st.sampled_from([1, 2]))
+    pad = draw(st.sampled_from([0, 1]))
+    low = max(1, k - 2 * pad)
+    h = draw(st.integers(low, 9))
+    w = draw(st.integers(low, 9))
+    return k, stride, pad, h, w, draw(st.integers(1, 4)), draw(st.integers(1, 4)), \
+        draw(st.integers(0, 2 ** 32 - 1))
 
 
 class TestConv2d:
@@ -93,6 +124,86 @@ class TestConv2d:
     def test_even_kernel_rejected(self):
         with pytest.raises(ag.GraphError):
             ag.conv2d(Tensor(np.ones((4, 4, 1))), Tensor(np.ones((2, 2, 1, 1))))
+
+    @given(conv_cases())
+    @example((3, 2, 0, 6, 8, 2, 3, 0))   # the last row and column fill no window
+    @example((3, 2, 1, 8, 6, 2, 3, 1))   # both trailing pad rows are dropped
+    @settings(max_examples=150, deadline=None)
+    def test_forward_and_gradients_match_direct_loop(self, case):
+        k, stride, pad, h, w, cin, cout, seed = case
+        gen = np.random.default_rng(seed)
+        x = Tensor(gen.standard_normal((h, w, cin)), requires_grad=True)
+        kernel = Tensor(gen.standard_normal((k, k, cin, cout)), requires_grad=True)
+        out = ag.conv2d(x, kernel, stride=stride, pad=pad)
+        g = gen.standard_normal(out.shape)
+        ag.tsum(ag.mul(out, g)).backward()
+        want, gx, gk = conv_oracle(x.data, kernel.data, stride, pad, g)
+        assert out.shape == want.shape
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kernel.grad, gk, rtol=0, atol=1e-12)
+
+    def test_image_gradient_skipped_without_grad_or_tape(self, rng):
+        data = rng.standard_normal((8, 6, 2))
+        kernel = Tensor(rng.standard_normal((3, 3, 2, 3)), requires_grad=True)
+        g = rng.standard_normal((4, 3, 3))
+
+        def grads(x):
+            kernel.zero_grad()
+            out = ag.conv2d(x, kernel, stride=2, pad=1)
+            ag.tsum(ag.mul(out, g)).backward()
+            return out, kernel.grad.copy()
+
+        image = Tensor(data.copy())
+        out, gk = grads(image)
+        assert out._backward(g)[0] is None
+        assert image.grad is None
+        tracked = Tensor(data.copy(), requires_grad=True)
+        _, gk_tracked = grads(tracked)
+        np.testing.assert_array_equal(gk, gk_tracked)
+        # an input on a tape still gets its gradient, without requires_grad
+        base = Tensor(data.copy(), requires_grad=True)
+        grads(ag.scale(base, 1.0))
+        np.testing.assert_array_equal(base.grad, tracked.grad)
+
+
+def anchor_scores_oracle(fe, w, b, g):
+    """Direct-loop forward and gradients of anchor_scores for an upstream
+    gradient g of the output's shape."""
+    h, wd, _ = fe.shape
+    na, d = w.shape
+    out, gfe = np.zeros((h, wd, na)), np.zeros_like(fe)
+    gw, gb = np.zeros_like(w), np.zeros_like(b)
+    for y in range(h):
+        for x in range(wd):
+            for a in range(na):
+                gb[a] += g[y, x, a]
+                out[y, x, a] = b[a]
+                for i in range(d):
+                    c = a * d + i
+                    out[y, x, a] += fe[y, x, c] * w[a, i]
+                    gfe[y, x, c] = g[y, x, a] * w[a, i]
+                    gw[a, i] += g[y, x, a] * fe[y, x, c]
+    return out, gfe, gw, gb
+
+
+class TestAnchorScores:
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_forward_and_gradients_match_direct_loop(self, h, wd, na, d, seed):
+        gen = np.random.default_rng(seed)
+        fe = Tensor(gen.standard_normal((h, wd, na * d)), requires_grad=True)
+        w = Tensor(gen.standard_normal((na, d)), requires_grad=True)
+        b = Tensor(gen.standard_normal(na), requires_grad=True)
+        out = ag.anchor_scores(fe, w, b)
+        g = gen.standard_normal((h, wd, na))
+        ag.tsum(ag.mul(out, g)).backward()
+        want, gfe, gw, gb = anchor_scores_oracle(fe.data, w.data, b.data, g)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fe.grad, gfe, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w.grad, gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, gb, rtol=0, atol=1e-12)
 
 
 class TestSoftmaxRows:

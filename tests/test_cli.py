@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 
 import pytest
@@ -212,6 +213,15 @@ class TestTrainCmd:
         out = tmp_path / "out"
         assert run(["train", "--data", dataset, "--out", str(out), *FAST]) == 1
         assert "non-finite at iteration 3" in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_finite_blow_up_is_divergence(self, dataset, tmp_path, capsys):
+        # lr 1e30 drives the parameters to ~1e200 while every value stays
+        # finite for several iterations; the first overflow stops the run
+        out = tmp_path / "out"
+        assert run(["train", "--data", dataset, "--out", str(out),
+                    "--lr", "1e30", *FAST]) == 1
+        assert re.search(r"diverged: .* at iteration \d+$", single_error_line(capsys))
         assert not out.exists()
 
     def test_total_iters_flag_alone_scales_milestones(self, dataset, tmp_path):
