@@ -54,9 +54,23 @@ class TrainConfig:
 
     def __post_init__(self):
         mdl.check_threshold(self.t)
-        for name in ("total_iters", "batch_images"):
+        for name in ("total_iters", "batch_images", "d_embed", "n_anchors",
+                     "minibatch_size", "top_k"):
             if (value := getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if not 0.0 < self.pos_fraction < 1.0:
+            raise ValueError(f"pos_fraction must lie in (0, 1), got {self.pos_fraction}")
+        if not self.pos_thresh > self.neg_thresh:
+            raise ValueError(f"pos_thresh must exceed neg_thresh, got pos_thresh "
+                             f"{self.pos_thresh} and neg_thresh {self.neg_thresh}")
+        if not 0.0 <= self.nms_iou <= 1.0:
+            raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou}")
+        if not 0.0 < self.anchor_aspect < math.inf:
+            raise ValueError(f"anchor_aspect must be positive and finite, "
+                             f"got {self.anchor_aspect}")
+        if not all(0.0 < s < math.inf for s in self.anchor_scales):
+            raise ValueError(f"anchor_scales must be positive and finite, "
+                             f"got {list(self.anchor_scales)}")
         if self.mode not in ("baseline", "soft_label"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.milestones is None:
@@ -131,6 +145,7 @@ class EvalReport:
 class MatchedImage:
     """Static per-image matching state, computed once per run."""
     record: ImageRecord
+    anchors: np.ndarray         # (N, 4), one array shared by every image of this extent
     labels: np.ndarray          # 1 pos, 0 neg, -1 ignore
     delta_targets: np.ndarray   # (N, 4); rows valid only where labels == 1
 
@@ -155,11 +170,20 @@ def check_extents(records: Sequence[ImageRecord]):
 
 def match_dataset(records: Sequence[ImageRecord], config: TrainConfig
                   ) -> list[MatchedImage]:
+    """Label every image's anchors; each distinct extent's anchor grid is
+    built once and shared by its images."""
+    grids: dict[tuple[int, ...], np.ndarray] = {}
     out = []
     for rec in records:
-        labels, targets = match_anchors(anchors_for(rec.image, config), rec.kept,
+        extent = rec.image.shape[:2]
+        if extent not in grids:
+            grids[extent] = anchors_for(rec.image, config)
+            grids[extent].flags.writeable = False      # shared: no image may edit it
+        anchors = grids[extent]
+        labels, targets = match_anchors(anchors, rec.kept,
                                         config.pos_thresh, config.neg_thresh)
-        out.append(MatchedImage(record=rec, labels=labels, delta_targets=targets))
+        out.append(MatchedImage(record=rec, anchors=anchors, labels=labels,
+                                delta_targets=targets))
     return out
 
 
@@ -235,21 +259,39 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
 
 # -- inference / evaluation ----------------------------------------------------
 
+# Ranked boxes per NMS block: the kept boxes usually run out (top_k) within
+# the first block, and larger blocks spend more on IoUs never read.
+NMS_BLOCK = 64
+
+
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
         top_k: Optional[int] = None) -> np.ndarray:
-    """Greedy suppression by descending score; returns kept indices, at most
-    top_k of them (the same prefix an unlimited run keeps)."""
+    """Greedy suppression by descending score (stable on ties); returns kept
+    indices in rank order, at most top_k of them (the same prefix an
+    unlimited run keeps).
+
+    Exact greedy NMS, taken NMS_BLOCK ranked boxes at a time. A box is
+    suppressed only by higher-ranked kept boxes, and every one of those is
+    either kept in an earlier block or earlier in its own block. So each
+    block needs two IoU matrices: one against the boxes kept so far, which
+    seeds which of its boxes are still alive, and one within the block, which
+    the greedy walk reads row by row. The suppressing box is always
+    iou_matrix's first argument, as in a per-box loop, so every IoU is the
+    same float."""
     order = np.argsort(-scores, kind="stable")
-    keep = []
-    suppressed = np.zeros(len(boxes), dtype=bool)
-    for i in order:
-        if suppressed[i]:
-            continue
-        keep.append(i)
-        if len(keep) == top_k:
-            break
-        ious = iou_matrix(boxes[i:i + 1], boxes)[0]
-        suppressed |= ious > iou_thresh
+    keep: list[int] = []
+    for start in range(0, len(order), NMS_BLOCK):
+        block = order[start:start + NMS_BLOCK]
+        ranked = boxes[block]
+        kept = boxes[np.array(keep, dtype=np.intp)]
+        alive = ~(iou_matrix(kept, ranked) > iou_thresh).any(axis=0)
+        over = iou_matrix(ranked, ranked) > iou_thresh
+        for j in range(len(block)):
+            if alive[j]:
+                keep.append(block[j])
+                if len(keep) == top_k:
+                    return np.array(keep, dtype=np.intp)
+                alive &= ~over[j]
     return np.array(keep, dtype=np.intp)
 
 
@@ -260,11 +302,11 @@ def _infer(params: dict[str, Tensor], image: np.ndarray, config: TrainConfig
         return mdl.forward_rpn(Tensor(image), params, config.n_anchors, config.d_embed)
 
 
-def _proposals(batch: mdl.ProposalBatch, image: np.ndarray, config: TrainConfig
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _proposals(batch: mdl.ProposalBatch, anchors: np.ndarray, image: np.ndarray,
+               config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Decoded, image-clipped, suppressed, top-k proposals of a forward pass
-    over image: (boxes (M, 4), scores (M,))."""
-    boxes = decode_deltas(anchors_for(image, config), batch.deltas.data)
+    over image, whose anchors are given: (boxes (M, 4), scores (M,))."""
+    boxes = decode_deltas(anchors, batch.deltas.data)
     h, w = image.shape[:2]
     boxes[:, [0, 2]] = boxes[:, [0, 2]].clip(0.0, float(w))
     boxes[:, [1, 3]] = boxes[:, [1, 3]].clip(0.0, float(h))
@@ -276,7 +318,8 @@ def _proposals(batch: mdl.ProposalBatch, image: np.ndarray, config: TrainConfig
 def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
             ) -> tuple[np.ndarray, np.ndarray]:
     """Proposals of one image; see _proposals."""
-    return _proposals(_infer(params, record.image, config), record.image, config)
+    return _proposals(_infer(params, record.image, config),
+                      anchors_for(record.image, config), record.image, config)
 
 
 def _greedy_match(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -361,7 +404,7 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
     n_gt = n_hit = 0
     for idx, mi in enumerate(match_dataset(records, config)):
         batch = _infer(params, mi.record.image, config)
-        boxes, s = _proposals(batch, mi.record.image, config)
+        boxes, s = _proposals(batch, mi.anchors, mi.record.image, config)
         flags += _audit_image(batch, mi, idx, config, config.t)
         counts.append(len(s))
         scores.append(s)
@@ -404,8 +447,8 @@ def _audit_image(batch: mdl.ProposalBatch, mi: MatchedImage, idx: int,
         return []
     flagged = mdl.detect_false_negatives(amap, t)
     rows = neg_idx[flagged]
-    # a copy of the flagged rows only: a view would keep every image's anchors alive
-    boxes = anchors_for(mi.record.image, config)[rows]
+    # a writable copy of the flagged rows only, not a view of the shared grid
+    boxes = mi.anchors[rows]
     return [Flag(image_index=idx, anchor_index=int(ai), box=box, score=float(score))
             for ai, box, score in zip(rows, boxes, amap.row_max[flagged])]
 

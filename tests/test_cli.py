@@ -269,15 +269,26 @@ class TestTrainCmd:
         ({"t": "x"}, "config key 't' must be"),
         ([1, 2], "config must be a JSON object"),
         ({"stride": 16}, "stride must equal the backbone stride 8"),
+        ({"pos_thresh": 0.3, "neg_thresh": 0.7}, "pos_thresh must exceed neg_thresh"),
+        ({"d_embed": 0}, "d_embed must be at least 1, got 0"),
+        ({"top_k": 0}, "top_k must be at least 1, got 0"),
+        ({"nms_iou": -1}, "nms_iou must lie in [0, 1], got -1"),
+        ({"anchor_aspect": -2.0}, "anchor_aspect must be positive and finite"),
+        ({"anchor_scales": [16, -32, 64]}, "anchor_scales must be positive and finite"),
+        ({"minibatch_size": 0}, "minibatch_size must be at least 1, got 0"),
+        ({"pos_fraction": 0}, "pos_fraction must lie in (0, 1), got 0"),
     ])
     def test_bad_config_file_gives_one_error_line(self, doc, needle, dataset,
                                                   tmp_path, capsys):
+        """An unrunnable config is refused before any work: no traceback,
+        no output directory."""
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert run(["train", "--data", dataset, "--out", str(out),
                     "--config", str(path), *FAST]) == 1
         assert needle in single_error_line(capsys)
+        assert not out.exists()
         assert not out.exists()
 
     def test_retired_config_keys_still_load(self, dataset, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,14 @@ class TestTrainConfig:
         dict(stride=16),                       # retired key; the backbone stride is 8
         dict(total_iters=12, milestones=(6, 12)),
         dict(total_iters=0), dict(total_iters=-3), dict(batch_images=0),
+        dict(pos_thresh=0.3, neg_thresh=0.7), dict(pos_thresh=0.5, neg_thresh=0.5),
+        dict(d_embed=0), dict(top_k=0), dict(minibatch_size=0),
+        dict(n_anchors=0, anchor_scales=()),
+        dict(nms_iou=-1.0), dict(nms_iou=1.5), dict(nms_iou=float("nan")),
+        dict(anchor_aspect=-1.0), dict(anchor_aspect=0.0),
+        dict(anchor_aspect=float("inf")),
+        dict(anchor_scales=(16.0, 0.0, 64.0)), dict(anchor_scales=(-16.0, 32.0, 64.0)),
+        dict(pos_fraction=0.0), dict(pos_fraction=1.0), dict(pos_fraction=1.5),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -47,6 +57,17 @@ class TestTrainConfig:
         ([1, 2], "config must be a JSON object"),
         ({"total_iters": -3}, "total_iters must be at least 1, got -3"),
         ({"batch_images": 0}, "batch_images must be at least 1, got 0"),
+        ({"pos_thresh": 0.3, "neg_thresh": 0.7},
+         "pos_thresh must exceed neg_thresh, got pos_thresh 0.3 and neg_thresh 0.7"),
+        ({"d_embed": 0}, "d_embed must be at least 1, got 0"),
+        ({"top_k": 0}, "top_k must be at least 1, got 0"),
+        ({"minibatch_size": 0}, "minibatch_size must be at least 1, got 0"),
+        ({"n_anchors": 0, "anchor_scales": []}, "n_anchors must be at least 1, got 0"),
+        ({"nms_iou": -1}, r"nms_iou must lie in \[0, 1\], got -1"),
+        ({"anchor_aspect": -1.0}, "anchor_aspect must be positive and finite, got -1.0"),
+        ({"anchor_scales": [16, 0, 64]},
+         r"anchor_scales must be positive and finite, got \[16, 0, 64\]"),
+        ({"pos_fraction": 1.0}, r"pos_fraction must lie in \(0, 1\), got 1.0"),
     ])
     def test_from_dict_names_the_bad_key(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -79,7 +100,62 @@ class TestTrainConfig:
         json.dumps(hz.TrainConfig().to_dict())
 
 
+def nms_oracle(boxes, scores, iou_thresh, top_k=None):
+    """Greedy NMS one kept box at a time: each kept box suppresses every box
+    it overlaps by more than iou_thresh."""
+    order = np.argsort(-scores, kind="stable")
+    keep = []
+    suppressed = np.zeros(len(boxes), dtype=bool)
+    for i in order:
+        if suppressed[i]:
+            continue
+        keep.append(i)
+        if len(keep) == top_k:
+            break
+        suppressed |= iou_matrix(boxes[i:i + 1], boxes)[0] > iou_thresh
+    return np.array(keep, dtype=np.intp)
+
+
+def nms_instance(gen, n):
+    """n boxes on a coarse grid, so exact duplicates and zero-area boxes are
+    common, with a few rows copied outright; scores on a 0.1 grid (ties)."""
+    xy = gen.integers(0, 12, (n, 2)) * 4.0
+    wh = gen.integers(0, 6, (n, 2)) * 4.0
+    boxes = np.concatenate([xy, xy + wh], axis=1)
+    if n > 1:
+        boxes[gen.integers(0, n, n // 8)] = boxes[gen.integers(0, n, n // 8)]
+    return boxes, np.round(gen.random(n), 1)
+
+
 class TestNms:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 300),
+           st.sampled_from([0.0, 0.5, 1.0]),
+           st.sampled_from(["none", 1, hz.NMS_BLOCK - 1, hz.NMS_BLOCK,
+                            hz.NMS_BLOCK + 1, "more"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_box_oracle(self, seed, n, iou_thresh, top_k):
+        """Runs of 0-300 boxes cross zero or more block boundaries."""
+        top_k = {"none": None, "more": n + 1}.get(top_k, top_k)
+        boxes, scores = nms_instance(np.random.default_rng(seed), n)
+        keep = hz.nms(boxes, scores, iou_thresh, top_k)
+        assert keep.dtype == np.intp
+        assert np.array_equal(keep, nms_oracle(boxes, scores, iou_thresh, top_k))
+
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_evaluate_equals_evaluate_with_oracle(self, size, monkeypatch):
+        """A trained model's report is unchanged with the per-box oracle in
+        place of nms, at the default top_k and with (nearly) no limit."""
+        records = tiny_records(6, size=size)
+        cfg = tiny_config()
+        params, _ = hz.train(cfg, records)
+        for top_k in (cfg.top_k, 1000):
+            c = replace(cfg, top_k=top_k)
+            report = hz.evaluate(params, records, c)
+            with monkeypatch.context() as m:
+                m.setattr(hz, "nms", nms_oracle)
+                assert hz.evaluate(params, records, c) == report
+            assert report.recall50 > 0.0
+
     def test_disjoint_boxes_all_kept(self):
         boxes = np.array([[0, 0, 10, 10], [20, 20, 30, 30]], float)
         keep = hz.nms(boxes, np.array([0.9, 0.8]), 0.5)
@@ -497,6 +573,26 @@ class TestAnchorsFromImage:
             np.testing.assert_array_equal(
                 f.box, hz.anchors_for(records[f.image_index].image, cfg)[f.anchor_index])
             assert f.anchor_index < 3 * (size // 8) ** 2
+            assert f.box.flags.writeable       # a copy, not a view of the shared grid
+
+    @pytest.mark.parametrize("entry", ["evaluate", "audit_flags"])
+    def test_anchors_built_once_per_extent(self, entry, monkeypatch):
+        """Matching, proposals and the audit share one anchor grid per
+        distinct image extent."""
+        import softrpn.model as mdl
+        records = tiny_records(3) + tiny_records(2, size=128, seed=1) + tiny_records(1)
+        cfg = tiny_config()
+        params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
+        extents = []
+        generate_anchors = hz.generate_anchors
+
+        def counting_generate(feat_h, feat_w, *args, **kwargs):
+            extents.append((feat_h, feat_w))
+            return generate_anchors(feat_h, feat_w, *args, **kwargs)
+
+        monkeypatch.setattr(hz, "generate_anchors", counting_generate)
+        getattr(hz, entry)(params, records, cfg)
+        assert sorted(extents) == [(8, 8), (16, 16)]
 
     def test_predict_clips_x_to_width_and_y_to_height(self):
         import softrpn.model as mdl
