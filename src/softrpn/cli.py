@@ -58,7 +58,9 @@ def _load_config(args) -> hz.TrainConfig:
 
 def cmd_synth(args) -> int:
     started = time.time()
-    os.makedirs(args.out, exist_ok=True)
+    if not dat.scene_size_ok(args.size):
+        raise ValueError(f"--size {args.size} is unusable: synth needs a multiple of "
+                         f"{mdl.BACKBONE_STRIDE} that is at least {dat.MIN_SCENE_SIZE}")
     records = dat.generate_benchmark(args.images, args.size, args.drop_rate,
                                      seed=args.seed)
     dat.save_dataset(args.out, records)

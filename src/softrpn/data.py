@@ -1,5 +1,6 @@
 """Synthetic dense-ellipse scenes, controlled annotation dropping, and the
-on-disk formats (COCO-lite JSON, binary PGM images).
+on-disk formats: binary PGM images, and COCO-lite JSON read and written
+straight from (G, 4) corner-form box arrays.
 
 Scenes are grayscale: ellipses of varying intensity, some brighter and some
 darker than the mid-gray background, painted with 4x supersampled coverage
@@ -10,17 +11,27 @@ similar — the regime where dropped annotations look just like kept ones.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import model as mdl
+
 BACKGROUND = 0.5
 SUPERSAMPLE = 4
+# random_scene draws an object count, two semi-axes (px) per ellipse and its
+# contrast to the background uniformly from these ranges, and keeps each
+# centre its larger semi-axis plus EDGE_GAP px from every edge
+N_OBJECTS_RANGE = (6, 14)
+AXES_RANGE = (5.0, 9.0)
+CONTRAST_RANGE = (0.18, 0.38)
+EDGE_GAP = 1.0
 
 
 @dataclass(frozen=True)
@@ -83,8 +94,9 @@ def render_noiseless(spec: SceneSpec) -> np.ndarray:
 def synthesize_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
     """Render a scene and return (image (H, W, 1) float64 in [0, 1], tight
     (K, 4) boxes in object order). Deterministic per spec.seed."""
-    if spec.height % 8 or spec.width % 8:
-        raise ValueError("scene extents must be divisible by 8")
+    if not mdl.extent_ok(spec.height, spec.width):
+        raise ValueError(f"scene extent {spec.height}x{spec.width} must be >= "
+                         f"{mdl.MIN_EXTENT} and divisible by {mdl.BACKBONE_STRIDE}")
     rng = np.random.default_rng(spec.seed)
     img = render_noiseless(spec)
     if spec.noise_sigma > 0:
@@ -94,21 +106,27 @@ def synthesize_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
     return img[..., None], boxes.reshape(-1, 4)
 
 
+def scene_size_ok(size: int) -> bool:
+    """Whether random_scene can centre any ellipse in a size x size scene
+    and model.forward_rpn runs on it."""
+    return size >= 2 * (AXES_RANGE[1] + EDGE_GAP) and mdl.extent_ok(size, size)
+
+
+MIN_SCENE_SIZE = next(s for s in itertools.count(1) if scene_size_ok(s))
+
+
 def random_scene(height: int, width: int, seed: int,
-                 n_objects_range: tuple[int, int] = (6, 14),
-                 axes_range: tuple[float, float] = (5.0, 9.0),
-                 contrast_range: tuple[float, float] = (0.18, 0.38),
                  noise_sigma: float = 0.04) -> SceneSpec:
     """Draw a random dense scene: each ellipse is randomly brighter or
-    darker than the background by a contrast drawn from contrast_range."""
+    darker than the background by a contrast drawn from CONTRAST_RANGE."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(n_objects_range[0], n_objects_range[1] + 1))
+    n = int(rng.integers(N_OBJECTS_RANGE[0], N_OBJECTS_RANGE[1] + 1))
     objects = []
     for _ in range(n):
-        a1 = float(rng.uniform(*axes_range))
-        a2 = float(rng.uniform(*axes_range))
-        margin = max(a1, a2) + 1.0
-        contrast = float(rng.uniform(*contrast_range))
+        a1 = float(rng.uniform(*AXES_RANGE))
+        a2 = float(rng.uniform(*AXES_RANGE))
+        margin = max(a1, a2) + EDGE_GAP
+        contrast = float(rng.uniform(*CONTRAST_RANGE))
         sign = 1.0 if rng.random() < 0.5 else -1.0
         objects.append(EllipseSpec(
             cy=float(rng.uniform(margin, height - margin)),
@@ -162,14 +180,13 @@ def _derived_seed(*parts: int) -> int:
 
 
 def generate_benchmark(n_images: int, image_size: int, drop_rate: float,
-                       seed: int, **scene_kwargs) -> list[ImageRecord]:
+                       seed: int) -> list[ImageRecord]:
     """Deterministic synthetic benchmark. Images go through the on-disk
     quantization grid so in-memory and reloaded datasets are identical."""
     records = []
     for i in range(n_images):
-        spec = random_scene(image_size, image_size,
-                            seed=_derived_seed(seed, i, 0), **scene_kwargs)
-        img, boxes = synthesize_scene(spec)
+        img, boxes = synthesize_scene(
+            random_scene(image_size, image_size, seed=_derived_seed(seed, i, 0)))
         img = dequantize_image(quantize_image(img[..., 0]))[..., None]
         kept, dropped = drop_annotations(boxes, drop_rate,
                                          rng_seed=_derived_seed(seed, i, 1))
@@ -178,65 +195,52 @@ def generate_benchmark(n_images: int, image_size: int, drop_rate: float,
     return records
 
 
-def _records_to_coco(records: Sequence[ImageRecord], which: str) -> CocoDataset:
-    ds = CocoDataset()
-    ann_id = 1
-    for rec in records:
-        h, w = rec.image.shape[0], rec.image.shape[1]
-        ds.images.append(CocoImage(id=rec.image_id, file_name=rec.file_name,
-                                   height=h, width=w))
-        groups = {"train": [(rec.kept, False)],
-                  "full": [(rec.kept, False), (rec.dropped, False)],
-                  "dropped": [(rec.dropped, True)]}[which]
-        for boxes, mark in groups:
-            sizes = boxes[:, 2:] - boxes[:, :2]
-            for x, y, w, h in np.concatenate([boxes[:, :2], sizes], axis=1).tolist():
-                ds.annotations.append(CocoAnnotation(
-                    id=ann_id, image_id=rec.image_id, bbox=(x, y, w, h),
-                    dropped=mark))
-                ann_id += 1
-    return ds
-
-
 def save_dataset(directory, records: Sequence[ImageRecord]):
     """Write PGM images plus three COCO-lite files: train.json (kept boxes
     only), full.json (complete ground truth for evaluation), and the
-    dropped.json sidecar marking every withheld box."""
+    dropped.json sidecar marking every withheld box. Each file lists every
+    image and numbers its [x, y, width, height] annotations from 1."""
     directory = str(directory)
     os.makedirs(os.path.join(directory, "images"), exist_ok=True)
     for rec in records:
         write_pgm(os.path.join(directory, "images", rec.file_name), rec.image)
-    for name, which in (("train", "train"), ("full", "full"), ("dropped", "dropped")):
-        write_cocolite(os.path.join(directory, f"{name}.json"),
-                       _records_to_coco(records, which))
-
-
-def _boxes_by_image(ds: CocoDataset) -> dict[int, np.ndarray]:
-    """Corner-form (G, 4) boxes of each annotated image id, in file order."""
-    grouped: dict[int, list] = {}
-    for a in ds.annotations:
-        grouped.setdefault(a.image_id, []).append(a.bbox)
-    out = {}
-    for image_id, bboxes in grouped.items():
-        b = np.array(bboxes, dtype=np.float64)
-        out[image_id] = np.concatenate([b[:, :2], b[:, :2] + b[:, 2:]], axis=1)
-    return out
+    images = [{"id": rec.image_id, "file_name": rec.file_name,
+               "height": rec.image.shape[0], "width": rec.image.shape[1]}
+              for rec in records]
+    for name, boxes_attr, mark in (("train", "kept", {}), ("full", "full", {}),
+                                   ("dropped", "dropped", {"dropped": True})):
+        annotations = []
+        for rec in records:
+            boxes = getattr(rec, boxes_attr)
+            xywh = np.concatenate([boxes[:, :2], boxes[:, 2:] - boxes[:, :2]], axis=1)
+            for bbox in xywh.tolist():
+                annotations.append({"id": len(annotations) + 1, "image_id": rec.image_id,
+                                    "bbox": bbox, "category_id": 1, **mark})
+        with open(os.path.join(directory, f"{name}.json"), "w") as f:
+            json.dump({"images": images, "annotations": annotations,
+                       "categories": [{"id": 1, "name": "flake"}]}, f, indent=1)
 
 
 def load_dataset(directory) -> list[ImageRecord]:
     """Records of every image in train.json, with its kept boxes from there
-    and its withheld boxes from the dropped.json sidecar."""
+    and its withheld boxes from the dropped.json sidecar. Each PGM must have
+    the extent that train.json declares for it."""
     directory = str(directory)
-    train = read_cocolite(os.path.join(directory, "train.json"))
-    sidecar = read_cocolite(os.path.join(directory, "dropped.json"))
-    kept, dropped = _boxes_by_image(train), _boxes_by_image(sidecar)
+    train_path = os.path.join(directory, "train.json")
+    images, kept = read_cocolite(train_path)
+    _, dropped = read_cocolite(os.path.join(directory, "dropped.json"))
     empty = np.zeros((0, 4))
     records = []
-    for im in train.images:
-        img = dequantize_image(read_pgm(os.path.join(directory, "images", im.file_name)))
+    for i, (image_id, file_name, height, width) in enumerate(images):
+        pgm_path = os.path.join(directory, "images", file_name)
+        q = read_pgm(pgm_path)
+        if q.shape != (height, width):
+            raise CocoFormatError(
+                f"{train_path}: images[{i}] (id {image_id}) declares height {height} "
+                f"and width {width}, but {pgm_path} is {q.shape[0]}x{q.shape[1]}")
         records.append(ImageRecord(
-            image_id=im.id, file_name=im.file_name, image=img[..., None],
-            kept=kept.get(im.id, empty), dropped=dropped.get(im.id, empty)))
+            image_id=image_id, file_name=file_name, image=dequantize_image(q)[..., None],
+            kept=kept.get(image_id, empty), dropped=dropped.get(image_id, empty)))
     return records
 
 
@@ -290,46 +294,6 @@ class CocoFormatError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CocoImage:
-    id: int
-    file_name: str
-    height: int
-    width: int
-
-
-@dataclass(frozen=True)
-class CocoAnnotation:
-    id: int
-    image_id: int
-    bbox: tuple[float, float, float, float]  # x, y, width, height
-    category_id: int = 1
-    dropped: bool = False
-
-
-@dataclass
-class CocoDataset:
-    images: list[CocoImage] = field(default_factory=list)
-    annotations: list[CocoAnnotation] = field(default_factory=list)
-    categories: list[dict] = field(default_factory=lambda: [{"id": 1, "name": "flake"}])
-
-
-def write_cocolite(path, dataset: CocoDataset):
-    doc = {
-        "images": [{"id": im.id, "file_name": im.file_name,
-                    "height": im.height, "width": im.width}
-                   for im in dataset.images],
-        "annotations": [
-            {**{"id": a.id, "image_id": a.image_id, "bbox": list(a.bbox),
-                "category_id": a.category_id},
-             **({"dropped": True} if a.dropped else {})}
-            for a in dataset.annotations],
-        "categories": dataset.categories,
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -371,9 +335,11 @@ def _field(path, where: str, rec: dict, key: str, ok, want: str):
 _INT = "an integer"
 
 
-def read_cocolite(path) -> CocoDataset:
+def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.ndarray]]:
     """Read a COCO-lite file, checking every field the dataset uses; any
-    failure is a CocoFormatError naming the file and the field."""
+    failure is a CocoFormatError naming the file and the field. Returns the
+    images in file order as (id, file_name, height, width) and, per annotated
+    image id, its corner-form (G, 4) boxes in file order."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -384,17 +350,16 @@ def read_cocolite(path) -> CocoDataset:
     images, image_ids = [], set()
     for i, rec in enumerate(_objects(path, doc, "images")):
         where = f"images[{i}]"
-        image = CocoImage(
-            id=_field(path, where, rec, "id", _is_int, _INT),
-            file_name=_field(path, where, rec, "file_name", _is_plain_name,
-                             "a plain file name inside images/"),
-            height=_field(path, where, rec, "height", _is_int, _INT),
-            width=_field(path, where, rec, "width", _is_int, _INT))
-        if image.id in image_ids:     # its boxes would go to both images
-            raise CocoFormatError(f"{path}: {where}: duplicate id {image.id}")
-        image_ids.add(image.id)
-        images.append(image)
-    annotations = []
+        image_id = _field(path, where, rec, "id", _is_int, _INT)
+        images.append((image_id,
+                       _field(path, where, rec, "file_name", _is_plain_name,
+                              "a plain file name inside images/"),
+                       _field(path, where, rec, "height", _is_int, _INT),
+                       _field(path, where, rec, "width", _is_int, _INT)))
+        if image_id in image_ids:     # its boxes would go to both images
+            raise CocoFormatError(f"{path}: {where}: duplicate id {image_id}")
+        image_ids.add(image_id)
+    grouped: dict[int, list] = {}
     for i, rec in enumerate(_objects(path, doc, "annotations")):
         ann_id = _field(path, f"annotations[{i}]", rec, "id", _is_int, _INT)
         where = f"annotations[{i}] (id {ann_id})"
@@ -403,11 +368,10 @@ def read_cocolite(path) -> CocoDataset:
             raise CocoFormatError(f"{path}: {where}: dangling image_id {image_id}")
         bbox = _field(path, where, rec, "bbox", _is_bbox,
                       "four finite numbers [x, y, width, height], width and height >= 0")
-        annotations.append(CocoAnnotation(
-            id=ann_id, image_id=image_id, bbox=tuple(float(v) for v in bbox),
-            category_id=_field(path, where, {"category_id": 1, **rec}, "category_id",
-                               _is_int, _INT),
-            dropped=bool(rec.get("dropped", False))))
-    return CocoDataset(images=images, annotations=annotations,
-                       categories=doc.get("categories",
-                                          [{"id": 1, "name": "flake"}]))
+        _field(path, where, {"category_id": 1, **rec}, "category_id", _is_int, _INT)
+        grouped.setdefault(image_id, []).append([float(v) for v in bbox])
+    boxes = {}
+    for image_id, rows in grouped.items():
+        b = np.array(rows)
+        boxes[image_id] = np.concatenate([b[:, :2], b[:, :2] + b[:, 2:]], axis=1)
+    return images, boxes

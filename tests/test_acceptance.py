@@ -4,6 +4,7 @@ The method-effect and detection-signal tests share one set of full-scale
 training runs (module-scoped fixture), so this file takes several minutes.
 """
 
+import json
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ from softrpn import model as mdl
 from softrpn.autograd import Tensor
 
 from conftest import numeric_grad
+from test_data import SPLITS, filter_oracle, written_oracle
 from test_harness import ap_oracle, random_ap_instance
 
 
@@ -222,28 +224,38 @@ class TestAblationShape:
 
 class TestFormatRoundTrips:
     def test_cocolite_read_write_identity_on_fifty_datasets(self, tmp_path):
+        """save_dataset then load_dataset on fifty random datasets: each image
+        comes back bit-exact with its id and file name, in order. Boxes pass
+        through two float operations, so each is checked exactly against its
+        own oracle: written as [x1, y1, x2 - x1, y2 - y1], loaded as
+        [x, y, x + w, y + h] of the written values."""
         gen = np.random.default_rng(77)
         for k in range(50):
-            images, annotations = [], []
-            ann_id = 0
+            records = []
             for i in range(int(gen.integers(1, 6))):
-                images.append(dat.CocoImage(id=i, file_name=f"im_{i}.pgm",
-                                            height=int(gen.integers(16, 128)),
-                                            width=int(gen.integers(16, 128))))
-                for _ in range(int(gen.integers(0, 5))):
-                    x, y = gen.random(2) * 40
-                    w, h = gen.random(2) * 20
-                    annotations.append(dat.CocoAnnotation(
-                        id=ann_id, image_id=i, bbox=(x, y, w, h),
-                        dropped=bool(gen.random() < 0.3)))
-                    ann_id += 1
-            ds = dat.CocoDataset(images=images, annotations=annotations)
-            path = tmp_path / f"ds_{k}.json"
-            dat.write_cocolite(path, ds)
-            back = dat.read_cocolite(path)
-            assert back == ds
-            dat.write_cocolite(tmp_path / f"ds_{k}_again.json", back)
-            assert (tmp_path / f"ds_{k}_again.json").read_bytes() == path.read_bytes()
+                image = dat.dequantize_image(dat.quantize_image(
+                    gen.random((int(gen.integers(2, 17)), int(gen.integers(2, 17))))))
+                boxes = []
+                for _ in range(2):
+                    xy = gen.random((int(gen.integers(0, 5)), 2)) * 40
+                    boxes.append(np.concatenate([xy, xy + gen.random(xy.shape) * 20], axis=1))
+                records.append(dat.ImageRecord(
+                    image_id=5 * i - 3, file_name=f"im_{i}.pgm", image=image[..., None],
+                    kept=boxes[0], dropped=boxes[1]))
+            root = tmp_path / f"ds_{k}"
+            dat.save_dataset(root, records)
+            docs = {name: json.loads((root / f"{name}.json").read_text())
+                    for name, _, _ in SPLITS}
+            for name, attr, mark in SPLITS:
+                assert docs[name]["annotations"] == written_oracle(records, attr, mark)
+            back = dat.load_dataset(root)
+            assert [(r.image_id, r.file_name) for r in back] == \
+                [(r.image_id, r.file_name) for r in records]
+            for rec, got in zip(records, back):
+                assert got.image.tobytes() == rec.image.tobytes()
+                for boxes, doc in ((got.kept, docs["train"]), (got.dropped, docs["dropped"])):
+                    want = filter_oracle(doc, rec.image_id)
+                    assert boxes.shape == want.shape and boxes.tobytes() == want.tobytes()
 
     def test_checkpoint_restores_every_parameter_bit_exactly(self, tmp_path):
         params = mdl.init_params(16, 3, np.random.default_rng(3))

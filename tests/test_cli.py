@@ -114,6 +114,21 @@ class TestSynth:
         # the at-least-one-kept resampling skews slightly below the raw rate
         assert abs(frac - 0.3) < 0.04
 
+    @pytest.mark.parametrize("size", [16, 20, 60])
+    def test_unusable_size_refused_before_any_work(self, size, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run(["synth", "--out", str(out), "--size", str(size)]) == 1
+        line = single_error_line(capsys)
+        assert f"--size {size}" in line and f"at least {dat.MIN_SCENE_SIZE}" in line, line
+        assert not out.exists()
+
+    def test_smallest_usable_size_works(self, tmp_path):
+        assert dat.MIN_SCENE_SIZE == 24
+        out = tmp_path / "bench"
+        assert run(["synth", "--out", str(out), "--images", "20",
+                    "--size", str(dat.MIN_SCENE_SIZE)]) == 0
+        assert all(r.image.shape == (24, 24, 1) for r in dat.load_dataset(out))
+
     def test_manifest_written(self, dataset):
         doc = json.loads(open(os.path.join(dataset, "manifest.json")).read())
         assert doc["tool_version"]
@@ -513,10 +528,15 @@ class TestMalformedInput:
         ("train.json", lambda d: edited(d, "annotations", 0, "bbox", [1, 2, -1, 4]),
          "'bbox'"),
         ("train.json", lambda d: edited(d, "annotations", 0, "bbox", [1, 2, 3]), "'bbox'"),
+        ("train.json", lambda d: edited(d, "annotations", 0, "category_id", True),
+         "'category_id'"),
+        ("train.json", lambda d: edited(d, "images", 1, "height", 4096),
+         "images[1] (id 1) declares height 4096 and width 64"),
     ], ids=["top-level-list", "images-int", "image-not-object", "annotations-object",
             "bbox-missing", "file-name-missing", "id-string", "height-float", "id-duplicate",
             "image-id-bool", "file-name-outside", "file-name-dotdot", "bbox-string",
-            "bbox-nan", "sidecar-bbox-inf", "bbox-negative-width", "bbox-three-numbers"])
+            "bbox-nan", "sidecar-bbox-inf", "bbox-negative-width", "bbox-three-numbers",
+            "category-id-bool", "height-differs-from-pgm"])
     def test_malformed_cocolite(self, name, edit, needle, data, capsys):
         path = data / name
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -8,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softrpn import data as dat
-from softrpn.data import (CocoAnnotation, CocoDataset, CocoFormatError,
-                          CocoImage, EllipseSpec, SceneSpec)
+from softrpn.data import CocoFormatError, EllipseSpec, SceneSpec
 from softrpn.geometry import iou_matrix
 
 
@@ -162,32 +162,69 @@ class TestPgm:
             dat.read_pgm(path)
 
 
-def random_dataset(seed):
+def random_boxes(gen) -> np.ndarray:
+    """Up to five corner-form boxes with non-integer corners."""
+    xy = gen.uniform(0, 40, (int(gen.integers(0, 6)), 2))
+    return np.concatenate([xy, xy + gen.uniform(1, 20, xy.shape)], axis=1)
+
+
+def random_dataset(seed) -> list[dat.ImageRecord]:
+    """Up to four records of random extent with random kept and withheld
+    boxes; some records have none of either."""
     gen = np.random.default_rng(seed)
-    n_img = int(gen.integers(0, 5))
-    images, annotations = [], []
-    ann_id = 1
-    for i in range(n_img):
-        images.append(CocoImage(id=i, file_name=f"img_{i:06d}.pgm",
-                                height=64, width=64))
-        for _ in range(int(gen.integers(0, 6))):
-            x, y = gen.uniform(0, 40, 2)
-            w, h = gen.uniform(1, 20, 2)
-            annotations.append(CocoAnnotation(
-                id=ann_id, image_id=i,
-                bbox=(float(x), float(y), float(w), float(h)),
-                dropped=bool(gen.random() < 0.3)))
-            ann_id += 1
-    return CocoDataset(images=images, annotations=annotations)
+    return [dat.ImageRecord(image_id=3 * i + 1, file_name=f"img_{i:06d}.pgm",
+                            image=np.zeros((8 * int(gen.integers(1, 5)),
+                                            8 * int(gen.integers(1, 5)), 1)),
+                            kept=random_boxes(gen), dropped=random_boxes(gen))
+            for i in range(int(gen.integers(0, 5)))]
+
+
+SPLITS = (("train", "kept", {}), ("full", "full", {}),
+          ("dropped", "dropped", {"dropped": True}))
+
+
+def written_oracle(records, attr: str, mark: dict) -> list[dict]:
+    """The annotations save_dataset must write for one box set, built box by
+    box: ids from 1 across images, bbox = [x1, y1, x2 - x1, y2 - y1]."""
+    out = []
+    for rec in records:
+        for x1, y1, x2, y2 in getattr(rec, attr).tolist():
+            out.append({"id": len(out) + 1, "image_id": rec.image_id,
+                        "bbox": [x1, y1, x2 - x1, y2 - y1], "category_id": 1, **mark})
+    return out
+
+
+def filter_oracle(doc: dict, image_id: int) -> np.ndarray:
+    """The corner boxes [x, y, x + w, y + h] of one image by a scan of every
+    annotation of a COCO-lite document, in file order."""
+    rows = [[x, y, x + w, y + h] for a in doc["annotations"] if a["image_id"] == image_id
+            for x, y, w, h in [a["bbox"]]]
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def literal_records() -> list[dat.ImageRecord]:
+    """Fixed boxes: an image with no boxes, a non-square one with none
+    withheld, and non-integer corners."""
+    def rec(image_id, h, w, kept, dropped):
+        return dat.ImageRecord(
+            image_id=image_id, file_name=f"img_{image_id:06d}.pgm",
+            image=np.full((h, w, 1), 0.5),
+            kept=np.array(kept, dtype=np.float64).reshape(-1, 4),
+            dropped=np.array(dropped, dtype=np.float64).reshape(-1, 4))
+    return [rec(0, 16, 16, [], []),
+            rec(3, 16, 24, [[1.0, 2.0, 9.5, 7.25], [0.1, 0.2, 0.3, 0.7]], []),
+            rec(7, 32, 32, [[10.0, 11.0, 20.0, 21.0]],
+                [[3.3333333333333335, 4.1, 15.9, 12.0], [0.0, 0.0, 32.0, 32.0]])]
 
 
 class TestCocolite:
     def test_empty_dataset_shape(self, tmp_path):
-        path = tmp_path / "empty.json"
-        dat.write_cocolite(path, CocoDataset())
-        doc = json.loads(path.read_text())
-        assert doc["images"] == [] and doc["annotations"] == []
-        assert doc["categories"]
+        dat.save_dataset(tmp_path, [])
+        for name, _, _ in SPLITS:
+            doc = json.loads((tmp_path / f"{name}.json").read_text())
+            assert doc["images"] == [] and doc["annotations"] == []
+            assert doc["categories"]
+            assert dat.read_cocolite(tmp_path / f"{name}.json") == ([], {})
 
     def test_bbox_corner_conversion(self, tmp_path):
         """Corner boxes go to disk as [x, y, width, height] and come back."""
@@ -203,13 +240,34 @@ class TestCocolite:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_round_trip_identity(self, tmp_path, seed):
-        ds = random_dataset(seed)
-        path = tmp_path / "ds.json"
-        dat.write_cocolite(path, ds)
-        back = dat.read_cocolite(path)
-        assert back.images == ds.images
-        assert back.annotations == ds.annotations
-        assert back.categories == ds.categories
+        """Every image comes back from each written file as it went in. Boxes
+        pass through two float operations, so each is checked against its own
+        oracle: written as [x1, y1, x2 - x1, y2 - y1], read as
+        [x, y, x + w, y + h]."""
+        records = random_dataset(seed)
+        dat.save_dataset(tmp_path, records)
+        for name, attr, mark in SPLITS:
+            doc = json.loads((tmp_path / f"{name}.json").read_text())
+            assert doc["annotations"] == written_oracle(records, attr, mark)
+            images, boxes = dat.read_cocolite(tmp_path / f"{name}.json")
+            assert images == [(r.image_id, r.file_name, *r.image.shape[:2])
+                              for r in records]
+            for rec in records:
+                want = filter_oracle(doc, rec.image_id)
+                got = boxes.get(rec.image_id, np.zeros((0, 4)))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_written_bytes_pinned(self, tmp_path):
+        """The on-disk format does not drift: these digests were recorded
+        with the per-annotation object writer that save_dataset replaced."""
+        dat.save_dataset(tmp_path, literal_records())
+        digests = {name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
+                   for name in ("train", "full", "dropped")}
+        assert digests == {
+            "train": "6e4b518eae283ac1664254544d991d5ab85f2eeefe21c45ca6eb7df58b59ec42",
+            "full": "019139740c1a21bc36a74f345557ad67a26e14abbec01ec6fa3f3567a0e6c5da",
+            "dropped": "2421c3390a0501f72ebfee4bb61dfa50668f35f89a8b6ecce89c545f2223b7ce",
+        }
 
     def test_unknown_keys_ignored(self, tmp_path):
         path = tmp_path / "ds.json"
@@ -217,8 +275,7 @@ class TestCocolite:
                            "width": 8, "license": 99}],
                "annotations": [], "categories": [], "info": {"year": 2026}}
         path.write_text(json.dumps(doc))
-        ds = dat.read_cocolite(path)
-        assert len(ds.images) == 1
+        assert dat.read_cocolite(path) == ([(1, "a.pgm", 8, 8)], {})
 
     def test_dangling_image_id_named(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -271,13 +328,6 @@ class TestBenchmarkDataset:
         assert all(r.dropped.shape == (0, 4) for r in records)
 
 
-def filter_oracle(ds: CocoDataset, image_id: int) -> np.ndarray:
-    """The boxes of one image by a scan of every annotation, in file order."""
-    rows = [[x, y, x + w, y + h] for a in ds.annotations if a.image_id == image_id
-            for x, y, w, h in [a.bbox]]
-    return np.array(rows, dtype=np.float64).reshape(-1, 4)
-
-
 bbox_rows = st.tuples(st.integers(0, 5), st.booleans(),
                       *[st.floats(0, 50, allow_nan=False)] * 4)
 
@@ -290,25 +340,29 @@ class TestLoadGrouping:
         """load_dataset's one-pass grouping gives each image exactly the boxes
         of a per-image filter, in file order, and (0, 4) where it has none."""
         ids = [7 * i + id_offset for i in range(n_images)]
-        images = [CocoImage(id=i, file_name=f"im{i}.pgm", height=8, width=8) for i in ids]
-        train, sidecar = CocoDataset(images=images), CocoDataset(images=images)
+        images = [{"id": i, "file_name": f"im{i}.pgm", "height": 8, "width": 8}
+                  for i in ids]
+        train = {"images": images, "annotations": []}
+        sidecar = {"images": images, "annotations": []}
         for k, (img, to_sidecar, x, y, w, h) in enumerate(anns):
             if not ids:
                 break
             target = sidecar if to_sidecar else train
-            target.annotations.append(CocoAnnotation(
-                id=k + 1, image_id=ids[img % len(ids)], bbox=(x, y, w, h),
-                dropped=to_sidecar))
+            target["annotations"].append({
+                "id": k + 1, "image_id": ids[img % len(ids)], "bbox": [x, y, w, h],
+                "category_id": 1, **({"dropped": True} if to_sidecar else {})})
         with tempfile.TemporaryDirectory() as root:
             os.makedirs(os.path.join(root, "images"))
             for im in images:
-                dat.write_pgm(os.path.join(root, "images", im.file_name), np.zeros((8, 8)))
-            dat.write_cocolite(os.path.join(root, "train.json"), train)
-            dat.write_cocolite(os.path.join(root, "dropped.json"), sidecar)
+                dat.write_pgm(os.path.join(root, "images", im["file_name"]),
+                              np.zeros((8, 8)))
+            for name, doc in (("train.json", train), ("dropped.json", sidecar)):
+                with open(os.path.join(root, name), "w") as f:
+                    json.dump(doc, f)
             records = dat.load_dataset(root)
         assert [r.image_id for r in records] == ids
         for rec in records:
-            for got, ds in ((rec.kept, train), (rec.dropped, sidecar)):
-                want = filter_oracle(ds, rec.image_id)
+            for got, doc in ((rec.kept, train), (rec.dropped, sidecar)):
+                want = filter_oracle(doc, rec.image_id)
                 assert got.shape == want.shape and got.dtype == np.float64
                 assert got.tobytes() == want.tobytes()
