@@ -8,7 +8,8 @@ accumulates gradients into every reachable tensor with ``requires_grad``.
 Scope is deliberately small: only the ops needed by a tiny conv backbone,
 RPN heads, cosine attention, and the classification/regression losses.
 Every contraction is a fixed matmul or broadcast: a convolution is im2col
-plus one matmul (see conv2d).
+plus one matmul (see conv2d), and one conv2d node also adds the layer's bias
+and applies its ReLU, so a network layer is a single tape node.
 """
 
 from __future__ import annotations
@@ -154,11 +155,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, (a,), lambda g: (g * s,))
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _make(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
 def sigmoid(a: Tensor) -> Tensor:
     s = np.empty_like(a.data)
     pos = a.data >= 0
@@ -215,17 +211,23 @@ def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray
     return windows.reshape(ho * wo, -1)
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
+           bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
     """2-d convolution, channels-last: x is (H, W, Cin), kernel is
-    (k, k, Cin, Cout). Output extent is floor((H + 2*pad - k) / stride) + 1;
-    trailing rows that do not fill a window are dropped, so a 3x3/stride-2/
-    pad-1 conv exactly halves even extents.
+    (k, k, Cin, Cout), bias (if given) is (Cout,). Returns conv(x) + bias,
+    passed through a ReLU when relu is set. Output extent is
+    floor((H + 2*pad - k) / stride) + 1; trailing rows that do not fill a
+    window are dropped, so a 3x3/stride-2/pad-1 conv exactly halves even
+    extents.
 
     Computed as im2col + one matmul: the windows of the zero-padded input
     become the rows of a (Ho*Wo, k*k*Cin) matrix that multiplies the kernel
-    reshaped to (k*k*Cin, Cout). The backward rebuilds that matrix rather
-    than holding it, and skips the input gradient when x neither requires a
-    gradient nor has a tape (a raw image)."""
+    reshaped to (k*k*Cin, Cout). The bias is added to that product in place
+    and the ReLU applied to the sum, so a network layer records one tape
+    node. The backward masks the upstream gradient by the ReLU, sums it over
+    positions for the bias, rebuilds the column matrix rather than holding
+    it, and skips the input gradient when x neither requires a gradient nor
+    has a tape (a raw image)."""
     k = kernel.shape[0]
     if kernel.data.ndim != 4 or kernel.shape[1] != k:
         raise GraphError(f"kernel must be (k, k, Cin, Cout), got {kernel.shape}")
@@ -235,6 +237,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise GraphError("stride must be >= 1 and pad >= 0")
     if x.data.ndim != 3 or x.shape[2] != kernel.shape[2]:
         raise GraphError(f"input {x.shape} incompatible with kernel {kernel.shape}")
+    if bias is not None and bias.shape != kernel.shape[3:]:
+        raise GraphError(f"bias {bias.shape} does not match kernel {kernel.shape}")
     h, w, cin = x.shape
     if h + 2 * pad < k or w + 2 * pad < k:
         raise GraphError(f"empty output extent for input {x.shape}, "
@@ -249,16 +253,25 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         xp = np.ascontiguousarray(x.data)
     kmat = kernel.data.reshape(k * k * cin, cout)
     data = (_im2col(xp, k, stride, ho, wo) @ kmat).reshape(ho, wo, cout)
+    if bias is not None:
+        data += bias.data
+    if relu:
+        mask = data > 0
+        data = np.where(mask, data, 0.0)
     needs_gx = x.requires_grad or bool(x._prev)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def backward(g):
+        if relu:
+            g = g * mask
+        gb = None if bias is None else _unbroadcast(g, bias.shape)
         g2 = g.reshape(ho * wo, cout)
         # The columns are freed before gcols is allocated: holding both
         # (~1.2 MB at 128x128) made the allocator return and re-fault heap
         # pages on every backward.
         gk = (_im2col(xp, k, stride, ho, wo).T @ g2).reshape(kernel.shape)
         if not needs_gx:
-            return None, gk
+            return (None, gk, gb)[:len(parents)]
         # g @ K^T, laid out tap-major: (k*k, Ho*Wo, Cin), one block per tap
         taps_t = kmat.reshape(k * k, cin, cout).transpose(0, 2, 1)
         gcols = np.matmul(g2, taps_t).reshape(k, k, ho, wo, cin)
@@ -267,9 +280,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             for j in range(k):
                 # each kernel tap adds its block back onto a strided slab
                 gxp[i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[i, j]
-        return (gxp[pad:pad + h, pad:pad + w] if pad else gxp), gk
+        return ((gxp[pad:pad + h, pad:pad + w] if pad else gxp), gk, gb)[:len(parents)]
 
-    return _make(data, (x, kernel), backward)
+    return _make(data, parents, backward)
 
 
 def anchor_scores(fe: Tensor, w: Tensor, b: Tensor) -> Tensor:

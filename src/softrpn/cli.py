@@ -67,7 +67,6 @@ def cmd_synth(args) -> int:
     _write_manifest(args.out, None, {
         "images_dir": "images",
         "train_annotations": "train.json",
-        "eval_annotations": "full.json",
         "dropped_sidecar": "dropped.json",
     }, started, extra={"synth": {"images": args.images, "size": args.size,
                                  "drop_rate": args.drop_rate, "seed": args.seed}})

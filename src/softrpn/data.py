@@ -183,6 +183,9 @@ def generate_benchmark(n_images: int, image_size: int, drop_rate: float,
                        seed: int) -> list[ImageRecord]:
     """Deterministic synthetic benchmark. Images go through the on-disk
     quantization grid so in-memory and reloaded datasets are identical."""
+    if not scene_size_ok(image_size):
+        raise ValueError(f"image size {image_size} is unusable: scenes need a multiple "
+                         f"of {mdl.BACKBONE_STRIDE} that is at least {MIN_SCENE_SIZE}")
     records = []
     for i in range(n_images):
         img, boxes = synthesize_scene(
@@ -196,10 +199,10 @@ def generate_benchmark(n_images: int, image_size: int, drop_rate: float,
 
 
 def save_dataset(directory, records: Sequence[ImageRecord]):
-    """Write PGM images plus three COCO-lite files: train.json (kept boxes
-    only), full.json (complete ground truth for evaluation), and the
-    dropped.json sidecar marking every withheld box. Each file lists every
-    image and numbers its [x, y, width, height] annotations from 1."""
+    """Write PGM images plus two COCO-lite files: train.json (kept boxes)
+    and the dropped.json sidecar (withheld boxes); their union is the full
+    ground truth. Each file lists every image and numbers its
+    [x, y, width, height] annotations from 1."""
     directory = str(directory)
     os.makedirs(os.path.join(directory, "images"), exist_ok=True)
     for rec in records:
@@ -207,15 +210,14 @@ def save_dataset(directory, records: Sequence[ImageRecord]):
     images = [{"id": rec.image_id, "file_name": rec.file_name,
                "height": rec.image.shape[0], "width": rec.image.shape[1]}
               for rec in records]
-    for name, boxes_attr, mark in (("train", "kept", {}), ("full", "full", {}),
-                                   ("dropped", "dropped", {"dropped": True})):
+    for name, attr in (("train", "kept"), ("dropped", "dropped")):
         annotations = []
         for rec in records:
-            boxes = getattr(rec, boxes_attr)
+            boxes = getattr(rec, attr)
             xywh = np.concatenate([boxes[:, :2], boxes[:, 2:] - boxes[:, :2]], axis=1)
             for bbox in xywh.tolist():
                 annotations.append({"id": len(annotations) + 1, "image_id": rec.image_id,
-                                    "bbox": bbox, "category_id": 1, **mark})
+                                    "bbox": bbox, "category_id": 1})
         with open(os.path.join(directory, f"{name}.json"), "w") as f:
             json.dump({"images": images, "annotations": annotations,
                        "categories": [{"id": 1, "name": "flake"}]}, f, indent=1)
@@ -224,11 +226,13 @@ def save_dataset(directory, records: Sequence[ImageRecord]):
 def load_dataset(directory) -> list[ImageRecord]:
     """Records of every image in train.json, with its kept boxes from there
     and its withheld boxes from the dropped.json sidecar. Each PGM must have
-    the extent that train.json declares for it."""
+    the extent that train.json declares for it, and the sidecar must list
+    the same images as train.json."""
     directory = str(directory)
     train_path = os.path.join(directory, "train.json")
     images, kept = read_cocolite(train_path)
-    _, dropped = read_cocolite(os.path.join(directory, "dropped.json"))
+    sidecar_path = os.path.join(directory, "dropped.json")
+    sidecar_images, dropped = read_cocolite(sidecar_path)
     empty = np.zeros((0, 4))
     records = []
     for i, (image_id, file_name, height, width) in enumerate(images):
@@ -241,6 +245,12 @@ def load_dataset(directory) -> list[ImageRecord]:
         records.append(ImageRecord(
             image_id=image_id, file_name=file_name, image=dequantize_image(q)[..., None],
             kept=kept.get(image_id, empty), dropped=dropped.get(image_id, empty)))
+    if sidecar_images != images:
+        at = next((i for i, (a, b) in enumerate(zip(sidecar_images, images)) if a != b),
+                  min(len(sidecar_images), len(images)))
+        raise CocoFormatError(
+            f"{sidecar_path}: field 'images' must list the images of {train_path} "
+            f"(id, file_name, height, width), but differs at images[{at}]")
     return records
 
 

@@ -33,7 +33,6 @@ class TrainConfig:
     each image's own extent and model.BACKBONE_STRIDE."""
     t: float = 0.8
     d_embed: int = 32
-    n_anchors: int = 3
     mode: str = "soft_label"           # "baseline" | "soft_label"
     lr: float = 0.02 * 4 / 48          # reference LR scaled linearly to batch 4
     momentum: float = 0.9
@@ -81,8 +80,11 @@ class TrainConfig:
         if any(b <= a for a, b in zip(ms, ms[1:])) or (ms and ms[-1] >= self.total_iters):
             raise ValueError("milestones must be strictly increasing and < total_iters")
         self.anchor_scales = tuple(self.anchor_scales)
-        if len(self.anchor_scales) != self.n_anchors:
-            raise ValueError("anchor_scales must have n_anchors entries")
+
+    @property
+    def n_anchors(self) -> int:
+        """Anchors per feature-map cell: one per scale."""
+        return len(self.anchor_scales)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -92,27 +94,32 @@ class TrainConfig:
         """Build from a JSON object, checking every key and value type.
         Retired keys are accepted and dropped, so older configs and
         checkpoints still load; a retired stride must still be the
-        backbone stride."""
+        backbone stride, and a retired n_anchors the number of scales."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         if d.get("stride", mdl.BACKBONE_STRIDE) != mdl.BACKBONE_STRIDE:
             raise ValueError(f"stride must equal the backbone stride "
                              f"{mdl.BACKBONE_STRIDE}, got {d['stride']!r}")
-        d = {k: v for k, v in d.items() if k not in RETIRED_CONFIG_KEYS}
+        kept = {k: v for k, v in d.items() if k not in RETIRED_CONFIG_KEYS}
         hints = typing.get_type_hints(cls)
-        for key, value in d.items():
+        for key, value in kept.items():
             if key not in hints:
                 raise ValueError(f"unknown config key {key!r}")
             if not _conforms(value, hints[key]):
                 raise ValueError(f"config key {key!r} must be {cls.__annotations__[key]}, "
                                  f"got {value!r}")
-        return cls(**d)
+        n_scales = len(kept.get("anchor_scales", cls.anchor_scales))
+        if d.get("n_anchors", n_scales) != n_scales:
+            raise ValueError(f"n_anchors must equal the number of anchor_scales "
+                             f"{n_scales}, got {d['n_anchors']!r}")
+        return cls(**kept)
 
 
 # Keys of earlier TrainConfig versions: the image extent and the stride now
-# come from the data and the backbone, and the dataset keys belong to the
-# dataset's own manifest.
-RETIRED_CONFIG_KEYS = ("image_size", "stride", "n_images", "drop_rate", "seed_data")
+# come from the data and the backbone, the anchor count from anchor_scales,
+# and the dataset keys belong to the dataset's own manifest.
+RETIRED_CONFIG_KEYS = ("image_size", "stride", "n_anchors", "n_images", "drop_rate",
+                       "seed_data")
 
 
 def _conforms(value, hint) -> bool:
@@ -201,8 +208,7 @@ def _attend(batch: mdl.ProposalBatch, pos_idx: np.ndarray, neg_idx: np.ndarray
 def _image_loss(params: dict[str, Tensor], mi: MatchedImage, config: TrainConfig,
                 rng: np.random.Generator) -> mdl.RpnLosses:
     """Forward one image, sample a proposal minibatch, and build the loss."""
-    batch = mdl.forward_rpn(Tensor(mi.record.image), params,
-                            config.n_anchors, config.d_embed)
+    batch = mdl.forward_rpn(Tensor(mi.record.image), params)
     pos_idx, neg_idx = mdl.sample_proposals(mi.labels, config.minibatch_size,
                                             config.pos_fraction, rng)
     amap = _attend(batch, pos_idx, neg_idx) if config.mode == "soft_label" else None
@@ -295,11 +301,10 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
     return np.array(keep, dtype=np.intp)
 
 
-def _infer(params: dict[str, Tensor], image: np.ndarray, config: TrainConfig
-           ) -> mdl.ProposalBatch:
+def _infer(params: dict[str, Tensor], image: np.ndarray) -> mdl.ProposalBatch:
     """One forward pass without a tape."""
     with ag.no_grad():
-        return mdl.forward_rpn(Tensor(image), params, config.n_anchors, config.d_embed)
+        return mdl.forward_rpn(Tensor(image), params)
 
 
 def _proposals(batch: mdl.ProposalBatch, anchors: np.ndarray, image: np.ndarray,
@@ -318,7 +323,7 @@ def _proposals(batch: mdl.ProposalBatch, anchors: np.ndarray, image: np.ndarray,
 def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
             ) -> tuple[np.ndarray, np.ndarray]:
     """Proposals of one image; see _proposals."""
-    return _proposals(_infer(params, record.image, config),
+    return _proposals(_infer(params, record.image),
                       anchors_for(record.image, config), record.image, config)
 
 
@@ -403,7 +408,7 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
     counts, scores, ious, flags = [], [np.zeros(0)], {}, []
     n_gt = n_hit = 0
     for idx, mi in enumerate(match_dataset(records, config)):
-        batch = _infer(params, mi.record.image, config)
+        batch = _infer(params, mi.record.image)
         boxes, s = _proposals(batch, mi.anchors, mi.record.image, config)
         flags += _audit_image(batch, mi, idx, config, config.t)
         counts.append(len(s))
@@ -463,7 +468,7 @@ def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
     check_extents(records)
     mdl.check_threshold(t)
     flags = [f for idx, mi in enumerate(match_dataset(records, config))
-             for f in _audit_image(_infer(params, mi.record.image, config),
+             for f in _audit_image(_infer(params, mi.record.image),
                                    mi, idx, config, t)]
     flags.sort(key=lambda f: -f.score)
     return flags

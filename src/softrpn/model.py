@@ -88,27 +88,30 @@ def extent_ok(h: int, w: int) -> bool:
                 or h < MIN_EXTENT or w < MIN_EXTENT)
 
 
-def forward_rpn(image: Tensor, params: dict[str, Tensor],
-                n_anchors: int, d_embed: int) -> ProposalBatch:
-    """Run backbone + heads on an (H, W, 1) image; see extent_ok."""
+def forward_rpn(image: Tensor, params: dict[str, Tensor]) -> ProposalBatch:
+    """Run backbone + heads on an (H, W, 1) image; see extent_ok. The anchor
+    count and the embedding width are read from the shape of rpn.cls.w."""
     h, w = image.shape[0], image.shape[1]
     if not extent_ok(h, w):
         raise ag.GraphError(f"image extent {h}x{w} must be >= {MIN_EXTENT} and "
                             f"divisible by {BACKBONE_STRIDE}")
+
+    def layer(x, name, stride=1, pad=0, relu=False):
+        return ag.conv2d(x, params[name + ".w"], stride, pad,
+                         bias=params[name + ".b"], relu=relu)
+
     x = image
     for i in range(len(BACKBONE_CHANNELS)):
-        x = ag.relu(ag.add(ag.conv2d(x, params[f"backbone.conv{i}.w"], stride=2, pad=1),
-                           params[f"backbone.conv{i}.b"]))
-    fc = ag.relu(ag.add(ag.conv2d(x, params["rpn.share.w"], stride=1, pad=1),
-                        params["rpn.share.b"]))
-    freg = ag.add(ag.conv2d(fc, params["rpn.reg.w"]), params["rpn.reg.b"])
-    fe = ag.add(ag.conv2d(fc, params["rpn.embed.w"]), params["rpn.embed.b"])
+        x = layer(x, f"backbone.conv{i}", stride=2, pad=1, relu=True)
+    fc = layer(x, "rpn.share", pad=1, relu=True)
+    freg = layer(fc, "rpn.reg")
+    fe = layer(fc, "rpn.embed")
     logits = ag.anchor_scores(fe, params["rpn.cls.w"], params["rpn.cls.b"])
     n = logits.size
     return ProposalBatch(
         probs=ag.reshape(ag.sigmoid(logits), (n,)),
         deltas=ag.reshape(freg, (n, 4)),
-        embeddings=ag.reshape(fe, (n, d_embed)),
+        embeddings=ag.reshape(fe, (n, params["rpn.cls.w"].shape[1])),
     )
 
 

@@ -43,7 +43,7 @@ class TestFullLossGradients:
         delta_targets = gen.standard_normal((len(pos_idx), 4)) * 0.5
 
         with ag.no_grad():
-            batch = mdl.forward_rpn(Tensor(image), params, 3, 8)
+            batch = mdl.forward_rpn(Tensor(image), params)
             amap = mdl.attention_map(ag.gather_rows(batch.embeddings, neg_idx),
                                      ag.gather_rows(batch.embeddings, pos_idx))
         neg_targets = np.zeros(len(neg_idx))
@@ -52,7 +52,7 @@ class TestFullLossGradients:
         neg_targets[flagged] = amap.row_max[flagged]
 
         def loss():
-            b = mdl.forward_rpn(Tensor(image), params, 3, 8)
+            b = mdl.forward_rpn(Tensor(image), params)
             pos_p = ag.gather_rows(b.probs, pos_idx)
             neg_p = ag.gather_rows(b.probs, neg_idx)
             pos_d = ag.gather_rows(b.deltas, pos_idx)
@@ -245,9 +245,9 @@ class TestFormatRoundTrips:
             root = tmp_path / f"ds_{k}"
             dat.save_dataset(root, records)
             docs = {name: json.loads((root / f"{name}.json").read_text())
-                    for name, _, _ in SPLITS}
-            for name, attr, mark in SPLITS:
-                assert docs[name]["annotations"] == written_oracle(records, attr, mark)
+                    for name, _ in SPLITS}
+            for name, attr in SPLITS:
+                assert docs[name]["annotations"] == written_oracle(records, attr)
             back = dat.load_dataset(root)
             assert [(r.image_id, r.file_name) for r in back] == \
                 [(r.image_id, r.file_name) for r in records]

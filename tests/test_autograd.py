@@ -29,23 +29,39 @@ class TestMatmul:
         assert_grad_matches(lambda: ag.tsum(ag.matmul(a, b)), b, rel_tol=1e-4)
 
 
-def conv_oracle(x, k, stride, pad, g):
-    """Direct-loop forward, input gradient and kernel gradient of conv2d for
-    an upstream gradient g of the output's shape."""
+def conv_oracle(x, k, stride, pad, g, bias=None, relu=False):
+    """Direct-loop forward, input gradient, kernel gradient and bias gradient
+    of conv2d (plus bias, then ReLU if set) for an upstream gradient g of the
+    output's shape. The bias gradient is None without a bias."""
     h, w, _ = x.shape
     kk, cout = k.shape[0], k.shape[3]
     ho, wo = (h + 2 * pad - kk) // stride + 1, (w + 2 * pad - kk) // stride + 1
-    out, gx, gk = np.zeros((ho, wo, cout)), np.zeros_like(x), np.zeros_like(k)
+    out = np.zeros((ho, wo, cout))
+    taps = []
     for oy in range(ho):
         for ox in range(wo):
+            if bias is not None:
+                out[oy, ox] += bias
             for i in range(kk):
                 for j in range(kk):
                     y, xx = oy * stride + i - pad, ox * stride + j - pad
                     if 0 <= y < h and 0 <= xx < w:
                         out[oy, ox] += x[y, xx] @ k[i, j]
-                        gx[y, xx] += k[i, j] @ g[oy, ox]
-                        gk[i, j] += np.outer(x[y, xx], g[oy, ox])
-    return out, gx, gk
+                        taps.append((oy, ox, y, xx, i, j))
+    if relu:
+        g = np.where(out > 0, g, 0.0)
+        out = np.maximum(out, 0.0)
+    gx, gk = np.zeros_like(x), np.zeros_like(k)
+    for oy, ox, y, xx, i, j in taps:
+        gx[y, xx] += k[i, j] @ g[oy, ox]
+        gk[i, j] += np.outer(x[y, xx], g[oy, ox])
+    gb = None
+    if bias is not None:
+        gb = np.zeros(cout)
+        for oy in range(ho):
+            for ox in range(wo):
+                gb += g[oy, ox]
+    return out, gx, gk, gb
 
 
 @st.composite
@@ -57,7 +73,7 @@ def conv_cases(draw):
     h = draw(st.integers(low, 9))
     w = draw(st.integers(low, 9))
     return k, stride, pad, h, w, draw(st.integers(1, 4)), draw(st.integers(1, 4)), \
-        draw(st.integers(0, 2 ** 32 - 1))
+        draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
 
 
 class TestConv2d:
@@ -121,27 +137,37 @@ class TestConv2d:
         assert_grad_matches(loss, x, rel_tol=1e-4)
         assert_grad_matches(loss, k, rel_tol=1e-4)
 
+    def test_bias_of_wrong_length_rejected(self):
+        with pytest.raises(ag.GraphError, match="bias"):
+            ag.conv2d(Tensor(np.ones((4, 4, 1))), Tensor(np.ones((1, 1, 1, 3))),
+                      bias=Tensor(np.ones(2)))
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ag.GraphError):
             ag.conv2d(Tensor(np.ones((4, 4, 1))), Tensor(np.ones((2, 2, 1, 1))))
 
     @given(conv_cases())
-    @example((3, 2, 0, 6, 8, 2, 3, 0))   # the last row and column fill no window
-    @example((3, 2, 1, 8, 6, 2, 3, 1))   # both trailing pad rows are dropped
+    @example((3, 2, 0, 6, 8, 2, 3, False, False, 0))   # the last row and column fill no window
+    @example((3, 2, 1, 8, 6, 2, 3, False, False, 1))   # both trailing pad rows are dropped
+    @example((3, 1, 1, 5, 5, 2, 3, True, True, 2))     # a full layer: bias and ReLU
     @settings(max_examples=150, deadline=None)
     def test_forward_and_gradients_match_direct_loop(self, case):
-        k, stride, pad, h, w, cin, cout, seed = case
+        k, stride, pad, h, w, cin, cout, with_bias, relu, seed = case
         gen = np.random.default_rng(seed)
         x = Tensor(gen.standard_normal((h, w, cin)), requires_grad=True)
         kernel = Tensor(gen.standard_normal((k, k, cin, cout)), requires_grad=True)
-        out = ag.conv2d(x, kernel, stride=stride, pad=pad)
+        bias = Tensor(gen.standard_normal(cout), requires_grad=True) if with_bias else None
+        out = ag.conv2d(x, kernel, stride=stride, pad=pad, bias=bias, relu=relu)
         g = gen.standard_normal(out.shape)
         ag.tsum(ag.mul(out, g)).backward()
-        want, gx, gk = conv_oracle(x.data, kernel.data, stride, pad, g)
+        want, gx, gk, gb = conv_oracle(x.data, kernel.data, stride, pad, g,
+                                       bias=None if bias is None else bias.data, relu=relu)
         assert out.shape == want.shape
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
         np.testing.assert_allclose(kernel.grad, gk, rtol=0, atol=1e-12)
+        if bias is not None:
+            np.testing.assert_allclose(bias.grad, gb, rtol=0, atol=1e-12)
 
     def test_image_gradient_skipped_without_grad_or_tape(self, rng):
         data = rng.standard_normal((8, 6, 2))
@@ -374,11 +400,12 @@ def test_every_op_matches_finite_differences(seed):
     k = Tensor(gen.standard_normal((3, 3, 2, 4)), requires_grad=True)
     w = Tensor(gen.standard_normal((2, 2)), requires_grad=True)
     b = Tensor(gen.standard_normal(2), requires_grad=True)
+    kb = Tensor(gen.standard_normal(4), requires_grad=True)
     t_cls = gen.uniform(0, 1, 6)
     t_reg = gen.standard_normal((3, 4))
 
     def loss():
-        f = ag.relu(ag.conv2d(x, k, stride=1, pad=1))        # (6, 6, 4)
+        f = ag.conv2d(x, k, stride=1, pad=1, bias=kb, relu=True)   # (6, 6, 4)
         s = ag.anchor_scores(f, w, b)                        # (6, 6, 2)
         probs = ag.sigmoid(ag.reshape(s, (72,)))
         emb = ag.reshape(f, (36, 4))
@@ -389,5 +416,5 @@ def test_every_op_matches_finite_differences(seed):
         return ag.add(ag.add(ag.scale(l1, 0.3), ag.scale(l2, 0.2)),
                       ag.scale(ag.tsum(a), 0.5))
 
-    for tensor in (x, k, w, b):
+    for tensor in (x, k, kb, w, b):
         assert_grad_matches(loss, tensor, rel_tol=1e-3)

@@ -94,23 +94,24 @@ class TestSynth:
         assert tree_digest(a) == tree_digest(b)
 
     def test_drop_rate_zero_train_equals_full(self, tmp_path):
+        """With nothing withheld the sidecar is empty, so train.json alone is
+        the full ground truth."""
         out = tmp_path / "nodrop"
         assert run(["synth", "--out", str(out), "--images", "6",
                     "--drop-rate", "0", "--seed", "1"]) == 0
         train = json.loads((out / "train.json").read_text())
-        full = json.loads((out / "full.json").read_text())
-        assert train["annotations"] == full["annotations"]
         sidecar = json.loads((out / "dropped.json").read_text())
-        assert not any(a.get("dropped") for a in sidecar["annotations"])
+        assert train["annotations"] and sidecar["annotations"] == []
+        assert sidecar["images"] == train["images"]
 
     def test_drop_rate_sidecar_binomial_bound(self, tmp_path):
         out = tmp_path / "dropped"
         assert run(["synth", "--out", str(out), "--images", "200",
                     "--drop-rate", "0.3", "--seed", "0"]) == 0
-        full = json.loads((out / "full.json").read_text())
+        train = json.loads((out / "train.json").read_text())
         sidecar = json.loads((out / "dropped.json").read_text())
-        dropped = sum(1 for a in sidecar["annotations"] if a.get("dropped"))
-        frac = dropped / len(full["annotations"])
+        dropped = len(sidecar["annotations"])
+        frac = dropped / (dropped + len(train["annotations"]))
         # the at-least-one-kept resampling skews slightly below the raw rate
         assert abs(frac - 0.3) < 0.04
 
@@ -132,7 +133,9 @@ class TestSynth:
     def test_manifest_written(self, dataset):
         doc = json.loads(open(os.path.join(dataset, "manifest.json")).read())
         assert doc["tool_version"]
-        assert doc["artifacts"]["train_annotations"] == "train.json"
+        assert doc["artifacts"] == {"images_dir": "images",
+                                    "train_annotations": "train.json",
+                                    "dropped_sidecar": "dropped.json"}
         assert doc["synth"]["seed"] == 3
         assert doc["duration_seconds"] >= 0
 
@@ -292,6 +295,7 @@ class TestTrainCmd:
         ({"anchor_scales": [16, -32, 64]}, "anchor_scales must be positive and finite"),
         ({"minibatch_size": 0}, "minibatch_size must be at least 1, got 0"),
         ({"pos_fraction": 0}, "pos_fraction must lie in (0, 1), got 0"),
+        ({"n_anchors": 2}, "n_anchors must equal the number of anchor_scales 3, got 2"),
     ])
     def test_bad_config_file_gives_one_error_line(self, doc, needle, dataset,
                                                   tmp_path, capsys):
@@ -309,12 +313,13 @@ class TestTrainCmd:
     def test_retired_config_keys_still_load(self, dataset, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"total_iters": 12, "image_size": 64, "stride": 8,
-                                    "n_images": 10, "drop_rate": 0.3, "seed_data": 0}))
+                                    "n_anchors": 3, "n_images": 10, "drop_rate": 0.3,
+                                    "seed_data": 0}))
         out = tmp_path / "old"
         assert run(["train", "--data", dataset, "--out", str(out),
                     "--config", str(path)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert len(config) == 20 and "image_size" not in config
+        assert len(config) == 19 and not {"image_size", "n_anchors"} & set(config)
 
 
 class TestEvalCmd:
@@ -471,6 +476,15 @@ class TestAblateCmd:
 MISSING = object()
 
 
+def stray_sidecar(doc):
+    """doc with every annotation moved onto an added image 999."""
+    doc["images"].append({"id": 999, "file_name": "img_000999.pgm", "height": 64,
+                          "width": 64})
+    for ann in doc["annotations"]:
+        ann["image_id"] = 999
+    return doc
+
+
 def edited(doc, *path_and_value):
     """doc with the value at path replaced (or deleted, for MISSING)."""
     *path, key, value = path_and_value
@@ -532,11 +546,12 @@ class TestMalformedInput:
          "'category_id'"),
         ("train.json", lambda d: edited(d, "images", 1, "height", 4096),
          "images[1] (id 1) declares height 4096 and width 64"),
+        ("dropped.json", stray_sidecar, "field 'images' must list the images of"),
     ], ids=["top-level-list", "images-int", "image-not-object", "annotations-object",
             "bbox-missing", "file-name-missing", "id-string", "height-float", "id-duplicate",
             "image-id-bool", "file-name-outside", "file-name-dotdot", "bbox-string",
             "bbox-nan", "sidecar-bbox-inf", "bbox-negative-width", "bbox-three-numbers",
-            "category-id-bool", "height-differs-from-pgm"])
+            "category-id-bool", "height-differs-from-pgm", "sidecar-image-not-in-train"])
     def test_malformed_cocolite(self, name, edit, needle, data, capsys):
         path = data / name
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))

@@ -179,18 +179,17 @@ def random_dataset(seed) -> list[dat.ImageRecord]:
             for i in range(int(gen.integers(0, 5)))]
 
 
-SPLITS = (("train", "kept", {}), ("full", "full", {}),
-          ("dropped", "dropped", {"dropped": True}))
+SPLITS = (("train", "kept"), ("dropped", "dropped"))
 
 
-def written_oracle(records, attr: str, mark: dict) -> list[dict]:
+def written_oracle(records, attr: str) -> list[dict]:
     """The annotations save_dataset must write for one box set, built box by
     box: ids from 1 across images, bbox = [x1, y1, x2 - x1, y2 - y1]."""
     out = []
     for rec in records:
         for x1, y1, x2, y2 in getattr(rec, attr).tolist():
             out.append({"id": len(out) + 1, "image_id": rec.image_id,
-                        "bbox": [x1, y1, x2 - x1, y2 - y1], "category_id": 1, **mark})
+                        "bbox": [x1, y1, x2 - x1, y2 - y1], "category_id": 1})
     return out
 
 
@@ -220,7 +219,7 @@ def literal_records() -> list[dat.ImageRecord]:
 class TestCocolite:
     def test_empty_dataset_shape(self, tmp_path):
         dat.save_dataset(tmp_path, [])
-        for name, _, _ in SPLITS:
+        for name, _ in SPLITS:
             doc = json.loads((tmp_path / f"{name}.json").read_text())
             assert doc["images"] == [] and doc["annotations"] == []
             assert doc["categories"]
@@ -246,9 +245,9 @@ class TestCocolite:
         [x, y, x + w, y + h]."""
         records = random_dataset(seed)
         dat.save_dataset(tmp_path, records)
-        for name, attr, mark in SPLITS:
+        for name, attr in SPLITS:
             doc = json.loads((tmp_path / f"{name}.json").read_text())
-            assert doc["annotations"] == written_oracle(records, attr, mark)
+            assert doc["annotations"] == written_oracle(records, attr)
             images, boxes = dat.read_cocolite(tmp_path / f"{name}.json")
             assert images == [(r.image_id, r.file_name, *r.image.shape[:2])
                               for r in records]
@@ -258,16 +257,53 @@ class TestCocolite:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_written_bytes_pinned(self, tmp_path):
-        """The on-disk format does not drift: these digests were recorded
-        with the per-annotation object writer that save_dataset replaced."""
+        """The on-disk format does not drift. The train.json digest was
+        recorded with the per-annotation object writer that save_dataset
+        replaced; the dropped.json digest with the writer that stopped
+        marking each withheld annotation "dropped": true."""
         dat.save_dataset(tmp_path, literal_records())
         digests = {name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
-                   for name in ("train", "full", "dropped")}
+                   for name in ("train", "dropped")}
         assert digests == {
             "train": "6e4b518eae283ac1664254544d991d5ab85f2eeefe21c45ca6eb7df58b59ec42",
-            "full": "019139740c1a21bc36a74f345557ad67a26e14abbec01ec6fa3f3567a0e6c5da",
-            "dropped": "2421c3390a0501f72ebfee4bb61dfa50668f35f89a8b6ecce89c545f2223b7ce",
+            "dropped": "0e24a0417fa38529280782ad498c7ad5fa1e457769997ddc930969b590303bdd",
         }
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["dropped.json", "images", "train.json"]
+
+    def test_older_layout_still_loads(self, tmp_path):
+        """Datasets written with a full.json and a "dropped": true mark on
+        every sidecar annotation load as they did: neither is read."""
+        records = dat.generate_benchmark(3, 64, 0.5, seed=2)
+        dat.save_dataset(tmp_path, records)
+        want = dat.load_dataset(tmp_path)
+        sidecar = json.loads((tmp_path / "dropped.json").read_text())
+        assert sidecar["annotations"]
+        for ann in sidecar["annotations"]:
+            ann["dropped"] = True
+        (tmp_path / "dropped.json").write_text(json.dumps(sidecar))
+        (tmp_path / "full.json").write_text("not read")
+        for rec, got in zip(want, dat.load_dataset(tmp_path)):
+            assert got.kept.tobytes() == rec.kept.tobytes()
+            assert got.dropped.tobytes() == rec.dropped.tobytes()
+
+    @pytest.mark.parametrize("edit, at", [
+        (lambda imgs: imgs.append({"id": 999, "file_name": "x.pgm", "height": 64,
+                                   "width": 64}), 3),
+        (lambda imgs: imgs.pop(), 2),
+        (lambda imgs: imgs.reverse(), 0),
+        (lambda imgs: imgs[1].update(height=72), 1),
+        (lambda imgs: imgs[2].update(file_name="other.pgm"), 2),
+    ], ids=["extra-image", "missing-image", "reordered", "height", "file-name"])
+    def test_sidecar_images_must_match_train(self, tmp_path, edit, at):
+        dat.save_dataset(tmp_path, dat.generate_benchmark(3, 64, 0.5, seed=2))
+        path = tmp_path / "dropped.json"
+        doc = json.loads(path.read_text())
+        edit(doc["images"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CocoFormatError,
+                           match=rf"dropped\.json: field 'images' .* images\[{at}\]"):
+            dat.load_dataset(tmp_path)
 
     def test_unknown_keys_ignored(self, tmp_path):
         path = tmp_path / "ds.json"
@@ -322,6 +358,12 @@ class TestBenchmarkDataset:
             for bo, bb in ((orig.kept, back.kept), (orig.dropped, back.dropped)):
                 assert bb.shape == bo.shape and bb.dtype == np.float64
                 np.testing.assert_allclose(bb, bo, atol=1e-9)
+
+    @pytest.mark.parametrize("size", [16, 20, 60])
+    def test_unusable_size_refused(self, size):
+        with pytest.raises(ValueError, match=rf"image size {size} .* at least "
+                                             rf"{dat.MIN_SCENE_SIZE}"):
+            dat.generate_benchmark(1, size, 0.3, seed=0)
 
     def test_drop_rate_zero_sidecar_empty(self, tmp_path):
         records = dat.generate_benchmark(3, 64, 0.0, seed=2)

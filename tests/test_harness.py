@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ class TestTrainConfig:
         dict(mode="softlabel"),
         dict(milestones=(800, 500)),
         dict(milestones=(500, 1000)),          # not < total_iters
-        dict(anchor_scales=(16.0, 32.0)),      # wrong arity for n_anchors=3
+        dict(n_anchors=2),                     # retired; must equal the 3 default scales
         dict(stride=16),                       # retired key; the backbone stride is 8
         dict(total_iters=12, milestones=(6, 12)),
         dict(total_iters=0), dict(total_iters=-3), dict(batch_images=0),
@@ -42,6 +42,7 @@ class TestTrainConfig:
         dict(anchor_aspect=float("inf")),
         dict(anchor_scales=(16.0, 0.0, 64.0)), dict(anchor_scales=(-16.0, 32.0, 64.0)),
         dict(pos_fraction=0.0), dict(pos_fraction=1.0), dict(pos_fraction=1.5),
+        dict(n_anchors=3, anchor_scales=(16.0, 32.0)),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -68,6 +69,10 @@ class TestTrainConfig:
         ({"anchor_scales": [16, 0, 64]},
          r"anchor_scales must be positive and finite, got \[16, 0, 64\]"),
         ({"pos_fraction": 1.0}, r"pos_fraction must lie in \(0, 1\), got 1.0"),
+        ({"anchor_scales": []}, "n_anchors must be at least 1, got 0"),
+        ({"n_anchors": 2}, "n_anchors must equal the number of anchor_scales 3, got 2"),
+        ({"n_anchors": 3, "anchor_scales": [16.0]},
+         "n_anchors must equal the number of anchor_scales 1, got 3"),
     ])
     def test_from_dict_names_the_bad_key(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -79,6 +84,17 @@ class TestTrainConfig:
         cfg = hz.TrainConfig.from_dict({**retired, "t": 0.6, "milestones": None})
         assert cfg == hz.TrainConfig(t=0.6)
         assert not set(retired) & set(cfg.to_dict())
+
+    @pytest.mark.parametrize("doc", [{"n_anchors": 3},
+                                     {"n_anchors": 2, "anchor_scales": [16.0, 48.0]}])
+    def test_retired_n_anchors_equal_to_scale_count_loads(self, doc):
+        cfg = hz.TrainConfig.from_dict(doc)
+        assert cfg.n_anchors == doc["n_anchors"] == len(cfg.anchor_scales)
+        assert "n_anchors" not in cfg.to_dict()
+
+    def test_anchor_count_is_the_scale_count(self):
+        assert len(fields(hz.TrainConfig)) == 19
+        assert hz.TrainConfig(anchor_scales=(8.0, 16.0, 32.0, 64.0)).n_anchors == 4
 
     @pytest.mark.parametrize("total_iters, milestones", [
         (1000, (500, 800)), (12, (6, 9)), (3, (1, 2)), (2, (1,)), (1, ()),
@@ -552,7 +568,7 @@ class TestAnchorsFromImage:
         cfg = hz.TrainConfig()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
         image = np.zeros((*shape, 1))
-        batch = mdl.forward_rpn(Tensor(image), params, cfg.n_anchors, cfg.d_embed)
+        batch = mdl.forward_rpn(Tensor(image), params)
         anchors = hz.anchors_for(image, cfg)
         assert anchors.shape == (batch.probs.shape[0], 4)
         assert len(anchors) == (shape[0] // 8) * (shape[1] // 8) * 3

@@ -23,37 +23,61 @@ def params(rng):
 
 class TestForwardRpn:
     def test_proposal_count_64px(self, params, rng):
-        batch = mdl.forward_rpn(Tensor(rng.random((64, 64, 1))), params, NA, D)
+        batch = mdl.forward_rpn(Tensor(rng.random((64, 64, 1))), params)
         assert batch.probs.shape == (192,)
         assert batch.deltas.shape == (192, 4)
 
     def test_embedding_length_is_d(self, params, rng):
-        batch = mdl.forward_rpn(Tensor(rng.random((16, 16, 1))), params, NA, D)
+        batch = mdl.forward_rpn(Tensor(rng.random((16, 16, 1))), params)
         assert batch.embeddings.shape[1] == D
 
     def test_zero_image_zero_params_gives_half(self, rng):
         params = mdl.init_params(D, NA, rng)
         for p in params.values():
             p.data[...] = 0.0
-        batch = mdl.forward_rpn(Tensor(np.zeros((16, 16, 1))), params, NA, D)
+        batch = mdl.forward_rpn(Tensor(np.zeros((16, 16, 1))), params)
         np.testing.assert_array_equal(batch.probs.data, 0.5)
 
     def test_deterministic(self, params, rng):
         img = Tensor(rng.random((16, 16, 1)))
-        a = mdl.forward_rpn(img, params, NA, D)
-        b = mdl.forward_rpn(img, params, NA, D)
+        a = mdl.forward_rpn(img, params)
+        b = mdl.forward_rpn(img, params)
         np.testing.assert_array_equal(a.probs.data, b.probs.data)
+
+    def test_anchor_count_and_width_read_from_params(self, rng):
+        params = mdl.init_params(8, 2, rng)
+        batch = mdl.forward_rpn(Tensor(rng.random((32, 48, 1))), params)
+        cells = (32 // 8) * (48 // 8)
+        assert batch.probs.shape == (2 * cells,)
+        assert batch.deltas.shape == (2 * cells, 4)
+        assert batch.embeddings.shape == (2 * cells, 8)
+
+    def test_one_tape_node_per_conv_layer(self, params, rng):
+        """Each of the six layers records a single conv2d node (conv, bias
+        and ReLU together), so the tape from the outputs down to the image
+        holds six convolutions and nothing between them."""
+        image = Tensor(rng.random((16, 16, 1)))
+        batch = mdl.forward_rpn(image, params)
+        seen, stack = set(), [batch.probs, batch.deltas, batch.embeddings]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._prev)
+        # leaves: the image and 14 parameters; ops: 6 convs, the scoring
+        # head, the sigmoid and three reshapes
+        assert len(seen) == 1 + len(params) + 6 + 1 + 1 + 3
 
     def test_indivisible_extent_rejected(self, params):
         with pytest.raises(ag.GraphError):
-            mdl.forward_rpn(Tensor(np.zeros((20, 20, 1))), params, NA, D)
+            mdl.forward_rpn(Tensor(np.zeros((20, 20, 1))), params)
 
     def test_grouped_head_isolation(self, params, rng):
         """Anchor 0's objectness must not read anchor 1's embedding slice."""
         img = Tensor(rng.random((16, 16, 1)))
-        before = mdl.forward_rpn(img, params, NA, D).probs.data.copy()
+        before = mdl.forward_rpn(img, params).probs.data.copy()
         params["rpn.cls.w"].data[1] += 10.0
-        after = mdl.forward_rpn(img, params, NA, D).probs.data
+        after = mdl.forward_rpn(img, params).probs.data
         changed = np.abs(after - before) > 1e-12
         anchor_of = np.arange(len(before)) % NA
         assert changed[anchor_of == 1].all()
