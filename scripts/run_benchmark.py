@@ -37,7 +37,7 @@ def main() -> int:
             results[mode].append(report)
             if mode == "soft_label":
                 flags = hz.audit_flags(params, records, config)
-                rand = hz.expected_random_recall(flags, records, config)
+                rand = hz.expected_random_recall(flags, records)
                 fn_lines.append(
                     f"  seed {seed}: {len(flags)} flags, precision "
                     f"{report.fn_precision:.4f}, recall {report.fn_recall:.4f} "

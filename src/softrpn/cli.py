@@ -99,8 +99,7 @@ def _load_checkpoint_config(path) -> tuple[dict, hz.TrainConfig]:
         config = hz.TrainConfig.from_dict(meta["config"])
     except (KeyError, TypeError, ValueError) as e:
         raise mdl.CheckpointError(f"{path}: no valid meta.config ({e!r})") from e
-    expected = mdl.init_params(config.d_embed, config.n_anchors,
-                               np.random.default_rng(0))
+    expected = mdl.init_params(config.d_embed, mdl.N_ANCHORS, np.random.default_rng(0))
     for name, tensor in expected.items():
         if name not in params:
             raise mdl.CheckpointError(f"checkpoint is missing tensor {name}")
@@ -111,24 +110,30 @@ def _load_checkpoint_config(path) -> tuple[dict, hz.TrainConfig]:
     return params, config
 
 
+def _load_for_report(args) -> tuple[dict, hz.TrainConfig, list[dat.ImageRecord]]:
+    """Checkpoint, config and dataset, once --report's directory is known."""
+    report_dir = os.path.dirname(os.path.abspath(args.report))
+    if not os.path.isdir(report_dir):
+        raise ValueError(f"--report {args.report}: directory {report_dir} does not exist")
+    params, config = _load_checkpoint_config(args.checkpoint)
+    return params, config, dat.load_dataset(args.data)
+
+
 def cmd_eval(args) -> int:
     started = time.time()
-    params, config = _load_checkpoint_config(args.checkpoint)
-    records = dat.load_dataset(args.data)
+    params, config, records = _load_for_report(args)
     report = hz.evaluate(params, records, config)
     _atomic_write_json(args.report, report.to_dict())
-    out_dir = os.path.dirname(os.path.abspath(args.report))
-    _write_manifest(out_dir, config, {"report": os.path.abspath(args.report),
-                                      "checkpoint": os.path.abspath(args.checkpoint)},
-                    started)
+    _write_manifest(os.path.dirname(os.path.abspath(args.report)), config,
+                    {"report": os.path.abspath(args.report),
+                     "checkpoint": os.path.abspath(args.checkpoint)}, started)
     print(json.dumps(report.to_dict(), indent=1))
     return 0
 
 
 def cmd_audit(args) -> int:
     started = time.time()
-    params, config = _load_checkpoint_config(args.checkpoint)
-    records = dat.load_dataset(args.data)
+    params, config, records = _load_for_report(args)
     flags = hz.audit_flags(params, records, config, t=args.t)
     doc = {
         "t": args.t if args.t is not None else config.t,
@@ -140,10 +145,9 @@ def cmd_audit(args) -> int:
         fn = hz.score_fn_detection(flags, records)
         doc["fn_precision"], doc["fn_recall"] = fn.precision, fn.recall
     _atomic_write_json(args.report, doc)
-    out_dir = os.path.dirname(os.path.abspath(args.report))
-    _write_manifest(out_dir, config, {"report": os.path.abspath(args.report),
-                                      "checkpoint": os.path.abspath(args.checkpoint)},
-                    started)
+    _write_manifest(os.path.dirname(os.path.abspath(args.report)), config,
+                    {"report": os.path.abspath(args.report),
+                     "checkpoint": os.path.abspath(args.checkpoint)}, started)
     print(f"{len(flags)} regions flagged; report at {args.report}")
     return 0
 

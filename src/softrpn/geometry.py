@@ -45,9 +45,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def match_anchors(anchors: np.ndarray, gt: np.ndarray,
-                  pos_thresh: float = 0.7, neg_thresh: float = 0.3
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def match_anchors(anchors: np.ndarray, gt: np.ndarray, pos_thresh: float,
+                  neg_thresh: float) -> tuple[np.ndarray, np.ndarray]:
     """Label (N, 4) anchors against (G, 4) ground truth: returns labels
     (N,), 1 positive / 0 negative / -1 ignore, and (N, 4) delta targets,
     zero except on positive rows.

@@ -26,50 +26,46 @@ class DivergenceError(Exception):
         self.iteration = iteration
 
 
+# The fixed Faster R-CNN RPN recipe (anchors: model.py); a run varies TrainConfig.
+MOMENTUM = 0.9
+LR_DECAY = 0.1          # LR factor at each milestone
+BATCH_IMAGES = 4        # images per iteration
+MINIBATCH_SIZE = 64     # anchors sampled per image
+POS_FRACTION = 0.25     # at most this share of them positive
+POS_THRESH = 0.7        # anchor-box IoU from which an anchor is positive
+NEG_THRESH = 0.3        # and below which it is negative
+NMS_IOU = 0.7
+TOP_K = 50              # proposals kept per image
+
+# Keys of earlier TrainConfig versions. An older config or checkpoint loads
+# with a FIXED_CONFIG key only at its value, with IGNORED_CONFIG_KEYS at any
+# (the image extent comes from the data, the rest from the dataset manifest).
+FIXED_CONFIG = dict(
+    stride=mdl.BACKBONE_STRIDE, n_anchors=mdl.N_ANCHORS, anchor_scales=mdl.ANCHOR_SCALES,
+    anchor_aspect=mdl.ANCHOR_ASPECT, momentum=MOMENTUM, lr_decay=LR_DECAY,
+    batch_images=BATCH_IMAGES, minibatch_size=MINIBATCH_SIZE, pos_fraction=POS_FRACTION,
+    pos_thresh=POS_THRESH, neg_thresh=NEG_THRESH, nms_iou=NMS_IOU, top_k=TOP_K)
+IGNORED_CONFIG_KEYS = ("image_size", "n_images", "drop_rate", "seed_data")
+
+
 @dataclass
 class TrainConfig:
-    """Every tunable of a run; serializable, and sufficient (with the seeds
-    and the dataset) to reproduce a run exactly. The anchor grid follows
-    each image's own extent and model.BACKBONE_STRIDE."""
+    """What a run varies; serializable, and sufficient (with the dataset)
+    to reproduce a run exactly. The rest of the recipe is fixed above."""
     t: float = 0.8
     d_embed: int = 32
     mode: str = "soft_label"           # "baseline" | "soft_label"
-    lr: float = 0.02 * 4 / 48          # reference LR scaled linearly to batch 4
-    momentum: float = 0.9
+    lr: float = 0.02 * BATCH_IMAGES / 48   # reference LR scaled linearly to the batch
     total_iters: int = 1000
     milestones: Optional[tuple[int, ...]] = None   # None: half and 4/5 of total_iters
-    lr_decay: float = 0.1
-    batch_images: int = 4
-    minibatch_size: int = 64
-    pos_fraction: float = 0.25
-    anchor_scales: tuple[float, ...] = (16.0, 32.0, 64.0)
-    anchor_aspect: float = 1.0
-    pos_thresh: float = 0.7
-    neg_thresh: float = 0.3
-    nms_iou: float = 0.7
-    top_k: int = 50
     seed_init: int = 0
     seed_sample: int = 0
 
     def __post_init__(self):
         mdl.check_threshold(self.t)
-        for name in ("total_iters", "batch_images", "d_embed", "n_anchors",
-                     "minibatch_size", "top_k"):
+        for name in ("total_iters", "d_embed"):
             if (value := getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        if not 0.0 < self.pos_fraction < 1.0:
-            raise ValueError(f"pos_fraction must lie in (0, 1), got {self.pos_fraction}")
-        if not self.pos_thresh > self.neg_thresh:
-            raise ValueError(f"pos_thresh must exceed neg_thresh, got pos_thresh "
-                             f"{self.pos_thresh} and neg_thresh {self.neg_thresh}")
-        if not 0.0 <= self.nms_iou <= 1.0:
-            raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou}")
-        if not 0.0 < self.anchor_aspect < math.inf:
-            raise ValueError(f"anchor_aspect must be positive and finite, "
-                             f"got {self.anchor_aspect}")
-        if not all(0.0 < s < math.inf for s in self.anchor_scales):
-            raise ValueError(f"anchor_scales must be positive and finite, "
-                             f"got {list(self.anchor_scales)}")
         if self.mode not in ("baseline", "soft_label"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.milestones is None:
@@ -79,51 +75,44 @@ class TrainConfig:
         self.milestones = ms = tuple(self.milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])) or (ms and ms[-1] >= self.total_iters):
             raise ValueError("milestones must be strictly increasing and < total_iters")
-        self.anchor_scales = tuple(self.anchor_scales)
 
     @property
     def n_anchors(self) -> int:
-        """Anchors per feature-map cell: one per scale."""
-        return len(self.anchor_scales)
+        """model.N_ANCHORS; kept for callers that read it from a config."""
+        return mdl.N_ANCHORS
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Build from a JSON object, checking every key and value type.
-        Retired keys are accepted and dropped, so older configs and
-        checkpoints still load; a retired stride must still be the
-        backbone stride, and a retired n_anchors the number of scales."""
+        """Build from a JSON object, checking every key and value type. A key
+        of an older config or checkpoint is dropped: one of FIXED_CONFIG only
+        at its value (a list read as a tuple), IGNORED_CONFIG_KEYS at any."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-        if d.get("stride", mdl.BACKBONE_STRIDE) != mdl.BACKBONE_STRIDE:
-            raise ValueError(f"stride must equal the backbone stride "
-                             f"{mdl.BACKBONE_STRIDE}, got {d['stride']!r}")
-        kept = {k: v for k, v in d.items() if k not in RETIRED_CONFIG_KEYS}
         hints = typing.get_type_hints(cls)
-        for key, value in kept.items():
-            if key not in hints:
-                raise ValueError(f"unknown config key {key!r}")
-            if not _conforms(value, hints[key]):
-                raise ValueError(f"config key {key!r} must be {cls.__annotations__[key]}, "
-                                 f"got {value!r}")
-        n_scales = len(kept.get("anchor_scales", cls.anchor_scales))
-        if d.get("n_anchors", n_scales) != n_scales:
-            raise ValueError(f"n_anchors must equal the number of anchor_scales "
-                             f"{n_scales}, got {d['n_anchors']!r}")
+        kept = {}
+        for key, value in d.items():
+            if key in FIXED_CONFIG:
+                fixed = FIXED_CONFIG[key]
+                tupled = isinstance(fixed, tuple)
+                if not (_conforms(value, tuple[float, ...] if tupled else type(fixed))
+                        and (tuple(value) if tupled else value) == fixed):
+                    raise ValueError(f"config key {key!r} must be {fixed!r}, its fixed "
+                                     f"value, got {value!r}")
+            elif key not in IGNORED_CONFIG_KEYS:
+                if key not in hints:
+                    raise ValueError(f"unknown config key {key!r}")
+                if not _conforms(value, hints[key]):
+                    raise ValueError(f"config key {key!r} must be "
+                                     f"{cls.__annotations__[key]}, got {value!r}")
+                kept[key] = value
         return cls(**kept)
 
 
-# Keys of earlier TrainConfig versions: the image extent and the stride now
-# come from the data and the backbone, the anchor count from anchor_scales,
-# and the dataset keys belong to the dataset's own manifest.
-RETIRED_CONFIG_KEYS = ("image_size", "stride", "n_anchors", "n_images", "drop_rate",
-                       "seed_data")
-
-
 def _conforms(value, hint) -> bool:
-    """Whether a JSON value fits a TrainConfig field annotation."""
+    """Whether a JSON value fits a type annotation; a bool fits none."""
     if isinstance(value, bool):
         return False
     if typing.get_origin(hint) is typing.Union:          # Optional[X]
@@ -157,12 +146,22 @@ class MatchedImage:
     delta_targets: np.ndarray   # (N, 4); rows valid only where labels == 1
 
 
-def anchors_for(image: np.ndarray, config: TrainConfig) -> np.ndarray:
+def anchors_for(image: np.ndarray) -> np.ndarray:
     """The (N, 4) anchors of an (H, W, 1) image, index-aligned with the
     outputs of model.forward_rpn on it."""
     stride = mdl.BACKBONE_STRIDE
     return generate_anchors(image.shape[0] // stride, image.shape[1] // stride, stride,
-                            config.anchor_scales, config.anchor_aspect)
+                            mdl.ANCHOR_SCALES, mdl.ANCHOR_ASPECT)
+
+
+def _anchor_grids(records: Sequence[ImageRecord]) -> dict[tuple[int, ...], np.ndarray]:
+    """One read-only anchor grid per distinct image extent of records."""
+    grids: dict[tuple[int, ...], np.ndarray] = {}
+    for rec in records:
+        if rec.image.shape[:2] not in grids:
+            grids[rec.image.shape[:2]] = grid = anchors_for(rec.image)
+            grid.flags.writeable = False      # shared: no image may edit it
+    return grids
 
 
 def check_extents(records: Sequence[ImageRecord]):
@@ -175,20 +174,14 @@ def check_extents(records: Sequence[ImageRecord]):
                 f"of {mdl.BACKBONE_STRIDE} and at least {mdl.MIN_EXTENT}")
 
 
-def match_dataset(records: Sequence[ImageRecord], config: TrainConfig
-                  ) -> list[MatchedImage]:
+def match_dataset(records: Sequence[ImageRecord]) -> list[MatchedImage]:
     """Label every image's anchors; each distinct extent's anchor grid is
     built once and shared by its images."""
-    grids: dict[tuple[int, ...], np.ndarray] = {}
+    grids = _anchor_grids(records)
     out = []
     for rec in records:
-        extent = rec.image.shape[:2]
-        if extent not in grids:
-            grids[extent] = anchors_for(rec.image, config)
-            grids[extent].flags.writeable = False      # shared: no image may edit it
-        anchors = grids[extent]
-        labels, targets = match_anchors(anchors, rec.kept,
-                                        config.pos_thresh, config.neg_thresh)
+        anchors = grids[rec.image.shape[:2]]
+        labels, targets = match_anchors(anchors, rec.kept, POS_THRESH, NEG_THRESH)
         out.append(MatchedImage(record=rec, anchors=anchors, labels=labels,
                                 delta_targets=targets))
     return out
@@ -209,8 +202,7 @@ def _image_loss(params: dict[str, Tensor], mi: MatchedImage, config: TrainConfig
                 rng: np.random.Generator) -> mdl.RpnLosses:
     """Forward one image, sample a proposal minibatch, and build the loss."""
     batch = mdl.forward_rpn(Tensor(mi.record.image), params)
-    pos_idx, neg_idx = mdl.sample_proposals(mi.labels, config.minibatch_size,
-                                            config.pos_fraction, rng)
+    pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
     amap = _attend(batch, pos_idx, neg_idx) if config.mode == "soft_label" else None
     return mdl.soft_label_loss(ag.gather_rows(batch.probs, pos_idx),
                                ag.gather_rows(batch.probs, neg_idx),
@@ -225,8 +217,8 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
     if not records:
         raise ValueError("dataset is empty")
     check_extents(records)
-    matched = match_dataset(records, config)
-    params = mdl.init_params(config.d_embed, config.n_anchors,
+    matched = match_dataset(records)
+    params = mdl.init_params(config.d_embed, mdl.N_ANCHORS,
                              np.random.default_rng(config.seed_init))
     velocity = {k: np.zeros_like(p.data) for k, p in params.items()}
     rng = np.random.default_rng(config.seed_sample)
@@ -234,28 +226,28 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
     lr = config.lr
     for it in range(config.total_iters):
         if it in config.milestones:
-            lr *= config.lr_decay
+            lr *= LR_DECAY
         # A run can blow up while every value stays finite (|param| ~1e209
         # under lr 1e30), so an overflow anywhere in the step is divergence.
         try:
             with np.errstate(over="raise"):
                 for p in params.values():
                     p.zero_grad()
-                picks = rng.integers(0, len(matched), size=config.batch_images)
+                picks = rng.integers(0, len(matched), size=BATCH_IMAGES)
                 sums = {"l_pos": 0.0, "l_neg": 0.0, "l_reg": 0.0, "total": 0.0}
                 n_flagged = 0
                 for k in picks:
                     losses = _image_loss(params, matched[k], config, rng)
-                    ag.scale(losses.total, 1.0 / config.batch_images).backward()
+                    ag.scale(losses.total, 1.0 / BATCH_IMAGES).backward()
                     for key in sums:
                         sums[key] += getattr(losses, key).item()
                     n_flagged += len(losses.flagged)
-                means = {k: v / config.batch_images for k, v in sums.items()}
+                means = {k: v / BATCH_IMAGES for k, v in sums.items()}
                 if not math.isfinite(means["total"]):
                     raise DivergenceError(it)
                 for k, p in params.items():
                     if p.grad is not None:
-                        velocity[k] = config.momentum * velocity[k] + p.grad
+                        velocity[k] = MOMENTUM * velocity[k] + p.grad
                         p.data -= lr * velocity[k]
         except FloatingPointError as e:
             raise DivergenceError(it) from e
@@ -307,24 +299,24 @@ def _infer(params: dict[str, Tensor], image: np.ndarray) -> mdl.ProposalBatch:
         return mdl.forward_rpn(Tensor(image), params)
 
 
-def _proposals(batch: mdl.ProposalBatch, anchors: np.ndarray, image: np.ndarray,
-               config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Decoded, image-clipped, suppressed, top-k proposals of a forward pass
-    over image, whose anchors are given: (boxes (M, 4), scores (M,))."""
+def _proposals(batch: mdl.ProposalBatch, anchors: np.ndarray, image: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Decoded, image-clipped, suppressed (NMS_IOU), top-k (TOP_K) proposals
+    of a forward pass over image, whose anchors are given: (boxes, scores)."""
     boxes = decode_deltas(anchors, batch.deltas.data)
     h, w = image.shape[:2]
     boxes[:, [0, 2]] = boxes[:, [0, 2]].clip(0.0, float(w))
     boxes[:, [1, 3]] = boxes[:, [1, 3]].clip(0.0, float(h))
     scores = batch.probs.data
-    keep = nms(boxes, scores, config.nms_iou, config.top_k)
+    keep = nms(boxes, scores, NMS_IOU, TOP_K)
     return boxes[keep], scores[keep]
 
 
 def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Proposals of one image; see _proposals."""
-    return _proposals(_infer(params, record.image),
-                      anchors_for(record.image, config), record.image, config)
+    """Proposals of one image (_proposals); config is kept for perfbench/test_bench.py."""
+    return _proposals(_infer(params, record.image), anchors_for(record.image),
+                      record.image)
 
 
 def _greedy_match(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -407,9 +399,9 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
     mdl.check_threshold(config.t)
     counts, scores, ious, flags = [], [np.zeros(0)], {}, []
     n_gt = n_hit = 0
-    for idx, mi in enumerate(match_dataset(records, config)):
+    for idx, mi in enumerate(match_dataset(records)):
         batch = _infer(params, mi.record.image)
-        boxes, s = _proposals(batch, mi.anchors, mi.record.image, config)
+        boxes, s = _proposals(batch, mi.anchors, mi.record.image)
         flags += _audit_image(batch, mi, idx, config, config.t)
         counts.append(len(s))
         scores.append(s)
@@ -445,8 +437,7 @@ def _audit_image(batch: mdl.ProposalBatch, mi: MatchedImage, idx: int,
                  config: TrainConfig, t: float) -> list[Flag]:
     """Flags of image idx from one forward pass over it; see audit_flags."""
     rng = np.random.default_rng([config.seed_sample, idx, 0xA0D17])
-    pos_idx, neg_idx = mdl.sample_proposals(mi.labels, config.minibatch_size,
-                                            config.pos_fraction, rng)
+    pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
     amap = _attend(batch, pos_idx, neg_idx)
     if amap is None:
         return []
@@ -467,7 +458,7 @@ def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
     t = config.t if t is None else t
     check_extents(records)
     mdl.check_threshold(t)
-    flags = [f for idx, mi in enumerate(match_dataset(records, config))
+    flags = [f for idx, mi in enumerate(match_dataset(records))
              for f in _audit_image(_infer(params, mi.record.image),
                                    mi, idx, config, t)]
     flags.sort(key=lambda f: -f.score)
@@ -505,19 +496,19 @@ def score_fn_detection(flags: Sequence[Flag], records: Sequence[ImageRecord]
     return FnScore(precision=tp / len(flags), recall=n_hit / n_dropped)
 
 
-def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord],
-                           config: TrainConfig) -> float:
+def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord]
+                           ) -> float:
     """Expected dropped-box recall of a size-matched uniformly random anchor
     flag set, computed in closed form per image from the hypergeometric
     no-hit probability (math.comb gives 0 when the flags outnumber the
     anchors that miss a box)."""
     counts = Counter(f.image_index for f in flags)
-    total = 0
-    expected = 0.0
+    grids = _anchor_grids(records)
+    total, expected = 0, 0.0
     for idx, rec in enumerate(records):
         if not len(rec.dropped):
             continue
-        anchors = anchors_for(rec.image, config)
+        anchors = grids[rec.image.shape[:2]]
         n = len(anchors)
         m = min(counts[idx], n)
         covers = (iou_matrix(rec.dropped, anchors) >= 0.5).sum(axis=1)

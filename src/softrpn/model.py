@@ -33,6 +33,11 @@ BACKBONE_STRIDE = 8
 MIN_EXTENT = 16
 BACKBONE_CHANNELS = (8, 16, 32)
 
+# Anchors of each BACKBONE_STRIDE cell: one per scale, at ratio ANCHOR_ASPECT.
+ANCHOR_SCALES = (16.0, 32.0, 64.0)
+ANCHOR_ASPECT = 1.0
+N_ANCHORS = len(ANCHOR_SCALES)
+
 
 @dataclass
 class AttentionMap:

@@ -164,7 +164,7 @@ def benchmark_runs():
             "base": hz.evaluate(base_params, records, base_cfg),
             "soft": hz.evaluate(soft_params, records, soft_cfg),
             "fn_recall": fn.recall,
-            "random_recall": hz.expected_random_recall(flags, records, soft_cfg),
+            "random_recall": hz.expected_random_recall(flags, records),
         })
     return runs, time.time() - started
 

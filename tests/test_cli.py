@@ -219,7 +219,8 @@ class TestTrainCmd:
         out = tmp_path / "out"
         assert run(["train", "--data", dataset, "--out", str(out),
                     "--config", str(path)]) == 1
-        assert "batch_images must be at least 1, got 0" in single_error_line(capsys)
+        assert ("config key 'batch_images' must be 4, its fixed value, got 0"
+                in single_error_line(capsys))
         assert not out.exists()
 
     def test_divergence_gives_one_error_line(self, dataset, tmp_path, capsys,
@@ -264,8 +265,8 @@ class TestTrainCmd:
         label_counts, output_counts = [], []
         match_dataset, forward_rpn = hz.match_dataset, mdl.forward_rpn
 
-        def counting_match(records, config):
-            matched = match_dataset(records, config)
+        def counting_match(records):
+            matched = match_dataset(records)
             label_counts.extend(len(mi.labels) for mi in matched)
             return matched
 
@@ -286,16 +287,13 @@ class TestTrainCmd:
         ({"bogus": 1}, "unknown config key 'bogus'"),
         ({"t": "x"}, "config key 't' must be"),
         ([1, 2], "config must be a JSON object"),
-        ({"stride": 16}, "stride must equal the backbone stride 8"),
-        ({"pos_thresh": 0.3, "neg_thresh": 0.7}, "pos_thresh must exceed neg_thresh"),
+        ({"mode": "softlabel"}, "unknown mode 'softlabel'"),
+        ({"t": 1.5}, "t must lie in (0, 1), got 1.5"),
         ({"d_embed": 0}, "d_embed must be at least 1, got 0"),
-        ({"top_k": 0}, "top_k must be at least 1, got 0"),
-        ({"nms_iou": -1}, "nms_iou must lie in [0, 1], got -1"),
-        ({"anchor_aspect": -2.0}, "anchor_aspect must be positive and finite"),
-        ({"anchor_scales": [16, -32, 64]}, "anchor_scales must be positive and finite"),
-        ({"minibatch_size": 0}, "minibatch_size must be at least 1, got 0"),
-        ({"pos_fraction": 0}, "pos_fraction must lie in (0, 1), got 0"),
-        ({"n_anchors": 2}, "n_anchors must equal the number of anchor_scales 3, got 2"),
+        ({"top_k": 100}, "config key 'top_k' must be 50, its fixed value, got 100"),
+        ({"stride": 16}, "config key 'stride' must be 8, its fixed value, got 16"),
+        ({"pos_thresh": 0.3, "neg_thresh": 0.7},
+         "config key 'pos_thresh' must be 0.7, its fixed value, got 0.3"),
     ])
     def test_bad_config_file_gives_one_error_line(self, doc, needle, dataset,
                                                   tmp_path, capsys):
@@ -308,7 +306,6 @@ class TestTrainCmd:
                     "--config", str(path), *FAST]) == 1
         assert needle in single_error_line(capsys)
         assert not out.exists()
-        assert not out.exists()
 
     def test_retired_config_keys_still_load(self, dataset, tmp_path):
         path = tmp_path / "old.json"
@@ -319,7 +316,7 @@ class TestTrainCmd:
         assert run(["train", "--data", dataset, "--out", str(out),
                     "--config", str(path)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert len(config) == 19 and not {"image_size", "n_anchors"} & set(config)
+        assert len(config) == 8 and not {"image_size", "n_anchors"} & set(config)
 
 
 class TestEvalCmd:
@@ -406,6 +403,27 @@ class TestEvalCmd:
                     request.getfixturevalue(data), "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
         assert all(0.0 <= doc[k] <= 1.0 for k in ("ap50", "ap", "recall50"))
+
+
+class TestReportDirectory:
+    @pytest.mark.parametrize("command, work", [("eval", "evaluate"),
+                                               ("audit", "audit_flags")])
+    def test_missing_directory_refused_before_any_work(self, command, work, dataset,
+                                                       checkpoint, tmp_path, capsys,
+                                                       monkeypatch):
+        """A --report inside a missing directory gives one error line naming
+        --report and that directory, before the checkpoint is even read."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --report was checked")
+
+        monkeypatch.setattr(hz, work, no_work)
+        monkeypatch.setattr(mdl, "load_checkpoint", no_work)
+        report = tmp_path / "nodir" / "r.json"
+        assert run([command, "--checkpoint", checkpoint, "--data", dataset,
+                    "--report", str(report)]) == 1
+        err = single_error_line(capsys)
+        assert f"--report {report}" in err and str(tmp_path / "nodir") in err
+        assert os.listdir(tmp_path) == []
 
 
 class TestAuditCmd:

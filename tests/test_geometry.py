@@ -125,7 +125,7 @@ class TestIou:
 class TestMatchAnchors:
     def test_empty_gt_all_negative(self):
         anchors = generate_anchors(2, 2, 8, [16, 32, 64])
-        labels, targets = match_anchors(anchors, np.zeros((0, 4)))
+        labels, targets = match_anchors(anchors, np.zeros((0, 4)), 0.7, 0.3)
         assert labels.tolist() == [0] * 12
         assert not targets.any() and targets.shape == (12, 4)
 
@@ -156,7 +156,7 @@ class TestMatchAnchors:
     def test_every_anchor_gets_exactly_one_label(self):
         anchors = generate_anchors(4, 4, 8, [16, 32, 64])
         gt = np.array([[1.0, 1, 17, 15], [10, 12, 30, 29]])
-        labels, targets = match_anchors(anchors, gt)
+        labels, targets = match_anchors(anchors, gt, 0.7, 0.3)
         assert labels.shape == (len(anchors),) and targets.shape == (len(anchors), 4)
         assert set(labels.tolist()) <= {-1, 0, 1}
         assert not targets[labels != 1].any()
@@ -164,7 +164,7 @@ class TestMatchAnchors:
     def test_argmax_rule_guarantees_a_positive_per_gt(self):
         anchors = generate_anchors(4, 4, 8, [16, 32, 64])
         gt = np.array([[3.0, 3.0, 9.0, 8.0]])  # awkward small box, no anchor reaches 0.7
-        labels, _ = match_anchors(anchors, gt)
+        labels, _ = match_anchors(anchors, gt, 0.7, 0.3)
         assert (labels == 1).any()
 
     def test_iou_exactly_at_a_threshold(self):
@@ -177,7 +177,8 @@ class TestMatchAnchors:
 
     def test_box_no_anchor_overlaps_forces_no_positive(self):
         anchors = generate_anchors(2, 2, 8, [16.0])
-        labels, targets = match_anchors(anchors, np.array([[100.0, 100.0, 110.0, 110.0]]))
+        labels, targets = match_anchors(anchors, np.array([[100.0, 100.0, 110.0, 110.0]]),
+                                        0.7, 0.3)
         assert not labels.any() and not targets.any()
 
     def test_anchor_forced_by_two_boxes_regresses_to_the_later(self):

@@ -1,4 +1,5 @@
-from dataclasses import fields, replace
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from softrpn import data as dat
 from softrpn import harness as hz
+from softrpn import model as mdl
 from softrpn.geometry import iou_matrix
 
 
@@ -57,22 +59,9 @@ class TestTrainConfig:
         ({"milestones": 5}, "config key 'milestones' must be"),
         ([1, 2], "config must be a JSON object"),
         ({"total_iters": -3}, "total_iters must be at least 1, got -3"),
-        ({"batch_images": 0}, "batch_images must be at least 1, got 0"),
-        ({"pos_thresh": 0.3, "neg_thresh": 0.7},
-         "pos_thresh must exceed neg_thresh, got pos_thresh 0.3 and neg_thresh 0.7"),
+        ({"mode": "softlabel"}, "unknown mode 'softlabel'"),
+        ({"milestones": [8, 4]}, "milestones must be strictly increasing"),
         ({"d_embed": 0}, "d_embed must be at least 1, got 0"),
-        ({"top_k": 0}, "top_k must be at least 1, got 0"),
-        ({"minibatch_size": 0}, "minibatch_size must be at least 1, got 0"),
-        ({"n_anchors": 0, "anchor_scales": []}, "n_anchors must be at least 1, got 0"),
-        ({"nms_iou": -1}, r"nms_iou must lie in \[0, 1\], got -1"),
-        ({"anchor_aspect": -1.0}, "anchor_aspect must be positive and finite, got -1.0"),
-        ({"anchor_scales": [16, 0, 64]},
-         r"anchor_scales must be positive and finite, got \[16, 0, 64\]"),
-        ({"pos_fraction": 1.0}, r"pos_fraction must lie in \(0, 1\), got 1.0"),
-        ({"anchor_scales": []}, "n_anchors must be at least 1, got 0"),
-        ({"n_anchors": 2}, "n_anchors must equal the number of anchor_scales 3, got 2"),
-        ({"n_anchors": 3, "anchor_scales": [16.0]},
-         "n_anchors must equal the number of anchor_scales 1, got 3"),
     ])
     def test_from_dict_names_the_bad_key(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -86,15 +75,48 @@ class TestTrainConfig:
         assert not set(retired) & set(cfg.to_dict())
 
     @pytest.mark.parametrize("doc", [{"n_anchors": 3},
-                                     {"n_anchors": 2, "anchor_scales": [16.0, 48.0]}])
+                                     {"n_anchors": 3, "anchor_scales": [16, 32, 64]}])
     def test_retired_n_anchors_equal_to_scale_count_loads(self, doc):
         cfg = hz.TrainConfig.from_dict(doc)
-        assert cfg.n_anchors == doc["n_anchors"] == len(cfg.anchor_scales)
+        assert cfg.n_anchors == doc["n_anchors"] == len(mdl.ANCHOR_SCALES)
         assert "n_anchors" not in cfg.to_dict()
 
     def test_anchor_count_is_the_scale_count(self):
-        assert len(fields(hz.TrainConfig)) == 19
-        assert hz.TrainConfig(anchor_scales=(8.0, 16.0, 32.0, 64.0)).n_anchors == 4
+        assert len(fields(hz.TrainConfig)) == 8
+        assert hz.TrainConfig().n_anchors == mdl.N_ANCHORS == len(mdl.ANCHOR_SCALES) == 3
+
+    @pytest.mark.parametrize("key", sorted(hz.FIXED_CONFIG))
+    def test_fixed_key_loads_only_at_its_value(self, key):
+        """An older config's fixed key loads, and is dropped, at its fixed
+        value (a list as JSON gives it); any other value, a value of the
+        wrong type or a bool (True equals anchor_aspect's 1.0) is refused
+        with a line naming the key and its value."""
+        fixed = hz.FIXED_CONFIG[key]
+        as_json = list(fixed) if isinstance(fixed, tuple) else fixed
+        cfg = hz.TrainConfig.from_dict({key: as_json, "t": 0.6})
+        assert cfg == hz.TrainConfig(t=0.6) and key not in cfg.to_dict()
+        other = [2 * v for v in fixed] if isinstance(fixed, tuple) else 2 * fixed
+        for bad in (other, "x", True, None):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"config key {key!r} must be {fixed!r}, its fixed value, got {bad!r}")):
+                hz.TrainConfig.from_dict({key: bad})
+
+    def test_parent_format_config_loads_to_the_eight_fields(self):
+        """Every key of the committed checkpoints' meta.config, at the
+        values they hold, loads to the config the eight fields give."""
+        doc = {"t": 0.8, "d_embed": 32, "n_anchors": 3, "mode": "baseline",
+               "lr": 0.0016666666666666668, "momentum": 0.9, "total_iters": 400,
+               "milestones": [200, 320], "lr_decay": 0.1, "batch_images": 4,
+               "minibatch_size": 64, "pos_fraction": 0.25, "drop_rate": 0.3,
+               "image_size": 128, "n_images": 200, "anchor_scales": [16.0, 32.0, 64.0],
+               "anchor_aspect": 1.0, "stride": 8, "pos_thresh": 0.7, "neg_thresh": 0.3,
+               "nms_iou": 0.7, "top_k": 50, "seed_data": 0, "seed_init": 0,
+               "seed_sample": 0}
+        cfg = hz.TrainConfig.from_dict(doc)
+        assert cfg == hz.TrainConfig(mode="baseline", total_iters=400, milestones=(200, 320))
+        assert cfg.to_dict() == {"t": 0.8, "d_embed": 32, "mode": "baseline",
+                                 "lr": 0.0016666666666666668, "total_iters": 400,
+                                 "milestones": (200, 320), "seed_init": 0, "seed_sample": 0}
 
     @pytest.mark.parametrize("total_iters, milestones", [
         (1000, (500, 800)), (12, (6, 9)), (3, (1, 2)), (2, (1,)), (1, ()),
@@ -160,16 +182,16 @@ class TestNms:
     @pytest.mark.parametrize("size", [64, 128])
     def test_evaluate_equals_evaluate_with_oracle(self, size, monkeypatch):
         """A trained model's report is unchanged with the per-box oracle in
-        place of nms, at the default top_k and with (nearly) no limit."""
+        place of nms, at the fixed TOP_K and with (nearly) no limit."""
         records = tiny_records(6, size=size)
         cfg = tiny_config()
         params, _ = hz.train(cfg, records)
-        for top_k in (cfg.top_k, 1000):
-            c = replace(cfg, top_k=top_k)
-            report = hz.evaluate(params, records, c)
+        for top_k in (hz.TOP_K, 1000):
+            monkeypatch.setattr(hz, "TOP_K", top_k)
+            report = hz.evaluate(params, records, cfg)
             with monkeypatch.context() as m:
                 m.setattr(hz, "nms", nms_oracle)
-                assert hz.evaluate(params, records, c) == report
+                assert hz.evaluate(params, records, cfg) == report
             assert report.recall50 > 0.0
 
     def test_disjoint_boxes_all_kept(self):
@@ -444,7 +466,6 @@ class TestTrain:
 class TestEvaluate:
     def test_learning_happens(self):
         """Trained AP50 on the training set (no drops) beats untrained."""
-        import softrpn.model as mdl
         cfg = tiny_config(total_iters=150, milestones=(100, 130))
         records = tiny_records(16, drop_rate=0.0)
         trained, _ = hz.train(cfg, records)
@@ -455,7 +476,6 @@ class TestEvaluate:
         assert ap_trained > ap_untrained
 
     def test_metrics_in_unit_interval(self):
-        import softrpn.model as mdl
         cfg = tiny_config()
         records = dat.generate_benchmark(4, 64, 0.3, seed=1)
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors,
@@ -466,8 +486,9 @@ class TestEvaluate:
         assert rep.ap <= rep.ap50 + 1e-12
 
 
-    def test_report_equals_oracle_on_multi_image_instance(self):
-        cfg = tiny_config(top_k=20)
+    def test_report_equals_oracle_on_multi_image_instance(self, monkeypatch):
+        monkeypatch.setattr(hz, "TOP_K", 20)
+        cfg = tiny_config()
         params, _ = hz.train(cfg, tiny_records())
         records = dat.generate_benchmark(4, 64, 0.3, seed=4)
         records.insert(2, make_record(99, [], []))          # no ground truth
@@ -513,7 +534,6 @@ class TestImageSizeCheck:
     def test_mismatch_raises_before_any_work(self, entry, monkeypatch):
         """A 60x60 image, last in the dataset, stops every entry point
         before the first forward pass or anchor match."""
-        import softrpn.model as mdl
         records = tiny_records(2) + [make_record(7, [], [], size=60)]
         cfg = tiny_config()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors,
@@ -530,7 +550,6 @@ class TestImageSizeCheck:
         """A threshold outside (0, 1) stops evaluate (config.t, changed
         after construction) and audit_flags (t=) before the first forward
         pass, even when no image would reach the attention map."""
-        import softrpn.model as mdl
         records = tiny_records(2)
         cfg = tiny_config()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors,
@@ -563,13 +582,12 @@ class TestImageSizeCheck:
 class TestAnchorsFromImage:
     @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (64, 128), (16, 40)])
     def test_anchor_count_equals_forward_output_count(self, shape):
-        import softrpn.model as mdl
         from softrpn.autograd import Tensor
         cfg = hz.TrainConfig()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
         image = np.zeros((*shape, 1))
         batch = mdl.forward_rpn(Tensor(image), params)
-        anchors = hz.anchors_for(image, cfg)
+        anchors = hz.anchors_for(image)
         assert anchors.shape == (batch.probs.shape[0], 4)
         assert len(anchors) == (shape[0] // 8) * (shape[1] // 8) * 3
         # the last anchor sits on the bottom-right cell, at the largest scale
@@ -587,15 +605,14 @@ class TestAnchorsFromImage:
         for f in hz.audit_flags(params, records, cfg, t=0.5):
             size = records[f.image_index].image.shape[0]
             np.testing.assert_array_equal(
-                f.box, hz.anchors_for(records[f.image_index].image, cfg)[f.anchor_index])
+                f.box, hz.anchors_for(records[f.image_index].image)[f.anchor_index])
             assert f.anchor_index < 3 * (size // 8) ** 2
             assert f.box.flags.writeable       # a copy, not a view of the shared grid
 
-    @pytest.mark.parametrize("entry", ["evaluate", "audit_flags"])
+    @pytest.mark.parametrize("entry", ["evaluate", "audit_flags", "expected_random_recall"])
     def test_anchors_built_once_per_extent(self, entry, monkeypatch):
-        """Matching, proposals and the audit share one anchor grid per
-        distinct image extent."""
-        import softrpn.model as mdl
+        """Matching, proposals, the audit and the random-flag baseline share
+        one anchor grid per distinct image extent."""
         records = tiny_records(3) + tiny_records(2, size=128, seed=1) + tiny_records(1)
         cfg = tiny_config()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
@@ -607,12 +624,16 @@ class TestAnchorsFromImage:
             return generate_anchors(feat_h, feat_w, *args, **kwargs)
 
         monkeypatch.setattr(hz, "generate_anchors", counting_generate)
-        getattr(hz, entry)(params, records, cfg)
+        if entry == "expected_random_recall":
+            assert all(len(rec.dropped) for rec in records)
+            hz.expected_random_recall([flag_at(0, (0, 0, 8, 8))], records)
+        else:
+            getattr(hz, entry)(params, records, cfg)
         assert sorted(extents) == [(8, 8), (16, 16)]
 
-    def test_predict_clips_x_to_width_and_y_to_height(self):
-        import softrpn.model as mdl
-        cfg = tiny_config(top_k=1000)
+    def test_predict_clips_x_to_width_and_y_to_height(self, monkeypatch):
+        monkeypatch.setattr(hz, "TOP_K", 1000)
+        cfg = tiny_config()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
         record = dat.ImageRecord(image_id=0, file_name="wide.pgm",
                                  image=np.random.default_rng(1).random((32, 96, 1)),
@@ -693,8 +714,7 @@ class TestScoreFnDetection:
         """Generated anchor flags on images with and without withheld boxes
         score exactly as a per-flag, per-box scan does."""
         gen = np.random.default_rng(seed)
-        cfg = hz.TrainConfig()
-        anchors = hz.anchors_for(np.zeros((64, 64, 1)), cfg)
+        anchors = hz.anchors_for(np.zeros((64, 64, 1)))
         records, flags = [], []
         for i in range(int(gen.integers(1, 4))):
             # withheld boxes near anchors, so hits and misses both occur
@@ -710,14 +730,13 @@ class TestScoreFnDetection:
 class TestExpectedRandomRecall:
     def test_matches_monte_carlo(self):
         """Closed-form hypergeometric expectation vs simulation."""
-        cfg = hz.TrainConfig()
         dropped = box_array((6.0, 6.0, 22.0, 22.0), (38.0, 38.0, 54.0, 54.0))
         records = [make_record(0, [], dropped)]
-        anchors = hz.anchors_for(records[0].image, cfg)
+        anchors = hz.anchors_for(records[0].image)
         n = len(anchors)
         m = 10
         flags = [flag_at(0, (0, 0, 8, 8)) for _ in range(m)]
-        analytic = hz.expected_random_recall(flags, records, cfg)
+        analytic = hz.expected_random_recall(flags, records)
         covers = (iou_matrix(dropped, anchors) >= 0.5).sum(axis=1)
         assert covers.min() > 0, "toy boxes must match some anchor"
         gen = np.random.default_rng(7)
@@ -733,16 +752,14 @@ class TestExpectedRandomRecall:
         assert analytic == pytest.approx(mc, abs=0.02)
 
     def test_zero_flags_zero_recall(self):
-        cfg = hz.TrainConfig()
         records = [make_record(0, [], [(6.0, 6.0, 22.0, 22.0)])]
-        assert hz.expected_random_recall([], records, cfg) == 0.0
+        assert hz.expected_random_recall([], records) == 0.0
 
     def test_flagging_everything_gives_full_recall(self):
-        cfg = hz.TrainConfig()
         records = [make_record(0, [], [(6.0, 6.0, 22.0, 22.0)])]
-        n = len(hz.anchors_for(records[0].image, cfg))
+        n = len(hz.anchors_for(records[0].image))
         flags = [flag_at(0, (0, 0, 8, 8)) for _ in range(n)]
-        assert hz.expected_random_recall(flags, records, cfg) == pytest.approx(1.0)
+        assert hz.expected_random_recall(flags, records) == pytest.approx(1.0)
 
 
 class TestAblation:
