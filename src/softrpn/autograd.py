@@ -6,7 +6,7 @@ Every differentiable op records a backward closure on its output; calling
 accumulates gradients into every reachable tensor with ``requires_grad``.
 
 Scope is deliberately small: only the ops needed by a tiny conv backbone,
-RPN heads, cosine attention, and the classification/regression losses.
+RPN heads, and the classification/regression losses.
 Every contraction is a fixed matmul or broadcast: a convolution is im2col
 plus one matmul (see conv2d), and one conv2d node also adds the layer's bias
 and applies its ReLU, so a network layer is a single tape node.
@@ -173,12 +173,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise GraphError("transpose expects a 2-d tensor")
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows along axis 0; backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -192,14 +186,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
 
 # -- linear algebra -----------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise GraphError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    data = a.data @ b.data
-    return _make(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
 
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """The (ho*wo, k*k*C) matrix whose rows are the k x k windows of a
@@ -305,60 +291,6 @@ def anchor_scores(fe: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gfe, gw, gb
 
     return _make(data, (fe, w, b), backward)
-
-
-# -- rows ---------------------------------------------------------------------
-
-def softmax_rows(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise GraphError("softmax_rows expects a 2-d tensor")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
-        return (s * (g - dot),)
-
-    return _make(s, (x,), backward)
-
-
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row to unit L2 norm; rows with norm below eps pass
-    through as zeros."""
-    if x.data.ndim != 2:
-        raise GraphError("l2_normalize_rows expects a 2-d tensor")
-    norms = np.linalg.norm(x.data, axis=1, keepdims=True)
-    safe = np.where(norms < eps, 1.0, norms)
-    y = np.where(norms < eps, 0.0, x.data / safe)
-
-    def backward(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        gx = (g - y * dot) / safe
-        return (np.where(norms < eps, 0.0, gx),)
-
-    return _make(y, (x,), backward)
-
-
-def standardize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Shift each row to zero mean and scale it to unit variance. The output
-    row norm is sqrt(D) for a D-column input, so dot products of standardized
-    rows are D times the Pearson correlation of the originals."""
-    if x.data.ndim != 2:
-        raise GraphError("standardize_rows expects a 2-d tensor")
-    mu = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mu
-    sigma = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps)
-    y = centered / sigma
-
-    def backward(g):
-        # Standard layer-norm gradient: remove the components of g along the
-        # constant direction and along y itself, then undo the scaling.
-        g_mu = g.mean(axis=1, keepdims=True)
-        g_proj = (g * y).mean(axis=1, keepdims=True)
-        return ((g - g_mu - y * g_proj) / sigma,)
-
-    return _make(y, (x,), backward)
 
 
 # -- losses -------------------------------------------------------------------

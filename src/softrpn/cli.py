@@ -133,6 +133,8 @@ def cmd_eval(args) -> int:
 
 def cmd_audit(args) -> int:
     started = time.time()
+    if args.t is not None:
+        mdl.check_threshold(args.t)
     params, config, records = _load_for_report(args)
     flags = hz.audit_flags(params, records, config, t=args.t)
     doc = {

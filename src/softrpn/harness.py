@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import typing
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
@@ -68,6 +69,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         if self.mode not in ("baseline", "soft_label"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not 0 < self.lr <= sys.float_info.max:     # refuses nan
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        for name in ("seed_init", "seed_sample"):
+            if (value := getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.milestones is None:
             # LR decays at half and four fifths of the run, (500, 800) of 1000.
             self.milestones = sorted({self.total_iters // 2,
@@ -75,6 +81,8 @@ class TrainConfig:
         self.milestones = ms = tuple(self.milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])) or (ms and ms[-1] >= self.total_iters):
             raise ValueError("milestones must be strictly increasing and < total_iters")
+        if ms and ms[0] < 1:
+            raise ValueError(f"milestones must be at least 1, got {ms[0]}")
 
     @property
     def n_anchors(self) -> int:
@@ -194,8 +202,8 @@ def _attend(batch: mdl.ProposalBatch, pos_idx: np.ndarray, neg_idx: np.ndarray
     the softmax of one logit, flagging all negatives) or without a negative."""
     if len(pos_idx) < 2 or not len(neg_idx):
         return None
-    return mdl.attention_map(ag.gather_rows(batch.embeddings, neg_idx),
-                             ag.gather_rows(batch.embeddings, pos_idx))
+    emb = batch.embeddings.data
+    return mdl.attention_map(emb[neg_idx], emb[pos_idx])
 
 
 def _image_loss(params: dict[str, Tensor], mi: MatchedImage, config: TrainConfig,

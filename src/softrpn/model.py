@@ -13,7 +13,8 @@ Attention rows are negatives, columns positives: each negative's row is the
 softmax of its similarity to every positive embedding, computed on whitened
 embeddings (see attention_map). A negative whose best similarity clears the
 threshold is treated as a suspected missing annotation and supervised with
-that similarity as a soft target instead of a hard zero.
+that similarity as a soft target instead of a hard zero. The map is a
+constant of the loss: no gradient flows through it into the embeddings.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ N_ANCHORS = len(ANCHOR_SCALES)
 
 @dataclass
 class AttentionMap:
-    a: Tensor                 # (N_neg, N_pos), rows sum to 1
+    a: np.ndarray             # (N_neg, N_pos), rows sum to 1
     row_max: np.ndarray       # (N_neg,)
 
 
@@ -133,25 +134,35 @@ ATTENTION_LOGIT_SCALE = 10.0
 ATTENTION_SHRINKAGE = 0.01
 
 
-def whitening_stats(rows: np.ndarray,
-                    shrinkage: float = ATTENTION_SHRINKAGE
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def whitening_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and shrinkage-regularized ZCA transform of a row batch."""
     d = rows.shape[1]
     mean = rows.mean(axis=0)
     centered = rows - mean
     cov = centered.T @ centered / len(rows)
-    cov += (shrinkage * np.trace(cov) / d + 1e-12) * np.eye(d)
+    cov += (ATTENTION_SHRINKAGE * np.trace(cov) / d + 1e-12) * np.eye(d)
     evals, evecs = np.linalg.eigh(cov)
     transform = evecs @ ((evals ** -0.5)[:, None] * evecs.T)
     return mean, transform
 
 
-def attention_map(neg_embeddings: Tensor, pos_embeddings: Tensor,
-                  stats: Optional[tuple[np.ndarray, np.ndarray]] = None
+def _standardize_rows(x: np.ndarray) -> np.ndarray:
+    """Each row shifted to zero mean and scaled to unit variance."""
+    centered = x - x.mean(axis=1, keepdims=True)
+    return centered / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + 1e-12)
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit L2 norm; a row of norm below 1e-12 becomes zeros."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    tiny = norms < 1e-12
+    return np.where(tiny, 0.0, x / np.where(tiny, 1.0, norms))
+
+
+def attention_map(neg_embeddings: np.ndarray, pos_embeddings: np.ndarray
                   ) -> AttentionMap:
-    """Row-stochastic similarity attention between negative and positive
-    embeddings.
+    """Row-stochastic similarity attention between (n, D) negative and
+    positive embeddings.
 
     Each embedding row is standardized (zero mean, unit variance across its
     features), the joint batch is whitened with a shrinkage-regularized ZCA
@@ -159,31 +170,28 @@ def attention_map(neg_embeddings: Tensor, pos_embeddings: Tensor,
     cosines in [-1, 1], scaled by ATTENTION_LOGIT_SCALE. Whitening equalizes
     the variance of every embedding direction: without it the few directions
     the objectness head trains dominate every similarity and all rows go
-    flat. The whitening statistics (mean and transform) are computed from
-    the batch and treated as constants, like inference-time batch-norm
-    statistics; gradients still flow into both embedding sets through the
-    whitened coordinates. Per-row standardization first makes the map
-    invariant to positive rescaling (and shifting) of any single embedding.
+    flat. Per-row standardization first makes the map invariant to positive
+    rescaling (and shifting) of any single embedding.
 
-    `stats` overrides the batch whitening statistics with a precomputed
-    (mean, transform) pair, which keeps the map a fixed function of its
-    inputs under finite-difference probing."""
+    The map is a constant of the loss: soft_label_loss reads only its row
+    maxima as fixed targets, so it is computed on plain arrays, off the
+    autograd tape."""
     if pos_embeddings.shape[0] == 0:
         raise ag.GraphError("attention map needs at least one positive proposal")
     if neg_embeddings.shape[0] == 0:
         raise ag.GraphError("attention map needs at least one negative proposal")
-    zn = ag.standardize_rows(neg_embeddings)
-    zp = ag.standardize_rows(pos_embeddings)
-    if stats is None:
-        stats = whitening_stats(np.concatenate([zn.data, zp.data]))
-    mean, transform = stats
-    shift = Tensor(-mean)
-    white = Tensor(transform)
-    cn = ag.l2_normalize_rows(ag.matmul(ag.add(zn, shift), white))
-    cp = ag.l2_normalize_rows(ag.matmul(ag.add(zp, shift), white))
-    logits = ag.scale(ag.matmul(cn, ag.transpose(cp)), ATTENTION_LOGIT_SCALE)
-    a = ag.softmax_rows(logits)
-    return AttentionMap(a=a, row_max=a.data.max(axis=1))
+    zn = _standardize_rows(neg_embeddings)
+    zp = _standardize_rows(pos_embeddings)
+    mean, transform = whitening_stats(np.concatenate([zn, zp]))
+    cn = _unit_rows((zn - mean) @ transform)
+    cp = _unit_rows((zp - mean) @ transform)
+    # A contiguous copy of cp.T, not the strided view: BLAS rounds the two
+    # products differently, and the copy reproduces the training logs,
+    # checkpoints and audits of earlier versions bit for bit.
+    logits = (cn @ cp.T.copy()) * ATTENTION_LOGIT_SCALE
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    a = e / e.sum(axis=1, keepdims=True)
+    return AttentionMap(a=a, row_max=a.max(axis=1))
 
 
 def check_threshold(t: float):

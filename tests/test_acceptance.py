@@ -44,8 +44,8 @@ class TestFullLossGradients:
 
         with ag.no_grad():
             batch = mdl.forward_rpn(Tensor(image), params)
-            amap = mdl.attention_map(ag.gather_rows(batch.embeddings, neg_idx),
-                                     ag.gather_rows(batch.embeddings, pos_idx))
+            amap = mdl.attention_map(batch.embeddings.data[neg_idx],
+                                     batch.embeddings.data[pos_idx])
         neg_targets = np.zeros(len(neg_idx))
         flagged = np.nonzero(amap.row_max >= 0.5)[0]
         assert len(flagged) > 0          # the soft path must be exercised
@@ -87,9 +87,9 @@ class TestAttentionInvariants:
             d = int(gen.integers(4, 33))
             neg = gen.standard_normal((n_neg, d)) * gen.uniform(0.2, 5.0)
             pos = gen.standard_normal((n_pos, d)) * gen.uniform(0.2, 5.0)
-            amap = mdl.attention_map(Tensor(neg), Tensor(pos))
+            amap = mdl.attention_map(neg, pos)
 
-            np.testing.assert_allclose(amap.a.data.sum(axis=1), 1.0,
+            np.testing.assert_allclose(amap.a.sum(axis=1), 1.0,
                                        rtol=0.0, atol=1e-9)
 
             scaled_neg, scaled_pos = neg.copy(), pos.copy()
@@ -98,8 +98,8 @@ class TestAttentionInvariants:
                 scaled_neg[int(gen.integers(0, n_neg))] *= factor
             else:
                 scaled_pos[int(gen.integers(0, n_pos))] *= factor
-            rescaled = mdl.attention_map(Tensor(scaled_neg), Tensor(scaled_pos))
-            assert np.abs(rescaled.a.data - amap.a.data).max() <= 1e-9
+            rescaled = mdl.attention_map(scaled_neg, scaled_pos)
+            assert np.abs(rescaled.a - amap.a).max() <= 1e-9
 
             strict = mdl.detect_false_negatives(amap, 0.9)
             loose = mdl.detect_false_negatives(amap, 0.6)

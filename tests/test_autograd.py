@@ -9,26 +9,6 @@ from softrpn.autograd import Tensor
 from conftest import assert_grad_matches, numeric_grad
 
 
-class TestMatmul:
-    def test_identity(self):
-        out = ag.matmul(Tensor(np.eye(2)), Tensor([[3.0, 4.0], [5.0, 6.0]]))
-        np.testing.assert_array_equal(out.data, [[3, 4], [5, 6]])
-
-    def test_hand_computed(self):
-        out = ag.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-        assert out.data[0, 0] == 11.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ag.GraphError):
-            ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-
-    def test_gradcheck(self, rng):
-        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        assert_grad_matches(lambda: ag.tsum(ag.matmul(a, b)), a, rel_tol=1e-4)
-        assert_grad_matches(lambda: ag.tsum(ag.matmul(a, b)), b, rel_tol=1e-4)
-
-
 def conv_oracle(x, k, stride, pad, g, bias=None, relu=False):
     """Direct-loop forward, input gradient, kernel gradient and bias gradient
     of conv2d (plus bias, then ReLU if set) for an upstream gradient g of the
@@ -232,85 +212,6 @@ class TestAnchorScores:
         np.testing.assert_allclose(b.grad, gb, rtol=0, atol=1e-12)
 
 
-class TestSoftmaxRows:
-    def test_uniform(self):
-        out = ag.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[1 / 3] * 3])
-
-    def test_stability(self):
-        out = ag.softmax_rows(Tensor([[1000.0, 0.0, 0.0]]))
-        assert np.isfinite(out.data).all()
-        np.testing.assert_allclose(out.data[0], [1.0, 0.0, 0.0], atol=1e-300)
-
-    def test_known_values(self):
-        out = ag.softmax_rows(Tensor([[1.0, 2.0, 3.0]]))
-        np.testing.assert_allclose(out.data[0], [0.09003, 0.24473, 0.66524],
-                                   atol=1e-4)
-
-    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.1, 1e4))
-    @settings(max_examples=40, deadline=None)
-    def test_rows_sum_to_one(self, seed, magnitude):
-        x = np.random.default_rng(seed).uniform(-magnitude, magnitude, (5, 7))
-        out = ag.softmax_rows(Tensor(x))
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_gradcheck(self, rng):
-        x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        w = rng.standard_normal((4, 5))
-        assert_grad_matches(lambda: ag.tsum(ag.mul(ag.softmax_rows(x), w)),
-                            x, rel_tol=1e-4)
-
-
-class TestL2NormalizeRows:
-    def test_three_four_five(self):
-        out = ag.l2_normalize_rows(Tensor([[3.0, 4.0]]))
-        np.testing.assert_allclose(out.data, [[0.6, 0.8]])
-
-    def test_zero_row_passes_through(self):
-        out = ag.l2_normalize_rows(Tensor([[0.0, 0.0]]))
-        np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
-
-    def test_unit_norms(self, rng):
-        out = ag.l2_normalize_rows(Tensor(rng.standard_normal((4, 256))))
-        np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0,
-                                   atol=1e-9)
-
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_idempotent(self, seed):
-        x = np.random.default_rng(seed).standard_normal((3, 8))
-        once = ag.l2_normalize_rows(Tensor(x)).data
-        twice = ag.l2_normalize_rows(Tensor(once)).data
-        np.testing.assert_allclose(twice, once, atol=1e-12)
-
-    def test_gradcheck(self, rng):
-        x = Tensor(rng.standard_normal((3, 6)) + 0.5, requires_grad=True)
-        w = rng.standard_normal((3, 6))
-        assert_grad_matches(lambda: ag.tsum(ag.mul(ag.l2_normalize_rows(x), w)),
-                            x, rel_tol=1e-4)
-
-
-class TestStandardizeRows:
-    def test_zero_mean_unit_variance(self, rng):
-        out = ag.standardize_rows(Tensor(rng.standard_normal((5, 64)) * 3 + 2))
-        np.testing.assert_allclose(out.data.mean(axis=1), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.data.std(axis=1), 1.0, atol=1e-6)
-
-    def test_affine_invariant_per_row(self, rng):
-        x = rng.standard_normal((3, 16))
-        a = ag.standardize_rows(Tensor(x)).data
-        y = x.copy()
-        y[1] = 7.0 * y[1] - 4.0
-        b = ag.standardize_rows(Tensor(y)).data
-        np.testing.assert_allclose(a, b, atol=1e-9)
-
-    def test_gradcheck(self, rng):
-        x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-        w = rng.standard_normal((3, 6))
-        assert_grad_matches(lambda: ag.tsum(ag.mul(ag.standardize_rows(x), w)),
-                            x, rel_tol=1e-4)
-
-
 class TestBceLoss:
     def test_symmetric_point(self):
         out = ag.bce_loss(Tensor([0.5]), [0.5])
@@ -409,12 +310,9 @@ def test_every_op_matches_finite_differences(seed):
         s = ag.anchor_scores(f, w, b)                        # (6, 6, 2)
         probs = ag.sigmoid(ag.reshape(s, (72,)))
         emb = ag.reshape(f, (36, 4))
-        a = ag.softmax_rows(ag.matmul(ag.l2_normalize_rows(ag.gather_rows(emb, [0, 3, 5])),
-                                      ag.transpose(ag.l2_normalize_rows(ag.gather_rows(emb, [7, 9])))))
         l1 = ag.tsum(ag.bce_loss(ag.gather_rows(probs, [1, 2, 3, 4, 5, 6]), t_cls))
         l2 = ag.tsum(ag.smooth_l1(ag.reshape(ag.gather_rows(emb, [2, 4, 6]), (3, 4)), t_reg))
-        return ag.add(ag.add(ag.scale(l1, 0.3), ag.scale(l2, 0.2)),
-                      ag.scale(ag.tsum(a), 0.5))
+        return ag.add(ag.scale(l1, 0.3), ag.scale(l2, 0.2))
 
     for tensor in (x, k, kb, w, b):
         assert_grad_matches(loss, tensor, rel_tol=1e-3)

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import struct
+import warnings
 
 import pytest
 
@@ -212,6 +213,28 @@ class TestTrainCmd:
         assert needle in single_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["--lr", "inf"], "lr must be finite and positive, got inf"),
+        (["--lr", "nan"], "lr must be finite and positive, got nan"),
+        (["--lr", "0"], "lr must be finite and positive, got 0.0"),
+        (["--seed-init", "-1"], "seed_init must be non-negative, got -1"),
+        (["--seed-sample", "-1"], "seed_sample must be non-negative, got -1"),
+    ])
+    def test_unrunnable_flag_fails_before_training(self, argv, needle, dataset,
+                                                   tmp_path, capsys, monkeypatch):
+        """Refused before the dataset is read, with no NumPy warning first."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+
+        monkeypatch.setattr(dat, "load_dataset", no_work)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["train", "--data", dataset, "--out", str(out), *FAST,
+                        *argv]) == 1
+        assert needle in single_error_line(capsys)
+        assert not out.exists()
+
     def test_zero_batch_images_in_config_fails_before_training(self, dataset, tmp_path,
                                                                 capsys):
         path = tmp_path / "cfg.json"
@@ -294,6 +317,9 @@ class TestTrainCmd:
         ({"stride": 16}, "config key 'stride' must be 8, its fixed value, got 16"),
         ({"pos_thresh": 0.3, "neg_thresh": 0.7},
          "config key 'pos_thresh' must be 0.7, its fixed value, got 0.3"),
+        ({"lr": 0}, "lr must be finite and positive, got 0"),
+        ({"milestones": [-1]}, "milestones must be at least 1, got -1"),
+        ({"seed_init": -1}, "seed_init must be non-negative, got -1"),
     ])
     def test_bad_config_file_gives_one_error_line(self, doc, needle, dataset,
                                                   tmp_path, capsys):
@@ -454,6 +480,21 @@ class TestAuditCmd:
         assert "t must lie in (0, 1)" in single_error_line(capsys)
         assert not report.exists()
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_bad_threshold_refused_before_any_work(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """--t is checked before the checkpoint and the dataset are read: a
+        missing --data or checkpoint is not what gets reported."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --t was checked")
+
+        monkeypatch.setattr(mdl, "load_checkpoint", no_work)
+        monkeypatch.setattr(dat, "load_dataset", no_work)
+        assert run(["audit", "--checkpoint", str(tmp_path / "none.srpn"),
+                    "--data", str(tmp_path / "nope"), "--t", "1.5",
+                    "--report", str(tmp_path / "audit.json")]) == 1
+        assert "t must lie in (0, 1), got 1.5" in single_error_line(capsys)
+        assert os.listdir(tmp_path) == []
 
     def test_threshold_above_all_scores_empty(self, dataset, checkpoint,
                                               tmp_path):

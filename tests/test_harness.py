@@ -62,6 +62,15 @@ class TestTrainConfig:
         ({"mode": "softlabel"}, "unknown mode 'softlabel'"),
         ({"milestones": [8, 4]}, "milestones must be strictly increasing"),
         ({"d_embed": 0}, "d_embed must be at least 1, got 0"),
+        ({"lr": 0}, "lr must be finite and positive, got 0"),
+        ({"lr": -0.01}, "lr must be finite and positive, got -0.01"),
+        ({"lr": float("inf")}, "lr must be finite and positive, got inf"),
+        ({"lr": float("nan")}, "lr must be finite and positive, got nan"),
+        ({"lr": 10 ** 400}, "lr must be finite and positive, got 1000"),
+        ({"milestones": [-1]}, "milestones must be at least 1, got -1"),
+        ({"milestones": [0, 5]}, "milestones must be at least 1, got 0"),
+        ({"seed_init": -1}, "seed_init must be non-negative, got -1"),
+        ({"seed_sample": -2}, "seed_sample must be non-negative, got -2"),
     ])
     def test_from_dict_names_the_bad_key(self, doc, message):
         with pytest.raises(ValueError, match=message):
