@@ -184,6 +184,18 @@ class TestAttentionMap:
         np.testing.assert_array_equal(amap.a, np.full((4, 3), 1.0 / 3.0))
         np.testing.assert_array_equal(amap.row_max, np.full(4, 1.0 / 3.0))
 
+    def test_zero_row_passes_through(self):
+        """The unit-row step maps a zero row to zeros without a 0/0, and the
+        map of all-constant embeddings (whose whitened rows are all zero)
+        raises no floating-point error."""
+        x = np.array([[3.0, 4.0], [0.0, 0.0], [1e-13, 0.0]])
+        with np.errstate(all="raise"):
+            unit = mdl._unit_rows(x)
+            amap = mdl.attention_map(np.full((3, D), 2.0), np.full((2, D), -1.0))
+        np.testing.assert_allclose(unit[0], [0.6, 0.8], atol=1e-15)
+        np.testing.assert_array_equal(unit[1:], np.zeros((2, 2)))
+        np.testing.assert_array_equal(amap.a, np.full((3, 2), 0.5))
+
     def test_softmax_stable_at_logit_1000(self, rng, monkeypatch):
         """The softmax subtracts each row's max before exponentiating, so
         logits of 1000 (exp overflows) still give finite rows summing to 1."""
