@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Every command
 writes a manifest.json next to its outputs with the effective config, the
-artifact paths, the tool version, and the wall-clock duration.
+artifact paths, the tool version, and the wall-clock duration. Outputs
+other than synth's dataset are replaced atomically through
+model.write_file.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from . import model as mdl
 
 
 def _atomic_write_json(path, doc):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+    # streamed chunk by chunk, as json.dump does: a long audit report is never
+    # held whole in memory
+    encoder = json.JSONEncoder(indent=1, sort_keys=True)
+    mdl.write_file(path, (chunk.encode() for chunk in encoder.iterencode(doc)))
 
 
 def _write_manifest(out_dir, config: hz.TrainConfig | None, artifacts: dict,
@@ -58,6 +60,10 @@ def _load_config(args) -> hz.TrainConfig:
 
 def cmd_synth(args) -> int:
     started = time.time()
+    if args.images < 1:
+        raise ValueError(f"--images must be at least 1, got {args.images}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if not dat.scene_size_ok(args.size):
         raise ValueError(f"--size {args.size} is unusable: synth needs a multiple of "
                          f"{mdl.BACKBONE_STRIDE} that is at least {dat.MIN_SCENE_SIZE}")
@@ -115,6 +121,8 @@ def _load_for_report(args) -> tuple[dict, hz.TrainConfig, list[dat.ImageRecord]]
     report_dir = os.path.dirname(os.path.abspath(args.report))
     if not os.path.isdir(report_dir):
         raise ValueError(f"--report {args.report}: directory {report_dir} does not exist")
+    if os.path.isdir(args.report):
+        raise ValueError(f"--report {args.report} is a directory, not a file")
     params, config = _load_checkpoint_config(args.checkpoint)
     return params, config, dat.load_dataset(args.data)
 
@@ -165,8 +173,7 @@ def cmd_ablate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _atomic_write_json(os.path.join(args.out, "ablation.json"), rows)
     table = hz.format_ablation_table(rows)
-    with open(os.path.join(args.out, "ablation.txt"), "w") as f:
-        f.write(table + "\n")
+    mdl.write_file(os.path.join(args.out, "ablation.txt"), [(table + "\n").encode()])
     _write_manifest(args.out, config, {"table_json": "ablation.json",
                                        "table_text": "ablation.txt",
                                        "dataset": os.path.abspath(args.data)},

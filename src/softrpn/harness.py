@@ -550,6 +550,5 @@ def format_ablation_table(rows: Sequence[dict]) -> str:
 
 
 def write_metric_log(path, log: Sequence[dict]):
-    with open(path, "w") as f:
-        for rec in log:
-            f.write(json.dumps(rec) + "\n")
+    """One JSON object per line, replacing path atomically."""
+    mdl.write_file(path, ((json.dumps(rec) + "\n").encode() for rec in log))

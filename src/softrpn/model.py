@@ -19,11 +19,14 @@ constant of the loss: no gradient flows through it into the embeddings.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 import struct
+import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -263,7 +266,7 @@ def sample_proposals(labels: np.ndarray, n_total: int, pos_fraction: float,
     return pos, neg
 
 
-# -- checkpoint io ------------------------------------------------------------
+# -- output and checkpoint io -------------------------------------------------
 
 CHECKPOINT_MAGIC = b"SRPN"
 CHECKPOINT_VERSION = 1
@@ -273,25 +276,73 @@ class CheckpointError(Exception):
     pass
 
 
+def _open_if_regular(path) -> int | None:
+    """A read-only descriptor on the regular file at path, or None. O_NONBLOCK
+    keeps a FIFO from blocking the open; any OSError means nothing is held."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError:
+        return None
+    if stat.S_ISREG(os.fstat(fd).st_mode):
+        return fd
+    os.close(fd)
+    return None
+
+
+def _close_old(fd: int):
+    os.close(fd)
+
+
+def write_file(path, chunks: Iterable[bytes]):
+    """Replace path atomically with the concatenation of chunks: write
+    <path>.tmp, then rename it over path, so a failed write (including an
+    exception raised while producing the chunks) never leaves a partial file
+    at path. Chunks are written as they come, so a caller can stream a large
+    output without building it in memory.
+
+    Dropping the last reference to a file whose blocks are allocated frees
+    them, which on ext4 mounted with `discard` stalls for tens of
+    milliseconds. So the file path names before the rename is held open
+    across it and closed on a daemon thread: the rename is as atomic as
+    before, and the caller does not wait for the blocks to be freed."""
+    tmp = str(path) + ".tmp"
+    f = open(tmp, "wb")   # outside the try: a failed open created nothing to remove
+    old = None
+    try:
+        with f:
+            f.writelines(chunks)
+        old = _open_if_regular(path)
+        os.replace(tmp, path)
+    except BaseException:
+        if old is not None:
+            os.close(old)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    if old is not None:
+        threading.Thread(target=_close_old, args=(old,), daemon=True).start()
+
+
 def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None):
     """Binary checkpoint: magic, version, JSON header (names, shapes, meta),
-    then the raw float64 little-endian payload in header order. Written to
-    a temporary file and renamed, so a failed save never leaves a partial
-    file at path."""
+    then the raw float64 little-endian payload in header order. Written
+    through write_file, so a failed save never leaves a partial file at
+    path."""
     header = {
         "version": CHECKPOINT_VERSION,
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in sorted(params.items())],
         "meta": meta or {},
     }
     hb = json.dumps(header).encode("utf-8")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(hb)))
-        f.write(hb)
+
+    def chunks():
+        yield CHECKPOINT_MAGIC
+        yield struct.pack("<II", CHECKPOINT_VERSION, len(hb))
+        yield hb
         for k in sorted(params):
-            f.write(params[k].data.astype("<f8").tobytes())
-    os.replace(tmp, path)
+            yield params[k].data.astype("<f8").tobytes()
+
+    write_file(path, chunks())
 
 
 def _read_header(f, path) -> tuple[list[tuple[str, tuple[int, ...]]], dict]:

@@ -124,6 +124,19 @@ class TestSynth:
         assert f"--size {size}" in line and f"at least {dat.MIN_SCENE_SIZE}" in line, line
         assert not out.exists()
 
+    @pytest.mark.parametrize("images", [0, -1])
+    def test_no_images_refused_before_any_work(self, images, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run(["synth", "--out", str(out), "--images", str(images)]) == 1
+        assert f"--images must be at least 1, got {images}" in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_negative_seed_refused_by_name_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run(["synth", "--out", str(out), "--seed", "-1"]) == 1
+        assert "--seed must be non-negative, got -1" in single_error_line(capsys)
+        assert not out.exists()
+
     def test_smallest_usable_size_works(self, tmp_path):
         assert dat.MIN_SCENE_SIZE == 24
         out = tmp_path / "bench"
@@ -150,6 +163,18 @@ class TestTrainCmd:
         json.loads(lines[0])
         doc = json.loads(open(os.path.join(out, "manifest.json")).read())
         assert doc["config"]["total_iters"] == 12
+
+    def test_rerun_into_same_out_rewrites_identical_outputs(self, dataset, fast_config,
+                                                           tmp_path):
+        out = tmp_path / "run"
+        argv = ["train", "--data", dataset, "--out", str(out), "--config", fast_config]
+        assert run(argv) == 0
+        first = {name: (out / name).read_bytes()
+                 for name in ("checkpoint.srpn", "train_log.jsonl")}
+        assert run(argv) == 0
+        assert {name: (out / name).read_bytes() for name in first} == first
+        assert sorted(os.listdir(out)) == ["checkpoint.srpn", "manifest.json",
+                                          "train_log.jsonl"]
 
     def test_flags_override_config_file(self, dataset, fast_config, tmp_path):
         out = tmp_path / "ovr"
@@ -357,6 +382,18 @@ class TestEvalCmd:
             assert 0.0 <= doc[key] <= 1.0
         assert doc["ap"] <= doc["ap50"] + 1e-12
 
+    def test_rerun_with_same_report_rewrites_identical_bytes(self, dataset, checkpoint,
+                                                             tmp_path):
+        report = tmp_path / "report.json"
+        argv = ["eval", "--checkpoint", checkpoint, "--data", dataset,
+                "--report", str(report)]
+        assert run(argv) == 0
+        first = report.read_bytes()
+        assert first.decode() == json.dumps(json.loads(first), indent=1, sort_keys=True)
+        assert run(argv) == 0
+        assert report.read_bytes() == first
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json", "report.json"]
+
     def test_one_forward_pass_per_image(self, dataset, checkpoint, tmp_path,
                                         monkeypatch):
         """Proposals and the fn_* audit share each image's forward pass."""
@@ -450,6 +487,26 @@ class TestReportDirectory:
         err = single_error_line(capsys)
         assert f"--report {report}" in err and str(tmp_path / "nodir") in err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, work", [("eval", "evaluate"),
+                                               ("audit", "audit_flags")])
+    def test_directory_report_refused_before_any_work(self, command, work, dataset,
+                                                      checkpoint, tmp_path, capsys,
+                                                      monkeypatch):
+        """A --report that names an existing directory gives one error line
+        naming --report, before the checkpoint is read, and leaves no
+        temporary file."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --report was checked")
+
+        monkeypatch.setattr(hz, work, no_work)
+        monkeypatch.setattr(mdl, "load_checkpoint", no_work)
+        report = tmp_path / "reports"
+        report.mkdir()
+        assert run([command, "--checkpoint", checkpoint, "--data", dataset,
+                    "--report", str(report)]) == 1
+        assert f"--report {report} is a directory" in single_error_line(capsys)
+        assert os.listdir(tmp_path) == ["reports"] and os.listdir(report) == []
 
 
 class TestAuditCmd:

@@ -1,3 +1,4 @@
+import os
 import re
 from dataclasses import fields
 
@@ -800,3 +801,14 @@ class TestAblation:
         lines = table.splitlines()
         assert len(lines) == 5  # header, rule, three rows
         assert "ap50" in lines[0] and "fn_recall" in lines[0]
+
+
+class TestWriteMetricLog:
+    def test_one_json_object_per_line_replacing_old_log(self, tmp_path):
+        path = tmp_path / "train_log.jsonl"
+        path.write_text("a longer log that the new one replaces entirely\n" * 4)
+        hz.write_metric_log(path, [{"iter": 1, "loss": 0.5, "lr": 0.001},
+                                   {"iter": 2, "loss": float("nan"), "lr": 0.001}])
+        assert path.read_text() == ('{"iter": 1, "loss": 0.5, "lr": 0.001}\n'
+                                    '{"iter": 2, "loss": NaN, "lr": 0.001}\n')
+        assert os.listdir(tmp_path) == ["train_log.jsonl"]

@@ -1,5 +1,7 @@
 import os
 import struct
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -442,6 +444,7 @@ class TestCheckpoint:
         with pytest.raises(AttributeError):
             mdl.save_checkpoint(path, broken, meta={"note": "new"})
         assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.srpn"]
 
     @pytest.mark.parametrize("name", ["ckpt64.srpn", "ckpt128.srpn"])
     def test_committed_benchmark_checkpoints_resave_byte_identical(self, name, tmp_path):
@@ -450,3 +453,117 @@ class TestCheckpoint:
         mdl.save_checkpoint(tmp_path / name, loaded, meta=meta)
         with open(src, "rb") as f:
             assert (tmp_path / name).read_bytes() == f.read()
+
+
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestWriteFile:
+    @pytest.fixture
+    def closes(self, monkeypatch):
+        """Each descriptor write_file hands to its closer: the bytes it reads,
+        its link count and the thread that closes it. `done` is set after a
+        close."""
+        seen, done = [], threading.Event()
+        close = mdl._close_old
+
+        def recording_close(fd):
+            seen.append((os.pread(fd, 64, 0), os.fstat(fd).st_nlink,
+                         threading.get_ident()))
+            close(fd)
+            done.set()
+
+        monkeypatch.setattr(mdl, "_close_old", recording_close)
+        return seen, done
+
+    @pytest.fixture
+    def no_threads(self, monkeypatch):
+        """write_file may start no thread: one would raise AssertionError."""
+        def no_thread(*args, **kwargs):
+            raise AssertionError("write_file started a thread")
+
+        monkeypatch.setattr(mdl, "threading", types.SimpleNamespace(Thread=no_thread))
+
+    def test_rewrite_releases_old_file_on_another_thread(self, closes, tmp_path):
+        seen, done = closes
+        path = tmp_path / "out.json"
+        mdl.write_file(path, [b"old bytes"])
+        fds = open_fds()
+        mdl.write_file(path, [b"new"])
+        assert path.read_bytes() == b"new"
+        assert done.wait(timeout=30)
+        [(held_bytes, links, closer)] = seen
+        # the held descriptor is the replaced file, no longer linked anywhere
+        assert held_bytes == b"old bytes" and links == 0
+        assert closer != threading.get_ident()
+        assert open_fds() == fds
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_new_path_holds_nothing_and_starts_no_thread(self, closes, no_threads,
+                                                        tmp_path):
+        fds = open_fds()
+        mdl.write_file(tmp_path / "new.json", [b"data"])
+        assert (tmp_path / "new.json").read_bytes() == b"data"
+        assert closes[0] == [] and open_fds() == fds
+
+    def test_directory_path_raises_and_leaves_nothing(self, closes, tmp_path):
+        target = tmp_path / "report"
+        target.mkdir()
+        fds = open_fds()
+        with pytest.raises(IsADirectoryError):
+            mdl.write_file(target, [b"data"])
+        assert closes[0] == [] and open_fds() == fds
+        assert os.listdir(tmp_path) == ["report"]
+
+    def test_chunks_are_concatenated_and_a_failing_producer_keeps_old_bytes(
+            self, closes, tmp_path):
+        path = tmp_path / "out.json"
+        mdl.write_file(path, iter([b"ab", b"", b"cd"]))
+        assert path.read_bytes() == b"abcd"
+
+        def failing_chunks():
+            yield b"partial"
+            raise ValueError("producer failed")
+
+        fds = open_fds()
+        with pytest.raises(ValueError, match="producer failed"):
+            mdl.write_file(path, failing_chunks())
+        assert path.read_bytes() == b"abcd" and closes[0] == [] and open_fds() == fds
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_failed_replace_closes_held_file_and_keeps_old_bytes(self, closes, tmp_path,
+                                                                 monkeypatch):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old")
+        fds = open_fds()
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            mdl.write_file(path, [b"new"])
+        assert closes[0] == [] and open_fds() == fds
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_fifo_is_replaced_without_blocking(self, no_threads, tmp_path):
+        """A FIFO is not a regular file: it is opened without blocking, not
+        held, and replaced like any other path."""
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        errors = []
+
+        def write():
+            try:
+                mdl.write_file(path, [b"data"])
+            except BaseException as e:
+                errors.append(e)
+
+        worker = threading.Thread(target=write, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive() and errors == []
+        assert path.read_bytes() == b"data"
