@@ -11,6 +11,7 @@ similar — the regime where dropped annotations look just like kept ones.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -62,32 +63,48 @@ def ellipse_bounds(e: EllipseSpec) -> tuple[float, float, float, float]:
     return e.cx - half_x, e.cy - half_y, e.cx + half_x, e.cy + half_y
 
 
-def _coverage(e: EllipseSpec, height: int, width: int) -> np.ndarray:
-    """Per-pixel area fraction covered by the ellipse (supersampled)."""
+def _coverage(e: EllipseSpec, height: int, width: int
+              ) -> tuple[int, int, int, int, np.ndarray]:
+    """Per-pixel area fraction covered by the ellipse (supersampled), over
+    its clipped bounding window (y0, y1, x0, x1) only; every pixel outside
+    the window has coverage 0. The window may be empty."""
     ss = SUPERSAMPLE
     bx1, by1, bx2, by2 = ellipse_bounds(e)
     y0, y1 = max(0, int(by1) - 1), min(height, int(by2) + 2)
     x0, x1 = max(0, int(bx1) - 1), min(width, int(bx2) + 2)
-    cov = np.zeros((height, width))
     if y0 >= y1 or x0 >= x1:
-        return cov
-    ys = (np.arange(y0 * ss, y1 * ss) + 0.5) / ss
-    xs = (np.arange(x0 * ss, x1 * ss) + 0.5) / ss
-    yy, xx = np.meshgrid(ys - e.cy, xs - e.cx, indexing="ij")
+        return y0, y0, x0, x0, np.zeros((0, 0))
+    dy = (np.arange(y0 * ss, y1 * ss) + 0.5) / ss - e.cy
+    dx = (np.arange(x0 * ss, x1 * ss) + 0.5) / ss - e.cx
     c, s = math.cos(e.theta), math.sin(e.theta)
-    u = (xx * c + yy * s) / e.ax
-    v = (-xx * s + yy * c) / e.ay
-    inside = (u * u + v * v <= 1.0).astype(np.float64)
-    cov[y0:y1, x0:x1] = inside.reshape(y1 - y0, ss, x1 - x0, ss).mean(axis=(1, 3))
-    return cov
+    # rotated sample coordinates from 1-D row and column terms; each sample
+    # gets the same two products and the same sum as on a 2-D grid
+    u = np.add.outer(dy * s, dx * c)
+    u /= e.ax
+    v = np.subtract.outer(dy * c, dx * s)
+    v /= e.ay
+    u *= u
+    v *= v
+    u += v
+    inside = u <= 1.0
+    # each sample is 0 or 1, so its count over the ss x ss block is exact in
+    # any order: sum each pixel's rows of samples, then its columns
+    h, w = y1 - y0, x1 - x0
+    count = inside.reshape(h, ss, w * ss).sum(axis=1, dtype=np.uint8)
+    count = count.reshape(h, w, ss).sum(axis=2)
+    return y0, y1, x0, x1, count / (ss * ss)
 
 
 def render_noiseless(spec: SceneSpec) -> np.ndarray:
-    """Paint ellipses over the background in list order; overlaps are opaque."""
+    """Paint ellipses over the background in list order; overlaps are opaque.
+    Each ellipse blends only its own window: outside it the coverage is 0,
+    which would leave every pixel as it is."""
     img = np.full((spec.height, spec.width), BACKGROUND)
     for e in spec.objects:
-        cov = _coverage(e, spec.height, spec.width)
-        img = img * (1.0 - cov) + e.intensity * cov
+        y0, y1, x0, x1, cov = _coverage(e, spec.height, spec.width)
+        win = img[y0:y1, x0:x1]
+        win *= 1.0 - cov
+        win += e.intensity * cov
     return img
 
 
@@ -115,26 +132,31 @@ def scene_size_ok(size: int) -> bool:
 MIN_SCENE_SIZE = next(s for s in itertools.count(1) if scene_size_ok(s))
 
 
+def _uniform(low, high, u):
+    """Map standard uniforms u onto [low, high) as Generator.uniform does."""
+    return low + (high - low) * u
+
+
 def random_scene(height: int, width: int, seed: int,
                  noise_sigma: float = 0.04) -> SceneSpec:
     """Draw a random dense scene: each ellipse is randomly brighter or
     darker than the background by a contrast drawn from CONTRAST_RANGE."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(N_OBJECTS_RANGE[0], N_OBJECTS_RANGE[1] + 1))
-    objects = []
-    for _ in range(n):
-        a1 = float(rng.uniform(*AXES_RANGE))
-        a2 = float(rng.uniform(*AXES_RANGE))
-        margin = max(a1, a2) + EDGE_GAP
-        contrast = float(rng.uniform(*CONTRAST_RANGE))
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        objects.append(EllipseSpec(
-            cy=float(rng.uniform(margin, height - margin)),
-            cx=float(rng.uniform(margin, width - margin)),
-            ay=a1, ax=a2,
-            theta=float(rng.uniform(0.0, math.pi)),
-            intensity=float(np.clip(BACKGROUND + sign * contrast, 0.02, 0.98)),
-        ))
+    # one draw of all seven uniforms per ellipse, each mapped as
+    # Generator.uniform maps it: the same stream and the same floats as
+    # seven scalar draws in turn
+    a1, a2, contrast, sign_u, cy, cx, theta = rng.random((n, 7)).T
+    a1, a2 = _uniform(*AXES_RANGE, a1), _uniform(*AXES_RANGE, a2)
+    margin = np.maximum(a1, a2) + EDGE_GAP
+    contrast = _uniform(*CONTRAST_RANGE, contrast)
+    sign = np.where(sign_u < 0.5, 1.0, -1.0)
+    cy = _uniform(margin, height - margin, cy)
+    cx = _uniform(margin, width - margin, cx)
+    theta = _uniform(0.0, math.pi, theta)
+    intensity = np.clip(BACKGROUND + sign * contrast, 0.02, 0.98)
+    fields = np.stack([cy, cx, a1, a2, theta, intensity], axis=1)
+    objects = [EllipseSpec(*row) for row in fields.tolist()]
     return SceneSpec(height=height, width=width, objects=objects,
                      noise_sigma=noise_sigma, seed=seed)
 
@@ -198,11 +220,25 @@ def generate_benchmark(n_images: int, image_size: int, drop_rate: float,
     return records
 
 
+@contextlib.contextmanager
+def rewrite_in_place(path, mode: str = "wb"):
+    """Open path for writing without truncating it, and on a clean exit cut
+    it to what was written. An existing file keeps the blocks its new content
+    overwrites: on ext4 mounted with `discard`, a truncating open of an
+    allocated file waits tens of milliseconds for its blocks to be freed,
+    while a rewrite of the same length frees none. Like a truncating open,
+    a failure part-way leaves a partial file."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode) as f:
+        yield f
+        f.truncate()
+
+
 def save_dataset(directory, records: Sequence[ImageRecord]):
     """Write PGM images plus two COCO-lite files: train.json (kept boxes)
     and the dropped.json sidecar (withheld boxes); their union is the full
     ground truth. Each file lists every image and numbers its
-    [x, y, width, height] annotations from 1."""
+    [x, y, width, height] annotations from 1. Files of an earlier dataset in
+    directory are rewritten in place (see rewrite_in_place)."""
     directory = str(directory)
     os.makedirs(os.path.join(directory, "images"), exist_ok=True)
     for rec in records:
@@ -218,7 +254,7 @@ def save_dataset(directory, records: Sequence[ImageRecord]):
             for bbox in xywh.tolist():
                 annotations.append({"id": len(annotations) + 1, "image_id": rec.image_id,
                                     "bbox": bbox, "category_id": 1})
-        with open(os.path.join(directory, f"{name}.json"), "w") as f:
+        with rewrite_in_place(os.path.join(directory, f"{name}.json"), "w") as f:
             json.dump({"images": images, "annotations": annotations,
                        "categories": [{"id": 1, "name": "flake"}]}, f, indent=1)
 
@@ -269,13 +305,14 @@ def dequantize_image(q: np.ndarray) -> np.ndarray:
 
 
 def write_pgm(path, img: np.ndarray):
-    """Binary P5 graymap, 16-bit big-endian samples."""
+    """Binary P5 graymap, 16-bit big-endian samples; an existing file is
+    rewritten in place (see rewrite_in_place)."""
     img = np.asarray(img)
     if img.ndim == 3:
         img = img[..., 0]
     q = img.astype(np.uint16) if img.dtype == np.uint16 else quantize_image(img)
     h, w = q.shape
-    with open(path, "wb") as f:
+    with rewrite_in_place(path) as f:
         f.write(f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii"))
         f.write(q.astype(">u2").tobytes())
 

@@ -5,6 +5,7 @@ import re
 import struct
 import warnings
 
+import numpy as np
 import pytest
 
 from softrpn import cli
@@ -88,11 +89,28 @@ def checkpoint(dataset, fast_config, tmp_path_factory):
 
 class TestSynth:
     def test_same_seed_byte_identical(self, tmp_path):
+        """Also when synth runs again into a directory it already wrote."""
         a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
+        digests = []
+        for out in (a, b, a):
             assert run(["synth", "--out", str(out), "--images", "6",
                         "--seed", "11"]) == 0
-        assert tree_digest(a) == tree_digest(b)
+            digests.append(tree_digest(out))
+        assert digests[0] == digests[1] == digests[2]
+
+    def test_smaller_synth_over_larger_loads_the_new_dataset(self, tmp_path):
+        """Rewriting in place leaves no stale tail: a second synth with
+        another seed and fewer images loads back as that dataset."""
+        out = tmp_path / "bench"
+        assert run(["synth", "--out", str(out), "--images", "8", "--seed", "0"]) == 0
+        assert run(["synth", "--out", str(out), "--images", "3", "--seed", "5"]) == 0
+        want = dat.generate_benchmark(3, 64, 0.3, seed=5)
+        got = dat.load_dataset(out)
+        assert [r.file_name for r in got] == [r.file_name for r in want]
+        for a, b in zip(got, want):
+            assert a.image.tobytes() == b.image.tobytes()
+            np.testing.assert_allclose(a.kept, b.kept, atol=1e-9)
+            np.testing.assert_allclose(a.dropped, b.dropped, atol=1e-9)
 
     def test_drop_rate_zero_train_equals_full(self, tmp_path):
         """With nothing withheld the sidecar is empty, so train.json alone is

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -83,6 +84,137 @@ class TestSynthesizeScene:
         assert img.min() >= 0.0 and img.max() <= 1.0
 
 
+def coverage_oracle(e: EllipseSpec, height: int, width: int) -> np.ndarray:
+    """Full-frame supersampled coverage as the renderer once computed it:
+    a frame-sized array, two meshgrids and a 4-D mean."""
+    ss = dat.SUPERSAMPLE
+    bx1, by1, bx2, by2 = dat.ellipse_bounds(e)
+    y0, y1 = max(0, int(by1) - 1), min(height, int(by2) + 2)
+    x0, x1 = max(0, int(bx1) - 1), min(width, int(bx2) + 2)
+    cov = np.zeros((height, width))
+    if y0 >= y1 or x0 >= x1:
+        return cov
+    ys = (np.arange(y0 * ss, y1 * ss) + 0.5) / ss
+    xs = (np.arange(x0 * ss, x1 * ss) + 0.5) / ss
+    yy, xx = np.meshgrid(ys - e.cy, xs - e.cx, indexing="ij")
+    c, s = math.cos(e.theta), math.sin(e.theta)
+    u = (xx * c + yy * s) / e.ax
+    v = (-xx * s + yy * c) / e.ay
+    inside = (u * u + v * v <= 1.0).astype(np.float64)
+    cov[y0:y1, x0:x1] = inside.reshape(y1 - y0, ss, x1 - x0, ss).mean(axis=(1, 3))
+    return cov
+
+
+def render_oracle(spec: SceneSpec) -> np.ndarray:
+    """Whole-frame blend of every ellipse, in list order."""
+    img = np.full((spec.height, spec.width), dat.BACKGROUND)
+    for e in spec.objects:
+        cov = coverage_oracle(e, spec.height, spec.width)
+        img = img * (1.0 - cov) + e.intensity * cov
+    return img
+
+
+def random_scene_oracle(height: int, width: int, seed: int,
+                        noise_sigma: float = 0.04) -> SceneSpec:
+    """random_scene as seven scalar draws per ellipse."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(dat.N_OBJECTS_RANGE[0], dat.N_OBJECTS_RANGE[1] + 1))
+    objects = []
+    for _ in range(n):
+        a1 = float(rng.uniform(*dat.AXES_RANGE))
+        a2 = float(rng.uniform(*dat.AXES_RANGE))
+        margin = max(a1, a2) + dat.EDGE_GAP
+        contrast = float(rng.uniform(*dat.CONTRAST_RANGE))
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        objects.append(EllipseSpec(
+            cy=float(rng.uniform(margin, height - margin)),
+            cx=float(rng.uniform(margin, width - margin)),
+            ay=a1, ax=a2,
+            theta=float(rng.uniform(0.0, math.pi)),
+            intensity=float(np.clip(dat.BACKGROUND + sign * contrast, 0.02, 0.98)),
+        ))
+    return SceneSpec(height=height, width=width, objects=objects,
+                     noise_sigma=noise_sigma, seed=seed)
+
+
+@st.composite
+def edge_scenes(draw):
+    """Ellipses with centres near and past every frame edge, any axes in and
+    beyond AXES_RANGE, any angle, plus one ellipse wholly above the frame."""
+    height, width = draw(st.sampled_from([(24, 24), (64, 64), (72, 72), (48, 96)]))
+    pad = 2 * dat.AXES_RANGE[1]
+    ellipse = st.builds(
+        EllipseSpec,
+        cy=st.floats(-pad, height + pad), cx=st.floats(-pad, width + pad),
+        ay=st.floats(0.5, pad), ax=st.floats(0.5, pad),
+        theta=st.floats(0.0, math.pi), intensity=st.floats(0.0, 1.0))
+    objects = draw(st.lists(ellipse, max_size=8))
+    outside = EllipseSpec(cy=-(pad + 3.0), cx=draw(st.floats(0.0, width)),
+                          ay=pad, ax=pad, theta=draw(st.floats(0.0, math.pi)),
+                          intensity=0.9)
+    objects.insert(draw(st.integers(0, len(objects))), outside)
+    return SceneSpec(height=height, width=width, objects=objects,
+                     noise_sigma=0.0, seed=0), outside
+
+
+class TestRenderOracle:
+    @given(case=edge_scenes())
+    @settings(max_examples=150, deadline=None)
+    def test_window_render_equals_full_frame_blend(self, case):
+        """Blending each ellipse only inside its window gives every pixel the
+        float the full-frame blend gives it, edges and empty windows too."""
+        spec, outside = case
+        assert not coverage_oracle(outside, spec.height, spec.width).any()
+        got = dat.render_noiseless(spec)
+        want = render_oracle(spec)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+
+    @pytest.mark.parametrize("height,width", [(24, 24), (64, 64), (128, 128), (48, 96)])
+    def test_scene_draws_equal_scalar_draws(self, height, width):
+        """Drawing every ellipse's uniforms at once returns the same specs,
+        float for float, as seven scalar draws per ellipse."""
+        for seed in range(150):
+            got = dat.random_scene(height, width, seed=seed)
+            want = random_scene_oracle(height, width, seed=seed)
+            assert got == want, seed
+            assert all(type(v) is float for e in got.objects
+                       for v in vars(e).values())
+
+
+# sha256 of the image, kept-box and dropped-box bytes of every record of
+# generate_benchmark(images, size, 0.3, seed), concatenated in record order;
+# recorded with the full-frame renderer and scalar scene draws
+GENERATED_DIGESTS = {
+    (24, 30, 5): ("f791c6def605bfcd75b50095d02ae6e4911d7e58a96bcb06e3833ef3d3e4da8f",
+                  "1861b598473c872c9cf0ad8cc0f69ec60adbda615461242c72267467ea2d94fd",
+                  "ae009b8a63b56f950473984204d8ec8e563b8bfd7397a0acd66d31f83d4d6241"),
+    (64, 40, 1000003): ("da685aaea15d058382f1997c0e40438580975b0259afbc7ce11ec10fcb57ba45",
+                        "6bc09a9b7f96841633dad2fcb35ccd3440548cf4b832e5d3900f145f38a2a446",
+                        "7f4d46b0439deb1094ba69a56016e61251db66fa9515ba34d738bcaab9a44e18"),
+    (72, 10, 7): ("bcb4b70a222ba0a87df2e47ee5b796100ae223b48b27e77a66934426fdf981eb",
+                  "6bb23edc13019e8104e5c679aedfe7f355735e3f8b429182e29e573d157d507d",
+                  "465152fecd6451e540968551b79795a5bacf9123fc68d80b0997afdab67b7745"),
+    (128, 12, 2): ("3244253d258fd80c24ce1509386b81c0f2965a9c2a8f2d3deb10753de85963fd",
+                   "c2d92198b625bb7e3b92a4cde9bcc0e8327270c337b0787fdd5bbc274af81953",
+                   "6ce9fb3ba2376c983e7124587ddb414ab3ae946c7082bc806f92669e1597aa83"),
+}
+
+
+@pytest.mark.parametrize("size,images,seed", sorted(GENERATED_DIGESTS))
+def test_generated_data_pinned(size, images, seed):
+    """The generated benchmark does not drift, on square scenes of 24, 64,
+    72 (not a multiple of 16) and 128 px."""
+    records = dat.generate_benchmark(images, size, 0.3, seed=seed)
+    digests = []
+    for attr in ("image", "kept", "dropped"):
+        h = hashlib.sha256()
+        for rec in records:
+            h.update(getattr(rec, attr).tobytes())
+        digests.append(h.hexdigest())
+    assert tuple(digests) == GENERATED_DIGESTS[(size, images, seed)]
+
+
 class TestDropAnnotations:
     BOXES = np.array([[i, i, i + 5, i + 5] for i in range(10)], dtype=np.float64)
 
@@ -160,6 +292,47 @@ class TestPgm:
         path.write_bytes(b"P6 2 2 255 junkjunkjunk")
         with pytest.raises(ValueError):
             dat.read_pgm(path)
+
+
+class TestRewriteInPlace:
+    def test_shorter_content_leaves_exactly_its_bytes(self, tmp_path):
+        path = tmp_path / "f.bin"
+        with dat.rewrite_in_place(path) as f:
+            f.write(b"0123456789" * 100)
+        with dat.rewrite_in_place(path) as f:
+            f.write(b"abc")
+        assert path.read_bytes() == b"abc"
+        with dat.rewrite_in_place(path, "w") as f:
+            f.write("xy")
+        assert path.read_bytes() == b"xy"
+
+    def test_smaller_pgm_over_larger(self, tmp_path, rng):
+        path, fresh = tmp_path / "img.pgm", tmp_path / "fresh.pgm"
+        dat.write_pgm(path, rng.random((64, 64)))
+        small = rng.random((24, 32))
+        dat.write_pgm(path, small)
+        dat.write_pgm(fresh, small)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_save_dataset_opens_every_file_without_truncating(self, tmp_path,
+                                                              monkeypatch):
+        """Each image and both COCO-lite files are overwritten, never
+        truncated on open: a truncating open of an allocated file waits for
+        its blocks to be freed."""
+        records = dat.generate_benchmark(2, 64, 0.3, seed=1)
+        opened = {}
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened[os.path.relpath(path, tmp_path)] = flags
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        dat.save_dataset(tmp_path, records)
+        assert sorted(opened) == sorted(
+            ["train.json", "dropped.json"]
+            + [os.path.join("images", rec.file_name) for rec in records])
+        assert not any(flags & os.O_TRUNC for flags in opened.values())
 
 
 def random_boxes(gen) -> np.ndarray:
