@@ -98,10 +98,10 @@ class Tensor:
             for p, gp in zip(node._prev, node._backward(g)):
                 if gp is None:
                     continue
-                if id(p) in grads:
-                    grads[id(p)] += gp
-                else:
-                    grads[id(p)] = gp
+                # out of place: a backward may hand one array (or views of
+                # it) to several parents, so adding into it in place would
+                # change a sibling's gradient too
+                grads[id(p)] = grads[id(p)] + gp if id(p) in grads else gp
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -18,7 +18,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -382,11 +382,76 @@ def _field(path, where: str, rec: dict, key: str, ok, want: str):
 _INT = "an integer"
 
 
+def _check_images(path, items: list[dict]):
+    """Every check of the images, field by field; raises a CocoFormatError
+    naming the first image and field that fails."""
+    image_ids = set()
+    for i, rec in enumerate(items):
+        where = f"images[{i}]"
+        image_id = _field(path, where, rec, "id", _is_int, _INT)
+        _field(path, where, rec, "file_name", _is_plain_name,
+               "a plain file name inside images/")
+        _field(path, where, rec, "height", _is_int, _INT)
+        _field(path, where, rec, "width", _is_int, _INT)
+        if image_id in image_ids:     # its boxes would go to both images
+            raise CocoFormatError(f"{path}: {where}: duplicate id {image_id}")
+        image_ids.add(image_id)
+    raise CocoFormatError(f"{path}: 'images' hold a value that is not plain JSON")
+
+
+def _check_annotation(path, i: int, rec: dict, image_ids: set):
+    """Every check of annotations[i], field by field; raises a
+    CocoFormatError naming it and the first field that fails."""
+    ann_id = _field(path, f"annotations[{i}]", rec, "id", _is_int, _INT)
+    where = f"annotations[{i}] (id {ann_id})"
+    image_id = _field(path, where, rec, "image_id", _is_int, _INT)
+    if image_id not in image_ids:
+        raise CocoFormatError(f"{path}: {where}: dangling image_id {image_id}")
+    _field(path, where, rec, "bbox", _is_bbox,
+           "four finite numbers [x, y, width, height], width and height >= 0")
+    if "category_id" in rec:
+        _field(path, where, rec, "category_id", _is_int, _INT)
+
+
+def _annotation_boxes(annotations: list[dict], image_ids: set
+                      ) -> Optional[tuple[list[int], np.ndarray]]:
+    """The image id and corner-form box of every annotation, in file order,
+    or None when some annotation fails a check of _check_annotation. Checks
+    the types in one pass and the numbers in bulk: JSON gives exact ints,
+    floats, bools and strings, so a type test accepts what _is_int and
+    _is_bbox accept."""
+    owners, coords = [], []
+    try:
+        for rec in annotations:
+            image_id, bbox = rec["image_id"], rec["bbox"]
+            if not (type(rec["id"]) is int and type(image_id) is int
+                    and image_id in image_ids and type(rec.get("category_id", 1)) is int
+                    and type(bbox) is list and len(bbox) == 4):
+                return None
+            owners.append(image_id)
+            coords += bbox
+    except KeyError:
+        return None
+    if not set(map(type, coords)) <= {int, float}:
+        return None
+    try:
+        xywh = np.array(coords, dtype=np.float64).reshape(-1, 4)
+    except OverflowError:         # an int beyond the float range
+        return None
+    xy, wh = xywh[:, :2], xywh[:, 2:]
+    with np.errstate(over="ignore", invalid="ignore"):     # checked just below
+        corners = np.concatenate([xy, xy + wh], axis=1)
+    if not (np.isfinite(xywh).all() and (wh >= 0).all() and np.isfinite(corners).all()):
+        return None
+    return owners, corners
+
+
 def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.ndarray]]:
     """Read a COCO-lite file, checking every field the dataset uses; any
-    failure is a CocoFormatError naming the file and the field. Returns the
-    images in file order as (id, file_name, height, width) and, per annotated
-    image id, its corner-form (G, 4) boxes in file order."""
+    failure is a CocoFormatError naming the file and the field (the first
+    failing annotation, for annotations). Returns the images in file order
+    as (id, file_name, height, width) and, per annotated image id, its
+    corner-form (G, 4) boxes in file order."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -394,31 +459,23 @@ def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.n
         raise CocoFormatError(f"{path}: malformed JSON ({e})") from e
     if not isinstance(doc, dict):
         raise CocoFormatError(f"{path}: the top level must be a JSON object")
-    images, image_ids = [], set()
-    for i, rec in enumerate(_objects(path, doc, "images")):
-        where = f"images[{i}]"
-        image_id = _field(path, where, rec, "id", _is_int, _INT)
-        images.append((image_id,
-                       _field(path, where, rec, "file_name", _is_plain_name,
-                              "a plain file name inside images/"),
-                       _field(path, where, rec, "height", _is_int, _INT),
-                       _field(path, where, rec, "width", _is_int, _INT)))
-        if image_id in image_ids:     # its boxes would go to both images
-            raise CocoFormatError(f"{path}: {where}: duplicate id {image_id}")
-        image_ids.add(image_id)
-    grouped: dict[int, list] = {}
-    for i, rec in enumerate(_objects(path, doc, "annotations")):
-        ann_id = _field(path, f"annotations[{i}]", rec, "id", _is_int, _INT)
-        where = f"annotations[{i}] (id {ann_id})"
-        image_id = _field(path, where, rec, "image_id", _is_int, _INT)
-        if image_id not in image_ids:
-            raise CocoFormatError(f"{path}: {where}: dangling image_id {image_id}")
-        bbox = _field(path, where, rec, "bbox", _is_bbox,
-                      "four finite numbers [x, y, width, height], width and height >= 0")
-        _field(path, where, {"category_id": 1, **rec}, "category_id", _is_int, _INT)
-        grouped.setdefault(image_id, []).append([float(v) for v in bbox])
-    boxes = {}
-    for image_id, rows in grouped.items():
-        b = np.array(rows)
-        boxes[image_id] = np.concatenate([b[:, :2], b[:, :2] + b[:, 2:]], axis=1)
-    return images, boxes
+    items = _objects(path, doc, "images")
+    images = [(r.get("id"), r.get("file_name"), r.get("height"), r.get("width"))
+              for r in items]
+    if not all(type(i) is int and type(h) is int and type(w) is int and _is_plain_name(f)
+               for i, f, h, w in images):
+        _check_images(path, items)
+    image_ids = {im[0] for im in images}
+    if len(image_ids) < len(images):
+        _check_images(path, items)
+    annotations = _objects(path, doc, "annotations")
+    checked = _annotation_boxes(annotations, image_ids)
+    if checked is None:
+        for i, rec in enumerate(annotations):
+            _check_annotation(path, i, rec, image_ids)
+        raise CocoFormatError(f"{path}: 'annotations' hold a value that is not plain JSON")
+    owners, corners = checked
+    rows: dict[int, list[int]] = {}
+    for row, image_id in enumerate(owners):
+        rows.setdefault(image_id, []).append(row)
+    return images, {image_id: corners[r] for image_id, r in rows.items()}

@@ -45,36 +45,59 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def match_anchors(anchors: np.ndarray, gt: np.ndarray, pos_thresh: float,
+def match_anchors(anchors: np.ndarray, gts: Sequence[np.ndarray], pos_thresh: float,
                   neg_thresh: float) -> tuple[np.ndarray, np.ndarray]:
-    """Label (N, 4) anchors against (G, 4) ground truth: returns labels
-    (N,), 1 positive / 0 negative / -1 ignore, and (N, 4) delta targets,
-    zero except on positive rows.
+    """Label (N, 4) anchors against the (G_i, 4) ground truth of each of B
+    images that share them: returns labels (B, N), 1 positive / 0 negative /
+    -1 ignore, and (B, N, 4) delta targets, zero except on positive rows.
 
     Positive when max-IoU >= pos_thresh, or when the anchor is (within 1e-9
     of) the best anchor for some gt box, so every annotated object owns at
     least one positive; a positive regresses to its best box, or to the last
-    box it is forced by. Negative when max-IoU < neg_thresh. With no gt,
-    everything is negative.
+    box it is forced by. Negative when max-IoU < neg_thresh. An image with
+    no gt is all negative.
+
+    The annotated images are labelled together: their boxes are padded to
+    the largest count with (0, 0, 0, 0), whose IoU with every anchor (all of
+    positive area) is exactly 0, so a padding box is never forced, never
+    beats a real box and, as argmax keeps the first of tied indices, is
+    never assigned. Every IoU and every target is the float a one-image call
+    computes.
     """
     if pos_thresh <= neg_thresh:
         raise GeometryError("pos_thresh must exceed neg_thresh")
-    labels = np.zeros(len(anchors), dtype=np.int64)
-    targets = np.zeros((len(anchors), 4))
-    if not len(gt):
+    if any(g.ndim != 2 or g.shape[1] != 4 for g in gts):
+        raise GeometryError("each image's ground truth must be a (G, 4) array")
+    labels = np.zeros((len(gts), len(anchors)), dtype=np.int64)
+    targets = np.zeros((len(gts), len(anchors), 4))
+    counts = np.array([len(g) for g in gts], dtype=np.intp)
+    annotated = np.flatnonzero(counts)
+    if not len(annotated):
         return labels, targets
-    m = iou_matrix(anchors, gt)
+    g_max = int(counts.max())
+    padded = np.zeros((len(annotated), g_max, 4))
+    for row, b in enumerate(annotated):
+        padded[row, :counts[b]] = gts[b]
+    # (B', G_max, N): image by box by anchor. IoU is symmetric float for
+    # float (+, min and max commute), so this is iou_matrix(anchors, gt).T.
+    m = iou_matrix(padded.reshape(-1, 4), anchors).reshape(len(annotated), g_max, -1)
     best_iou = m.max(axis=1)
-    labels[best_iou >= pos_thresh] = 1
-    labels[(best_iou >= neg_thresh) & (best_iou < pos_thresh)] = -1
-    gt_best = m.max(axis=0)
-    forced = (m >= gt_best - 1e-9) & (gt_best > 0)
-    is_forced = forced.any(axis=1)
-    assigned = np.where(is_forced, len(gt) - 1 - forced[:, ::-1].argmax(axis=1),
-                        m.argmax(axis=1))
-    labels[is_forced] = 1
-    pos = labels == 1
-    targets[pos] = encode_deltas(anchors[pos], gt[assigned[pos]])
+    lab = np.zeros(best_iou.shape, dtype=np.int64)
+    lab[best_iou >= pos_thresh] = 1
+    lab[(best_iou >= neg_thresh) & (best_iou < pos_thresh)] = -1
+    gt_best = m.max(axis=2)
+    # forced: within 1e-9 of its box's best IoU, when that best is above 0
+    floor = np.where(gt_best > 0, gt_best - 1e-9, np.inf)[:, :, None]
+    lab[(m >= floor).any(axis=1)] = 1
+    image_row, anchor_idx = np.nonzero(lab == 1)
+    ious = m[image_row, :, anchor_idx]                    # (P, G_max)
+    forced = ious >= floor[image_row, :, 0]
+    # index of the last box forcing each positive, -1 where none does
+    last_forced = (forced * np.arange(1, g_max + 1)).max(axis=1) - 1
+    assigned = np.where(last_forced >= 0, last_forced, ious.argmax(axis=1))
+    labels[annotated] = lab
+    targets[annotated[image_row], anchor_idx] = encode_deltas(
+        anchors[anchor_idx], padded[image_row, assigned])
     return labels, targets
 
 

@@ -182,16 +182,38 @@ def check_extents(records: Sequence[ImageRecord]):
                 f"of {mdl.BACKBONE_STRIDE} and at least {mdl.MIN_EXTENT}")
 
 
+# Anchor-box IoUs per matching block: match_dataset labels as many images of
+# one extent together as keep anchors x images x their largest box count
+# within this many elements, so a larger grid takes fewer images per block
+# and the block's temporaries stay below 128 KiB each.
+MATCH_BLOCK = 2 ** 14
+
+
 def match_dataset(records: Sequence[ImageRecord]) -> list[MatchedImage]:
     """Label every image's anchors; each distinct extent's anchor grid is
-    built once and shared by its images."""
+    built once and shared by its images. The images of an extent are
+    labelled in blocks of at most MATCH_BLOCK IoUs (or of one image), fewest
+    boxes first, so a block's last image has its largest box count and
+    padding to it costs little."""
     grids = _anchor_grids(records)
-    out = []
-    for rec in records:
-        anchors = grids[rec.image.shape[:2]]
-        labels, targets = match_anchors(anchors, rec.kept, POS_THRESH, NEG_THRESH)
-        out.append(MatchedImage(record=rec, anchors=anchors, labels=labels,
-                                delta_targets=targets))
+    by_extent: dict[tuple[int, ...], list[int]] = {}
+    for i, rec in enumerate(records):
+        by_extent.setdefault(rec.image.shape[:2], []).append(i)
+    out: list[Optional[MatchedImage]] = [None] * len(records)
+    for extent, indices in by_extent.items():
+        anchors = grids[extent]
+        indices.sort(key=lambda i: len(records[i].kept))
+        blocks: list[list[int]] = [[]]
+        for i in indices:
+            if len(anchors) * (len(blocks[-1]) + 1) * len(records[i].kept) > MATCH_BLOCK:
+                blocks.append([])
+            blocks[-1].append(i)
+        for block in filter(None, blocks):
+            labels, targets = match_anchors(anchors, [records[i].kept for i in block],
+                                            POS_THRESH, NEG_THRESH)
+            for i, lab, tgt in zip(block, labels, targets):
+                out[i] = MatchedImage(record=records[i], anchors=anchors, labels=lab,
+                                      delta_targets=tgt)
     return out
 
 

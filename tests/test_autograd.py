@@ -286,6 +286,31 @@ class TestBackward:
         ag.tsum(ag.add(y, y)).backward()
         np.testing.assert_allclose(x.grad, 4 * x.data)
 
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("x_first", [True, False], ids=["x-first", "w-first"])
+    def test_shared_gradient_array_not_aliased(self, shape, x_first):
+        """add hands one gradient array to both of its parents. A second
+        contribution to x must not be added into that array in place, which
+        would also change the gradient of x's sibling w."""
+        x = Tensor(np.ones(shape), requires_grad=True)
+        w = Tensor(np.ones(shape), requires_grad=True)
+        xx = ag.add(x, x)
+        ag.tsum(ag.add(xx, w) if x_first else ag.add(w, xx)).backward()
+        np.testing.assert_array_equal(x.grad, np.full(shape, 2.0))
+        np.testing.assert_array_equal(w.grad, np.ones(shape))
+
+    @pytest.mark.parametrize("reshape_first", [True, False])
+    def test_reshape_view_not_aliased(self, reshape_first):
+        """reshape's gradient is a view of its input gradient; a second
+        contribution to its parent must leave the sibling's gradient alone."""
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        w = Tensor(np.ones(4), requires_grad=True)
+        y = ag.add(ag.reshape(x, (4,)), w)
+        r = ag.reshape(x, (4,))
+        ag.tsum(ag.add(r, y) if reshape_first else ag.add(y, r)).backward()
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
+        np.testing.assert_array_equal(w.grad, np.ones(4))
+
     def test_no_grad_suppresses_tape(self, rng):
         x = Tensor(rng.standard_normal(4), requires_grad=True)
         with ag.no_grad():

@@ -579,6 +579,26 @@ class TestAuditCmd:
         assert json.loads(report.read_text())["flags"] == []
 
 
+class TestReportWriter:
+    def test_bytes_equal_json_dumps_across_groups(self, tmp_path):
+        """Reports are streamed in groups of encoder tokens; the bytes are
+        those of json.dumps, however the tokens fall into groups."""
+        doc = {"t": 0.8, "flags": [{"anchor_index": i, "box": [i, 0.5, i + 16.25, 16.5],
+                                    "image_index": i % 7, "attention_score": 1 / (i + 3),
+                                    "note": "\u00e9\n" if i % 50 == 0 else ""}
+                                   for i in range(300)],
+               "empty": {}, "none": None, "nested": [[], [{}], True]}
+        want = json.dumps(doc, indent=1, sort_keys=True).encode()
+        n_tokens = sum(1 for _ in json.JSONEncoder(indent=1, sort_keys=True).iterencode(doc))
+        assert n_tokens > 3 * cli.JSON_TOKENS_PER_WRITE
+        chunks = list(cli._json_chunks(doc))
+        assert len(chunks) == -(-n_tokens // cli.JSON_TOKENS_PER_WRITE)
+        assert b"".join(chunks) == want
+        cli._atomic_write_json(tmp_path / "r.json", doc)
+        assert (tmp_path / "r.json").read_bytes() == want
+        assert os.listdir(tmp_path) == ["r.json"]
+
+
 class TestAblateCmd:
     def test_three_thresholds_three_rows(self, dataset, fast_config, tmp_path):
         out = tmp_path / "abl"

@@ -389,6 +389,9 @@ def literal_records() -> list[dat.ImageRecord]:
                 [[3.3333333333333335, 4.1, 15.9, 12.0], [0.0, 0.0, 32.0, 32.0]])]
 
 
+MISSING = object()
+
+
 class TestCocolite:
     def test_empty_dataset_shape(self, tmp_path):
         dat.save_dataset(tmp_path, [])
@@ -504,6 +507,100 @@ class TestCocolite:
                              "category_id": 1}]}))
         with pytest.raises(CocoFormatError, match="3"):
             dat.read_cocolite(path)
+
+    @staticmethod
+    def fifty_annotations():
+        """A COCO-lite doc of 5 images and 50 annotations, ids from 100."""
+        images = [{"id": i, "file_name": f"im{i}.pgm", "height": 64, "width": 64}
+                  for i in range(5)]
+        annotations = [{"id": 100 + k, "image_id": k % 5, "bbox": [k, 2.5, 3, 4.25],
+                        "category_id": 1} for k in range(50)]
+        return {"images": images, "annotations": annotations, "categories": []}
+
+    BBOX_WANT = "four finite numbers [x, y, width, height], width and height >= 0"
+
+    @pytest.mark.parametrize("k", [0, 31, 49])
+    @pytest.mark.parametrize("key, value, message", [
+        ("id", "7", "annotations[{k}]: field 'id' must be an integer, got '7'"),
+        ("id", MISSING, "annotations[{k}]: missing field 'id'"),
+        ("image_id", 5, "annotations[{k}] (id {id}): dangling image_id 5"),
+        ("image_id", 2.0, "annotations[{k}] (id {id}): field 'image_id' must be an "
+                          "integer, got 2.0"),
+        ("bbox", True, f"annotations[{{k}}] (id {{id}}): field 'bbox' must be "
+                       f"{BBOX_WANT}, got True"),
+        ("bbox", [1, True, 3, 4], "got [1, True, 3, 4]"),
+        ("bbox", "1 2 3 4", "got '1 2 3 4'"),
+        ("bbox", [1, "2", 3, 4], "got [1, '2', 3, 4]"),
+        ("bbox", [1, 2, float("inf"), 4], "got [1, 2, inf, 4]"),
+        ("bbox", [float("nan"), 2, 3, 4], "got [nan, 2, 3, 4]"),
+        ("bbox", [1, 2, -0.5, 4], "got [1, 2, -0.5, 4]"),
+        ("bbox", [1, 2, 3, -4], "got [1, 2, 3, -4]"),
+        ("bbox", [1, 2, 10 ** 400, 4], "must be " + BBOX_WANT),
+        ("bbox", [1, 2, 3], "got [1, 2, 3]"),
+        ("bbox", [1, 2, 3, 4, 5], "got [1, 2, 3, 4, 5]"),
+        ("bbox", [1e308, 2, 1e308, 4], "got [1e+308, 2, 1e+308, 4]"),
+        ("bbox", [1, -1e308, 3, -1e308], "got [1, -1e+308, 3, -1e+308]"),
+        ("bbox", MISSING, "annotations[{k}] (id {id}): missing field 'bbox'"),
+        ("category_id", 1.0, "annotations[{k}] (id {id}): field 'category_id' must be "
+                             "an integer, got 1.0"),
+        ("category_id", False, "field 'category_id' must be an integer, got False"),
+    ])
+    def test_first_bad_annotation_named(self, tmp_path, k, key, value, message):
+        """The bulk check refuses what each per-field check refuses, with the
+        message of the first bad annotation, though a later one is bad too."""
+        doc = self.fifty_annotations()
+        if value is MISSING:
+            del doc["annotations"][k][key]
+        else:
+            doc["annotations"][k][key] = value
+        if k < 49:
+            doc["annotations"][49]["bbox"] = [0, 0, -1, 1]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CocoFormatError) as e:
+            dat.read_cocolite(path)
+        where = f"{path}: annotations[{k}]"
+        assert str(e.value).startswith(where), str(e.value)
+        assert message.format(k=k, id=100 + k) in str(e.value)
+
+    def test_annotation_without_category_reads(self, tmp_path):
+        doc = self.fifty_annotations()
+        del doc["annotations"][3]["category_id"]
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(doc))
+        _, boxes = dat.read_cocolite(path)
+        assert boxes[3].tolist()[0] == [3, 2.5, 6, 6.75]
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("key, value, message", [
+        ("id", True, "images[{k}]: field 'id' must be an integer, got True"),
+        ("id", [1], "images[{k}]: field 'id' must be an integer, got [1]"),
+        ("file_name", "a/b.pgm", "images[{k}]: field 'file_name' must be a plain file "
+                                 "name inside images/, got 'a/b.pgm'"),
+        ("height", 64.0, "images[{k}]: field 'height' must be an integer, got 64.0"),
+        ("width", MISSING, "images[{k}]: missing field 'width'"),
+    ])
+    def test_first_bad_image_named(self, tmp_path, k, key, value, message):
+        doc = self.fifty_annotations()
+        if value is MISSING:
+            del doc["images"][k][key]
+        else:
+            doc["images"][k][key] = value
+        doc["images"][4]["height"] = "64"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CocoFormatError) as e:
+            dat.read_cocolite(path)
+        assert str(e.value) == f"{path}: " + message.format(k=k), str(e.value)
+
+    def test_duplicate_image_id_named(self, tmp_path):
+        doc = self.fifty_annotations()
+        doc["images"][3]["id"] = 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CocoFormatError) as e:
+            dat.read_cocolite(path)
+        assert str(e.value) == f"{path}: images[3]: duplicate id 1"
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

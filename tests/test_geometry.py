@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from softrpn.geometry import (GeometryError, decode_deltas, encode_deltas,
                               generate_anchors, iou_matrix, match_anchors)
 
+from conftest import match_one_image
+
 
 def coord_boxes(max_extent=100.0):
     coord = st.floats(0.0, max_extent, allow_nan=False)
@@ -122,24 +124,31 @@ class TestIou:
         assert iou(z, z) == 0.0
 
 
+def match_one(anchors, gt, pos_thresh, neg_thresh):
+    """match_anchors on one image (B = 1): labels (N,) and targets (N, 4)."""
+    labels, targets = match_anchors(anchors, [gt], pos_thresh, neg_thresh)
+    assert labels.shape == (1, len(anchors)) and targets.shape == (1, len(anchors), 4)
+    return labels[0], targets[0]
+
+
 class TestMatchAnchors:
     def test_empty_gt_all_negative(self):
         anchors = generate_anchors(2, 2, 8, [16, 32, 64])
-        labels, targets = match_anchors(anchors, np.zeros((0, 4)), 0.7, 0.3)
+        labels, targets = match_one(anchors, np.zeros((0, 4)), 0.7, 0.3)
         assert labels.tolist() == [0] * 12
         assert not targets.any() and targets.shape == (12, 4)
 
     def test_exact_match_is_positive(self):
         anchors = generate_anchors(2, 2, 8, [16, 32, 64])
-        labels, targets = match_anchors(anchors, anchors[5:6], pos_thresh=0.99,
-                                        neg_thresh=0.3)
+        labels, targets = match_one(anchors, anchors[5:6], pos_thresh=0.99,
+                                    neg_thresh=0.3)
         assert labels[5] == 1
         assert targets[5].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_matches_brute_force_oracle(self):
         anchors = generate_anchors(2, 2, 8, [16, 32, 64])
         gt = np.array([[2.0, 3.0, 15.0, 13.0]])
-        labels, targets = match_anchors(anchors, gt, 0.7, 0.3)
+        labels, targets = match_one(anchors, gt, 0.7, 0.3)
         # independent per-anchor IoU computation
         ious = [iou_oracle(a, gt[0]) for a in anchors]
         best = max(ious)
@@ -156,7 +165,7 @@ class TestMatchAnchors:
     def test_every_anchor_gets_exactly_one_label(self):
         anchors = generate_anchors(4, 4, 8, [16, 32, 64])
         gt = np.array([[1.0, 1, 17, 15], [10, 12, 30, 29]])
-        labels, targets = match_anchors(anchors, gt, 0.7, 0.3)
+        labels, targets = match_one(anchors, gt, 0.7, 0.3)
         assert labels.shape == (len(anchors),) and targets.shape == (len(anchors), 4)
         assert set(labels.tolist()) <= {-1, 0, 1}
         assert not targets[labels != 1].any()
@@ -164,7 +173,7 @@ class TestMatchAnchors:
     def test_argmax_rule_guarantees_a_positive_per_gt(self):
         anchors = generate_anchors(4, 4, 8, [16, 32, 64])
         gt = np.array([[3.0, 3.0, 9.0, 8.0]])  # awkward small box, no anchor reaches 0.7
-        labels, _ = match_anchors(anchors, gt, 0.7, 0.3)
+        labels, _ = match_one(anchors, gt, 0.7, 0.3)
         assert (labels == 1).any()
 
     def test_iou_exactly_at_a_threshold(self):
@@ -172,19 +181,19 @@ class TestMatchAnchors:
         anchors = np.array([[0.0, 0.0, 16.0, 16.0], [0.0, 0.0, 16.0, 4.8],
                             [0.0, 0.0, 16.0, 11.2]])
         assert iou_matrix(anchors, anchors[:1])[:, 0].tolist() == [1.0, 0.3, 0.7]
-        labels, _ = match_anchors(anchors, anchors[:1], 0.7, 0.3)
+        labels, _ = match_one(anchors, anchors[:1], 0.7, 0.3)
         assert labels.tolist() == [1, -1, 1]
 
     def test_box_no_anchor_overlaps_forces_no_positive(self):
         anchors = generate_anchors(2, 2, 8, [16.0])
-        labels, targets = match_anchors(anchors, np.array([[100.0, 100.0, 110.0, 110.0]]),
-                                        0.7, 0.3)
+        labels, targets = match_one(anchors, np.array([[100.0, 100.0, 110.0, 110.0]]),
+                                    0.7, 0.3)
         assert not labels.any() and not targets.any()
 
     def test_anchor_forced_by_two_boxes_regresses_to_the_later(self):
         anchors = generate_anchors(1, 1, 8, [16.0, 64.0])
         gt = np.array([[-4.0, -4.0, 12.0, 12.0], [-3.0, -4.0, 12.0, 12.0]])
-        labels, targets = match_anchors(anchors, gt, 0.9, 0.3)
+        labels, targets = match_one(anchors, gt, 0.9, 0.3)
         assert labels.tolist() == [1, 0]
         np.testing.assert_array_equal(targets[0], encode_oracle(anchors[0], gt[1]))
 
@@ -199,7 +208,7 @@ class TestMatchAnchors:
         gt = np.concatenate([xy, xy + gen.uniform(0.5, 50, size=xy.shape)], axis=1)
         copies = anchors[gen.integers(0, len(anchors), size=int(gen.integers(0, 3)))]
         gt = np.concatenate([gt, copies])              # exact copies give IoU ties
-        labels, targets = match_anchors(anchors, gt, pos_thresh, 0.3)
+        labels, targets = match_one(anchors, gt, pos_thresh, 0.3)
         want_labels, want_targets = match_oracle(anchors, gt, pos_thresh, 0.3)
         assert np.array_equal(labels, want_labels)
         assert np.array_equal(targets, want_targets)
@@ -211,14 +220,73 @@ class TestMatchAnchors:
         anchors = generate_anchors(3, 3, 8, [16, 32])
         x, y, w, h = gen.uniform(2, 12, size=(4, 3))
         gt = np.stack([x, y, x + w, y + h], axis=1)
-        lo = (match_anchors(anchors, gt, thresh, 0.3)[0] == 1).sum()
-        hi = (match_anchors(anchors, gt, min(thresh + 0.04, 0.99), 0.3)[0] == 1).sum()
+        lo = (match_one(anchors, gt, thresh, 0.3)[0] == 1).sum()
+        hi = (match_one(anchors, gt, min(thresh + 0.04, 0.99), 0.3)[0] == 1).sum()
         assert hi <= lo
 
     def test_threshold_ordering_enforced(self):
         with pytest.raises(GeometryError):
-            match_anchors(np.zeros((0, 4)), np.zeros((0, 4)), pos_thresh=0.3,
-                          neg_thresh=0.3)
+            match_anchors(np.zeros((0, 4)), [], pos_thresh=0.3, neg_thresh=0.3)
+
+
+def box_set(kind, gen, anchors, extent):
+    """One image's (G, 4) ground truth of the given kind."""
+    def boxes(n):
+        xy = gen.uniform(-4, extent, size=(n, 2))
+        return np.concatenate([xy, xy + gen.uniform(0.5, 40, size=xy.shape)], axis=1)
+    if kind == "empty":
+        return np.zeros((0, 4))
+    if kind == "one":
+        return boxes(1)
+    if kind == "many":
+        return boxes(int(gen.integers(2, 12)))
+    if kind == "ties":         # exact anchor copies, one of them twice
+        copies = anchors[gen.integers(0, len(anchors), size=int(gen.integers(1, 4)))]
+        return np.concatenate([boxes(int(gen.integers(0, 3))), copies, copies[:1]])
+    # "same_anchor": two nudged copies of one anchor, which is usually the
+    # best anchor of both, so two boxes force it
+    a = anchors[int(gen.integers(0, len(anchors)))]
+    return np.stack([a + gen.uniform(-0.5, 0.5, 4), a + gen.uniform(-0.5, 0.5, 4)])
+
+
+class TestMatchBlocks:
+    """match_anchors over several images equals match_one_image, the
+    one-image matcher, on each of them, byte for byte."""
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.sampled_from(["empty", "one", "many", "ties", "same_anchor"]),
+                    min_size=1, max_size=7),
+           st.sampled_from([0.5, 0.7, 0.9]), st.sampled_from([0.3, 0.0]),
+           st.sampled_from([1.0, 0.5]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_one_image_matcher(self, seed, kinds, pos_thresh, neg_thresh, aspect):
+        gen = np.random.default_rng(seed)
+        fh, fw = gen.integers(1, 6, size=2)
+        anchors = generate_anchors(fh, fw, 8, [16.0, 32.0, 64.0], aspect)
+        gts = [box_set(kind, gen, anchors, 8 * max(fh, fw)) for kind in kinds]
+        labels, targets = match_anchors(anchors, gts, pos_thresh, neg_thresh)
+        assert labels.shape == (len(gts), len(anchors)) and labels.dtype == np.int64
+        assert targets.shape == (len(gts), len(anchors), 4)
+        for b, gt in enumerate(gts):
+            want_labels, want_targets = match_one_image(anchors, gt, pos_thresh, neg_thresh)
+            assert labels[b].tobytes() == want_labels.tobytes()
+            assert targets[b].tobytes() == want_targets.tobytes()
+
+    def test_no_images(self):
+        labels, targets = match_anchors(generate_anchors(2, 2, 8, [16.0]), [], 0.7, 0.3)
+        assert labels.shape == (0, 4) and targets.shape == (0, 4, 4)
+
+    def test_only_empty_images_are_all_negative(self):
+        anchors = generate_anchors(2, 2, 8, [16.0])
+        labels, targets = match_anchors(anchors, [np.zeros((0, 4))] * 3, 0.7, 0.3)
+        assert not labels.any() and not targets.any() and labels.shape == (3, 4)
+
+    def test_one_box_array_is_not_a_block(self):
+        """A bare (G, 4) array reads as G images of one (4,) row each, which
+        is refused, not labelled."""
+        anchors = generate_anchors(2, 2, 8, [16.0])
+        with pytest.raises(GeometryError, match=r"\(G, 4\)"):
+            match_anchors(anchors, np.array([[0.0, 0.0, 8.0, 8.0]]), 0.7, 0.3)
 
 
 class TestDeltaCoding:

@@ -12,6 +12,8 @@ from softrpn import harness as hz
 from softrpn import model as mdl
 from softrpn.geometry import iou_matrix
 
+from conftest import match_one_image
+
 
 # A small config and dataset for fast training tests.
 def tiny_config(**over):
@@ -587,6 +589,53 @@ class TestImageSizeCheck:
                                  image=np.zeros((*shape, 1)), kept=box_array(),
                                  dropped=box_array())
         hz.check_extents([record])
+
+
+class TestMatchDataset:
+    """match_dataset labels blocks of images; every image's labels and
+    targets are those of the one-image matcher, byte for byte."""
+
+    @staticmethod
+    def assert_equals_one_image_matcher(records):
+        matched = hz.match_dataset(records)
+        assert [mi.record for mi in matched] == list(records)
+        for mi in matched:
+            assert mi.anchors.tobytes() == hz.anchors_for(mi.record.image).tobytes()
+            labels, targets = match_one_image(mi.anchors, mi.record.kept,
+                                              hz.POS_THRESH, hz.NEG_THRESH)
+            assert mi.labels.tobytes() == labels.tobytes()
+            assert mi.delta_targets.tobytes() == targets.tobytes()
+
+    @pytest.mark.parametrize("size, n_images", [(24, 30), (64, 40), (72, 20), (128, 12)])
+    def test_synth_datasets(self, size, n_images):
+        self.assert_equals_one_image_matcher(tiny_records(n_images, size=size, seed=size))
+
+    def test_two_extents_interleaved(self):
+        a, b = tiny_records(9, size=64, seed=3), tiny_records(9, size=72, seed=4)
+        self.assert_equals_one_image_matcher([r for pair in zip(a, b) for r in pair])
+
+    @pytest.mark.parametrize("block", [1, None, 2 ** 40], ids=["one-image", "default", "all"])
+    def test_blocks_bounded_and_exact(self, block, monkeypatch):
+        """Blocks stay within MATCH_BLOCK IoUs unless they hold one image,
+        and where the blocks end does not change a byte."""
+        if block is not None:
+            monkeypatch.setattr(hz, "MATCH_BLOCK", block)
+        records = tiny_records(60, drop_rate=0.0) + tiny_records(5, size=128, seed=1)
+        records[7] = dat.ImageRecord(records[7].image_id, records[7].file_name,
+                                     records[7].image, box_array(), box_array())
+        shapes = []
+        match_anchors = hz.match_anchors
+
+        def recording(anchors, gts, *args):
+            shapes.append((len(anchors), len(gts), max(len(g) for g in gts)))
+            return match_anchors(anchors, gts, *args)
+
+        monkeypatch.setattr(hz, "match_anchors", recording)
+        self.assert_equals_one_image_matcher(records)
+        assert sum(b for _, b, _ in shapes) == len(records)
+        assert all(b == 1 or n * b * g <= hz.MATCH_BLOCK for n, b, g in shapes)
+        if block is None:        # more than one block, of more than one image
+            assert len(shapes) > 2 and max(b for _, b, _ in shapes) > 1
 
 
 class TestAnchorsFromImage:
