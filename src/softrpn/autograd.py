@@ -188,13 +188,14 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 # -- linear algebra -----------------------------------------------------------
 
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """The (ho*wo, k*k*C) matrix whose rows are the k x k windows of a
-    C-contiguous (H, W, C) array, one row per output position, each row in
-    (i, j, c) order to match a (k, k, C, Cout) kernel reshaped to 2-d."""
-    s0, s1, s2 = xp.strides
-    windows = np.ndarray((ho, wo, k, k, xp.shape[2]), xp.dtype, xp, 0,
-                         (s0 * stride, s1 * stride, s0, s1, s2))
-    return windows.reshape(ho * wo, -1)
+    """The (..., ho*wo, k*k*C) matrices whose rows are the k x k windows of a
+    C-contiguous (..., H, W, C) array, one row per output position, each row
+    in (i, j, c) order to match a (k, k, C, Cout) kernel reshaped to 2-d."""
+    lead = xp.shape[:-3]
+    s0, s1, s2 = xp.strides[-3:]
+    windows = np.ndarray(lead + (ho, wo, k, k, xp.shape[-1]), xp.dtype, xp, 0,
+                         xp.strides[:-3] + (s0 * stride, s1 * stride, s0, s1, s2))
+    return windows.reshape(lead + (ho * wo, -1))
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
@@ -213,7 +214,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     node. The backward masks the upstream gradient by the ReLU, sums it over
     positions for the bias, rebuilds the column matrix rather than holding
     it, and skips the input gradient when x neither requires a gradient nor
-    has a tape (a raw image)."""
+    has a tape (a raw image).
+
+    For inference only, x may be a (B, H, W, Cin) block of images of one
+    extent. The matmul then multiplies each image's (Ho*Wo, k*k*Cin) columns
+    by the kernel in its own BLAS call, so every output float equals that
+    of the image convolved alone; one (B*Ho*Wo, k*k*Cin) product would not
+    keep that. A block raises GraphError while the tape records: summing a
+    block's kernel gradients would change their float order, so training
+    stays per image."""
     k = kernel.shape[0]
     if kernel.data.ndim != 4 or kernel.shape[1] != k:
         raise GraphError(f"kernel must be (k, k, Cin, Cout), got {kernel.shape}")
@@ -221,11 +230,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
         raise GraphError("kernel extent must be odd")
     if stride < 1 or pad < 0:
         raise GraphError("stride must be >= 1 and pad >= 0")
-    if x.data.ndim != 3 or x.shape[2] != kernel.shape[2]:
-        raise GraphError(f"input {x.shape} incompatible with kernel {kernel.shape}")
+    shape = x.data.shape
+    if len(shape) not in (3, 4) or shape[-1] != kernel.shape[2]:
+        raise GraphError(f"input {shape} incompatible with kernel {kernel.shape}")
+    lead = shape[:-3]
+    if lead and _recording:
+        raise GraphError(f"a block input {shape} runs only under no_grad")
     if bias is not None and bias.shape != kernel.shape[3:]:
         raise GraphError(f"bias {bias.shape} does not match kernel {kernel.shape}")
-    h, w, cin = x.shape
+    h, w, cin = shape[-3:]
     if h + 2 * pad < k or w + 2 * pad < k:
         raise GraphError(f"empty output extent for input {x.shape}, "
                          f"k={k}, stride={stride}, pad={pad}")
@@ -233,12 +246,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     wo = (w + 2 * pad - k) // stride + 1
     cout = kernel.shape[3]
     if pad:
-        xp = np.zeros((h + 2 * pad, w + 2 * pad, cin))
-        xp[pad:pad + h, pad:pad + w] = x.data
+        xp = np.zeros(lead + (h + 2 * pad, w + 2 * pad, cin))
+        xp[..., pad:pad + h, pad:pad + w, :] = x.data
     else:
         xp = np.ascontiguousarray(x.data)
     kmat = kernel.data.reshape(k * k * cin, cout)
-    data = (_im2col(xp, k, stride, ho, wo) @ kmat).reshape(ho, wo, cout)
+    data = (_im2col(xp, k, stride, ho, wo) @ kmat).reshape(lead + (ho, wo, cout))
     if bias is not None:
         data += bias.data
     if relu:
@@ -272,22 +285,23 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
 
 
 def anchor_scores(fe: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Grouped 1x1 scoring head: fe is (H, W, na*D), w is (na, D), b is
+    """Grouped 1x1 scoring head: fe is (..., H, W, na*D), w is (na, D), b is
     (na,). Anchor a's score at each cell reads only its own D-slice, so the
-    output (H, W, na) never mixes embeddings across anchors. Computed as a
-    broadcast multiply and a sum over D."""
+    output (..., H, W, na) never mixes embeddings across anchors. Computed
+    as a broadcast multiply and a sum over D, cell by cell, so a block of
+    images scores each image as it would alone."""
     na, d = w.shape
-    h, wd, c = fe.shape
-    if c != na * d:
-        raise GraphError(f"embedding channels {c} != na*D = {na * d}")
-    fe4 = fe.data.reshape(h, wd, na, d)
+    if fe.shape[-1] != na * d:
+        raise GraphError(f"embedding channels {fe.shape[-1]} != na*D = {na * d}")
+    fe4 = fe.data.reshape(*fe.shape[:-1], na, d)
     data = (fe4 * w.data).sum(axis=-1) + b.data
+    cells = tuple(range(fe.data.ndim - 1))
 
     def backward(g):
         g4 = g[..., None]
-        gfe = (g4 * w.data).reshape(h, wd, c)
-        gw = (fe4 * g4).sum(axis=(0, 1))
-        gb = g.sum(axis=(0, 1))
+        gfe = (g4 * w.data).reshape(fe.shape)
+        gw = (fe4 * g4).sum(axis=cells)
+        gb = g.sum(axis=cells)
         return gfe, gw, gb
 
     return _make(data, (fe, w, b), backward)

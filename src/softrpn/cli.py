@@ -1,10 +1,12 @@
 """Command-line entry point: synth / train / eval / audit / ablate.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Every command
-writes a manifest.json next to its outputs with the effective config, the
-artifact paths, the tool version, and the wall-clock duration. Outputs
-other than synth's dataset are replaced atomically through
-model.write_file.
+writes a manifest with the effective config, the artifact paths, the tool
+version, and the wall-clock duration: synth, train and ablate a
+manifest.json in their output directory, eval and audit a
+<report>.manifest.json beside their report, so reports that share a
+directory keep one manifest each. Outputs other than synth's dataset are
+replaced atomically through model.write_file.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def _atomic_write_json(path, doc):
     mdl.write_file(path, _json_chunks(doc))
 
 
-def _write_manifest(out_dir, config: hz.TrainConfig | None, artifacts: dict,
+def _write_manifest(path, config: hz.TrainConfig | None, artifacts: dict,
                     started: float, extra: dict | None = None):
     doc = {
         "tool_version": __version__,
@@ -51,7 +53,7 @@ def _write_manifest(out_dir, config: hz.TrainConfig | None, artifacts: dict,
     }
     if extra:
         doc.update(extra)
-    _atomic_write_json(os.path.join(out_dir, "manifest.json"), doc)
+    _atomic_write_json(path, doc)
 
 
 def _load_config(args) -> hz.TrainConfig:
@@ -81,7 +83,7 @@ def cmd_synth(args) -> int:
     records = dat.generate_benchmark(args.images, args.size, args.drop_rate,
                                      seed=args.seed)
     dat.save_dataset(args.out, records)
-    _write_manifest(args.out, None, {
+    _write_manifest(os.path.join(args.out, "manifest.json"), None, {
         "images_dir": "images",
         "train_annotations": "train.json",
         "dropped_sidecar": "dropped.json",
@@ -100,7 +102,7 @@ def cmd_train(args) -> int:
     ckpt = os.path.join(args.out, "checkpoint.srpn")
     mdl.save_checkpoint(ckpt, params, meta={"config": config.to_dict()})
     hz.write_metric_log(os.path.join(args.out, "train_log.jsonl"), log)
-    _write_manifest(args.out, config, {
+    _write_manifest(os.path.join(args.out, "manifest.json"), config, {
         "checkpoint": "checkpoint.srpn",
         "metric_log": "train_log.jsonl",
         "dataset": os.path.abspath(args.data),
@@ -138,14 +140,19 @@ def _load_for_report(args) -> tuple[dict, hz.TrainConfig, list[dat.ImageRecord]]
     return params, config, dat.load_dataset(args.data)
 
 
+def _write_report(args, config: hz.TrainConfig, doc, started: float):
+    """The report of eval or audit, then <report>.manifest.json naming it."""
+    _atomic_write_json(args.report, doc)
+    _write_manifest(args.report + ".manifest.json", config,
+                    {"report": os.path.abspath(args.report),
+                     "checkpoint": os.path.abspath(args.checkpoint)}, started)
+
+
 def cmd_eval(args) -> int:
     started = time.time()
     params, config, records = _load_for_report(args)
     report = hz.evaluate(params, records, config)
-    _atomic_write_json(args.report, report.to_dict())
-    _write_manifest(os.path.dirname(os.path.abspath(args.report)), config,
-                    {"report": os.path.abspath(args.report),
-                     "checkpoint": os.path.abspath(args.checkpoint)}, started)
+    _write_report(args, config, report.to_dict(), started)
     print(json.dumps(report.to_dict(), indent=1))
     return 0
 
@@ -165,10 +172,7 @@ def cmd_audit(args) -> int:
     if any(len(rec.dropped) for rec in records):
         fn = hz.score_fn_detection(flags, records)
         doc["fn_precision"], doc["fn_recall"] = fn.precision, fn.recall
-    _atomic_write_json(args.report, doc)
-    _write_manifest(os.path.dirname(os.path.abspath(args.report)), config,
-                    {"report": os.path.abspath(args.report),
-                     "checkpoint": os.path.abspath(args.checkpoint)}, started)
+    _write_report(args, config, doc, started)
     print(f"{len(flags)} regions flagged; report at {args.report}")
     return 0
 
@@ -185,10 +189,11 @@ def cmd_ablate(args) -> int:
     _atomic_write_json(os.path.join(args.out, "ablation.json"), rows)
     table = hz.format_ablation_table(rows)
     mdl.write_file(os.path.join(args.out, "ablation.txt"), [(table + "\n").encode()])
-    _write_manifest(args.out, config, {"table_json": "ablation.json",
-                                       "table_text": "ablation.txt",
-                                       "dataset": os.path.abspath(args.data)},
-                    started, extra={"thresholds": thresholds})
+    _write_manifest(os.path.join(args.out, "manifest.json"), config, {
+        "table_json": "ablation.json",
+        "table_text": "ablation.txt",
+        "dataset": os.path.abspath(args.data),
+    }, started, extra={"thresholds": thresholds})
     print(table)
     return 0
 

@@ -3,13 +3,14 @@ and the attention-threshold ablation."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
 import typing
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -323,10 +324,44 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
     return np.array(keep, dtype=np.intp)
 
 
-def _infer(params: dict[str, Tensor], image: np.ndarray) -> mdl.ProposalBatch:
-    """One forward pass without a tape."""
+# Image pixels per inference block: evaluate and audit_flags forward runs of
+# consecutive same-extent images together, 4 images at 64x64 and 1 at
+# 128x128. A block's temporaries take about 1 MB at this size; larger blocks
+# save little more per image and make glibc more likely to hand the freed
+# heap back to the kernel, to be faulted in again by the next block.
+INFER_BLOCK = 4 * 64 * 64
+
+
+def _infer(params: dict[str, Tensor], images: np.ndarray) -> mdl.ProposalBatch:
+    """One forward pass without a tape, over an (H, W, 1) image or a
+    (B, H, W, 1) block of images (see model.forward_rpn)."""
     with ag.no_grad():
-        return mdl.forward_rpn(Tensor(image), params)
+        return mdl.forward_rpn(Tensor(images), params)
+
+
+def _forward_each(params: dict[str, Tensor], matched: Sequence[MatchedImage],
+                  fn: Callable[[int, MatchedImage, mdl.ProposalBatch], object]) -> list:
+    """[fn(index, matched image, its forward outputs)] of every image, in
+    order. Each run of consecutive same-extent images is forwarded in blocks
+    of at most INFER_BLOCK pixels (or of one image). fn gets views of its
+    block's outputs and must not keep them: as in a loop over single images,
+    a block's outputs are freed before the next forward."""
+    out = []
+    runs = itertools.groupby(enumerate(matched), key=lambda p: p[1].record.image.shape)
+    for (h, w, _), run in runs:
+        run = list(run)
+        per_block = max(1, INFER_BLOCK // (h * w))
+        for start in range(0, len(run), per_block):
+            chunk = run[start:start + per_block]
+            images = [mi.record.image for _, mi in chunk]
+            # one image is forwarded as a view: no copy of it to allocate
+            block = _infer(params, np.stack(images) if len(images) > 1 else images[0][None])
+            out += [fn(idx, mi, mdl.ProposalBatch(probs=Tensor(block.probs.data[j]),
+                                                  deltas=Tensor(block.deltas.data[j]),
+                                                  embeddings=Tensor(block.embeddings.data[j])))
+                    for j, (idx, mi) in enumerate(chunk)]
+            del block
+    return out
 
 
 def _proposals(batch: mdl.ProposalBatch, anchors: np.ndarray, image: np.ndarray
@@ -429,10 +464,12 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
     mdl.check_threshold(config.t)
     counts, scores, ious, flags = [], [np.zeros(0)], {}, []
     n_gt = n_hit = 0
-    for idx, mi in enumerate(match_dataset(records)):
-        batch = _infer(params, mi.record.image)
-        boxes, s = _proposals(batch, mi.anchors, mi.record.image)
-        flags += _audit_image(batch, mi, idx, config, config.t)
+    matched = match_dataset(records)
+    per_image = _forward_each(params, matched, lambda idx, mi, batch: (
+        _proposals(batch, mi.anchors, mi.record.image),
+        _audit_image(batch, mi, idx, config, config.t)))
+    for idx, (mi, ((boxes, s), image_flags)) in enumerate(zip(matched, per_image)):
+        flags += image_flags
         counts.append(len(s))
         scores.append(s)
         gts = mi.record.full
@@ -488,9 +525,10 @@ def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
     t = config.t if t is None else t
     check_extents(records)
     mdl.check_threshold(t)
-    flags = [f for idx, mi in enumerate(match_dataset(records))
-             for f in _audit_image(_infer(params, mi.record.image),
-                                   mi, idx, config, t)]
+    flags = [f for image_flags in _forward_each(
+                 params, match_dataset(records),
+                 lambda idx, mi, batch: _audit_image(batch, mi, idx, config, t))
+             for f in image_flags]
     flags.sort(key=lambda f: -f.score)
     return flags
 

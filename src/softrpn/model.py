@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import stat
 import struct
@@ -52,7 +53,8 @@ class AttentionMap:
 @dataclass
 class ProposalBatch:
     """Flat per-anchor model outputs for one image in row-major (gy, gx,
-    anchor) order, index-aligned with harness.anchors_for on that image."""
+    anchor) order, index-aligned with harness.anchors_for on that image; a
+    block forward adds a leading axis of one entry per image."""
     probs: Tensor        # (N,) objectness
     deltas: Tensor       # (N, 4)
     embeddings: Tensor   # (N, D)
@@ -99,8 +101,16 @@ def extent_ok(h: int, w: int) -> bool:
 
 def forward_rpn(image: Tensor, params: dict[str, Tensor]) -> ProposalBatch:
     """Run backbone + heads on an (H, W, 1) image; see extent_ok. The anchor
-    count and the embedding width are read from the shape of rpn.cls.w."""
-    h, w = image.shape[0], image.shape[1]
+    count and the embedding width are read from the shape of rpn.cls.w.
+
+    For inference only (under no_grad), image may be a (B, H, W, 1) block of
+    images of one extent; every output then has a leading block axis, and
+    image i's outputs equal those of forwarding it alone (see
+    autograd.conv2d). Training forwards one image at a time: a block's
+    summed gradients would take another float order."""
+    if image.data.ndim not in (3, 4):
+        raise ag.GraphError(f"image must be (H, W, 1) or (B, H, W, 1), got {image.shape}")
+    *lead, h, w, _ = image.shape
     if not extent_ok(h, w):
         raise ag.GraphError(f"image extent {h}x{w} must be >= {MIN_EXTENT} and "
                             f"divisible by {BACKBONE_STRIDE}")
@@ -116,11 +126,11 @@ def forward_rpn(image: Tensor, params: dict[str, Tensor]) -> ProposalBatch:
     freg = layer(fc, "rpn.reg")
     fe = layer(fc, "rpn.embed")
     logits = ag.anchor_scores(fe, params["rpn.cls.w"], params["rpn.cls.b"])
-    n = logits.size
+    n = math.prod(logits.shape[-3:])
     return ProposalBatch(
-        probs=ag.reshape(ag.sigmoid(logits), (n,)),
-        deltas=ag.reshape(freg, (n, 4)),
-        embeddings=ag.reshape(fe, (n, params["rpn.cls.w"].shape[1])),
+        probs=ag.reshape(ag.sigmoid(logits), (*lead, n)),
+        deltas=ag.reshape(freg, (*lead, n, 4)),
+        embeddings=ag.reshape(fe, (*lead, n, params["rpn.cls.w"].shape[1])),
     )
 
 

@@ -149,6 +149,36 @@ class TestConv2d:
         if bias is not None:
             np.testing.assert_allclose(bias.grad, gb, rtol=0, atol=1e-12)
 
+    @given(conv_cases(), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_block_equals_each_image_alone(self, case, n_images):
+        """A (B, H, W, C) block under no_grad gives every image the output
+        it gets alone, float for float (the sign of zero included)."""
+        k, stride, pad, h, w, cin, cout, with_bias, relu, seed = case
+        gen = np.random.default_rng(seed)
+        images = gen.standard_normal((n_images, h, w, cin))
+        kernel = Tensor(gen.standard_normal((k, k, cin, cout)))
+        bias = Tensor(gen.standard_normal(cout)) if with_bias else None
+        with ag.no_grad():
+            block = ag.conv2d(Tensor(images), kernel, stride, pad, bias, relu).data
+            alone = np.stack([ag.conv2d(Tensor(image), kernel, stride, pad, bias, relu).data
+                              for image in images])
+        assert block.shape == alone.shape
+        assert (block == alone).all()
+        assert block.tobytes() == alone.tobytes()
+
+    def test_block_refused_while_the_tape_records(self, monkeypatch):
+        """Training stays per image: a block raises before any work."""
+        def no_work(*args):
+            raise AssertionError("work started before the block was refused")
+
+        monkeypatch.setattr(ag, "_im2col", no_work)
+        kernel = Tensor(np.ones((3, 3, 1, 2)), requires_grad=True)
+        for x in (Tensor(np.ones((2, 8, 8, 1))),
+                  Tensor(np.ones((1, 8, 8, 1)), requires_grad=True)):
+            with pytest.raises(ag.GraphError, match="no_grad"):
+                ag.conv2d(x, kernel, pad=1)
+
     def test_image_gradient_skipped_without_grad_or_tape(self, rng):
         data = rng.standard_normal((8, 6, 2))
         kernel = Tensor(rng.standard_normal((3, 3, 2, 3)), requires_grad=True)

@@ -410,22 +410,40 @@ class TestEvalCmd:
         assert first.decode() == json.dumps(json.loads(first), indent=1, sort_keys=True)
         assert run(argv) == 0
         assert report.read_bytes() == first
-        assert sorted(os.listdir(tmp_path)) == ["manifest.json", "report.json"]
+        assert sorted(os.listdir(tmp_path)) == ["report.json", "report.json.manifest.json"]
 
     def test_one_forward_pass_per_image(self, dataset, checkpoint, tmp_path,
                                         monkeypatch):
-        """Proposals and the fn_* audit share each image's forward pass."""
-        calls = []
+        """Proposals and the fn_* audit share each image's forward pass:
+        every image is forwarded exactly once, whatever the blocks."""
+        forwarded = []
         forward_rpn = mdl.forward_rpn
 
-        def counting_forward(*args, **kwargs):
-            calls.append(1)
-            return forward_rpn(*args, **kwargs)
+        def recording_forward(image, params):
+            forwarded.extend(image.data.reshape(-1, *image.shape[-3:]))
+            return forward_rpn(image, params)
 
-        monkeypatch.setattr(mdl, "forward_rpn", counting_forward)
+        monkeypatch.setattr(mdl, "forward_rpn", recording_forward)
         assert run(["eval", "--checkpoint", checkpoint, "--data", dataset,
                     "--report", str(tmp_path / "r.json")]) == 0
-        assert len(calls) == len(dat.load_dataset(dataset)) == 10
+        records = dat.load_dataset(dataset)
+        assert len(forwarded) == len(records) == 10
+        for rec in records:
+            assert sum(np.array_equal(image, rec.image) for image in forwarded) == 1
+
+    def test_reports_in_one_directory_keep_one_manifest_each(self, dataset, checkpoint,
+                                                             tmp_path):
+        """eval and then audit into one directory: each report has its own
+        <report>.manifest.json, and each manifest names its report."""
+        for cmd in ("eval", "audit"):
+            assert run([cmd, "--checkpoint", checkpoint, "--data", dataset,
+                        "--report", str(tmp_path / f"{cmd}.json")]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["audit.json", "audit.json.manifest.json",
+                                                "eval.json", "eval.json.manifest.json"]
+        for cmd in ("eval", "audit"):
+            doc = json.loads((tmp_path / f"{cmd}.json.manifest.json").read_text())
+            assert doc["artifacts"] == {"report": str(tmp_path / f"{cmd}.json"),
+                                        "checkpoint": os.path.abspath(checkpoint)}
 
     def test_fn_fields_equal_audit_report(self, dataset, checkpoint, tmp_path):
         assert run(["eval", "--checkpoint", checkpoint, "--data", dataset,
@@ -554,7 +572,7 @@ class TestAuditCmd:
                     "--t", t, "--report", str(report)]) == 1
         assert "t must lie in (0, 1)" in single_error_line(capsys)
         assert not report.exists()
-        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "audit.json.manifest.json").exists()
 
     def test_bad_threshold_refused_before_any_work(self, tmp_path, capsys,
                                                    monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softrpn import autograd as ag
 from softrpn import data as dat
 from softrpn import harness as hz
 from softrpn import model as mdl
@@ -535,6 +536,120 @@ class TestEvaluate:
         assert flags and fn.vacuous == (drop_rate == 0.0)
         if drop_rate:
             assert 0.0 < fn.recall < 1.0
+
+
+def per_image_reference(params, records, config):
+    """The report of evaluate and the flags of audit_flags, computed from one
+    forward pass per (H, W, 1) image: the oracle of the block forward."""
+    counts, scores, ious, flags = [], [np.zeros(0)], {}, []
+    n_gt = n_hit = 0
+    for idx, mi in enumerate(hz.match_dataset(records)):
+        with ag.no_grad():
+            batch = mdl.forward_rpn(ag.Tensor(mi.record.image), params)
+        boxes, s = hz._proposals(batch, mi.anchors, mi.record.image)
+        flags += hz._audit_image(batch, mi, idx, config, config.t)
+        counts.append(len(s))
+        scores.append(s)
+        gts = mi.record.full
+        n_gt += len(gts)
+        if len(gts):
+            ious[idx] = m = iou_matrix(boxes, gts)
+            if len(boxes):
+                n_hit += int((m.max(axis=0) >= 0.5).sum())
+    aps = hz.average_precisions(np.repeat(np.arange(len(counts)), counts),
+                                np.concatenate(scores), ious, n_gt,
+                                hz.COCO_IOU_THRESHOLDS).tolist()
+    fn = hz.score_fn_detection(flags, records)
+    report = hz.EvalReport(ap50=aps[0], ap75=aps[5], ap=float(np.mean(aps)),
+                           recall50=(n_hit / n_gt) if n_gt else 0.0,
+                           fn_precision=fn.precision, fn_recall=fn.recall,
+                           fn_vacuous=fn.vacuous)
+    flags.sort(key=lambda f: -f.score)
+    return report, flags
+
+
+def cropped(records, h, w):
+    """The top-left h x w corner of each record, with the boxes inside it."""
+    def inside(boxes):
+        return boxes[(boxes[:, 2] <= w) & (boxes[:, 3] <= h)]
+
+    return [dat.ImageRecord(rec.image_id, rec.file_name, rec.image[:h, :w].copy(),
+                            inside(rec.kept), inside(rec.dropped)) for rec in records]
+
+
+def interleaved_extents():
+    """64x64 and 32x48 images in runs of 1 to 5, so blocks end both where
+    they fill and where the extent changes."""
+    big = tiny_records(11, seed=21)
+    small = cropped(tiny_records(7, seed=22), 32, 48)
+    order = "BBS" + "B" + "SS" + "BBBBB" + "S" + "BB" + "SSS" + "B"
+    its = {"B": iter(big), "S": iter(small)}
+    return [next(its[c]) for c in order]
+
+
+BLOCK_DATASETS = {f"{n}x64": (lambda n=n: tiny_records(n, seed=n)) for n in (1, 3, 4, 5, 9)}
+BLOCK_DATASETS["64-and-32x48"] = interleaved_extents
+
+
+@pytest.fixture(scope="module")
+def audited_model():
+    """Parameters trained briefly, and a threshold at which they flag."""
+    cfg = tiny_config(t=0.5)
+    params, _ = hz.train(cfg, tiny_records())
+    return params, cfg
+
+
+class TestBlockInference:
+    """evaluate and audit_flags forward blocks of consecutive same-extent
+    images; every report and flag field equals that of one forward pass per
+    image, wherever the blocks end."""
+
+    @pytest.mark.parametrize("block", [None, 1, 2 ** 40],
+                             ids=["default", "one-image", "whole-runs"])
+    @pytest.mark.parametrize("name", list(BLOCK_DATASETS))
+    def test_equals_per_image_reference(self, name, block, audited_model, monkeypatch):
+        params, cfg = audited_model
+        records = BLOCK_DATASETS[name]()
+        want_report, want_flags = per_image_reference(params, records, cfg)
+        if block is not None:
+            monkeypatch.setattr(hz, "INFER_BLOCK", block)
+        report = hz.evaluate(params, records, cfg)
+        flags = hz.audit_flags(params, records, cfg)
+        assert report == want_report
+        assert len(flags) == len(want_flags)
+        for got, want in zip(flags, want_flags):
+            for field in fields(hz.Flag):
+                assert np.all(getattr(got, field.name) == getattr(want, field.name))
+        if len(records) >= 5:
+            assert flags and report.recall50 > 0.0
+
+    @pytest.mark.parametrize("entry", ["evaluate", "audit_flags"])
+    def test_blocks_keep_order_fill_and_break_at_extent_changes(self, entry,
+                                                                monkeypatch):
+        """Each image is forwarded once, in dataset order; a block holds one
+        extent and at most INFER_BLOCK pixels (or one image), and is cut
+        short only where the extent changes or the dataset ends."""
+        records = interleaved_extents()
+        cfg = tiny_config()
+        params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
+        blocks = []
+        forward_rpn = mdl.forward_rpn
+
+        def recording(image, params):
+            blocks.append(image.data.copy())
+            return forward_rpn(image, params)
+
+        monkeypatch.setattr(mdl, "forward_rpn", recording)
+        getattr(hz, entry)(params, records, cfg)
+        assert all(b.ndim == 4 for b in blocks)
+        forwarded = np.concatenate([b.reshape(-1) for b in blocks])
+        assert forwarded.tobytes() == np.concatenate(
+            [rec.image.reshape(-1) for rec in records]).tobytes()
+        capacity = [max(1, hz.INFER_BLOCK // (b.shape[1] * b.shape[2])) for b in blocks]
+        assert all(len(b) <= c for b, c in zip(blocks, capacity))
+        assert max(map(len, blocks)) > 1
+        for b, c, nxt in zip(blocks, capacity, blocks[1:]):
+            assert len(b) == c or b.shape[1:] != nxt.shape[1:]
 
 
 class TestImageSizeCheck:

@@ -68,6 +68,32 @@ class TestForwardRpn:
         # head, the sigmoid and three reshapes
         assert len(seen) == 1 + len(params) + 6 + 1 + 1 + 3
 
+    @pytest.mark.parametrize("n_images, shape", [(1, (16, 16)), (5, (32, 48)),
+                                                 (48, (16, 24))])
+    def test_block_equals_each_image_alone(self, params, rng, n_images, shape):
+        """A (B, H, W, 1) block under no_grad gives every output a leading
+        block axis, and image i's outputs are those of forwarding it alone,
+        float for float (one flattened product of 48 images of 64x64 did not
+        match)."""
+        images = rng.random((n_images, *shape, 1))
+        with ag.no_grad():
+            block = mdl.forward_rpn(Tensor(images), params)
+            alone = [mdl.forward_rpn(Tensor(image), params) for image in images]
+        for name in ("probs", "deltas", "embeddings"):
+            got = getattr(block, name).data
+            want = np.stack([getattr(batch, name).data for batch in alone])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_block_refused_while_the_tape_records(self, params):
+        with pytest.raises(ag.GraphError, match="no_grad"):
+            mdl.forward_rpn(Tensor(np.zeros((2, 16, 16, 1))), params)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (1, 1, 16, 16, 1)])
+    def test_image_of_other_rank_rejected(self, params, shape):
+        with pytest.raises(ag.GraphError, match="image must be"):
+            mdl.forward_rpn(Tensor(np.zeros(shape)), params)
+
     def test_indivisible_extent_rejected(self, params):
         with pytest.raises(ag.GraphError):
             mdl.forward_rpn(Tensor(np.zeros((20, 20, 1))), params)
