@@ -15,6 +15,7 @@ and applies its ReLU, so a network layer is a single tape node.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -126,6 +127,13 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
+def _image_sum(per_image: np.ndarray, lead: tuple) -> np.ndarray:
+    """A block's per-image gradients (its leading axis) added in image order,
+    ((g0 + g1) + g2) + ...: the float order in which one backward per image
+    accumulates them. Without a block axis (lead empty), the gradient as is."""
+    return functools.reduce(np.add, per_image) if lead else per_image
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum gradient over axes that were broadcast in the forward pass."""
     while g.ndim > len(shape):
@@ -216,13 +224,14 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     it, and skips the input gradient when x neither requires a gradient nor
     has a tape (a raw image).
 
-    For inference only, x may be a (B, H, W, Cin) block of images of one
-    extent. The matmul then multiplies each image's (Ho*Wo, k*k*Cin) columns
-    by the kernel in its own BLAS call, so every output float equals that
-    of the image convolved alone; one (B*Ho*Wo, k*k*Cin) product would not
-    keep that. A block raises GraphError while the tape records: summing a
-    block's kernel gradients would change their float order, so training
-    stays per image."""
+    x may also be a (B, H, W, Cin) block of images of one extent, forward
+    and backward. Each image's (Ho*Wo, k*k*Cin) columns then meet the kernel
+    in a BLAS call of their own, so every output float equals that of the
+    image convolved alone; one (B*Ho*Wo, k*k*Cin) product would not keep
+    that. Likewise the backward takes each image's kernel and bias gradient
+    on its own and adds them in image order (see _image_sum), so a block's
+    gradients are, bit for bit, those of one backward per image accumulated
+    in turn."""
     k = kernel.shape[0]
     if kernel.data.ndim != 4 or kernel.shape[1] != k:
         raise GraphError(f"kernel must be (k, k, Cin, Cout), got {kernel.shape}")
@@ -234,8 +243,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     if len(shape) not in (3, 4) or shape[-1] != kernel.shape[2]:
         raise GraphError(f"input {shape} incompatible with kernel {kernel.shape}")
     lead = shape[:-3]
-    if lead and _recording:
-        raise GraphError(f"a block input {shape} runs only under no_grad")
     if bias is not None and bias.shape != kernel.shape[3:]:
         raise GraphError(f"bias {bias.shape} does not match kernel {kernel.shape}")
     h, w, cin = shape[-3:]
@@ -263,23 +270,25 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     def backward(g):
         if relu:
             g = g * mask
-        gb = None if bias is None else _unbroadcast(g, bias.shape)
-        g2 = g.reshape(ho * wo, cout)
+        gb = None if bias is None else _image_sum(g.sum(axis=-3).sum(axis=-2), lead)
+        g2 = g.reshape(lead + (ho * wo, cout))
         # The columns are freed before gcols is allocated: holding both
         # (~1.2 MB at 128x128) made the allocator return and re-fault heap
         # pages on every backward.
-        gk = (_im2col(xp, k, stride, ho, wo).T @ g2).reshape(kernel.shape)
+        gk = _image_sum(np.matmul(_im2col(xp, k, stride, ho, wo).swapaxes(-1, -2), g2),
+                        lead).reshape(kernel.shape)
         if not needs_gx:
             return (None, gk, gb)[:len(parents)]
-        # g @ K^T, laid out tap-major: (k*k, Ho*Wo, Cin), one block per tap
+        # g @ K^T, laid out tap-major: (..., k*k, Ho*Wo, Cin), one block per tap
         taps_t = kmat.reshape(k * k, cin, cout).transpose(0, 2, 1)
-        gcols = np.matmul(g2, taps_t).reshape(k, k, ho, wo, cin)
+        gcols = np.matmul(g2[..., None, :, :], taps_t).reshape(lead + (k, k, ho, wo, cin))
         gxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):
                 # each kernel tap adds its block back onto a strided slab
-                gxp[i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[i, j]
-        return ((gxp[pad:pad + h, pad:pad + w] if pad else gxp), gk, gb)[:len(parents)]
+                gxp[..., i:i + stride * ho:stride, j:j + stride * wo:stride, :] += \
+                    gcols[..., i, j, :, :, :]
+        return ((gxp[..., pad:pad + h, pad:pad + w, :] if pad else gxp), gk, gb)[:len(parents)]
 
     return _make(data, parents, backward)
 
@@ -289,19 +298,21 @@ def anchor_scores(fe: Tensor, w: Tensor, b: Tensor) -> Tensor:
     (na,). Anchor a's score at each cell reads only its own D-slice, so the
     output (..., H, W, na) never mixes embeddings across anchors. Computed
     as a broadcast multiply and a sum over D, cell by cell, so a block of
-    images scores each image as it would alone."""
+    images scores each image as it would alone; the backward sums w's and
+    b's gradients over each image's cells, then adds the images in order,
+    as conv2d does."""
     na, d = w.shape
     if fe.shape[-1] != na * d:
         raise GraphError(f"embedding channels {fe.shape[-1]} != na*D = {na * d}")
     fe4 = fe.data.reshape(*fe.shape[:-1], na, d)
     data = (fe4 * w.data).sum(axis=-1) + b.data
-    cells = tuple(range(fe.data.ndim - 1))
+    lead = fe.shape[:-3]
 
     def backward(g):
         g4 = g[..., None]
         gfe = (g4 * w.data).reshape(fe.shape)
-        gw = (fe4 * g4).sum(axis=cells)
-        gb = g.sum(axis=cells)
+        gw = _image_sum((fe4 * g4).sum(axis=(-4, -3)), lead)
+        gb = _image_sum(g.sum(axis=(-3, -2)), lead)
         return gfe, gw, gb
 
     return _make(data, (fe, w, b), backward)

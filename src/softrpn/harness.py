@@ -3,6 +3,7 @@ and the attention-threshold ablation."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -218,33 +219,69 @@ def match_dataset(records: Sequence[ImageRecord]) -> list[MatchedImage]:
     return out
 
 
-def _attend(batch: mdl.ProposalBatch, pos_idx: np.ndarray, neg_idx: np.ndarray
+def _attend(embeddings: np.ndarray, pos_idx: np.ndarray, neg_idx: np.ndarray
             ) -> Optional[mdl.AttentionMap]:
-    """Attention of sampled negatives to sampled positives, for training and
-    the audit alike; None below two positives (one makes every row max 1,
-    the softmax of one logit, flagging all negatives) or without a negative."""
+    """Attention of sampled negatives to sampled positives among one image's
+    (N, D) embeddings, for training and the audit alike; None below two
+    positives (one makes every row max 1, the softmax of one logit, flagging
+    all negatives) or without a negative."""
     if len(pos_idx) < 2 or not len(neg_idx):
         return None
-    emb = batch.embeddings.data
-    return mdl.attention_map(emb[neg_idx], emb[pos_idx])
+    return mdl.attention_map(embeddings[neg_idx], embeddings[pos_idx])
 
 
-def _image_loss(params: dict[str, Tensor], mi: MatchedImage, config: TrainConfig,
-                rng: np.random.Generator) -> mdl.RpnLosses:
-    """Forward one image, sample a proposal minibatch, and build the loss."""
-    batch = mdl.forward_rpn(Tensor(mi.record.image), params)
-    pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
-    amap = _attend(batch, pos_idx, neg_idx) if config.mode == "soft_label" else None
-    return mdl.soft_label_loss(ag.gather_rows(batch.probs, pos_idx),
-                               ag.gather_rows(batch.probs, neg_idx),
-                               ag.gather_rows(batch.deltas, pos_idx),
-                               mi.delta_targets[pos_idx], amap, config.t)
+def _block(images: Sequence[np.ndarray]) -> np.ndarray:
+    """The (B, H, W, 1) block of same-extent images; one image is a view of
+    itself with a block axis, not a copy."""
+    return np.stack(images) if len(images) > 1 else images[0][None]
+
+
+def _train_blocks(picks: np.ndarray, matched: Sequence[MatchedImage]
+                  ) -> list[list[MatchedImage]]:
+    """The blocks an iteration's picks are trained in: all of them together
+    when they share one extent and INFER_BLOCK holds BATCH_IMAGES images of
+    it, else one at a time. Never a partial block: p.grad adds up one
+    gradient per backward, so blocks of 2 + 2 would give (g0 + g1) + (g2 +
+    g3), not the ((g0 + g1) + g2) + g3 of one image at a time."""
+    chosen = [matched[k] for k in picks]
+    h, w, _ = shape = chosen[0].record.image.shape
+    if (INFER_BLOCK // (h * w) >= BATCH_IMAGES
+            and all(mi.record.image.shape == shape for mi in chosen)):
+        return [chosen]
+    return [[mi] for mi in chosen]
+
+
+def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
+                  config: TrainConfig, rng: np.random.Generator) -> list[mdl.RpnLosses]:
+    """Forward a block of same-extent images on one tape, then sample each
+    image's proposal minibatch and build its loss, in block order."""
+    batch = mdl.forward_rpn(Tensor(_block([mi.record.image for mi in block])), params)
+    n = batch.probs.shape[-1]
+    # image j's anchors are rows j*n ... j*n + n - 1 of the flattened outputs
+    probs = ag.reshape(batch.probs, (len(block) * n,))
+    deltas = ag.reshape(batch.deltas, (len(block) * n, 4))
+    per_image = []
+    for j, mi in enumerate(block):
+        pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
+        amap = (_attend(batch.embeddings.data[j], pos_idx, neg_idx)
+                if config.mode == "soft_label" else None)
+        pos, neg = j * n + pos_idx, j * n + neg_idx
+        per_image.append(mdl.soft_label_loss(
+            ag.gather_rows(probs, pos), ag.gather_rows(probs, neg), ag.gather_rows(deltas, pos),
+            mi.delta_targets[pos_idx], amap, config.t))
+    return per_image
 
 
 def train(config: TrainConfig, records: Sequence[ImageRecord]
           ) -> tuple[dict[str, Tensor], list[dict]]:
     """SGD with momentum over per-image sampled RPN losses. Returns the
-    final parameters and a per-iteration metric log."""
+    final parameters and a per-iteration metric log.
+
+    An iteration's images are forwarded and backpropagated as one block
+    when they fit (see _train_blocks). Every float is that of one forward
+    and one backward per image: the block's forward equals each image's
+    alone, conv2d and anchor_scores add the images' gradients in pick order,
+    and minibatches are still sampled image by image in that order."""
     if not records:
         raise ValueError("dataset is empty")
     check_extents(records)
@@ -267,18 +304,31 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
                 picks = rng.integers(0, len(matched), size=BATCH_IMAGES)
                 sums = {"l_pos": 0.0, "l_neg": 0.0, "l_reg": 0.0, "total": 0.0}
                 n_flagged = 0
-                for k in picks:
-                    losses = _image_loss(params, matched[k], config, rng)
-                    ag.scale(losses.total, 1.0 / BATCH_IMAGES).backward()
+                for block in _train_blocks(picks, matched):
+                    # Rebinding losses frees the previous block's tape here,
+                    # after this block's forward and before its backward, as
+                    # training one image at a time did. Freed before the
+                    # forward, the tape leaves the top of the heap free for
+                    # glibc to hand back to the kernel, and the forward and
+                    # backward fault it in again: ~180 minor faults per
+                    # iteration at 64x64 and ~1,100 at 128x128, against tens.
+                    losses = _block_losses(params, block, config, rng)
+                    functools.reduce(ag.add, [ag.scale(image.total, 1.0 / BATCH_IMAGES)
+                                              for image in losses]).backward()
+                    # comprehensions: no loop name holds this tape into the next backward
                     for key in sums:
-                        sums[key] += getattr(losses, key).item()
-                    n_flagged += len(losses.flagged)
+                        for value in [getattr(image, key).item() for image in losses]:
+                            sums[key] += value
+                    n_flagged += sum(len(image.flagged) for image in losses)
                 means = {k: v / BATCH_IMAGES for k, v in sums.items()}
                 if not math.isfinite(means["total"]):
                     raise DivergenceError(it)
                 for k, p in params.items():
                     if p.grad is not None:
-                        velocity[k] = MOMENTUM * velocity[k] + p.grad
+                        # in place: the products and sums of
+                        # MOMENTUM * velocity[k] + p.grad, without two temporaries
+                        velocity[k] *= MOMENTUM
+                        velocity[k] += p.grad
                         p.data -= lr * velocity[k]
         except FloatingPointError as e:
             raise DivergenceError(it) from e
@@ -324,9 +374,11 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
     return np.array(keep, dtype=np.intp)
 
 
-# Image pixels per inference block: evaluate and audit_flags forward runs of
+# Image pixels per block: evaluate and audit_flags forward runs of
 # consecutive same-extent images together, 4 images at 64x64 and 1 at
-# 128x128. A block's temporaries take about 1 MB at this size; larger blocks
+# 128x128, and train forwards and backpropagates an iteration's
+# BATCH_IMAGES images as one block when they fit (see _train_blocks). A
+# forward block's temporaries take about 1 MB at this size; larger blocks
 # save little more per image and make glibc more likely to hand the freed
 # heap back to the kernel, to be faulted in again by the next block.
 INFER_BLOCK = 4 * 64 * 64
@@ -353,9 +405,7 @@ def _forward_each(params: dict[str, Tensor], matched: Sequence[MatchedImage],
         per_block = max(1, INFER_BLOCK // (h * w))
         for start in range(0, len(run), per_block):
             chunk = run[start:start + per_block]
-            images = [mi.record.image for _, mi in chunk]
-            # one image is forwarded as a view: no copy of it to allocate
-            block = _infer(params, np.stack(images) if len(images) > 1 else images[0][None])
+            block = _infer(params, _block([mi.record.image for _, mi in chunk]))
             out += [fn(idx, mi, mdl.ProposalBatch(probs=Tensor(block.probs.data[j]),
                                                   deltas=Tensor(block.deltas.data[j]),
                                                   embeddings=Tensor(block.embeddings.data[j])))
@@ -505,7 +555,7 @@ def _audit_image(batch: mdl.ProposalBatch, mi: MatchedImage, idx: int,
     """Flags of image idx from one forward pass over it; see audit_flags."""
     rng = np.random.default_rng([config.seed_sample, idx, 0xA0D17])
     pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
-    amap = _attend(batch, pos_idx, neg_idx)
+    amap = _attend(batch.embeddings.data, pos_idx, neg_idx)
     if amap is None:
         return []
     flagged = mdl.detect_false_negatives(amap, t)

@@ -103,11 +103,11 @@ def forward_rpn(image: Tensor, params: dict[str, Tensor]) -> ProposalBatch:
     """Run backbone + heads on an (H, W, 1) image; see extent_ok. The anchor
     count and the embedding width are read from the shape of rpn.cls.w.
 
-    For inference only (under no_grad), image may be a (B, H, W, 1) block of
-    images of one extent; every output then has a leading block axis, and
-    image i's outputs equal those of forwarding it alone (see
-    autograd.conv2d). Training forwards one image at a time: a block's
-    summed gradients would take another float order."""
+    image may also be a (B, H, W, 1) block of images of one extent; every
+    output then has a leading block axis, and image i's outputs equal those
+    of forwarding it alone. One backward through a block gives each
+    parameter the gradients of one backward per image, accumulated in block
+    order, float for float (see autograd.conv2d)."""
     if image.data.ndim not in (3, 4):
         raise ag.GraphError(f"image must be (H, W, 1) or (B, H, W, 1), got {image.shape}")
     *lead, h, w, _ = image.shape

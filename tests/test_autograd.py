@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from softrpn import autograd as ag
 from softrpn.autograd import Tensor
 
-from conftest import assert_grad_matches, numeric_grad
+from conftest import assert_grad_matches, block_and_per_image_grads, numeric_grad
 
 
 def conv_oracle(x, k, stride, pad, g, bias=None, relu=False):
@@ -167,17 +167,27 @@ class TestConv2d:
         assert (block == alone).all()
         assert block.tobytes() == alone.tobytes()
 
-    def test_block_refused_while_the_tape_records(self, monkeypatch):
-        """Training stays per image: a block raises before any work."""
-        def no_work(*args):
-            raise AssertionError("work started before the block was refused")
+    @given(conv_cases(), st.integers(1, 5))
+    @example((3, 2, 1, 8, 8, 2, 3, True, True, 3), 4)     # a backbone layer, four images
+    @settings(max_examples=100, deadline=None)
+    def test_block_gradients_equal_per_image_accumulated(self, case, n_images):
+        """One backward through a block gives the kernel and bias the
+        gradients of one backward per image accumulated in image order, and
+        each image its own input gradient, float for float."""
+        k, stride, pad, h, w, cin, cout, with_bias, relu, seed = case
+        gen = np.random.default_rng(seed)
+        images = gen.standard_normal((n_images, h, w, cin))
+        kernel = Tensor(gen.standard_normal((k, k, cin, cout)), requires_grad=True)
+        bias = Tensor(gen.standard_normal(cout), requires_grad=True) if with_bias else None
+        ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        upstream = gen.standard_normal((n_images, ho, wo, cout))
 
-        monkeypatch.setattr(ag, "_im2col", no_work)
-        kernel = Tensor(np.ones((3, 3, 1, 2)), requires_grad=True)
-        for x in (Tensor(np.ones((2, 8, 8, 1))),
-                  Tensor(np.ones((1, 8, 8, 1)), requires_grad=True)):
-            with pytest.raises(ag.GraphError, match="no_grad"):
-                ag.conv2d(x, kernel, pad=1)
+        def loss(x, g):
+            return ag.tsum(ag.mul(ag.conv2d(x, kernel, stride, pad, bias, relu), g))
+
+        block, alone = block_and_per_image_grads(
+            loss, images, (upstream,), [kernel] + ([bias] if with_bias else []))
+        assert block == alone
 
     def test_image_gradient_skipped_without_grad_or_tape(self, rng):
         data = rng.standard_normal((8, 6, 2))
@@ -240,6 +250,21 @@ class TestAnchorScores:
         np.testing.assert_allclose(fe.grad, gfe, rtol=0, atol=1e-12)
         np.testing.assert_allclose(w.grad, gw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.grad, gb, rtol=0, atol=1e-12)
+
+    @given(conv_cases(), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_block_gradients_equal_per_image_accumulated(self, case, n_images):
+        """As for conv2d: a block's w and b gradients are those of one
+        backward per image accumulated in image order, float for float."""
+        _, _, _, h, wd, na, d, _, _, seed = case
+        gen = np.random.default_rng(seed)
+        fe = gen.standard_normal((n_images, h, wd, na * d))
+        w = Tensor(gen.standard_normal((na, d)), requires_grad=True)
+        b = Tensor(gen.standard_normal(na), requires_grad=True)
+        upstream = gen.standard_normal((n_images, h, wd, na))
+        block, alone = block_and_per_image_grads(
+            lambda x, g: ag.tsum(ag.mul(ag.anchor_scores(x, w, b), g)), fe, (upstream,), [w, b])
+        assert block == alone
 
 
 class TestBceLoss:

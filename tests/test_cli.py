@@ -327,7 +327,8 @@ class TestTrainCmd:
     def test_128_images_with_default_config_label_every_output(self, dataset128,
                                                                 tmp_path, monkeypatch):
         """The anchor grid follows the image: labels line up with the 768
-        outputs of a 128x128 forward pass (not the 192 of a 64x64 grid)."""
+        outputs of a 128x128 forward pass (not the 192 of a 64x64 grid),
+        forwarded as blocks of one image."""
         label_counts, output_counts = [], []
         match_dataset, forward_rpn = hz.match_dataset, mdl.forward_rpn
 
@@ -338,7 +339,7 @@ class TestTrainCmd:
 
         def counting_forward(*args, **kwargs):
             batch = forward_rpn(*args, **kwargs)
-            output_counts.append(batch.probs.shape[0])
+            output_counts.append(batch.probs.shape)
             return batch
 
         monkeypatch.setattr(hz, "match_dataset", counting_match)
@@ -347,7 +348,7 @@ class TestTrainCmd:
         assert run(["train", "--data", dataset128, "--out", str(out), *FAST]) == 0
         assert (out / "checkpoint.srpn").exists()
         assert label_counts == [768, 768]
-        assert set(output_counts) == {768} and len(output_counts) == 12 * 4
+        assert set(output_counts) == {(1, 768)} and len(output_counts) == 12 * 4
 
     @pytest.mark.parametrize("doc, needle", [
         ({"bogus": 1}, "unknown config key 'bogus'"),

@@ -13,7 +13,7 @@ from softrpn import harness as hz
 from softrpn import model as mdl
 from softrpn.geometry import iou_matrix
 
-from conftest import match_one_image
+from conftest import match_one_image, train_per_image
 
 
 # A small config and dataset for fast training tests.
@@ -650,6 +650,59 @@ class TestBlockInference:
         assert max(map(len, blocks)) > 1
         for b, c, nxt in zip(blocks, capacity, blocks[1:]):
             assert len(b) == c or b.shape[1:] != nxt.shape[1:]
+
+
+# name: (dataset, TrainConfig fields, the block sizes train forwards)
+TRAIN_DATASETS = {
+    "soft-64": (tiny_records, {}, {4}),
+    "baseline-64": (tiny_records, {"mode": "baseline"}, {4}),
+    "soft-128": (lambda: tiny_records(4, size=128), {"total_iters": 8, "milestones": (4,)}, {1}),
+    "64-and-32x48": (interleaved_extents, {}, {1, 4}),
+    # INFER_BLOCK holds two such images, not four: one at a time
+    "64x128": (lambda: cropped(tiny_records(4, size=128, seed=3), 64, 128),
+               {"total_iters": 8, "milestones": (4,)}, {1}),
+}
+
+
+class TestBlockTraining:
+    """train forwards and backpropagates an iteration's images as one block
+    when they share an extent that INFER_BLOCK holds BATCH_IMAGES times,
+    else one at a time; either way its parameters and log are, bit for bit,
+    those of one forward and one backward per image (train_per_image)."""
+
+    @pytest.mark.parametrize("name", list(TRAIN_DATASETS))
+    def test_equals_per_image_training(self, name, monkeypatch):
+        make, over, block_sizes = TRAIN_DATASETS[name]
+        records = make()
+        cfg = tiny_config(**over)
+        want_params, want_log = train_per_image(cfg, records)
+        blocks = []
+        forward_rpn = mdl.forward_rpn
+
+        def recording(image, params):
+            blocks.append(image.data)
+            return forward_rpn(image, params)
+
+        monkeypatch.setattr(mdl, "forward_rpn", recording)
+        params, log = hz.train(cfg, records)
+        assert log == want_log
+        assert params.keys() == want_params.keys()
+        for k, p in params.items():
+            assert p.data.tobytes() == want_params[k].data.tobytes(), k
+        assert {len(b) for b in blocks} == block_sizes
+        # a lone image is forwarded as a view of itself, not a copy
+        for b in blocks:
+            assert len(b) > 1 or any(np.shares_memory(b, rec.image) for rec in records)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_at_the_per_image_iteration(self):
+        cfg = tiny_config(lr=1e30)
+        records = tiny_records(8)
+        with pytest.raises(hz.DivergenceError) as want:
+            train_per_image(cfg, records)
+        with pytest.raises(hz.DivergenceError) as got:
+            hz.train(cfg, records)
+        assert got.value.iteration == want.value.iteration > 0
 
 
 class TestImageSizeCheck:

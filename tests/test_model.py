@@ -12,6 +12,8 @@ from softrpn import autograd as ag
 from softrpn import model as mdl
 from softrpn.autograd import Tensor
 
+from conftest import block_and_per_image_grads
+
 D = 8
 NA = 3
 
@@ -85,9 +87,29 @@ class TestForwardRpn:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    def test_block_refused_while_the_tape_records(self, params):
-        with pytest.raises(ag.GraphError, match="no_grad"):
-            mdl.forward_rpn(Tensor(np.zeros((2, 16, 16, 1))), params)
+    @given(st.integers(1, 5), st.sampled_from([16, 24, 40]), st.sampled_from([16, 32]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_block_gradients_equal_per_image_accumulated(self, n_images, h, w, seed):
+        """One backward through a block gives every parameter the gradient
+        of one backward per image accumulated in image order, and each image
+        its own gradient, float for float."""
+        gen = np.random.default_rng(seed)
+        params = mdl.init_params(D, NA, gen)
+        images = gen.random((n_images, h, w, 1))
+        n = (h // 8) * (w // 8) * NA
+        upstream = (gen.standard_normal((n_images, n)), gen.standard_normal((n_images, n, 4)),
+                    gen.standard_normal((n_images, n, D)))
+
+        def loss(x, gp, gd, ge):
+            batch = mdl.forward_rpn(x, params)
+            return ag.add(ag.add(ag.tsum(ag.mul(batch.probs, gp)),
+                                 ag.tsum(ag.mul(batch.deltas, gd))),
+                          ag.tsum(ag.mul(batch.embeddings, ge)))
+
+        block, alone = block_and_per_image_grads(loss, images, upstream,
+                                                 [params[k] for k in sorted(params)])
+        assert block == alone
 
     @pytest.mark.parametrize("shape", [(16, 16), (1, 1, 16, 16, 1)])
     def test_image_of_other_rank_rejected(self, params, shape):
