@@ -5,11 +5,13 @@ Every differentiable op records a backward closure on its output; calling
 ``backward()`` on a scalar walks the tape in reverse topological order and
 accumulates gradients into every reachable tensor with ``requires_grad``.
 
-Scope is deliberately small: only the ops needed by a tiny conv backbone,
-RPN heads, and the classification/regression losses.
-Every contraction is a fixed matmul or broadcast: a convolution is im2col
-plus one matmul (see conv2d), and one conv2d node also adds the layer's bias
-and applies its ReLU, so a network layer is a single tape node.
+Scope is deliberately small: only the ops needed by a tiny conv backbone
+and its RPN heads. Every contraction is a fixed matmul or broadcast: a
+convolution is im2col plus one matmul (see conv2d), and one conv2d node also
+adds the layer's bias and applies its ReLU, so a network layer is a single
+tape node. The losses are not on the tape: model.soft_label_loss computes
+them and their gradients in plain NumPy, and one loss_node carries those
+gradients into the network's outputs.
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def zero_grad(self):
         self.grad = None
@@ -111,10 +109,6 @@ class Tensor:
         return float(self.data.reshape(()))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], Iterable[Optional[np.ndarray]]]) -> Tensor:
     """Wrap an op result; records the tape only when grad mode is on and
@@ -134,33 +128,13 @@ def _image_sum(per_image: np.ndarray, lead: tuple) -> np.ndarray:
     return functools.reduce(np.add, per_image) if lead else per_image
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, extent in enumerate(shape):
-        if extent == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 # -- elementwise ------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data + b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g * b.data, a.shape),
-                                          _unbroadcast(g * a.data, b.shape)))
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    return _make(a.data * s, (a,), lambda g: (g * s,))
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise GraphError(f"add needs operands of one shape, got {a.shape} and {b.shape}")
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -179,18 +153,6 @@ def tsum(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows along axis 0; backward scatter-adds."""
-    idx = np.asarray(idx, dtype=np.intp)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
-
-    return _make(a.data[idx], (a,), backward)
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -320,33 +282,12 @@ def anchor_scores(fe: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 # -- losses -------------------------------------------------------------------
 
-BCE_EPS = 1e-7
-
-
-def bce_loss(p: Tensor, target) -> Tensor:
-    """Elementwise binary cross-entropy against constant targets in [0, 1].
-    Probabilities are clamped to [eps, 1-eps]; the gradient is zero in the
-    clamped region, matching the clamped forward."""
-    t = np.asarray(target, dtype=np.float64)
-    pc = np.clip(p.data, BCE_EPS, 1.0 - BCE_EPS)
-    data = -(t * np.log(pc) + (1.0 - t) * np.log1p(-pc))
-    inside = (p.data > BCE_EPS) & (p.data < 1.0 - BCE_EPS)
-
-    def backward(g):
-        return (g * inside * (pc - t) / (pc * (1.0 - pc)),)
-
-    return _make(data, (p,), backward)
-
-
-def smooth_l1(pred: Tensor, target) -> Tensor:
-    """Elementwise smooth-L1 of (pred - target): 0.5 d^2 for |d| < 1, else
-    |d| - 0.5. Targets are constants."""
-    t = np.asarray(target, dtype=np.float64)
-    d = pred.data - t
-    ad = np.abs(d)
-    data = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
-
-    def backward(g):
-        return (g * np.clip(d, -1.0, 1.0),)
-
-    return _make(data, (pred,), backward)
+def loss_node(value: float, parents: Sequence[Tensor],
+              grads: Sequence[Optional[np.ndarray]]) -> Tensor:
+    """A scalar of the given value whose gradient with respect to each
+    parent is the matching constant array of grads; a None sends that parent
+    no gradient. A loss computed off the tape, in plain NumPy together with
+    its gradient (model.soft_label_loss), joins the tape through this one
+    node, and backward() from it runs the network's backward."""
+    return _make(np.asarray(float(value)), parents,
+                 lambda g: [None if gp is None else g * gp for gp in grads])

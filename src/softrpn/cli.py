@@ -18,8 +18,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from . import data as dat
 from . import harness as hz
@@ -61,7 +59,10 @@ def _load_config(args) -> hz.TrainConfig:
     base = {}
     if getattr(args, "config", None):
         with open(args.config) as f:
-            base = json.load(f)
+            try:
+                base = json.load(f)
+            except RecursionError as e:
+                raise ValueError(f"{args.config}: config nested too deeply") from e
         if not isinstance(base, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
     for key in ("t", "mode", "lr", "total_iters", "d_embed", "seed_init", "seed_sample"):
@@ -118,14 +119,13 @@ def _load_checkpoint_config(path) -> tuple[dict, hz.TrainConfig]:
         config = hz.TrainConfig.from_dict(meta["config"])
     except (KeyError, TypeError, ValueError) as e:
         raise mdl.CheckpointError(f"{path}: no valid meta.config ({e!r})") from e
-    expected = mdl.init_params(config.d_embed, mdl.N_ANCHORS, np.random.default_rng(0))
-    for name, tensor in expected.items():
+    for name, shape in mdl.param_shapes(config.d_embed, mdl.N_ANCHORS).items():
         if name not in params:
             raise mdl.CheckpointError(f"checkpoint is missing tensor {name}")
-        if params[name].shape != tensor.shape:
+        if params[name].shape != shape:
             raise mdl.CheckpointError(
                 f"checkpoint tensor {name} has shape {params[name].shape}, "
-                f"config implies {tensor.shape}")
+                f"config implies {shape}")
     return params, config
 
 

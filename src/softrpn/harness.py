@@ -3,7 +3,6 @@ and the attention-threshold ablation."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -252,24 +251,36 @@ def _train_blocks(picks: np.ndarray, matched: Sequence[MatchedImage]
 
 
 def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
-                  config: TrainConfig, rng: np.random.Generator) -> list[mdl.RpnLosses]:
+                  config: TrainConfig, rng: np.random.Generator
+                  ) -> tuple[Tensor, list[mdl.RpnLosses]]:
     """Forward a block of same-extent images on one tape, then sample each
-    image's proposal minibatch and build its loss, in block order."""
+    image's proposal minibatch and compute its loss, in block order. Returns
+    the node whose backward() carries every image's loss gradient into the
+    tape, and the losses. Each image's gradients are added into zeros at its
+    sampled rows; a block that sampled no anchor (no positive) sends probs
+    (deltas) no gradient, so a head no loss reached keeps grad None."""
     batch = mdl.forward_rpn(Tensor(_block([mi.record.image for mi in block])), params)
-    n = batch.probs.shape[-1]
-    # image j's anchors are rows j*n ... j*n + n - 1 of the flattened outputs
-    probs = ag.reshape(batch.probs, (len(block) * n,))
-    deltas = ag.reshape(batch.deltas, (len(block) * n, 4))
-    per_image = []
+    probs, deltas = batch.probs.data, batch.deltas.data
+    g_probs, g_deltas = np.zeros_like(probs), np.zeros_like(deltas)
+    n_pos = n_sampled = 0
+    losses = []
     for j, mi in enumerate(block):
         pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
         amap = (_attend(batch.embeddings.data[j], pos_idx, neg_idx)
                 if config.mode == "soft_label" else None)
-        pos, neg = j * n + pos_idx, j * n + neg_idx
-        per_image.append(mdl.soft_label_loss(
-            ag.gather_rows(probs, pos), ag.gather_rows(probs, neg), ag.gather_rows(deltas, pos),
-            mi.delta_targets[pos_idx], amap, config.t))
-    return per_image
+        image = mdl.soft_label_loss(probs[j, pos_idx], probs[j, neg_idx], deltas[j, pos_idx],
+                                    mi.delta_targets[pos_idx], amap, config.t,
+                                    1.0 / BATCH_IMAGES)
+        g_probs[j, pos_idx] += image.grad_pos
+        g_probs[j, neg_idx] += image.grad_neg
+        g_deltas[j, pos_idx] += image.grad_deltas
+        n_pos += len(pos_idx)
+        n_sampled += len(pos_idx) + len(neg_idx)
+        losses.append(image)
+    root = ag.loss_node(sum(image.total for image in losses) / BATCH_IMAGES,
+                        (batch.probs, batch.deltas),
+                        (g_probs if n_sampled else None, g_deltas if n_pos else None))
+    return root, losses
 
 
 def train(config: TrainConfig, records: Sequence[ImageRecord]
@@ -305,21 +316,19 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
                 sums = {"l_pos": 0.0, "l_neg": 0.0, "l_reg": 0.0, "total": 0.0}
                 n_flagged = 0
                 for block in _train_blocks(picks, matched):
-                    # Rebinding losses frees the previous block's tape here,
+                    # Rebinding root frees the previous block's tape here,
                     # after this block's forward and before its backward, as
                     # training one image at a time did. Freed before the
                     # forward, the tape leaves the top of the heap free for
                     # glibc to hand back to the kernel, and the forward and
                     # backward fault it in again: ~180 minor faults per
                     # iteration at 64x64 and ~1,100 at 128x128, against tens.
-                    losses = _block_losses(params, block, config, rng)
-                    functools.reduce(ag.add, [ag.scale(image.total, 1.0 / BATCH_IMAGES)
-                                              for image in losses]).backward()
-                    # comprehensions: no loop name holds this tape into the next backward
-                    for key in sums:
-                        for value in [getattr(image, key).item() for image in losses]:
-                            sums[key] += value
-                    n_flagged += sum(len(image.flagged) for image in losses)
+                    root, losses = _block_losses(params, block, config, rng)
+                    root.backward()
+                    for image in losses:
+                        for key in sums:
+                            sums[key] += getattr(image, key)
+                        n_flagged += len(image.flagged)
                 means = {k: v / BATCH_IMAGES for k, v in sums.items()}
                 if not math.isfinite(means["total"]):
                     raise DivergenceError(it)

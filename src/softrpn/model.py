@@ -26,7 +26,7 @@ import os
 import stat
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -62,33 +62,44 @@ class ProposalBatch:
 
 @dataclass
 class RpnLosses:
-    l_pos: Tensor
-    l_neg: Tensor
-    l_reg: Tensor
-    total: Tensor
-    flagged: np.ndarray  # indices into the negative subset whose soft label fired
+    """One image's loss values, the negatives it flagged, and the gradient
+    of weight * total (see soft_label_loss) with respect to each input."""
+    l_pos: float
+    l_neg: float
+    l_reg: float
+    total: float
+    flagged: np.ndarray       # indices into the negative subset whose soft label fired
+    grad_pos: np.ndarray      # (n_pos,), with respect to pos_probs
+    grad_neg: np.ndarray      # (n_neg,), with respect to neg_probs
+    grad_deltas: np.ndarray   # (n_pos, 4), with respect to pos_deltas
+
+
+def param_shapes(d_embed: int, n_anchors: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter, keyed by its stable name, in the order
+    init_params draws them; computing them allocates nothing."""
+    c = BACKBONE_CHANNELS
+    convs = [(f"backbone.conv{i}", 3, cin, cout)
+             for i, (cin, cout) in enumerate(zip((1,) + c, c))]
+    convs += [("rpn.share", 3, c[-1], c[-1]), ("rpn.reg", 1, c[-1], n_anchors * 4),
+              ("rpn.embed", 1, c[-1], n_anchors * d_embed)]
+    shapes = {}
+    for name, k, cin, cout in convs:
+        shapes[name + ".w"], shapes[name + ".b"] = (k, k, cin, cout), (cout,)
+    return {**shapes, "rpn.cls.w": (n_anchors, d_embed), "rpn.cls.b": (n_anchors,)}
 
 
 def init_params(d_embed: int, n_anchors: int, rng: np.random.Generator) -> dict[str, Tensor]:
-    """He-initialized parameter dict keyed by stable names."""
-    def conv(name, k, cin, cout):
-        fan_in = k * k * cin
-        w = rng.standard_normal((k, k, cin, cout)) * np.sqrt(2.0 / fan_in)
-        params[name + ".w"] = Tensor(w, requires_grad=True)
-        params[name + ".b"] = Tensor(np.zeros(cout), requires_grad=True)
-
+    """He-initialized parameters of param_shapes, drawn in its order; the
+    biases start at zero."""
     params: dict[str, Tensor] = {}
-    c = 1
-    for i, cout in enumerate(BACKBONE_CHANNELS):
-        conv(f"backbone.conv{i}", 3, c, cout)
-        c = cout
-    conv("rpn.share", 3, c, c)
-    conv("rpn.reg", 1, c, n_anchors * 4)
-    conv("rpn.embed", 1, c, n_anchors * d_embed)
-    params["rpn.cls.w"] = Tensor(
-        rng.standard_normal((n_anchors, d_embed)) * np.sqrt(1.0 / d_embed),
-        requires_grad=True)
-    params["rpn.cls.b"] = Tensor(np.zeros(n_anchors), requires_grad=True)
+    for name, shape in param_shapes(d_embed, n_anchors).items():
+        if name.endswith(".b"):
+            data = np.zeros(shape)
+        elif name == "rpn.cls.w":
+            data = rng.standard_normal(shape) * np.sqrt(1.0 / d_embed)
+        else:                                       # a (k, k, Cin, Cout) kernel
+            data = rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[:3]))
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -219,40 +230,71 @@ def detect_false_negatives(amap: AttentionMap, t: float) -> np.ndarray:
     return np.flatnonzero(amap.row_max >= t)
 
 
-def soft_label_loss(pos_probs: Tensor, neg_probs: Tensor,
-                    pos_deltas: Tensor, pos_delta_targets: np.ndarray,
-                    amap: Optional[AttentionMap], t: float) -> RpnLosses:
-    """Classification + regression losses over a sampled proposal set.
+BCE_EPS = 1e-7
+
+
+def _bce(p: np.ndarray, target: np.ndarray, w: float) -> tuple[float, np.ndarray]:
+    """Summed binary cross-entropy of probabilities p against constant
+    targets in [0, 1], and w times its gradient. p is clamped to [BCE_EPS,
+    1 - BCE_EPS], where the gradient is zero, as for the clamped value."""
+    pc = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
+    value = -(target * np.log(pc) + (1.0 - target) * np.log1p(-pc))
+    inside = (p > BCE_EPS) & (p < 1.0 - BCE_EPS)
+    return value.sum(), np.full_like(p, w) * inside * (pc - target) / (pc * (1.0 - pc))
+
+
+def _smooth_l1(pred: np.ndarray, target: np.ndarray, w: float) -> tuple[float, np.ndarray]:
+    """Summed smooth-L1 of d = pred - target (0.5 d^2 for |d| < 1, else
+    |d| - 0.5) against constant targets, and w times its gradient."""
+    d = pred - target
+    ad = np.abs(d)
+    value = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
+    return value.sum(), np.full_like(d, w) * np.clip(d, -1.0, 1.0)
+
+
+def _mean(term, x: np.ndarray, target: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
+    """term's mean over the rows of x, and weight times its gradient: 0.0
+    and an empty gradient without rows."""
+    if not len(x):
+        return 0.0, np.zeros_like(x)
+    inv = 1.0 / len(x)
+    value, grad = term(x, target, weight * inv)
+    return float(value * inv), grad
+
+
+def soft_label_loss(pos_probs: np.ndarray, neg_probs: np.ndarray,
+                    pos_deltas: np.ndarray, pos_delta_targets: np.ndarray,
+                    amap: Optional[AttentionMap], t: float,
+                    weight: float = 1.0) -> RpnLosses:
+    """Classification + regression losses over a sampled proposal set, and
+    their gradients, on plain arrays.
 
     L_pos averages bce(p, 1) over positives; L_reg averages smooth-L1 of the
     positive delta predictions; L_neg averages bce(p, target) over negatives
     where the target is max(A_i) for rows clearing the threshold and 0
-    otherwise. Soft targets are constants: no gradient flows through them,
-    so the attention cannot lower the loss by inflating itself.
+    otherwise; total is (L_pos + L_neg) + L_reg. Soft targets are constants:
+    no gradient flows through them, so the attention cannot lower the loss
+    by inflating itself.
+
+    The gradients are those of weight * total with respect to pos_probs,
+    neg_probs and pos_deltas: training passes each image's share of the
+    iteration's loss, 1 / BATCH_IMAGES.
 
     With amap None (no positives exist) L_pos and L_reg are zero and every
     negative keeps its hard zero target.
     """
     check_threshold(t)
-    n_pos = pos_probs.shape[0]
-    n_neg = neg_probs.shape[0]
-    targets = np.zeros(n_neg)
+    targets = np.zeros(len(neg_probs))
     flagged = np.zeros(0, dtype=np.intp)
-    if amap is not None and n_neg:
+    if amap is not None and len(neg_probs):
         flagged = detect_false_negatives(amap, t)
         targets[flagged] = amap.row_max[flagged]
-    if n_neg:
-        l_neg = ag.scale(ag.tsum(ag.bce_loss(neg_probs, targets)), 1.0 / n_neg)
-    else:
-        l_neg = Tensor(0.0)
-    if n_pos:
-        l_pos = ag.scale(ag.tsum(ag.bce_loss(pos_probs, np.ones(n_pos))), 1.0 / n_pos)
-        l_reg = ag.scale(ag.tsum(ag.smooth_l1(pos_deltas, pos_delta_targets)), 1.0 / n_pos)
-    else:
-        l_pos = Tensor(0.0)
-        l_reg = Tensor(0.0)
-    total = ag.add(ag.add(l_pos, l_neg), l_reg)
-    return RpnLosses(l_pos=l_pos, l_neg=l_neg, l_reg=l_reg, total=total, flagged=flagged)
+    l_neg, grad_neg = _mean(_bce, neg_probs, targets, weight)
+    l_pos, grad_pos = _mean(_bce, pos_probs, np.ones(len(pos_probs)), weight)
+    l_reg, grad_deltas = _mean(_smooth_l1, pos_deltas, pos_delta_targets, weight)
+    return RpnLosses(l_pos=l_pos, l_neg=l_neg, l_reg=l_reg, total=(l_pos + l_neg) + l_reg,
+                     flagged=flagged, grad_pos=grad_pos, grad_neg=grad_neg,
+                     grad_deltas=grad_deltas)
 
 
 def sample_proposals(labels: np.ndarray, n_total: int, pos_fraction: float,
@@ -370,7 +412,8 @@ def _read_header(f, path) -> tuple[list[tuple[str, tuple[int, ...]]], dict]:
         tensors = [(str(rec["name"]), tuple(int(d) for d in rec["shape"]))
                    for rec in header["tensors"]]
         meta = header.get("meta", {})
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError) as e:     # overflow: an infinite dimension
         raise CheckpointError(f"{path}: malformed checkpoint header ({e!r})") from e
     if not isinstance(meta, dict) or any(d < 0 for _, shape in tensors for d in shape):
         raise CheckpointError(f"{path}: malformed checkpoint header")
@@ -378,14 +421,19 @@ def _read_header(f, path) -> tuple[list[tuple[str, tuple[int, ...]]], dict]:
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
+    """Parameters and meta dict of a checkpoint. In a regular file, a tensor
+    larger than the bytes left is refused before its bytes are read."""
     with open(path, "rb") as f:
         tensors, meta = _read_header(f, path)
+        st = os.fstat(f.fileno())
+        left = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else math.inf
         params: dict[str, Tensor] = {}
         for name, shape in tensors:
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(count * 8)
-            if len(raw) != count * 8:
+            nbytes = math.prod(shape) * 8
+            raw = f.read(nbytes) if nbytes <= left else b""
+            if len(raw) != nbytes:
                 raise CheckpointError(f"{path}: truncated payload for tensor {name}")
+            left -= nbytes
             params[name] = Tensor(
                 np.frombuffer(raw, dtype="<f8").reshape(shape).copy(),
                 requires_grad=True)

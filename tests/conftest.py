@@ -10,9 +10,11 @@ from softrpn.autograd import Tensor
 from softrpn.geometry import encode_deltas, iou_matrix
 
 
-def numeric_grad(fn, tensor: ag.Tensor, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar-valued fn wrt one tensor."""
-    flat = tensor.data.reshape(-1)
+def numeric_grad(fn, tensor, step: float = 1e-5) -> np.ndarray:
+    """Central finite differences of a scalar-valued fn wrt one tensor, or
+    one float64 array that fn reads."""
+    data = tensor.data if isinstance(tensor, ag.Tensor) else tensor
+    flat = data.reshape(-1)
     grad = np.zeros_like(flat)
     with ag.no_grad():
         for i in range(flat.size):
@@ -23,7 +25,7 @@ def numeric_grad(fn, tensor: ag.Tensor, step: float = 1e-5) -> np.ndarray:
             lo = fn()
             flat[i] = orig
             grad[i] = (hi - lo) / (2 * step)
-    return grad.reshape(tensor.data.shape)
+    return grad.reshape(data.shape)
 
 
 def assert_grad_matches(fn, tensor: ag.Tensor, rel_tol: float = 1e-3,
@@ -63,6 +65,31 @@ def match_one_image(anchors, gt, pos_thresh, neg_thresh):
     return labels, targets
 
 
+def dot_loss(tensors, grads):
+    """The sum over the pairs of tsum(tensor * grad), as one loss_node: its
+    gradient with respect to each tensor is that grad, bit for bit."""
+    value = sum(float((t.data * g).sum()) for t, g in zip(tensors, grads))
+    return ag.loss_node(value, tensors, grads)
+
+
+def sampled_loss(batch, pos_idx, neg_idx, delta_targets, amap, t, weight=1.0):
+    """soft_label_loss of one image's forward outputs at its sampled rows,
+    and the loss_node that carries its gradients into them: each added into
+    zeros at its rows, as harness._block_losses does. A term over no rows
+    sends no gradient."""
+    probs, deltas = batch.probs.data, batch.deltas.data
+    out = mdl.soft_label_loss(probs[pos_idx], probs[neg_idx], deltas[pos_idx],
+                              delta_targets, amap, t, weight)
+    g_probs, g_deltas = np.zeros_like(probs), np.zeros_like(deltas)
+    g_probs[pos_idx] += out.grad_pos
+    g_probs[neg_idx] += out.grad_neg
+    g_deltas[pos_idx] += out.grad_deltas
+    sampled = len(pos_idx) + len(neg_idx)
+    return out, ag.loss_node(weight * out.total, (batch.probs, batch.deltas),
+                             (g_probs if sampled else None,
+                              g_deltas if len(pos_idx) else None))
+
+
 def block_and_per_image_grads(loss, images, upstream, params):
     """The gradients of loss(x, *g) from one backward over a (B, ...) block
     of images, and from one backward per image, as bytes: each parameter's
@@ -91,14 +118,13 @@ def _attend(batch, pos_idx, neg_idx):
 
 
 def _image_loss(params, mi, config, rng):
-    """Forward one image, sample a proposal minibatch, and build the loss."""
+    """Forward one image, sample a proposal minibatch, and build the loss
+    and the node to backpropagate its share of the iteration's loss from."""
     batch = mdl.forward_rpn(Tensor(mi.record.image), params)
     pos_idx, neg_idx = mdl.sample_proposals(mi.labels, hz.MINIBATCH_SIZE, hz.POS_FRACTION, rng)
     amap = _attend(batch, pos_idx, neg_idx) if config.mode == "soft_label" else None
-    return mdl.soft_label_loss(ag.gather_rows(batch.probs, pos_idx),
-                               ag.gather_rows(batch.probs, neg_idx),
-                               ag.gather_rows(batch.deltas, pos_idx),
-                               mi.delta_targets[pos_idx], amap, config.t)
+    return sampled_loss(batch, pos_idx, neg_idx, mi.delta_targets[pos_idx], amap, config.t,
+                        1.0 / hz.BATCH_IMAGES)
 
 
 def train_per_image(config, records):
@@ -128,10 +154,10 @@ def train_per_image(config, records):
                 sums = {"l_pos": 0.0, "l_neg": 0.0, "l_reg": 0.0, "total": 0.0}
                 n_flagged = 0
                 for k in picks:
-                    losses = _image_loss(params, matched[k], config, rng)
-                    ag.scale(losses.total, 1.0 / hz.BATCH_IMAGES).backward()
+                    losses, root = _image_loss(params, matched[k], config, rng)
+                    root.backward()
                     for key in sums:
-                        sums[key] += getattr(losses, key).item()
+                        sums[key] += getattr(losses, key)
                     n_flagged += len(losses.flagged)
                 means = {k: v / hz.BATCH_IMAGES for k, v in sums.items()}
                 if not math.isfinite(means["total"]):

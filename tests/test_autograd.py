@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from softrpn import autograd as ag
 from softrpn.autograd import Tensor
 
-from conftest import assert_grad_matches, block_and_per_image_grads, numeric_grad
+from conftest import assert_grad_matches, block_and_per_image_grads, dot_loss
 
 
 def conv_oracle(x, k, stride, pad, g, bias=None, relu=False):
@@ -42,6 +42,12 @@ def conv_oracle(x, k, stride, pad, g, bias=None, relu=False):
             for ox in range(wo):
                 gb += g[oy, ox]
     return out, gx, gk, gb
+
+
+def sum_of_squares(x):
+    """tsum(x * x) as one loss_node, its value recomputed from x's data
+    under finite differences."""
+    return ag.loss_node(float((x.data * x.data).sum()), (x,), (2.0 * x.data,))
 
 
 @st.composite
@@ -111,8 +117,7 @@ class TestConv2d:
         k = Tensor(rng.standard_normal((3, 3, 3, 2)), requires_grad=True)
 
         def loss():
-            return ag.tsum(ag.mul(ag.conv2d(x, k, stride=2, pad=1),
-                                  ag.conv2d(x, k, stride=2, pad=1)))
+            return sum_of_squares(ag.conv2d(x, k, stride=2, pad=1))
 
         assert_grad_matches(loss, x, rel_tol=1e-4)
         assert_grad_matches(loss, k, rel_tol=1e-4)
@@ -139,7 +144,7 @@ class TestConv2d:
         bias = Tensor(gen.standard_normal(cout), requires_grad=True) if with_bias else None
         out = ag.conv2d(x, kernel, stride=stride, pad=pad, bias=bias, relu=relu)
         g = gen.standard_normal(out.shape)
-        ag.tsum(ag.mul(out, g)).backward()
+        dot_loss((out,), (g,)).backward()
         want, gx, gk, gb = conv_oracle(x.data, kernel.data, stride, pad, g,
                                        bias=None if bias is None else bias.data, relu=relu)
         assert out.shape == want.shape
@@ -183,7 +188,7 @@ class TestConv2d:
         upstream = gen.standard_normal((n_images, ho, wo, cout))
 
         def loss(x, g):
-            return ag.tsum(ag.mul(ag.conv2d(x, kernel, stride, pad, bias, relu), g))
+            return dot_loss((ag.conv2d(x, kernel, stride, pad, bias, relu),), (g,))
 
         block, alone = block_and_per_image_grads(
             loss, images, (upstream,), [kernel] + ([bias] if with_bias else []))
@@ -197,7 +202,7 @@ class TestConv2d:
         def grads(x):
             kernel.zero_grad()
             out = ag.conv2d(x, kernel, stride=2, pad=1)
-            ag.tsum(ag.mul(out, g)).backward()
+            dot_loss((out,), (g,)).backward()
             return out, kernel.grad.copy()
 
         image = Tensor(data.copy())
@@ -209,7 +214,7 @@ class TestConv2d:
         np.testing.assert_array_equal(gk, gk_tracked)
         # an input on a tape still gets its gradient, without requires_grad
         base = Tensor(data.copy(), requires_grad=True)
-        grads(ag.scale(base, 1.0))
+        grads(ag.reshape(base, base.shape))
         np.testing.assert_array_equal(base.grad, tracked.grad)
 
 
@@ -244,7 +249,7 @@ class TestAnchorScores:
         b = Tensor(gen.standard_normal(na), requires_grad=True)
         out = ag.anchor_scores(fe, w, b)
         g = gen.standard_normal((h, wd, na))
-        ag.tsum(ag.mul(out, g)).backward()
+        dot_loss((out,), (g,)).backward()
         want, gfe, gw, gb = anchor_scores_oracle(fe.data, w.data, b.data, g)
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fe.grad, gfe, rtol=0, atol=1e-12)
@@ -263,54 +268,8 @@ class TestAnchorScores:
         b = Tensor(gen.standard_normal(na), requires_grad=True)
         upstream = gen.standard_normal((n_images, h, wd, na))
         block, alone = block_and_per_image_grads(
-            lambda x, g: ag.tsum(ag.mul(ag.anchor_scores(x, w, b), g)), fe, (upstream,), [w, b])
+            lambda x, g: dot_loss((ag.anchor_scores(x, w, b),), (g,)), fe, (upstream,), [w, b])
         assert block == alone
-
-
-class TestBceLoss:
-    def test_symmetric_point(self):
-        out = ag.bce_loss(Tensor([0.5]), [0.5])
-        np.testing.assert_allclose(out.data, np.log(2.0))
-
-    def test_perfect_prediction(self):
-        out = ag.bce_loss(Tensor([1.0 - 1e-7]), [1.0])
-        assert out.data[0] == pytest.approx(0.0, abs=1e-6)
-
-    def test_soft_target_value(self):
-        out = ag.bce_loss(Tensor([0.7]), [0.85])
-        want = 0.85 * -np.log(0.7) + 0.15 * -np.log(0.3)
-        assert out.data[0] == pytest.approx(want, abs=1e-12)
-        assert out.data[0] == pytest.approx(0.48374, abs=1e-4)
-
-    def test_clamp_keeps_finite(self):
-        out = ag.bce_loss(Tensor([0.0, 1.0]), [1.0, 0.0])
-        assert np.isfinite(out.data).all()
-
-    def test_gradcheck_through_sigmoid(self, rng):
-        logit = Tensor(rng.standard_normal(6), requires_grad=True)
-        t = rng.uniform(0, 1, 6)
-        assert_grad_matches(
-            lambda: ag.tsum(ag.bce_loss(ag.sigmoid(logit), t)),
-            logit, rel_tol=1e-4)
-
-
-class TestSmoothL1:
-    def test_zero_at_match(self):
-        out = ag.smooth_l1(Tensor([1.0, 2.0, 3.0, 4.0]), [1.0, 2.0, 3.0, 4.0])
-        assert out.data.sum() == 0.0
-
-    def test_quadratic_branch(self):
-        out = ag.smooth_l1(Tensor([0.5, 0.0, 0.0, 0.0]), np.zeros(4))
-        assert out.data.sum() == pytest.approx(0.125)
-
-    def test_linear_branch(self):
-        out = ag.smooth_l1(Tensor([2.0, 0.0, 0.0, 0.0]), np.zeros(4))
-        assert out.data.sum() == pytest.approx(1.5)
-
-    def test_gradcheck(self, rng):
-        x = Tensor(rng.standard_normal(8) * 2, requires_grad=True)
-        t = rng.standard_normal(8)
-        assert_grad_matches(lambda: ag.tsum(ag.smooth_l1(x, t)), x, rel_tol=1e-4)
 
 
 class TestBackward:
@@ -319,10 +278,19 @@ class TestBackward:
         ag.tsum(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
-    def test_square_grad(self, rng):
+    def test_loss_node_hands_each_parent_its_gradient(self, rng):
         x = Tensor(rng.standard_normal(5), requires_grad=True)
-        ag.tsum(ag.mul(x, x)).backward()
-        np.testing.assert_allclose(x.grad, 2 * x.data)
+        w = Tensor(rng.standard_normal(3), requires_grad=True)
+        gx = rng.standard_normal(5)
+        loss = ag.loss_node(2.5, (ag.reshape(x, (5,)), w), (gx, None))
+        assert loss.item() == 2.5
+        loss.backward()
+        assert x.grad.tobytes() == gx.tobytes()
+        assert w.grad is None
+
+    def test_add_of_two_shapes_rejected(self):
+        with pytest.raises(ag.GraphError, match="one shape"):
+            ag.add(Tensor(np.ones(3)), Tensor(np.ones((3, 1))))
 
     def test_non_scalar_rejected(self):
         with pytest.raises(ag.GraphError):
@@ -337,9 +305,9 @@ class TestBackward:
 
     def test_diamond_graph(self, rng):
         x = Tensor(rng.standard_normal(4), requires_grad=True)
-        y = ag.mul(x, x)
+        y = ag.add(x, x)
         ag.tsum(ag.add(y, y)).backward()
-        np.testing.assert_allclose(x.grad, 4 * x.data)
+        np.testing.assert_array_equal(x.grad, np.full(4, 4.0))
 
     @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "vector"])
     @pytest.mark.parametrize("x_first", [True, False], ids=["x-first", "w-first"])
@@ -369,13 +337,15 @@ class TestBackward:
     def test_no_grad_suppresses_tape(self, rng):
         x = Tensor(rng.standard_normal(4), requires_grad=True)
         with ag.no_grad():
-            out = ag.tsum(ag.mul(x, x))
+            out = ag.tsum(ag.add(x, x))
         assert out._backward is None and out._prev == ()
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_every_op_matches_finite_differences(seed):
-    """Composite graph touching every differentiable op, 20 random seeds."""
+    """Composite graph touching every differentiable op, 20 random seeds: a
+    loss computed in NumPy (weighted squared errors of a few probabilities
+    and embedding rows) joins the tape through loss_node."""
     gen = np.random.default_rng(seed)
     x = Tensor(gen.standard_normal((6, 6, 2)), requires_grad=True)
     k = Tensor(gen.standard_normal((3, 3, 2, 4)), requires_grad=True)
@@ -384,15 +354,20 @@ def test_every_op_matches_finite_differences(seed):
     kb = Tensor(gen.standard_normal(4), requires_grad=True)
     t_cls = gen.uniform(0, 1, 6)
     t_reg = gen.standard_normal((3, 4))
+    rows = [2, 4, 6]
 
     def loss():
         f = ag.conv2d(x, k, stride=1, pad=1, bias=kb, relu=True)   # (6, 6, 4)
         s = ag.anchor_scores(f, w, b)                        # (6, 6, 2)
         probs = ag.sigmoid(ag.reshape(s, (72,)))
         emb = ag.reshape(f, (36, 4))
-        l1 = ag.tsum(ag.bce_loss(ag.gather_rows(probs, [1, 2, 3, 4, 5, 6]), t_cls))
-        l2 = ag.tsum(ag.smooth_l1(ag.reshape(ag.gather_rows(emb, [2, 4, 6]), (3, 4)), t_reg))
-        return ag.add(ag.scale(l1, 0.3), ag.scale(l2, 0.2))
+        e_cls = probs.data[1:7] - t_cls
+        e_reg = emb.data[rows] - t_reg
+        g_probs, g_emb = np.zeros(72), np.zeros((36, 4))
+        g_probs[1:7] = 0.6 * e_cls
+        g_emb[rows] = 0.4 * e_reg
+        value = 0.3 * (e_cls * e_cls).sum() + 0.2 * (e_reg * e_reg).sum()
+        return ag.add(ag.loss_node(value, (probs, emb), (g_probs, g_emb)), ag.tsum(s))
 
     for tensor in (x, k, kb, w, b):
         assert_grad_matches(loss, tensor, rel_tol=1e-3)

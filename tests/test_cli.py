@@ -377,6 +377,15 @@ class TestTrainCmd:
         assert needle in single_error_line(capsys)
         assert not out.exists()
 
+    def test_deeply_nested_config_gives_one_error_line(self, dataset, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out"
+        assert run(["train", "--data", dataset, "--out", str(out),
+                    "--config", str(path), *FAST]) == 1
+        assert "nested too deeply" in single_error_line(capsys)
+        assert not out.exists()
+
     def test_retired_config_keys_still_load(self, dataset, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"total_iters": 12, "image_size": 64, "stride": 8,
@@ -462,16 +471,19 @@ class TestEvalCmd:
         assert run(["eval", "--checkpoint", str(bad), "--data", dataset,
                     "--report", str(tmp_path / "r.json")]) == 1
 
-    @pytest.mark.parametrize("kind", ["magic_only", "bad_json", "no_config"])
+    @pytest.mark.parametrize("kind", ["magic_only", "bad_json", "infinite_shape",
+                                      "nested_header", "no_config"])
     def test_malformed_checkpoint_gives_one_error_line(self, kind, dataset,
                                                        checkpoint, tmp_path, capsys):
         bad = tmp_path / "bad.srpn"
+        headers = {"bad_json": b"{oops",
+                   "infinite_shape": b'{"tensors": [{"name": "w", "shape": [Infinity]}]}',
+                   "nested_header": b"[" * 100_000 + b"]" * 100_000}
         if kind == "magic_only":
             bad.write_bytes(mdl.CHECKPOINT_MAGIC)
-        elif kind == "bad_json":
-            header = b"{oops"
+        elif kind in headers:
             bad.write_bytes(mdl.CHECKPOINT_MAGIC + struct.pack(
-                "<II", mdl.CHECKPOINT_VERSION, len(header)) + header)
+                "<II", mdl.CHECKPOINT_VERSION, len(headers[kind])) + headers[kind])
         else:
             params, _ = mdl.load_checkpoint(checkpoint)
             mdl.save_checkpoint(bad, params, meta={})
@@ -479,6 +491,21 @@ class TestEvalCmd:
         assert run(["eval", "--checkpoint", str(bad), "--data", dataset,
                     "--report", str(report)]) == 1
         assert str(bad) in single_error_line(capsys)
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "audit"])
+    def test_huge_d_embed_names_the_mismatched_tensor(self, command, dataset, checkpoint,
+                                                      tmp_path, capsys):
+        """A meta.config whose d_embed implies a 10**11-wide embedding layer
+        is checked against the tensors' shapes without allocating that
+        layer."""
+        params, meta = mdl.load_checkpoint(checkpoint)
+        bad = tmp_path / "wide.srpn"
+        mdl.save_checkpoint(bad, params, meta={"config": {**meta["config"], "d_embed": 10**11}})
+        report = tmp_path / "r.json"
+        assert run([command, "--checkpoint", str(bad), "--data", dataset,
+                    "--report", str(report)]) == 1
+        assert "rpn.embed.w" in single_error_line(capsys)
         assert not report.exists()
 
     def test_image_size_mismatch_is_runtime_error(self, dataset60, checkpoint,

@@ -587,6 +587,13 @@ def interleaved_extents():
     return [next(its[c]) for c in order]
 
 
+def one_labelled(records):
+    """records with every kept box but the first image's withheld, so many
+    iterations sample no positive and the regression head gets no gradient."""
+    return records[:1] + [dat.ImageRecord(rec.image_id, rec.file_name, rec.image,
+                                          np.zeros((0, 4)), rec.full) for rec in records[1:]]
+
+
 BLOCK_DATASETS = {f"{n}x64": (lambda n=n: tiny_records(n, seed=n)) for n in (1, 3, 4, 5, 9)}
 BLOCK_DATASETS["64-and-32x48"] = interleaved_extents
 
@@ -658,6 +665,9 @@ TRAIN_DATASETS = {
     "baseline-64": (tiny_records, {"mode": "baseline"}, {4}),
     "soft-128": (lambda: tiny_records(4, size=128), {"total_iters": 8, "milestones": (4,)}, {1}),
     "64-and-32x48": (interleaved_extents, {}, {1, 4}),
+    # a block without positives sends deltas no gradient, so an iteration
+    # without them skips the regression head's momentum step
+    "64-one-labelled": (lambda: one_labelled(tiny_records(8)), {}, {4}),
     # INFER_BLOCK holds two such images, not four: one at a time
     "64x128": (lambda: cropped(tiny_records(4, size=128, seed=3), 64, 128),
                {"total_iters": 8, "milestones": (4,)}, {1}),

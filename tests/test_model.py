@@ -12,7 +12,7 @@ from softrpn import autograd as ag
 from softrpn import model as mdl
 from softrpn.autograd import Tensor
 
-from conftest import block_and_per_image_grads
+from conftest import block_and_per_image_grads, dot_loss, numeric_grad, sampled_loss
 
 D = 8
 NA = 3
@@ -21,6 +21,13 @@ NA = 3
 @pytest.fixture
 def params(rng):
     return mdl.init_params(D, NA, rng)
+
+
+def test_param_shapes_are_those_init_params_draws():
+    params = mdl.init_params(D, NA, np.random.default_rng(0))
+    shapes = mdl.param_shapes(D, NA)
+    assert list(shapes) == list(params)
+    assert all(params[k].shape == shape for k, shape in shapes.items())
 
 
 class TestForwardRpn:
@@ -103,9 +110,7 @@ class TestForwardRpn:
 
         def loss(x, gp, gd, ge):
             batch = mdl.forward_rpn(x, params)
-            return ag.add(ag.add(ag.tsum(ag.mul(batch.probs, gp)),
-                                 ag.tsum(ag.mul(batch.deltas, gd))),
-                          ag.tsum(ag.mul(batch.embeddings, ge)))
+            return dot_loss((batch.probs, batch.deltas, batch.embeddings), (gp, gd, ge))
 
         block, alone = block_and_per_image_grads(loss, images, upstream,
                                                  [params[k] for k in sorted(params)])
@@ -315,24 +320,47 @@ class TestDetectFalseNegatives:
 class TestSoftLabelLoss:
     def _losses(self, pos_p, neg_p, amap, t):
         return mdl.soft_label_loss(
-            Tensor(np.asarray(pos_p)), Tensor(np.asarray(neg_p)),
-            Tensor(np.zeros((len(pos_p), 4))), np.zeros((len(pos_p), 4)),
-            amap, t)
+            np.asarray(pos_p, float), np.asarray(neg_p, float),
+            np.zeros((len(pos_p), 4)), np.zeros((len(pos_p), 4)), amap, t)
+
+    def _reg(self, pred, target):
+        """L_reg of one positive with the given delta prediction and target."""
+        return mdl.soft_label_loss(np.array([0.5]), np.zeros(0), np.array([pred], float),
+                                   np.array([target], float), None, 0.8).l_reg
 
     def test_no_rows_flagged_equals_hard_negative_bce(self, rng):
         neg_p = rng.uniform(0.1, 0.9, 5)
         amap = amap_with_row_maxes([0.3, 0.4, 0.2, 0.5, 0.1])
         soft = self._losses([0.8], neg_p, amap, 0.8)
         hard = self._losses([0.8], neg_p, None, 0.8)
-        assert soft.l_neg.item() == hard.l_neg.item()
+        assert soft.l_neg == hard.l_neg
+        assert soft.grad_neg.tobytes() == hard.grad_neg.tobytes()
         assert len(soft.flagged) == 0
 
     def test_flagged_term_value(self):
         amap = amap_with_row_maxes([0.85])
         out = self._losses([0.9], [0.7], amap, 0.8)
         want = 0.85 * -np.log(0.7) + 0.15 * -np.log(0.3)
-        assert out.l_neg.item() == pytest.approx(want, abs=1e-12)
-        assert out.l_neg.item() == pytest.approx(0.48374, abs=1e-4)
+        assert out.l_neg == pytest.approx(want, abs=1e-12)
+        assert out.l_neg == pytest.approx(0.48374, abs=1e-4)
+
+    def test_bce_at_its_symmetric_point_is_log_2(self):
+        out = self._losses([0.9], [0.5], amap_with_row_maxes([0.5]), 0.5)
+        assert out.l_neg == pytest.approx(np.log(2.0), abs=1e-12)
+        assert out.grad_neg[0] == 0.0
+
+    def test_perfect_positive_costs_nothing(self):
+        assert self._losses([1.0 - 1e-7], [0.5], None, 0.8).l_pos == pytest.approx(0.0, abs=1e-6)
+
+    def test_clamped_probabilities_stay_finite_with_zero_gradient(self):
+        out = self._losses([0.0], [1.0], None, 0.8)
+        assert np.isfinite([out.l_pos, out.l_neg, out.total]).all()
+        assert (out.grad_pos == 0.0).all() and (out.grad_neg == 0.0).all()
+
+    def test_smooth_l1_branches(self):
+        assert self._reg([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]) == 0.0
+        assert self._reg([0.5, 0.0, 0.0, 0.0], np.zeros(4)) == pytest.approx(0.125)
+        assert self._reg([2.0, 0.0, 0.0, 0.0], np.zeros(4)) == pytest.approx(1.5)
 
     def test_flagged_set_monotone_in_t(self, rng):
         maxes = rng.uniform(0, 1, 12)
@@ -342,12 +370,12 @@ class TestSoftLabelLoss:
         assert strict <= loose
 
     def test_no_positives_zeroes_pos_and_reg(self, rng):
-        out = mdl.soft_label_loss(Tensor(np.zeros(0)), Tensor(rng.uniform(0.2, 0.8, 4)),
-                                  Tensor(np.zeros((0, 4))), np.zeros((0, 4)),
-                                  None, 0.8)
-        assert out.l_pos.item() == 0.0
-        assert out.l_reg.item() == 0.0
-        assert out.l_neg.item() > 0.0
+        out = mdl.soft_label_loss(np.zeros(0), rng.uniform(0.2, 0.8, 4),
+                                  np.zeros((0, 4)), np.zeros((0, 4)), None, 0.8)
+        assert out.l_pos == 0.0
+        assert out.l_reg == 0.0
+        assert out.l_neg > 0.0
+        assert out.grad_pos.shape == (0,) and out.grad_deltas.shape == (0, 4)
 
     def test_normalizations(self, rng):
         """L_pos by |P_pos|, L_neg by |P_neg|, L_reg by |P_pos|."""
@@ -355,28 +383,45 @@ class TestSoftLabelLoss:
         neg_p = rng.uniform(0.1, 0.8, 5)
         pd = rng.standard_normal((3, 4))
         td = rng.standard_normal((3, 4))
-        out = mdl.soft_label_loss(Tensor(pos_p), Tensor(neg_p), Tensor(pd), td,
-                                  None, 0.8)
+        out = mdl.soft_label_loss(pos_p, neg_p, pd, td, None, 0.8)
         want_pos = np.mean(-np.log(pos_p))
         want_neg = np.mean(-np.log(1 - neg_p))
         d = np.abs(pd - td)
         want_reg = np.where(d < 1, 0.5 * d * d, d - 0.5).sum() / 3
-        assert out.l_pos.item() == pytest.approx(want_pos, abs=1e-12)
-        assert out.l_neg.item() == pytest.approx(want_neg, abs=1e-12)
-        assert out.l_reg.item() == pytest.approx(want_reg, abs=1e-12)
-        assert out.total.item() == pytest.approx(want_pos + want_neg + want_reg,
-                                                 abs=1e-12)
+        assert out.l_pos == pytest.approx(want_pos, abs=1e-12)
+        assert out.l_neg == pytest.approx(want_neg, abs=1e-12)
+        assert out.l_reg == pytest.approx(want_reg, abs=1e-12)
+        assert out.total == pytest.approx(want_pos + want_neg + want_reg, abs=1e-12)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.25])
+    def test_gradients_match_finite_differences(self, rng, weight):
+        """The gradients are weight times those of the returned total, by
+        central finite differences, with soft targets flagged and deltas on
+        both smooth-L1 branches."""
+        pos_p = rng.uniform(0.1, 0.9, 3)
+        neg_p = rng.uniform(0.1, 0.9, 6)
+        pd = rng.standard_normal((3, 4)) * 1.5
+        td = rng.standard_normal((3, 4))
+        amap = amap_with_row_maxes([0.9, 0.3, 0.85, 0.95, 0.2, 0.6])
+        out = mdl.soft_label_loss(pos_p, neg_p, pd, td, amap, 0.8, weight)
+        assert list(out.flagged) == [0, 2, 3]
+        assert (np.abs(pd - td) > 1).any() and (np.abs(pd - td) < 1).any()
+
+        def total():
+            return mdl.soft_label_loss(pos_p, neg_p, pd, td, amap, 0.8).total
+
+        for x, got in ((pos_p, out.grad_pos), (neg_p, out.grad_neg), (pd, out.grad_deltas)):
+            np.testing.assert_allclose(got, weight * numeric_grad(total, x),
+                                       rtol=1e-6, atol=1e-10)
 
     def test_soft_target_shrinks_gradient(self):
-        """For a flagged negative with p < max(A_i), the logit gradient under
-        the soft target is strictly smaller than under a hard target of 1."""
+        """For a flagged negative with p < max(A_i), the gradient under the
+        soft target is strictly smaller than under a hard target of 1."""
         for p_val, soft_t in [(0.3, 0.85), (0.6, 0.9), (0.1, 0.82)]:
-            grads = {}
-            for target in (soft_t, 1.0):
-                logit = Tensor([np.log(p_val / (1 - p_val))], requires_grad=True)
-                ag.tsum(ag.bce_loss(ag.sigmoid(logit), [target])).backward()
-                grads[target] = abs(logit.grad[0])
-            assert grads[soft_t] < grads[1.0]
+            grads = [abs(self._losses([0.5], [p_val], amap_with_row_maxes([target]),
+                                      0.8).grad_neg[0])
+                     for target in (soft_t, 1.0)]
+            assert grads[0] < grads[1]
 
     def test_no_gradient_through_soft_target(self, params, rng):
         """The soft targets are constants: the parameter gradient is the same
@@ -393,12 +438,9 @@ class TestSoftLabelLoss:
             amap = mdl.attention_map(emb[neg_idx], emb[pos_idx])
             if detach:
                 amap = amap_with_row_maxes(amap.row_max.copy())
-            out = mdl.soft_label_loss(ag.gather_rows(batch.probs, pos_idx),
-                                      ag.gather_rows(batch.probs, neg_idx),
-                                      ag.gather_rows(batch.deltas, pos_idx),
-                                      np.zeros((2, 4)), amap, 0.4)
+            out, root = sampled_loss(batch, pos_idx, neg_idx, np.zeros((2, 4)), amap, 0.4)
             assert len(out.flagged) == len(neg_idx)   # two columns: row max >= 0.5
-            out.total.backward()
+            root.backward()
             grads.append({k: p.grad for k, p in params.items()})
         for name, g in grads[0].items():
             np.testing.assert_array_equal(g, grads[1][name], err_msg=name)
@@ -458,6 +500,16 @@ class TestCheckpoint:
         with pytest.raises(mdl.CheckpointError):
             mdl.load_checkpoint(path)
 
+    def test_shape_beyond_int64_reads_as_truncated(self, tmp_path):
+        """2**32 x 2**32 elements overflow an int64 product to 0; counted
+        exactly, they exceed the file and are refused before any read."""
+        header = b'{"tensors": [{"name": "w", "shape": [4294967296, 4294967296]}]}'
+        path = tmp_path / "huge.srpn"
+        path.write_bytes(mdl.CHECKPOINT_MAGIC
+                         + struct.pack("<II", mdl.CHECKPOINT_VERSION, len(header)) + header)
+        with pytest.raises(mdl.CheckpointError, match="truncated payload for tensor w"):
+            mdl.load_checkpoint(path)
+
     def test_magic_only_file_rejected(self, tmp_path):
         path = tmp_path / "short.srpn"
         path.write_bytes(mdl.CHECKPOINT_MAGIC)
@@ -468,6 +520,9 @@ class TestCheckpoint:
         b"{not json", b"\xff\xfe", b"[1, 2]", b'{"tensors": 3}',
         b'{"tensors": [{"name": "w"}]}', b'{"tensors": [{"name": "w", "shape": [-2]}]}',
         b'{"tensors": [], "meta": 7}',
+        pytest.param(b'{"tensors": [{"name": "w", "shape": [1e400]}]}', id="1e400"),
+        pytest.param(b'{"tensors": [{"name": "w", "shape": [Infinity]}]}', id="Infinity"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100k"),
     ])
     def test_malformed_header_rejected(self, header, tmp_path):
         path = tmp_path / "bad.srpn"
