@@ -9,9 +9,8 @@ Scope is deliberately small: only the ops needed by a tiny conv backbone
 and its RPN heads. Every contraction is a fixed matmul or broadcast: a
 convolution is im2col plus one matmul (see conv2d), and one conv2d node also
 adds the layer's bias and applies its ReLU, so a network layer is a single
-tape node. The losses are not on the tape: model.soft_label_loss computes
-them and their gradients in plain NumPy, and one loss_node carries those
-gradients into the network's outputs.
+tape node. The tape ends at the layers: the sigmoid, the reshapes and the
+losses after them are plain NumPy in model, joined by one loss_node.
 """
 
 from __future__ import annotations
@@ -102,12 +101,6 @@ class Tensor:
                 # change a sibling's gradient too
                 grads[id(p)] = grads[id(p)] + gp if id(p) in grads else gp
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def item(self) -> float:
-        return float(self.data.reshape(()))
-
 
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], Iterable[Optional[np.ndarray]]]) -> Tensor:
@@ -117,7 +110,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
     if _recording and any(p.requires_grad or p._prev for p in parents):
         out._prev = tuple(parents)
         out._backward = backward
-        out.requires_grad = False
     return out
 
 
@@ -137,22 +129,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = np.empty_like(a.data)
-    pos = a.data >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    e = np.exp(a.data[~pos])
-    s[~pos] = e / (1.0 + e)
-    return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
-
-
 def tsum(a: Tensor) -> Tensor:
     return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.full_like(a.data, float(g)),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -288,6 +266,7 @@ def loss_node(value: float, parents: Sequence[Tensor],
     parent is the matching constant array of grads; a None sends that parent
     no gradient. A loss computed off the tape, in plain NumPy together with
     its gradient (model.soft_label_loss), joins the tape through this one
-    node, and backward() from it runs the network's backward."""
+    node (see model.heads_loss_node), and backward() from it runs the
+    network's backward."""
     return _make(np.asarray(float(value)), parents,
                  lambda g: [None if gp is None else g * gp for gp in grads])

@@ -81,6 +81,7 @@ def cmd_synth(args) -> int:
     if not dat.scene_size_ok(args.size):
         raise ValueError(f"--size {args.size} is unusable: synth needs a multiple of "
                          f"{mdl.BACKBONE_STRIDE} that is at least {dat.MIN_SCENE_SIZE}")
+    dat.check_drop_rate(args.drop_rate, "--drop-rate")
     records = dat.generate_benchmark(args.images, args.size, args.drop_rate,
                                      seed=args.seed)
     dat.save_dataset(args.out, records)
@@ -180,9 +181,14 @@ def cmd_audit(args) -> int:
 def cmd_ablate(args) -> int:
     started = time.time()
     config = _load_config(args)
-    thresholds = [float(v) for v in args.thresholds.split(",") if v]
-    for t in thresholds:
-        mdl.check_threshold(t)
+    try:
+        thresholds = [float(v) for v in args.thresholds.split(",") if v]
+        if not thresholds:
+            raise ValueError("no threshold given")
+        for t in thresholds:
+            mdl.check_threshold(t)
+    except ValueError as e:
+        raise ValueError(f"--thresholds {args.thresholds!r}: {e}") from e
     records = dat.load_dataset(args.data)
     rows = hz.ablate_threshold(config, records, thresholds)
     os.makedirs(args.out, exist_ok=True)

@@ -161,13 +161,18 @@ def random_scene(height: int, width: int, seed: int,
                      noise_sigma=noise_sigma, seed=seed)
 
 
+def check_drop_rate(drop_rate: float, name: str = "drop_rate"):
+    """Refuse a drop rate outside [0, 1), calling it name."""
+    if not 0.0 <= drop_rate < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1), got {drop_rate}")
+
+
 def drop_annotations(boxes: np.ndarray, drop_rate: float, rng_seed: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Split (K, 4) boxes into (kept, dropped), withholding each box
     independently with probability drop_rate and re-sampling until at least
     one box survives (training needs positives). Both keep box order."""
-    if not 0.0 <= drop_rate < 1.0:
-        raise ValueError(f"drop_rate must lie in [0, 1), got {drop_rate}")
+    check_drop_rate(drop_rate)
     if not len(boxes):
         return boxes, boxes
     rng = np.random.default_rng(rng_seed)

@@ -255,18 +255,18 @@ def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
                   ) -> tuple[Tensor, list[mdl.RpnLosses]]:
     """Forward a block of same-extent images on one tape, then sample each
     image's proposal minibatch and compute its loss, in block order. Returns
-    the node whose backward() carries every image's loss gradient into the
-    tape, and the losses. Each image's gradients are added into zeros at its
-    sampled rows; a block that sampled no anchor (no positive) sends probs
-    (deltas) no gradient, so a head no loss reached keeps grad None."""
-    batch = mdl.forward_rpn(Tensor(_block([mi.record.image for mi in block])), params)
-    probs, deltas = batch.probs.data, batch.deltas.data
+    the losses and the node (model.heads_loss_node) whose backward() carries
+    their gradients, added into zeros at each image's sampled rows, into the
+    tape; a block that sampled no anchor (no positive) sends none to probs
+    (deltas), so a head no loss reached keeps grad None."""
+    batch = mdl.forward_rpn(_block([mi.record.image for mi in block]), params)
+    probs, deltas = batch.probs, batch.deltas
     g_probs, g_deltas = np.zeros_like(probs), np.zeros_like(deltas)
     n_pos = n_sampled = 0
     losses = []
     for j, mi in enumerate(block):
         pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
-        amap = (_attend(batch.embeddings.data[j], pos_idx, neg_idx)
+        amap = (_attend(batch.embeddings[j], pos_idx, neg_idx)
                 if config.mode == "soft_label" else None)
         image = mdl.soft_label_loss(probs[j, pos_idx], probs[j, neg_idx], deltas[j, pos_idx],
                                     mi.delta_targets[pos_idx], amap, config.t,
@@ -277,22 +277,17 @@ def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
         n_pos += len(pos_idx)
         n_sampled += len(pos_idx) + len(neg_idx)
         losses.append(image)
-    root = ag.loss_node(sum(image.total for image in losses) / BATCH_IMAGES,
-                        (batch.probs, batch.deltas),
-                        (g_probs if n_sampled else None, g_deltas if n_pos else None))
+    root = mdl.heads_loss_node(batch, sum(image.total for image in losses) / BATCH_IMAGES,
+                               g_probs if n_sampled else None, g_deltas if n_pos else None)
     return root, losses
 
 
 def train(config: TrainConfig, records: Sequence[ImageRecord]
           ) -> tuple[dict[str, Tensor], list[dict]]:
     """SGD with momentum over per-image sampled RPN losses. Returns the
-    final parameters and a per-iteration metric log.
-
-    An iteration's images are forwarded and backpropagated as one block
-    when they fit (see _train_blocks). Every float is that of one forward
-    and one backward per image: the block's forward equals each image's
-    alone, conv2d and anchor_scores add the images' gradients in pick order,
-    and minibatches are still sampled image by image in that order."""
+    final parameters and a per-iteration metric log. An iteration's images
+    go through as one block when they fit (see _train_blocks), with every
+    float that of one forward and one backward per image, in pick order."""
     if not records:
         raise ValueError("dataset is empty")
     check_extents(records)
@@ -393,13 +388,6 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
 INFER_BLOCK = 4 * 64 * 64
 
 
-def _infer(params: dict[str, Tensor], images: np.ndarray) -> mdl.ProposalBatch:
-    """One forward pass without a tape, over an (H, W, 1) image or a
-    (B, H, W, 1) block of images (see model.forward_rpn)."""
-    with ag.no_grad():
-        return mdl.forward_rpn(Tensor(images), params)
-
-
 def _forward_each(params: dict[str, Tensor], matched: Sequence[MatchedImage],
                   fn: Callable[[int, MatchedImage, mdl.ProposalBatch], object]) -> list:
     """[fn(index, matched image, its forward outputs)] of every image, in
@@ -414,10 +402,10 @@ def _forward_each(params: dict[str, Tensor], matched: Sequence[MatchedImage],
         per_block = max(1, INFER_BLOCK // (h * w))
         for start in range(0, len(run), per_block):
             chunk = run[start:start + per_block]
-            block = _infer(params, _block([mi.record.image for _, mi in chunk]))
-            out += [fn(idx, mi, mdl.ProposalBatch(probs=Tensor(block.probs.data[j]),
-                                                  deltas=Tensor(block.deltas.data[j]),
-                                                  embeddings=Tensor(block.embeddings.data[j])))
+            with ag.no_grad():
+                block = mdl.forward_rpn(_block([mi.record.image for _, mi in chunk]), params)
+            out += [fn(idx, mi, mdl.ProposalBatch(block.probs[j], block.deltas[j],
+                                                  block.embeddings[j]))
                     for j, (idx, mi) in enumerate(chunk)]
             del block
     return out
@@ -427,20 +415,20 @@ def _proposals(batch: mdl.ProposalBatch, anchors: np.ndarray, image: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Decoded, image-clipped, suppressed (NMS_IOU), top-k (TOP_K) proposals
     of a forward pass over image, whose anchors are given: (boxes, scores)."""
-    boxes = decode_deltas(anchors, batch.deltas.data)
+    boxes = decode_deltas(anchors, batch.deltas)
     h, w = image.shape[:2]
     boxes[:, [0, 2]] = boxes[:, [0, 2]].clip(0.0, float(w))
     boxes[:, [1, 3]] = boxes[:, [1, 3]].clip(0.0, float(h))
-    scores = batch.probs.data
-    keep = nms(boxes, scores, NMS_IOU, TOP_K)
-    return boxes[keep], scores[keep]
+    keep = nms(boxes, batch.probs, NMS_IOU, TOP_K)
+    return boxes[keep], batch.probs[keep]
 
 
 def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
             ) -> tuple[np.ndarray, np.ndarray]:
     """Proposals of one image (_proposals); config is kept for perfbench/test_bench.py."""
-    return _proposals(_infer(params, record.image), anchors_for(record.image),
-                      record.image)
+    with ag.no_grad():
+        batch = mdl.forward_rpn(record.image, params)
+    return _proposals(batch, anchors_for(record.image), record.image)
 
 
 def _greedy_match(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -564,7 +552,7 @@ def _audit_image(batch: mdl.ProposalBatch, mi: MatchedImage, idx: int,
     """Flags of image idx from one forward pass over it; see audit_flags."""
     rng = np.random.default_rng([config.seed_sample, idx, 0xA0D17])
     pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
-    amap = _attend(batch.embeddings.data, pos_idx, neg_idx)
+    amap = _attend(batch.embeddings, pos_idx, neg_idx)
     if amap is None:
         return []
     flagged = mdl.detect_false_negatives(amap, t)

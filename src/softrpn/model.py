@@ -54,10 +54,13 @@ class AttentionMap:
 class ProposalBatch:
     """Flat per-anchor model outputs for one image in row-major (gy, gx,
     anchor) order, index-aligned with harness.anchors_for on that image; a
-    block forward adds a leading axis of one entry per image."""
-    probs: Tensor        # (N,) objectness
-    deltas: Tensor       # (N, 4)
-    embeddings: Tensor   # (N, D)
+    block forward adds a leading axis of one entry per image. The tape ends
+    at logits and regression (None in a view of one image of a block)."""
+    probs: np.ndarray        # (N,) objectness
+    deltas: np.ndarray       # (N, 4)
+    embeddings: np.ndarray   # (N, D)
+    logits: Optional[Tensor] = None       # (H, W, na), the scoring head's output
+    regression: Optional[Tensor] = None   # (H, W, na*4), rpn.reg's output
 
 
 @dataclass
@@ -110,16 +113,16 @@ def extent_ok(h: int, w: int) -> bool:
                 or h < MIN_EXTENT or w < MIN_EXTENT)
 
 
-def forward_rpn(image: Tensor, params: dict[str, Tensor]) -> ProposalBatch:
-    """Run backbone + heads on an (H, W, 1) image; see extent_ok. The anchor
-    count and the embedding width are read from the shape of rpn.cls.w.
+def forward_rpn(image: np.ndarray, params: dict[str, Tensor]) -> ProposalBatch:
+    """Run backbone + heads on an (H, W, 1) image array (see extent_ok); the
+    anchor count and embedding width come from the shape of rpn.cls.w. The
+    outputs are arrays; a loss joins the tape through heads_loss_node.
 
     image may also be a (B, H, W, 1) block of images of one extent; every
     output then has a leading block axis, and image i's outputs equal those
-    of forwarding it alone. One backward through a block gives each
-    parameter the gradients of one backward per image, accumulated in block
-    order, float for float (see autograd.conv2d)."""
-    if image.data.ndim not in (3, 4):
+    of forwarding it alone. One backward through a block gives each parameter
+    the gradients of one backward per image in block order, float for float."""
+    if image.ndim not in (3, 4):
         raise ag.GraphError(f"image must be (H, W, 1) or (B, H, W, 1), got {image.shape}")
     *lead, h, w, _ = image.shape
     if not extent_ok(h, w):
@@ -130,19 +133,37 @@ def forward_rpn(image: Tensor, params: dict[str, Tensor]) -> ProposalBatch:
         return ag.conv2d(x, params[name + ".w"], stride, pad,
                          bias=params[name + ".b"], relu=relu)
 
-    x = image
+    x = Tensor(image)
     for i in range(len(BACKBONE_CHANNELS)):
         x = layer(x, f"backbone.conv{i}", stride=2, pad=1, relu=True)
     fc = layer(x, "rpn.share", pad=1, relu=True)
     freg = layer(fc, "rpn.reg")
     fe = layer(fc, "rpn.embed")
     logits = ag.anchor_scores(fe, params["rpn.cls.w"], params["rpn.cls.b"])
-    n = math.prod(logits.shape[-3:])
     return ProposalBatch(
-        probs=ag.reshape(ag.sigmoid(logits), (*lead, n)),
-        deltas=ag.reshape(freg, (*lead, n, 4)),
-        embeddings=ag.reshape(fe, (*lead, n, params["rpn.cls.w"].shape[1])),
-    )
+        probs=_sigmoid(logits.data).reshape(*lead, -1),
+        deltas=freg.data.reshape(*lead, -1, 4),
+        embeddings=fe.data.reshape(*lead, -1, params["rpn.cls.w"].shape[1]),
+        logits=logits, regression=freg)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), as e / (1 + e) with e = exp(x) where x < 0."""
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def heads_loss_node(batch: ProposalBatch, value: float, g_probs: Optional[np.ndarray],
+                    g_deltas: Optional[np.ndarray]) -> Tensor:
+    """The loss_node of a loss computed from batch.probs and batch.deltas,
+    whose gradients g_probs and g_deltas (None: none) it carries to the
+    logits through the sigmoid's backward, and to the regression output."""
+    p = batch.probs
+    g_logits = (None if g_probs is None
+                else (g_probs * p * (1.0 - p)).reshape(batch.logits.shape))
+    g_reg = None if g_deltas is None else g_deltas.reshape(batch.regression.shape)
+    return ag.loss_node(value, (batch.logits, batch.regression), (g_logits, g_reg))
 
 
 # Logit magnitude for the attention softmax. The cosine logits lie in
@@ -195,11 +216,7 @@ def attention_map(neg_embeddings: np.ndarray, pos_embeddings: np.ndarray
     the variance of every embedding direction: without it the few directions
     the objectness head trains dominate every similarity and all rows go
     flat. Per-row standardization first makes the map invariant to positive
-    rescaling (and shifting) of any single embedding.
-
-    The map is a constant of the loss: soft_label_loss reads only its row
-    maxima as fixed targets, so it is computed on plain arrays, off the
-    autograd tape."""
+    rescaling (and shifting) of any single embedding."""
     if pos_embeddings.shape[0] == 0:
         raise ag.GraphError("attention map needs at least one positive proposal")
     if neg_embeddings.shape[0] == 0:
@@ -434,7 +451,10 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
             if len(raw) != nbytes:
                 raise CheckpointError(f"{path}: truncated payload for tensor {name}")
             left -= nbytes
-            params[name] = Tensor(
-                np.frombuffer(raw, dtype="<f8").reshape(shape).copy(),
-                requires_grad=True)
+            try:              # a dimension no array has, such as [0, 1e30], fails here
+                data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            except ValueError as e:
+                raise CheckpointError(f"{path}: malformed shape {list(shape)} "
+                                      f"for tensor {name}") from e
+            params[name] = Tensor(data, requires_grad=True)
     return params, meta

@@ -35,7 +35,7 @@ def assert_grad_matches(fn, tensor: ag.Tensor, rel_tol: float = 1e-3,
     loss = fn()
     loss.backward()
     got = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-    want = numeric_grad(lambda: fn().item(), tensor, step=step)
+    want = numeric_grad(lambda: float(fn().data), tensor, step=step)
     np.testing.assert_allclose(got, want, atol=1e-7, rtol=rel_tol,
                                err_msg="backprop gradient disagrees with "
                                        "finite differences")
@@ -74,10 +74,10 @@ def dot_loss(tensors, grads):
 
 def sampled_loss(batch, pos_idx, neg_idx, delta_targets, amap, t, weight=1.0):
     """soft_label_loss of one image's forward outputs at its sampled rows,
-    and the loss_node that carries its gradients into them: each added into
-    zeros at its rows, as harness._block_losses does. A term over no rows
-    sends no gradient."""
-    probs, deltas = batch.probs.data, batch.deltas.data
+    and the node (model.heads_loss_node) that carries its gradients into
+    them: each added into zeros at its rows, as harness._block_losses does.
+    A term over no rows sends no gradient."""
+    probs, deltas = batch.probs, batch.deltas
     out = mdl.soft_label_loss(probs[pos_idx], probs[neg_idx], deltas[pos_idx],
                               delta_targets, amap, t, weight)
     g_probs, g_deltas = np.zeros_like(probs), np.zeros_like(deltas)
@@ -85,9 +85,9 @@ def sampled_loss(batch, pos_idx, neg_idx, delta_targets, amap, t, weight=1.0):
     g_probs[neg_idx] += out.grad_neg
     g_deltas[pos_idx] += out.grad_deltas
     sampled = len(pos_idx) + len(neg_idx)
-    return out, ag.loss_node(weight * out.total, (batch.probs, batch.deltas),
-                             (g_probs if sampled else None,
-                              g_deltas if len(pos_idx) else None))
+    return out, mdl.heads_loss_node(batch, weight * out.total,
+                                    g_probs if sampled else None,
+                                    g_deltas if len(pos_idx) else None)
 
 
 def block_and_per_image_grads(loss, images, upstream, params):
@@ -113,14 +113,14 @@ def _attend(batch, pos_idx, neg_idx):
     """harness._attend as it was before training forwarded blocks."""
     if len(pos_idx) < 2 or not len(neg_idx):
         return None
-    emb = batch.embeddings.data
+    emb = batch.embeddings
     return mdl.attention_map(emb[neg_idx], emb[pos_idx])
 
 
 def _image_loss(params, mi, config, rng):
     """Forward one image, sample a proposal minibatch, and build the loss
     and the node to backpropagate its share of the iteration's loss from."""
-    batch = mdl.forward_rpn(Tensor(mi.record.image), params)
+    batch = mdl.forward_rpn(mi.record.image, params)
     pos_idx, neg_idx = mdl.sample_proposals(mi.labels, hz.MINIBATCH_SIZE, hz.POS_FRACTION, rng)
     amap = _attend(batch, pos_idx, neg_idx) if config.mode == "soft_label" else None
     return sampled_loss(batch, pos_idx, neg_idx, mi.delta_targets[pos_idx], amap, config.t,

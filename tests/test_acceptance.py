@@ -14,7 +14,6 @@ from softrpn import autograd as ag
 from softrpn import data as dat
 from softrpn import harness as hz
 from softrpn import model as mdl
-from softrpn.autograd import Tensor
 
 from conftest import numeric_grad, sampled_loss
 from test_data import SPLITS, filter_oracle, written_oracle
@@ -43,14 +42,13 @@ class TestFullLossGradients:
         delta_targets = gen.standard_normal((len(pos_idx), 4)) * 0.5
 
         with ag.no_grad():
-            batch = mdl.forward_rpn(Tensor(image), params)
-            amap = mdl.attention_map(batch.embeddings.data[neg_idx],
-                                     batch.embeddings.data[pos_idx])
+            batch = mdl.forward_rpn(image, params)
+            amap = mdl.attention_map(batch.embeddings[neg_idx], batch.embeddings[pos_idx])
         assert (amap.row_max >= 0.5).any()   # the soft path must be exercised
 
         def loss():
             # the frozen map at t = 0.5 gives every call the same soft targets
-            return sampled_loss(mdl.forward_rpn(Tensor(image), params),
+            return sampled_loss(mdl.forward_rpn(image, params),
                                 pos_idx, neg_idx, delta_targets, amap, 0.5)[1]
 
         for p in params.values():
@@ -58,7 +56,7 @@ class TestFullLossGradients:
         loss().backward()
         for name, p in params.items():
             got = p.grad if p.grad is not None else np.zeros_like(p.data)
-            want = numeric_grad(lambda: loss().item(), p, step=1e-5)
+            want = numeric_grad(lambda: float(loss().data), p, step=1e-5)
             np.testing.assert_allclose(
                 got, want, rtol=1e-3, atol=1e-7,
                 err_msg=f"gradient mismatch for parameter {name}")

@@ -155,6 +155,19 @@ class TestSynth:
         assert "--seed must be non-negative, got -1" in single_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["1.0", "-0.1", "nan"])
+    def test_unusable_drop_rate_refused_by_name_before_any_work(self, rate, tmp_path,
+                                                                capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a scene was generated before the check")
+
+        monkeypatch.setattr(dat, "generate_benchmark", no_work)
+        out = tmp_path / "bench"
+        assert run(["synth", "--out", str(out), "--drop-rate", rate]) == 1
+        line = single_error_line(capsys)
+        assert line == f"error: --drop-rate must lie in [0, 1), got {float(rate)}", line
+        assert not out.exists()
+
     def test_smallest_usable_size_works(self, tmp_path):
         assert dat.MIN_SCENE_SIZE == 24
         out = tmp_path / "bench"
@@ -430,7 +443,7 @@ class TestEvalCmd:
         forward_rpn = mdl.forward_rpn
 
         def recording_forward(image, params):
-            forwarded.extend(image.data.reshape(-1, *image.shape[-3:]))
+            forwarded.extend(image.reshape(-1, *image.shape[-3:]))
             return forward_rpn(image, params)
 
         monkeypatch.setattr(mdl, "forward_rpn", recording_forward)
@@ -472,12 +485,13 @@ class TestEvalCmd:
                     "--report", str(tmp_path / "r.json")]) == 1
 
     @pytest.mark.parametrize("kind", ["magic_only", "bad_json", "infinite_shape",
-                                      "nested_header", "no_config"])
+                                      "oversized_shape", "nested_header", "no_config"])
     def test_malformed_checkpoint_gives_one_error_line(self, kind, dataset,
                                                        checkpoint, tmp_path, capsys):
         bad = tmp_path / "bad.srpn"
         headers = {"bad_json": b"{oops",
                    "infinite_shape": b'{"tensors": [{"name": "w", "shape": [Infinity]}]}',
+                   "oversized_shape": b'{"tensors": [{"name": "w", "shape": [0, 1e30]}]}',
                    "nested_header": b"[" * 100_000 + b"]" * 100_000}
         if kind == "magic_only":
             bad.write_bytes(mdl.CHECKPOINT_MAGIC)
@@ -666,6 +680,22 @@ class TestAblateCmd:
         assert run(["ablate", "--data", str(tmp_path / "nope"), "--out",
                     str(tmp_path / "x"), "--thresholds", "0"]) == 1
         assert "t must lie in (0, 1)" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("thresholds, says", [
+        (",", "no threshold given"),
+        ("", "no threshold given"),
+        ("0.5,x", "could not convert string to float: 'x'"),
+        ("0.6,1.5", "t must lie in (0, 1), got 1.5"),
+    ], ids=["comma", "empty", "not-a-number", "out-of-range"])
+    def test_unusable_thresholds_refused_by_name_before_any_work(self, thresholds, says,
+                                                                 tmp_path, capsys):
+        """Before the dataset is read (it does not exist here) and before
+        any output directory or manifest is written."""
+        out = tmp_path / "x"
+        assert run(["ablate", "--data", str(tmp_path / "nope"), "--out", str(out),
+                    "--thresholds", thresholds]) == 1
+        assert single_error_line(capsys) == f"error: --thresholds {thresholds!r}: {says}"
+        assert not out.exists()
 
     def test_unknown_command_exit_2(self):
         with pytest.raises(SystemExit) as e:

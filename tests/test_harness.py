@@ -545,7 +545,7 @@ def per_image_reference(params, records, config):
     n_gt = n_hit = 0
     for idx, mi in enumerate(hz.match_dataset(records)):
         with ag.no_grad():
-            batch = mdl.forward_rpn(ag.Tensor(mi.record.image), params)
+            batch = mdl.forward_rpn(mi.record.image, params)
         boxes, s = hz._proposals(batch, mi.anchors, mi.record.image)
         flags += hz._audit_image(batch, mi, idx, config, config.t)
         counts.append(len(s))
@@ -643,7 +643,7 @@ class TestBlockInference:
         forward_rpn = mdl.forward_rpn
 
         def recording(image, params):
-            blocks.append(image.data.copy())
+            blocks.append(image.copy())
             return forward_rpn(image, params)
 
         monkeypatch.setattr(mdl, "forward_rpn", recording)
@@ -657,6 +657,34 @@ class TestBlockInference:
         assert max(map(len, blocks)) > 1
         for b, c, nxt in zip(blocks, capacity, blocks[1:]):
             assert len(b) == c or b.shape[1:] != nxt.shape[1:]
+
+    def test_fn_gets_views_of_its_block_and_no_tensor(self, monkeypatch):
+        """_forward_each hands fn each image's rows of its block's outputs
+        as plain array views, not copies, and no tape output."""
+        records = interleaved_extents()
+        cfg = tiny_config()
+        params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
+        blocks = []
+        forward_rpn = mdl.forward_rpn
+
+        def recording(image, params):
+            blocks.append(forward_rpn(image, params))
+            return blocks[-1]
+
+        monkeypatch.setattr(mdl, "forward_rpn", recording)
+        # fn keeps its views here only to compare them with the blocks, which
+        # recording keeps alive
+        got = hz._forward_each(params, hz.match_dataset(records),
+                               lambda idx, mi, batch: batch)
+        rows = [(block, j) for block in blocks for j in range(len(block.probs))]
+        assert len(got) == len(rows) == len(records)
+        for batch, (block, j) in zip(got, rows):
+            assert batch.logits is None and batch.regression is None
+            for name in ("probs", "deltas", "embeddings"):
+                view, whole = getattr(batch, name), getattr(block, name)
+                assert type(view) is np.ndarray
+                assert np.shares_memory(view, whole)
+                assert view.tobytes() == whole[j].tobytes()
 
 
 # name: (dataset, TrainConfig fields, the block sizes train forwards)
@@ -690,7 +718,7 @@ class TestBlockTraining:
         forward_rpn = mdl.forward_rpn
 
         def recording(image, params):
-            blocks.append(image.data)
+            blocks.append(image)
             return forward_rpn(image, params)
 
         monkeypatch.setattr(mdl, "forward_rpn", recording)
@@ -819,11 +847,10 @@ class TestMatchDataset:
 class TestAnchorsFromImage:
     @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (64, 128), (16, 40)])
     def test_anchor_count_equals_forward_output_count(self, shape):
-        from softrpn.autograd import Tensor
         cfg = hz.TrainConfig()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
         image = np.zeros((*shape, 1))
-        batch = mdl.forward_rpn(Tensor(image), params)
+        batch = mdl.forward_rpn(image, params)
         anchors = hz.anchors_for(image)
         assert anchors.shape == (batch.probs.shape[0], 4)
         assert len(anchors) == (shape[0] // 8) * (shape[1] // 8) * 3

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from softrpn import autograd as ag
 from softrpn import model as mdl
-from softrpn.autograd import Tensor
 
-from conftest import block_and_per_image_grads, dot_loss, numeric_grad, sampled_loss
+from conftest import numeric_grad, sampled_loss
 
 D = 8
 NA = 3
@@ -32,30 +31,30 @@ def test_param_shapes_are_those_init_params_draws():
 
 class TestForwardRpn:
     def test_proposal_count_64px(self, params, rng):
-        batch = mdl.forward_rpn(Tensor(rng.random((64, 64, 1))), params)
+        batch = mdl.forward_rpn(rng.random((64, 64, 1)), params)
         assert batch.probs.shape == (192,)
         assert batch.deltas.shape == (192, 4)
 
     def test_embedding_length_is_d(self, params, rng):
-        batch = mdl.forward_rpn(Tensor(rng.random((16, 16, 1))), params)
+        batch = mdl.forward_rpn(rng.random((16, 16, 1)), params)
         assert batch.embeddings.shape[1] == D
 
     def test_zero_image_zero_params_gives_half(self, rng):
         params = mdl.init_params(D, NA, rng)
         for p in params.values():
             p.data[...] = 0.0
-        batch = mdl.forward_rpn(Tensor(np.zeros((16, 16, 1))), params)
-        np.testing.assert_array_equal(batch.probs.data, 0.5)
+        batch = mdl.forward_rpn(np.zeros((16, 16, 1)), params)
+        np.testing.assert_array_equal(batch.probs, 0.5)
 
     def test_deterministic(self, params, rng):
-        img = Tensor(rng.random((16, 16, 1)))
+        img = rng.random((16, 16, 1))
         a = mdl.forward_rpn(img, params)
         b = mdl.forward_rpn(img, params)
-        np.testing.assert_array_equal(a.probs.data, b.probs.data)
+        np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_anchor_count_and_width_read_from_params(self, rng):
         params = mdl.init_params(8, 2, rng)
-        batch = mdl.forward_rpn(Tensor(rng.random((32, 48, 1))), params)
+        batch = mdl.forward_rpn(rng.random((32, 48, 1)), params)
         cells = (32 // 8) * (48 // 8)
         assert batch.probs.shape == (2 * cells,)
         assert batch.deltas.shape == (2 * cells, 4)
@@ -63,19 +62,21 @@ class TestForwardRpn:
 
     def test_one_tape_node_per_conv_layer(self, params, rng):
         """Each of the six layers records a single conv2d node (conv, bias
-        and ReLU together), so the tape from the outputs down to the image
-        holds six convolutions and nothing between them."""
-        image = Tensor(rng.random((16, 16, 1)))
-        batch = mdl.forward_rpn(image, params)
-        seen, stack = set(), [batch.probs, batch.deltas, batch.embeddings]
+        and ReLU together), so the tape from its two outputs, the logits and
+        the regression output, down to the image holds six convolutions and
+        the scoring head, nothing between them and nothing after them; the
+        outputs themselves are arrays."""
+        batch = mdl.forward_rpn(rng.random((16, 16, 1)), params)
+        assert all(type(getattr(batch, name)) is np.ndarray
+                   for name in ("probs", "deltas", "embeddings"))
+        seen, stack = set(), [batch.logits, batch.regression]
         while stack:
             node = stack.pop()
             if id(node) not in seen:
                 seen.add(id(node))
                 stack.extend(node._prev)
-        # leaves: the image and 14 parameters; ops: 6 convs, the scoring
-        # head, the sigmoid and three reshapes
-        assert len(seen) == 1 + len(params) + 6 + 1 + 1 + 3
+        # leaves: the image and 14 parameters; ops: 6 convs and the scoring head
+        assert len(seen) == 1 + len(params) + 6 + 1
 
     @pytest.mark.parametrize("n_images, shape", [(1, (16, 16)), (5, (32, 48)),
                                                  (48, (16, 24))])
@@ -86,11 +87,11 @@ class TestForwardRpn:
         match)."""
         images = rng.random((n_images, *shape, 1))
         with ag.no_grad():
-            block = mdl.forward_rpn(Tensor(images), params)
-            alone = [mdl.forward_rpn(Tensor(image), params) for image in images]
+            block = mdl.forward_rpn(images, params)
+            alone = [mdl.forward_rpn(image, params) for image in images]
         for name in ("probs", "deltas", "embeddings"):
-            got = getattr(block, name).data
-            want = np.stack([getattr(batch, name).data for batch in alone])
+            got = getattr(block, name)
+            want = np.stack([getattr(batch, name) for batch in alone])
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -98,39 +99,54 @@ class TestForwardRpn:
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_block_gradients_equal_per_image_accumulated(self, n_images, h, w, seed):
-        """One backward through a block gives every parameter the gradient
-        of one backward per image accumulated in image order, and each image
-        its own gradient, float for float."""
+        """One backward through a block, from heads_loss_node, gives every
+        parameter the gradient of one backward per image accumulated in
+        image order, float for float."""
         gen = np.random.default_rng(seed)
         params = mdl.init_params(D, NA, gen)
         images = gen.random((n_images, h, w, 1))
         n = (h // 8) * (w // 8) * NA
-        upstream = (gen.standard_normal((n_images, n)), gen.standard_normal((n_images, n, 4)),
-                    gen.standard_normal((n_images, n, D)))
+        g_probs = gen.standard_normal((n_images, n))
+        g_deltas = gen.standard_normal((n_images, n, 4))
 
-        def loss(x, gp, gd, ge):
-            batch = mdl.forward_rpn(x, params)
-            return dot_loss((batch.probs, batch.deltas, batch.embeddings), (gp, gd, ge))
+        def grads(blocks):
+            for p in params.values():
+                p.zero_grad()
+            for x, gp, gd in blocks:
+                mdl.heads_loss_node(mdl.forward_rpn(x, params), 0.0, gp, gd).backward()
+            return [params[k].grad.tobytes() for k in sorted(params)]
 
-        block, alone = block_and_per_image_grads(loss, images, upstream,
-                                                 [params[k] for k in sorted(params)])
-        assert block == alone
+        assert grads([(images, g_probs, g_deltas)]) == grads(zip(images, g_probs, g_deltas))
+
+    @pytest.mark.parametrize("sends", [(True, False), (False, True), (False, False)],
+                             ids=["probs-only", "deltas-only", "neither"])
+    def test_head_without_gradient_keeps_grad_none(self, params, rng, sends):
+        """A None gradient sends its head none: rpn.reg's parameters keep
+        grad None without a deltas gradient, and the scoring head's without
+        a probs gradient."""
+        batch = mdl.forward_rpn(rng.random((16, 16, 1)), params)
+        g_probs = rng.standard_normal(batch.probs.shape) if sends[0] else None
+        g_deltas = rng.standard_normal(batch.deltas.shape) if sends[1] else None
+        mdl.heads_loss_node(batch, 1.5, g_probs, g_deltas).backward()
+        assert (params["rpn.cls.w"].grad is not None) == sends[0]
+        assert (params["rpn.reg.w"].grad is not None) == sends[1]
+        assert (params["rpn.share.w"].grad is not None) == any(sends)
 
     @pytest.mark.parametrize("shape", [(16, 16), (1, 1, 16, 16, 1)])
     def test_image_of_other_rank_rejected(self, params, shape):
         with pytest.raises(ag.GraphError, match="image must be"):
-            mdl.forward_rpn(Tensor(np.zeros(shape)), params)
+            mdl.forward_rpn(np.zeros(shape), params)
 
     def test_indivisible_extent_rejected(self, params):
         with pytest.raises(ag.GraphError):
-            mdl.forward_rpn(Tensor(np.zeros((20, 20, 1))), params)
+            mdl.forward_rpn(np.zeros((20, 20, 1)), params)
 
     def test_grouped_head_isolation(self, params, rng):
         """Anchor 0's objectness must not read anchor 1's embedding slice."""
-        img = Tensor(rng.random((16, 16, 1)))
-        before = mdl.forward_rpn(img, params).probs.data.copy()
+        img = rng.random((16, 16, 1))
+        before = mdl.forward_rpn(img, params).probs.copy()
         params["rpn.cls.w"].data[1] += 10.0
-        after = mdl.forward_rpn(img, params).probs.data
+        after = mdl.forward_rpn(img, params).probs
         changed = np.abs(after - before) > 1e-12
         anchor_of = np.arange(len(before)) % NA
         assert changed[anchor_of == 1].all()
@@ -427,14 +443,14 @@ class TestSoftLabelLoss:
         """The soft targets are constants: the parameter gradient is the same
         whether they come from the attention map of the batch's own
         embeddings or from a detached copy of its row maxima."""
-        image = Tensor(rng.random((16, 16, 1)))
+        image = rng.random((16, 16, 1))
         pos_idx, neg_idx = np.array([1, 7]), np.array([0, 2, 3, 4, 5, 6])
         grads = []
         for detach in (False, True):
             for p in params.values():
                 p.zero_grad()
             batch = mdl.forward_rpn(image, params)
-            emb = batch.embeddings.data
+            emb = batch.embeddings
             amap = mdl.attention_map(emb[neg_idx], emb[pos_idx])
             if detach:
                 amap = amap_with_row_maxes(amap.row_max.copy())
@@ -523,6 +539,8 @@ class TestCheckpoint:
         pytest.param(b'{"tensors": [{"name": "w", "shape": [1e400]}]}', id="1e400"),
         pytest.param(b'{"tensors": [{"name": "w", "shape": [Infinity]}]}', id="Infinity"),
         pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100k"),
+        # no elements, so no payload, but a dimension no array can have
+        pytest.param(b'{"tensors": [{"name": "w", "shape": [0, 1e30]}]}', id="0x1e30"),
     ])
     def test_malformed_header_rejected(self, header, tmp_path):
         path = tmp_path / "bad.srpn"
@@ -531,6 +549,16 @@ class TestCheckpoint:
                          + header)
         with pytest.raises(mdl.CheckpointError, match="malformed"):
             mdl.load_checkpoint(path)
+
+    def test_oversized_dimension_names_file_and_tensor(self, tmp_path):
+        header = b'{"tensors": [{"name": "rpn.cls.b", "shape": [0, %d]}]}' % 10 ** 30
+        path = tmp_path / "big.srpn"
+        path.write_bytes(mdl.CHECKPOINT_MAGIC
+                         + struct.pack("<II", mdl.CHECKPOINT_VERSION, len(header)) + header)
+        with pytest.raises(mdl.CheckpointError) as err:
+            mdl.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: malformed shape [0, {10 ** 30}] "
+                                          f"for tensor rpn.cls.b")
 
     def test_save_replaces_whole_file_and_leaves_no_temporary(self, params, tmp_path):
         path = tmp_path / "model.srpn"
