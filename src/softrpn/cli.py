@@ -1,8 +1,8 @@
-"""Command-line entry point: synth / train / eval / audit / ablate.
+"""Command-line entry point: synth / train / eval / audit / compare.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Every command
 writes a manifest with the effective config, the artifact paths, the tool
-version, and the wall-clock duration: synth, train and ablate a
+version, and the wall-clock duration: synth, train and compare a
 manifest.json in their output directory, eval and audit a
 <report>.manifest.json beside their report, so reports that share a
 directory keep one manifest each. Outputs other than synth's dataset are
@@ -178,28 +178,68 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    started = time.time()
-    config = _load_config(args)
+# compare without --data trains seed s on generate_benchmark(*COMPARE_DATA,
+# seed=s): images, size and drop rate of the acceptance tests' benchmark.
+COMPARE_DATA = (200, 64, 0.3)
+
+
+def _parse_list(flag: str, text: str, parse, what: str) -> list:
+    """The comma-separated values of a list flag, each through parse; one
+    error naming the flag when none is given or one is unusable."""
     try:
-        thresholds = [float(v) for v in args.thresholds.split(",") if v]
-        if not thresholds:
-            raise ValueError("no threshold given")
-        for t in thresholds:
-            mdl.check_threshold(t)
+        values = [parse(v) for v in text.split(",") if v]
+        if not values:
+            raise ValueError(f"no {what} given")
     except ValueError as e:
-        raise ValueError(f"--thresholds {args.thresholds!r}: {e}") from e
-    records = dat.load_dataset(args.data)
-    rows = hz.ablate_threshold(config, records, thresholds)
+        raise ValueError(f"--{flag} {text!r}: {e}") from e
+    return values
+
+
+def _seed(text: str) -> int:
+    if (seed := int(text)) < 0:
+        raise ValueError(f"seeds must be non-negative, got {seed}")
+    return seed
+
+
+def _compare_table(doc: dict) -> str:
+    """Every row of a comparison, then each arm's means over the seeds."""
+    arm_width = max(len(m["arm"]) for m in doc["means"])
+    widths = [max(len(m), 7) for m in hz.COMPARE_METRICS]
+
+    def line(row, seed="seed"):
+        cells = (f"{row[m]:.4f}" if isinstance(row.get(m), float) else str(row.get(m, "-"))
+                 for m in hz.COMPARE_METRICS)
+        return f"{row['arm']:<{arm_width}}  {seed:>4}  " + "  ".join(
+            f"{c:>{w}}" for c, w in zip(cells, widths))
+
+    header = line({"arm": "arm", **{m: m for m in hz.COMPARE_METRICS}})
+    rule = "-" * len(header)
+    return "\n".join([header, rule, *(line(r, r["seed"]) for r in doc["rows"]), rule,
+                      *(line(m, "mean") for m in doc["means"])])
+
+
+def cmd_compare(args) -> int:
+    started = time.time()
+    seeds = _parse_list("seeds", args.seeds, _seed, "seed")
+    thresholds = _parse_list("thresholds", args.thresholds,
+                             lambda v: mdl.check_threshold(float(v)), "threshold")
+    config = _load_config(args)
+    if args.data:
+        records = dat.load_dataset(args.data)
+        datasets = ((seed, records) for seed in seeds)
+    else:
+        datasets = ((seed, dat.generate_benchmark(*COMPARE_DATA, seed=seed)) for seed in seeds)
+    generated = None if args.data else dict(zip(("images", "size", "drop_rate"), COMPARE_DATA))
+    doc = hz.compare(config, datasets, thresholds)
+    table = _compare_table(doc)
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write_json(os.path.join(args.out, "ablation.json"), rows)
-    table = hz.format_ablation_table(rows)
-    mdl.write_file(os.path.join(args.out, "ablation.txt"), [(table + "\n").encode()])
+    _atomic_write_json(os.path.join(args.out, "compare.json"), doc)
+    mdl.write_file(os.path.join(args.out, "compare.txt"), [(table + "\n").encode()])
     _write_manifest(os.path.join(args.out, "manifest.json"), config, {
-        "table_json": "ablation.json",
-        "table_text": "ablation.txt",
-        "dataset": os.path.abspath(args.data),
-    }, started, extra={"thresholds": thresholds})
+        "table_json": "compare.json",
+        "table_text": "compare.txt",
+        "dataset": os.path.abspath(args.data) if args.data else None,
+    }, started, extra={"seeds": seeds, "thresholds": thresholds, "generated": generated})
     print(table)
     return 0
 
@@ -245,12 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("ablate", help="train+evaluate across attention thresholds")
-    p.add_argument("--data", required=True)
-    p.add_argument("--thresholds", required=True, help="comma list, e.g. 0.6,0.8,0.9")
+    p = sub.add_parser("compare", help="baseline vs soft-label arms over seeds")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.set_defaults(func=cmd_ablate)
+    p.add_argument("--seeds", default="0,1,2,3,4", help="comma list of seeds")
+    p.add_argument("--thresholds", default="0.8", help="comma list, e.g. 0.6,0.8,0.9")
+    p.add_argument("--data", help="one dataset for every seed (default: each "
+                                  "seed's synthetic benchmark)")
+    p.add_argument("--config", help="JSON config file")
+    p.set_defaults(func=cmd_compare)
     return parser
 
 

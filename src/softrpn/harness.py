@@ -1,5 +1,5 @@
 """Training loop, proposal-AP evaluation, false-negative audit scoring,
-and the attention-threshold ablation."""
+and the baseline vs soft-label comparison over seeds."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import sys
 import typing
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -21,10 +21,19 @@ from .data import ImageRecord
 from .geometry import decode_deltas, generate_anchors, iou_matrix, match_anchors
 
 
+# Mean total loss above which training has diverged (lr 1e30 reaches 6.7e151
+# at iteration 1). Each BCE term is clamped at -log(model.BCE_EPS) ~ 16.1, so
+# l_pos + l_neg stay below 33 and a total this large is all regression error:
+# a positive's four encoded deltas off by ~2.5e5 each. 200-iteration runs of
+# either mode on the 64x64 benchmark of seeds 0-4 peak below 2.9.
+DIVERGENCE_LOSS = 1e6
+
+
 class DivergenceError(Exception):
     def __init__(self, iteration: int):
-        super().__init__(f"training diverged: a value overflowed or the loss "
-                         f"became non-finite at iteration {iteration}")
+        super().__init__(f"training diverged: a value overflowed, or the mean loss "
+                         f"exceeded {DIVERGENCE_LOSS:g} or became non-finite at "
+                         f"iteration {iteration}")
         self.iteration = iteration
 
 
@@ -257,12 +266,11 @@ def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
     image's proposal minibatch and compute its loss, in block order. Returns
     the losses and the node (model.heads_loss_node) whose backward() carries
     their gradients, added into zeros at each image's sampled rows, into the
-    tape; a block that sampled no anchor (no positive) sends none to probs
-    (deltas), so a head no loss reached keeps grad None."""
+    tape; a head no sampled anchor reached gets a zero gradient, so its
+    momentum still decays."""
     batch = mdl.forward_rpn(_block([mi.record.image for mi in block]), params)
     probs, deltas = batch.probs, batch.deltas
     g_probs, g_deltas = np.zeros_like(probs), np.zeros_like(deltas)
-    n_pos = n_sampled = 0
     losses = []
     for j, mi in enumerate(block):
         pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
@@ -274,11 +282,9 @@ def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
         g_probs[j, pos_idx] += image.grad_pos
         g_probs[j, neg_idx] += image.grad_neg
         g_deltas[j, pos_idx] += image.grad_deltas
-        n_pos += len(pos_idx)
-        n_sampled += len(pos_idx) + len(neg_idx)
         losses.append(image)
     root = mdl.heads_loss_node(batch, sum(image.total for image in losses) / BATCH_IMAGES,
-                               g_probs if n_sampled else None, g_deltas if n_pos else None)
+                               g_probs, g_deltas)
     return root, losses
 
 
@@ -301,8 +307,8 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
     for it in range(config.total_iters):
         if it in config.milestones:
             lr *= LR_DECAY
-        # A run can blow up while every value stays finite (|param| ~1e209
-        # under lr 1e30), so an overflow anywhere in the step is divergence.
+        # A run can blow up while every value stays finite, so an overflow
+        # anywhere in the step is divergence, and so is a loss past DIVERGENCE_LOSS.
         try:
             with np.errstate(over="raise"):
                 for p in params.values():
@@ -325,15 +331,14 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
                             sums[key] += getattr(image, key)
                         n_flagged += len(image.flagged)
                 means = {k: v / BATCH_IMAGES for k, v in sums.items()}
-                if not math.isfinite(means["total"]):
+                if not means["total"] <= DIVERGENCE_LOSS:     # also refuses nan
                     raise DivergenceError(it)
                 for k, p in params.items():
-                    if p.grad is not None:
-                        # in place: the products and sums of
-                        # MOMENTUM * velocity[k] + p.grad, without two temporaries
-                        velocity[k] *= MOMENTUM
-                        velocity[k] += p.grad
-                        p.data -= lr * velocity[k]
+                    # in place: the products and sums of
+                    # MOMENTUM * velocity[k] + p.grad, without two temporaries
+                    velocity[k] *= MOMENTUM
+                    velocity[k] += p.grad
+                    p.data -= lr * velocity[k]
         except FloatingPointError as e:
             raise DivergenceError(it) from e
         log.append({"iter": it, "lr": lr, "flagged": n_flagged, **means})
@@ -633,27 +638,39 @@ def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord]
     return expected / total if total else 0.0
 
 
-# -- ablation -------------------------------------------------------------------
+# -- comparison -----------------------------------------------------------------
 
-def ablate_threshold(config: TrainConfig, records: Sequence[ImageRecord],
-                     thresholds: Sequence[float]) -> list[dict]:
-    """Train + evaluate once per threshold with identical seeds; returns
-    one table row per threshold."""
+# The metrics compare averages over seeds; only soft-label arms have the last two.
+COMPARE_METRICS = ("ap50", "ap75", "ap", "recall50", "fn_precision", "fn_recall",
+                   "flags", "expected_random_recall")
+
+
+def compare(config: TrainConfig, datasets: Iterable[tuple[int, Sequence[ImageRecord]]],
+            thresholds: Sequence[float]) -> dict:
+    """Train and evaluate, on each (seed, records) of datasets, a baseline
+    arm and one soft_label@t arm per threshold t: config's recipe with
+    seed_init = seed_sample = seed, and the arm's mode and t. Returns
+    {"rows": one per seed and arm, in that order, "means": one per arm, of
+    its COMPARE_METRICS over the seeds}. A row holds the arm, seed, t and
+    evaluate's fields; a soft-label arm's also its audit_flags count at t
+    and their expected_random_recall."""
+    arms = [("baseline", {"mode": "baseline"})] + [
+        (f"soft_label@{t}", {"mode": "soft_label", "t": t}) for t in thresholds]
     rows = []
-    for t in thresholds:
-        cfg = replace(config, t=t, mode="soft_label")
-        params, _ = train(cfg, records)
-        rows.append({"t": t, **evaluate(params, records, cfg).to_dict()})
-    return rows
-
-
-def format_ablation_table(rows: Sequence[dict]) -> str:
-    cols = ["t", "ap50", "ap75", "ap", "recall50", "fn_precision", "fn_recall"]
-    header = "  ".join(f"{c:>12}" for c in cols)
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append("  ".join(f"{r[c]:>12.4f}" for c in cols))
-    return "\n".join(lines)
+    for seed, records in datasets:
+        for arm, over in arms:
+            cfg = replace(config, seed_init=seed, seed_sample=seed, **over)
+            params, _ = train(cfg, records)
+            rows.append({"arm": arm, "seed": seed, "t": cfg.t,
+                         **evaluate(params, records, cfg).to_dict()})
+            if cfg.mode == "soft_label":
+                flags = audit_flags(params, records, cfg)
+                rows[-1].update(flags=len(flags),
+                                expected_random_recall=expected_random_recall(flags, records))
+    means = [{"arm": arm, **{m: float(np.mean([r[m] for r in rows[k::len(arms)]]))
+                             for m in COMPARE_METRICS if m in rows[k]}}
+             for k, (arm, _) in enumerate(arms)]
+    return {"rows": rows, "means": means}
 
 
 def write_metric_log(path, log: Sequence[dict]):

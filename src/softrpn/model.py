@@ -154,16 +154,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def heads_loss_node(batch: ProposalBatch, value: float, g_probs: Optional[np.ndarray],
-                    g_deltas: Optional[np.ndarray]) -> Tensor:
+def heads_loss_node(batch: ProposalBatch, value: float, g_probs: np.ndarray,
+                    g_deltas: np.ndarray) -> Tensor:
     """The loss_node of a loss computed from batch.probs and batch.deltas,
-    whose gradients g_probs and g_deltas (None: none) it carries to the
-    logits through the sigmoid's backward, and to the regression output."""
+    whose gradients g_probs and g_deltas it carries to the logits through
+    the sigmoid's backward, and to the regression output."""
     p = batch.probs
-    g_logits = (None if g_probs is None
-                else (g_probs * p * (1.0 - p)).reshape(batch.logits.shape))
-    g_reg = None if g_deltas is None else g_deltas.reshape(batch.regression.shape)
-    return ag.loss_node(value, (batch.logits, batch.regression), (g_logits, g_reg))
+    g_logits = (g_probs * p * (1.0 - p)).reshape(batch.logits.shape)
+    return ag.loss_node(value, (batch.logits, batch.regression),
+                        (g_logits, g_deltas.reshape(batch.regression.shape)))
 
 
 # Logit magnitude for the attention softmax. The cosine logits lie in
@@ -235,10 +234,11 @@ def attention_map(neg_embeddings: np.ndarray, pos_embeddings: np.ndarray
     return AttentionMap(a=a, row_max=a.max(axis=1))
 
 
-def check_threshold(t: float):
-    """Refuse an attention threshold outside (0, 1)."""
+def check_threshold(t: float) -> float:
+    """t, refusing an attention threshold outside (0, 1)."""
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in (0, 1), got {t}")
+    return t
 
 
 def detect_false_negatives(amap: AttentionMap, t: float) -> np.ndarray:

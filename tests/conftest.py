@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -75,8 +73,8 @@ def dot_loss(tensors, grads):
 def sampled_loss(batch, pos_idx, neg_idx, delta_targets, amap, t, weight=1.0):
     """soft_label_loss of one image's forward outputs at its sampled rows,
     and the node (model.heads_loss_node) that carries its gradients into
-    them: each added into zeros at its rows, as harness._block_losses does.
-    A term over no rows sends no gradient."""
+    them: each added into zeros at its rows, as harness._block_losses does,
+    so a term over no rows sends a zero gradient."""
     probs, deltas = batch.probs, batch.deltas
     out = mdl.soft_label_loss(probs[pos_idx], probs[neg_idx], deltas[pos_idx],
                               delta_targets, amap, t, weight)
@@ -84,10 +82,7 @@ def sampled_loss(batch, pos_idx, neg_idx, delta_targets, amap, t, weight=1.0):
     g_probs[pos_idx] += out.grad_pos
     g_probs[neg_idx] += out.grad_neg
     g_deltas[pos_idx] += out.grad_deltas
-    sampled = len(pos_idx) + len(neg_idx)
-    return out, mdl.heads_loss_node(batch, weight * out.total,
-                                    g_probs if sampled else None,
-                                    g_deltas if len(pos_idx) else None)
+    return out, mdl.heads_loss_node(batch, weight * out.total, g_probs, g_deltas)
 
 
 def block_and_per_image_grads(loss, images, upstream, params):
@@ -129,8 +124,8 @@ def _image_loss(params, mi, config, rng):
 
 def train_per_image(config, records):
     """harness.train as it was before it forwarded blocks: one forward and
-    one backward per image, the momentum step out of place. Kept as an
-    oracle for it."""
+    one backward per image, the momentum step out of place, and the same
+    divergence rule (harness.DIVERGENCE_LOSS). Kept as an oracle for it."""
     if not records:
         raise ValueError("dataset is empty")
     hz.check_extents(records)
@@ -144,8 +139,8 @@ def train_per_image(config, records):
     for it in range(config.total_iters):
         if it in config.milestones:
             lr *= hz.LR_DECAY
-        # A run can blow up while every value stays finite (|param| ~1e209
-        # under lr 1e30), so an overflow anywhere in the step is divergence.
+        # an overflow anywhere in the step is divergence, and so is a loss
+        # past DIVERGENCE_LOSS
         try:
             with np.errstate(over="raise"):
                 for p in params.values():
@@ -160,12 +155,11 @@ def train_per_image(config, records):
                         sums[key] += getattr(losses, key)
                     n_flagged += len(losses.flagged)
                 means = {k: v / hz.BATCH_IMAGES for k, v in sums.items()}
-                if not math.isfinite(means["total"]):
+                if not means["total"] <= hz.DIVERGENCE_LOSS:
                     raise hz.DivergenceError(it)
                 for k, p in params.items():
-                    if p.grad is not None:
-                        velocity[k] = hz.MOMENTUM * velocity[k] + p.grad
-                        p.data -= lr * velocity[k]
+                    velocity[k] = hz.MOMENTUM * velocity[k] + p.grad
+                    p.data -= lr * velocity[k]
         except FloatingPointError as e:
             raise hz.DivergenceError(it) from e
         log.append({"iter": it, "lr": lr, "flagged": n_flagged, **means})

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from softrpn import autograd as ag
+from softrpn import cli
 from softrpn import data as dat
 from softrpn import harness as hz
 from softrpn import model as mdl
@@ -192,16 +193,19 @@ class TestAblationShape:
         records = dat.generate_benchmark(16, 64, 0.3, seed=9)
         config = hz.TrainConfig(total_iters=60, milestones=(30, 45))
         thresholds = (0.6, 0.8, 0.9)
-        rows = hz.ablate_threshold(config, records, thresholds)
-        assert [r["t"] for r in rows] == list(thresholds)
+        doc = hz.compare(config, [(0, records)], thresholds)
+        rows = doc["rows"]
+        assert [r["arm"] for r in rows] == ["baseline"] + [f"soft_label@{t}" for t in thresholds]
+        assert [r["t"] for r in rows[1:]] == list(thresholds)
         for row in rows:
             for col in ("ap50", "ap75", "ap", "recall50",
                         "fn_precision", "fn_recall"):
                 assert 0.0 <= row[col] <= 1.0
-        table = hz.format_ablation_table(rows)
-        lines = table.splitlines()
-        assert len(lines) == 2 + len(thresholds)
-        assert all(c in lines[0] for c in ("t", "ap50", "recall50", "fn_recall"))
+        for row in rows[1:]:
+            assert row["flags"] >= 0 and 0.0 <= row["expected_random_recall"] <= 1.0
+        lines = cli._compare_table(doc).splitlines()
+        assert len(lines) == 3 + 2 * len(rows)     # header, rules, rows, means
+        assert all(c in lines[0] for c in ("arm", "ap50", "recall50", "fn_recall"))
         # A middle threshold of 0.8 winning on ap50 is the expected trend at
         # full scale, but is not asserted: at this run length the ordering is
         # dominated by sampling noise.

@@ -282,12 +282,12 @@ class TestBackward:
     def test_loss_node_hands_each_parent_its_gradient(self, rng):
         x = Tensor(rng.standard_normal(5), requires_grad=True)
         w = Tensor(rng.standard_normal(3), requires_grad=True)
-        gx = rng.standard_normal(5)
-        loss = ag.loss_node(2.5, (x, w), (gx, None))
+        gx, gw = rng.standard_normal(5), rng.standard_normal(3)
+        loss = ag.loss_node(2.5, (x, w), (gx, gw))
         assert float(loss.data) == 2.5
         loss.backward()
         assert x.grad.tobytes() == gx.tobytes()
-        assert w.grad is None
+        assert w.grad.tobytes() == gw.tobytes()
 
     def test_add_of_two_shapes_rejected(self):
         with pytest.raises(ag.GraphError, match="one shape"):

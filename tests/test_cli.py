@@ -659,47 +659,90 @@ class TestReportWriter:
         assert os.listdir(tmp_path) == ["r.json"]
 
 
-class TestAblateCmd:
-    def test_three_thresholds_three_rows(self, dataset, fast_config, tmp_path):
-        out = tmp_path / "abl"
-        assert run(["ablate", "--data", dataset, "--out", str(out),
-                    "--config", fast_config,
-                    "--thresholds", "0.6,0.8,0.9"]) == 0
-        rows = json.loads((out / "ablation.json").read_text())
-        assert [r["t"] for r in rows] == [0.6, 0.8, 0.9]
-        table = (out / "ablation.txt").read_text()
-        assert len(table.strip().splitlines()) == 5
+def no_generator(*args, **kwargs):
+    raise AssertionError("compare generated data")
 
-    def test_bad_threshold_is_runtime_error(self, dataset, tmp_path, capsys):
-        assert run(["ablate", "--data", dataset, "--out", str(tmp_path / "x"),
-                    "--thresholds", "0.6,1.5"]) == 1
-        assert "t must lie in (0, 1), got 1.5" in single_error_line(capsys)
-        assert not (tmp_path / "x").exists()
 
-    def test_bad_threshold_fails_before_loading_data(self, tmp_path, capsys):
-        assert run(["ablate", "--data", str(tmp_path / "nope"), "--out",
-                    str(tmp_path / "x"), "--thresholds", "0"]) == 1
-        assert "t must lie in (0, 1)" in single_error_line(capsys)
+class TestCompareCmd:
+    def test_rows_means_table_and_manifest(self, dataset, fast_config, tmp_path, capsys):
+        """--data: every seed trains on that dataset; compare.json holds
+        harness.compare's document, and compare.txt the printed table."""
+        out = tmp_path / "cmp"
+        assert run(["compare", "--data", dataset, "--out", str(out), "--config", fast_config,
+                    "--seeds", "0,2", "--thresholds", "0.6,0.8,0.9"]) == 0
+        doc = json.loads((out / "compare.json").read_text())
+        records = dat.load_dataset(dataset)
+        config = hz.TrainConfig(total_iters=12, milestones=(6, 9))
+        assert doc == hz.compare(config, [(0, records), (2, records)], [0.6, 0.8, 0.9])
+        table = (out / "compare.txt").read_text()
+        assert capsys.readouterr().out == table
+        lines = table.splitlines()
+        assert len(lines) == 3 + 2 * 4 + 4     # header, rule, rows, rule, means
+        assert lines[0].split() == ["arm", "seed", *hz.COMPARE_METRICS]
+        assert lines[-1].split()[:3] == ["soft_label@0.9", "mean",
+                                         f"{doc['means'][-1]['ap50']:.4f}"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seeds"] == [0, 2] and manifest["thresholds"] == [0.6, 0.8, 0.9]
+        assert manifest["artifacts"]["dataset"] == os.path.abspath(dataset)
+        assert manifest["generated"] is None
 
-    @pytest.mark.parametrize("thresholds, says", [
-        (",", "no threshold given"),
-        ("", "no threshold given"),
-        ("0.5,x", "could not convert string to float: 'x'"),
-        ("0.6,1.5", "t must lie in (0, 1), got 1.5"),
-    ], ids=["comma", "empty", "not-a-number", "out-of-range"])
-    def test_unusable_thresholds_refused_by_name_before_any_work(self, thresholds, says,
-                                                                 tmp_path, capsys):
-        """Before the dataset is read (it does not exist here) and before
-        any output directory or manifest is written."""
+    def test_without_data_each_seed_gets_its_benchmark(self, fast_config, tmp_path,
+                                                       monkeypatch):
+        """Seed s trains on generate_benchmark(200, 64, 0.3, seed=s), the
+        acceptance tests' data; here 8 of those images stand in for 200."""
+        calls = []
+        generate = dat.generate_benchmark
+
+        def recording(n_images, image_size, drop_rate, seed):
+            calls.append((n_images, image_size, drop_rate, seed))
+            return generate(8, image_size, drop_rate, seed=seed)
+
+        monkeypatch.setattr(dat, "generate_benchmark", recording)
+        out = tmp_path / "cmp"
+        assert run(["compare", "--out", str(out), "--config", fast_config,
+                    "--seeds", "1,4"]) == 0
+        assert calls == [(200, 64, 0.3, 1), (200, 64, 0.3, 4)]
+        config = hz.TrainConfig(total_iters=12, milestones=(6, 9))
+        want = hz.compare(config, [(s, generate(8, 64, 0.3, seed=s)) for s in (1, 4)], [0.8])
+        assert json.loads((out / "compare.json").read_text()) == want
+        assert json.loads((out / "manifest.json").read_text())["generated"] == {
+            "images": 200, "size": 64, "drop_rate": 0.3}
+
+    @pytest.mark.parametrize("flag, value, says", [
+        ("--thresholds", ",", "no threshold given"),
+        ("--thresholds", "", "no threshold given"),
+        ("--thresholds", "0.5,x", "could not convert string to float: 'x'"),
+        ("--thresholds", "0.6,1.5", "t must lie in (0, 1), got 1.5"),
+        ("--thresholds", "0", "t must lie in (0, 1), got 0.0"),
+        ("--seeds", ",", "no seed given"),
+        ("--seeds", "", "no seed given"),
+        ("--seeds", "0,x", "invalid literal for int() with base 10: 'x'"),
+        ("--seeds", "1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("--seeds", "0,-1", "seeds must be non-negative, got -1"),
+    ], ids=["comma", "empty", "not-a-number", "out-of-range", "zero", "seeds-comma",
+            "seeds-empty", "seeds-not-a-number", "seeds-fraction", "seeds-negative"])
+    @pytest.mark.parametrize("data", [True, False], ids=["data", "generated"])
+    def test_unusable_list_refused_by_name_before_any_work(self, flag, value, says, data,
+                                                           tmp_path, capsys, monkeypatch):
+        """Before the dataset is read (it does not exist here) or generated,
+        and before any output directory or manifest is written."""
+        monkeypatch.setattr(dat, "generate_benchmark", no_generator)
         out = tmp_path / "x"
-        assert run(["ablate", "--data", str(tmp_path / "nope"), "--out", str(out),
-                    "--thresholds", thresholds]) == 1
-        assert single_error_line(capsys) == f"error: --thresholds {thresholds!r}: {says}"
+        argv = ["compare", "--out", str(out), flag, value]
+        assert run(argv + (["--data", str(tmp_path / "nope")] if data else [])) == 1
+        assert single_error_line(capsys) == f"error: {flag} {value!r}: {says}"
         assert not out.exists()
 
-    def test_unknown_command_exit_2(self):
+    def test_missing_data_refused_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["compare", "--data", str(tmp_path / "nope"), "--out", str(out)]) == 1
+        assert "nope" in single_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["frobnicate", "ablate"])
+    def test_unknown_command_exit_2(self, command):
         with pytest.raises(SystemExit) as e:
-            run(["frobnicate"])
+            run([command])
         assert e.value.code == 2
 
 

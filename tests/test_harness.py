@@ -464,6 +464,17 @@ class TestTrain:
         assert 0 <= e.value.iteration < cfg.total_iters
         assert str(e.value.iteration) in str(e.value)
 
+    def test_finite_blow_up_raises_at_its_iteration(self):
+        """Under lr 1e30 every value stays finite while the mean total
+        jumps from 2.43 to ~6.7e151 at iteration 1: the run stops there, on
+        DIVERGENCE_LOSS and not on an overflow."""
+        cfg = hz.TrainConfig(lr=1e30, total_iters=12)
+        with pytest.raises(hz.DivergenceError) as e:
+            hz.train(cfg, dat.generate_benchmark(12, 64, 0.3, seed=0))
+        assert e.value.iteration == 1
+        assert e.value.__cause__ is None
+        assert "exceeded 1e+06" in str(e.value)
+
     def test_log_records_loss_components(self):
         cfg = tiny_config(total_iters=3, milestones=(2,))
         records = tiny_records()
@@ -589,7 +600,8 @@ def interleaved_extents():
 
 def one_labelled(records):
     """records with every kept box but the first image's withheld, so many
-    iterations sample no positive and the regression head gets no gradient."""
+    iterations sample no positive and the regression head gets a zero
+    gradient."""
     return records[:1] + [dat.ImageRecord(rec.image_id, rec.file_name, rec.image,
                                           np.zeros((0, 4)), rec.full) for rec in records[1:]]
 
@@ -693,8 +705,8 @@ TRAIN_DATASETS = {
     "baseline-64": (tiny_records, {"mode": "baseline"}, {4}),
     "soft-128": (lambda: tiny_records(4, size=128), {"total_iters": 8, "milestones": (4,)}, {1}),
     "64-and-32x48": (interleaved_extents, {}, {1, 4}),
-    # a block without positives sends deltas no gradient, so an iteration
-    # without them skips the regression head's momentum step
+    # a block without positives sends deltas a zero gradient, so an
+    # iteration without them still decays the regression head's velocity
     "64-one-labelled": (lambda: one_labelled(tiny_records(8)), {}, {4}),
     # INFER_BLOCK holds two such images, not four: one at a time
     "64x128": (lambda: cropped(tiny_records(4, size=128, seed=3), 64, 128),
@@ -731,6 +743,26 @@ class TestBlockTraining:
         # a lone image is forwarded as a view of itself, not a copy
         for b in blocks:
             assert len(b) > 1 or any(np.shares_memory(b, rec.image) for rec in records)
+
+    def test_iteration_without_positive_decays_regression_velocity(self, monkeypatch):
+        """An iteration that samples no positive sends rpn.reg a zero
+        gradient, so its step is MOMENTUM times the one before (velocity
+        MOMENTUM * velocity), as SGD with momentum gives, not none."""
+        starts = []
+        forward_rpn = mdl.forward_rpn
+
+        def recording(image, params):
+            starts.append(params["rpn.reg.w"].data.copy())
+            return forward_rpn(image, params)
+
+        monkeypatch.setattr(mdl, "forward_rpn", recording)
+        _, log = hz.train(tiny_config(), one_labelled(tiny_records(8)))
+        assert len(starts) == len(log)     # one block, so one forward, per iteration
+        k = next(k for k in range(1, len(log) - 1)
+                 if log[k]["l_reg"] == 0.0 and log[k]["lr"] == log[k - 1]["lr"])
+        before, step = starts[k] - starts[k - 1], starts[k + 1] - starts[k]
+        assert before.any()
+        np.testing.assert_allclose(step, hz.MOMENTUM * before, rtol=1e-9)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_at_the_per_image_iteration(self):
@@ -1026,35 +1058,53 @@ class TestExpectedRandomRecall:
         assert hz.expected_random_recall(flags, records) == pytest.approx(1.0)
 
 
-class TestAblation:
-    def test_single_row_matches_direct_run(self):
-        cfg = tiny_config(mode="soft_label")
-        records = tiny_records()
-        rows = hz.ablate_threshold(cfg, records, [0.8])
-        params, _ = hz.train(cfg, records)
-        direct = hz.evaluate(params, records, cfg)
-        assert rows[0]["t"] == 0.8
-        assert rows[0]["ap50"] == direct.ap50
-        assert rows[0]["recall50"] == direct.recall50
+class TestCompare:
+    """compare on a tiny setting: 2 seeds, 8 images, 6 iterations."""
+
+    @pytest.fixture(scope="class")
+    def study(self):
+        config = tiny_config(total_iters=6, milestones=(4,))
+        datasets = [(seed, tiny_records(8, seed=seed)) for seed in (3, 5)]
+        return config, datasets, hz.compare(config, iter(datasets), (0.6, 0.8))
+
+    def test_each_row_equals_direct_calls(self, study):
+        """Seed-major rows, a baseline arm then one soft-label arm per
+        threshold, each equal (==) to train + evaluate, and for a soft
+        arm audit_flags' count and expected_random_recall, at its seeds."""
+        config, datasets, doc = study
+        want = []
+        for seed, records in datasets:
+            for arm, mode, t in (("baseline", "baseline", config.t),
+                                 ("soft_label@0.6", "soft_label", 0.6),
+                                 ("soft_label@0.8", "soft_label", 0.8)):
+                cfg = hz.TrainConfig(total_iters=6, milestones=(4,), mode=mode, t=t,
+                                     seed_init=seed, seed_sample=seed)
+                params, _ = hz.train(cfg, records)
+                row = {"arm": arm, "seed": seed, "t": t,
+                       **hz.evaluate(params, records, cfg).to_dict()}
+                if mode == "soft_label":
+                    flags = hz.audit_flags(params, records, cfg)
+                    row.update(flags=len(flags),
+                               expected_random_recall=hz.expected_random_recall(flags, records))
+                want.append(row)
+        assert doc["rows"] == want
+        assert any(row.get("flags") for row in want)
+
+    def test_means_are_numpy_means_over_the_seeds(self, study):
+        _, _, doc = study
+        assert [m["arm"] for m in doc["means"]] == [
+            "baseline", "soft_label@0.6", "soft_label@0.8"]
+        for mean in doc["means"]:
+            rows = [r for r in doc["rows"] if r["arm"] == mean["arm"]]
+            metrics = hz.COMPARE_METRICS[:6 if mean["arm"] == "baseline" else 8]
+            assert [r["seed"] for r in rows] == [3, 5]
+            assert mean == {"arm": mean["arm"],
+                            **{m: float(np.mean([r[m] for r in rows])) for m in metrics}}
 
     def test_unreachable_threshold_row_equals_baseline(self):
-        cfg = tiny_config()
-        records = tiny_records()
-        rows = hz.ablate_threshold(cfg, records, [1.0 - 1e-9])
-        base_cfg = tiny_config(mode="baseline")
-        params, _ = hz.train(base_cfg, records)
-        base = hz.evaluate(params, records, base_cfg)
-        assert rows[0]["ap50"] == pytest.approx(base.ap50, abs=1e-9)
-
-    def test_three_thresholds_three_rows_and_table(self):
-        cfg = tiny_config(total_iters=6, milestones=(4,))
-        records = tiny_records(6)
-        rows = hz.ablate_threshold(cfg, records, [0.6, 0.8, 0.9])
-        assert [r["t"] for r in rows] == [0.6, 0.8, 0.9]
-        table = hz.format_ablation_table(rows)
-        lines = table.splitlines()
-        assert len(lines) == 5  # header, rule, three rows
-        assert "ap50" in lines[0] and "fn_recall" in lines[0]
+        base, soft = hz.compare(tiny_config(), [(0, tiny_records())], [1.0 - 1e-9])["rows"]
+        assert soft["flags"] == 0
+        assert soft["ap50"] == pytest.approx(base["ap50"], abs=1e-9)
 
 
 class TestWriteMetricLog:

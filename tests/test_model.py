@@ -120,17 +120,20 @@ class TestForwardRpn:
 
     @pytest.mark.parametrize("sends", [(True, False), (False, True), (False, False)],
                              ids=["probs-only", "deltas-only", "neither"])
-    def test_head_without_gradient_keeps_grad_none(self, params, rng, sends):
-        """A None gradient sends its head none: rpn.reg's parameters keep
-        grad None without a deltas gradient, and the scoring head's without
-        a probs gradient."""
+    def test_zero_gradient_reaches_its_head_as_zeros(self, params, rng, sends):
+        """A zero gradient sends its head zeros, not None: every parameter
+        gets a grad, rpn.reg's all zero without a deltas gradient and the
+        scoring head's all zero without a probs gradient, so the momentum
+        step of harness.train decays each head's velocity either way."""
         batch = mdl.forward_rpn(rng.random((16, 16, 1)), params)
-        g_probs = rng.standard_normal(batch.probs.shape) if sends[0] else None
-        g_deltas = rng.standard_normal(batch.deltas.shape) if sends[1] else None
+        g_probs, g_deltas = (rng.standard_normal(a.shape) if sent else np.zeros(a.shape)
+                             for a, sent in zip((batch.probs, batch.deltas), sends))
         mdl.heads_loss_node(batch, 1.5, g_probs, g_deltas).backward()
-        assert (params["rpn.cls.w"].grad is not None) == sends[0]
-        assert (params["rpn.reg.w"].grad is not None) == sends[1]
-        assert (params["rpn.share.w"].grad is not None) == any(sends)
+        assert all(p.grad is not None for p in params.values())
+        for name, sent in (("rpn.cls.w", sends[0]), ("rpn.cls.b", sends[0]),
+                           ("rpn.reg.w", sends[1]), ("rpn.reg.b", sends[1]),
+                           ("rpn.share.w", any(sends)), ("backbone.conv0.w", any(sends))):
+            assert params[name].grad.any() == sent, name
 
     @pytest.mark.parametrize("shape", [(16, 16), (1, 1, 16, 16, 1)])
     def test_image_of_other_rank_rejected(self, params, shape):
