@@ -12,7 +12,6 @@ replaced atomically through model.write_file.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -24,21 +23,8 @@ from . import harness as hz
 from . import model as mdl
 
 
-# Encoder tokens joined per write: a 700-flag audit report is ~44k tokens.
-JSON_TOKENS_PER_WRITE = 1024
-
-
-def _json_chunks(doc):
-    """The bytes of json.dumps(doc, indent=1, sort_keys=True), streamed a
-    bounded group of encoder tokens at a time: a long audit report is never
-    held whole in memory."""
-    tokens = json.JSONEncoder(indent=1, sort_keys=True).iterencode(doc)
-    while group := list(itertools.islice(tokens, JSON_TOKENS_PER_WRITE)):
-        yield "".join(group).encode()
-
-
 def _atomic_write_json(path, doc):
-    mdl.write_file(path, _json_chunks(doc))
+    mdl.write_file(path, [json.dumps(doc, indent=1, sort_keys=True).encode()])
 
 
 def _write_manifest(path, config: hz.TrainConfig | None, artifacts: dict,
@@ -63,6 +49,8 @@ def _load_config(args) -> hz.TrainConfig:
                 base = json.load(f)
             except RecursionError as e:
                 raise ValueError(f"{args.config}: config nested too deeply") from e
+            except ValueError as e:        # not JSON, or not UTF-8
+                raise ValueError(f"{args.config}: {e}") from e
         if not isinstance(base, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
     for key in ("t", "mode", "lr", "total_iters", "d_embed", "seed_init", "seed_sample"):
@@ -166,9 +154,9 @@ def cmd_audit(args) -> int:
     flags = hz.audit_flags(params, records, config, t=args.t)
     doc = {
         "t": args.t if args.t is not None else config.t,
-        "flags": [{"image_id": records[f.image_index].image_id,
-                   "box": f.box.tolist(),
-                   "attention_score": f.score} for f in flags],
+        "flags": [{"image_id": records[i].image_id, "box": box, "attention_score": score}
+                  for i, box, score in zip(flags.image_index.tolist(), flags.boxes.tolist(),
+                                           flags.scores.tolist())],
     }
     if any(len(rec.dropped) for rec in records):
         fn = hz.score_fn_detection(flags, records)
@@ -185,11 +173,14 @@ COMPARE_DATA = (200, 64, 0.3)
 
 def _parse_list(flag: str, text: str, parse, what: str) -> list:
     """The comma-separated values of a list flag, each through parse; one
-    error naming the flag when none is given or one is unusable."""
+    error naming the flag when none is given or one is unusable or repeated."""
     try:
         values = [parse(v) for v in text.split(",") if v]
         if not values:
             raise ValueError(f"no {what} given")
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                raise ValueError(f"{what} {value} given twice")
     except ValueError as e:
         raise ValueError(f"--{flag} {text!r}: {e}") from e
     return values

@@ -8,7 +8,6 @@ import json
 import math
 import sys
 import typing
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -173,23 +172,19 @@ def anchors_for(image: np.ndarray) -> np.ndarray:
 
 
 def _anchor_grids(records: Sequence[ImageRecord]) -> dict[tuple[int, ...], np.ndarray]:
-    """One read-only anchor grid per distinct image extent of records."""
+    """One read-only anchor grid per distinct image extent of records. The
+    first image that model.forward_rpn cannot run is refused here, so every
+    caller refuses it before any image is matched or forwarded."""
     grids: dict[tuple[int, ...], np.ndarray] = {}
     for rec in records:
-        if rec.image.shape[:2] not in grids:
-            grids[rec.image.shape[:2]] = grid = anchors_for(rec.image)
+        if (extent := rec.image.shape[:2]) not in grids:
+            if not mdl.extent_ok(*extent):
+                raise ValueError(
+                    f"image {rec.file_name} is {extent[0]}x{extent[1]}; both extents must "
+                    f"be multiples of {mdl.BACKBONE_STRIDE} and at least {mdl.MIN_EXTENT}")
+            grids[extent] = grid = anchors_for(rec.image)
             grid.flags.writeable = False      # shared: no image may edit it
     return grids
-
-
-def check_extents(records: Sequence[ImageRecord]):
-    """Refuse, before any work, an image that model.forward_rpn cannot run."""
-    for rec in records:
-        h, w = rec.image.shape[:2]
-        if not mdl.extent_ok(h, w):
-            raise ValueError(
-                f"image {rec.file_name} is {h}x{w}; both extents must be multiples "
-                f"of {mdl.BACKBONE_STRIDE} and at least {mdl.MIN_EXTENT}")
 
 
 # Anchor-box IoUs per matching block: match_dataset labels as many images of
@@ -296,7 +291,6 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
     float that of one forward and one backward per image, in pick order."""
     if not records:
         raise ValueError("dataset is empty")
-    check_extents(records)
     matched = match_dataset(records)
     params = mdl.init_params(config.d_embed, mdl.N_ANCHORS,
                              np.random.default_rng(config.seed_init))
@@ -512,16 +506,21 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
     """Score proposals single-class against the full (undropped) ground
     truth: COCO-convention AP plus proposal recall at IoU 0.5. The same
     forward pass feeds the audit at config.t (fn_*, see audit_flags)."""
-    check_extents(records)
+    return _evaluate(params, records, config)[0]
+
+
+def _evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
+              config: TrainConfig) -> tuple[EvalReport, Flags]:
+    """evaluate's report, and the flags its pass audited: audit_flags' at config.t."""
     mdl.check_threshold(config.t)
-    counts, scores, ious, flags = [], [np.zeros(0)], {}, []
+    counts, scores, ious = [], [np.zeros(0)], {}
     n_gt = n_hit = 0
     matched = match_dataset(records)
     per_image = _forward_each(params, matched, lambda idx, mi, batch: (
         _proposals(batch, mi.anchors, mi.record.image),
         _audit_image(batch, mi, idx, config, config.t)))
-    for idx, (mi, ((boxes, s), image_flags)) in enumerate(zip(matched, per_image)):
-        flags += image_flags
+    flags = _collect_flags(matched, [audited for _, audited in per_image])
+    for idx, (mi, ((boxes, s), _)) in enumerate(zip(matched, per_image)):
         counts.append(len(s))
         scores.append(s)
         gts = mi.record.full
@@ -539,50 +538,60 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
         ap=float(np.mean([aps[t] for t in COCO_IOU_THRESHOLDS])),
         recall50=(n_hit / n_gt) if n_gt else 0.0,
         fn_precision=fn.precision, fn_recall=fn.recall, fn_vacuous=fn.vacuous,
-    )
+    ), flags
 
 
 # -- false-negative audit -------------------------------------------------------
 
 @dataclass
-class Flag:
-    image_index: int
-    anchor_index: int
-    box: np.ndarray          # (4,) corner-form anchor
-    score: float
+class Flags:
+    """Suspected false negatives as parallel arrays, one entry per flag, best first."""
+    image_index: np.ndarray   # (F,) index of the image in the dataset
+    anchor_index: np.ndarray  # (F,) index of the anchor in its image's grid
+    boxes: np.ndarray         # (F, 4) the corner-form anchors
+    scores: np.ndarray        # (F,) attention row maxima
+
+    def __len__(self) -> int:
+        return len(self.scores)
 
 
 def _audit_image(batch: mdl.ProposalBatch, mi: MatchedImage, idx: int,
-                 config: TrainConfig, t: float) -> list[Flag]:
-    """Flags of image idx from one forward pass over it; see audit_flags."""
+                 config: TrainConfig, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The flagged anchor rows of image idx and their scores; see audit_flags."""
     rng = np.random.default_rng([config.seed_sample, idx, 0xA0D17])
     pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
     amap = _attend(batch.embeddings, pos_idx, neg_idx)
     if amap is None:
-        return []
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
     flagged = mdl.detect_false_negatives(amap, t)
-    rows = neg_idx[flagged]
-    # a writable copy of the flagged rows only, not a view of the shared grid
-    boxes = mi.anchors[rows]
-    return [Flag(image_index=idx, anchor_index=int(ai), box=box, score=float(score))
-            for ai, box, score in zip(rows, boxes, amap.row_max[flagged])]
+    return neg_idx[flagged], amap.row_max[flagged]
+
+
+def _collect_flags(matched: Sequence[MatchedImage],
+                   audited: Sequence[tuple[np.ndarray, np.ndarray]]) -> Flags:
+    """The Flags of every image's (rows, scores) from _audit_image, best
+    first; the stable sort keeps dataset and row order among equal scores."""
+    image_index = np.repeat(np.arange(len(audited)), [len(r) for r, _ in audited])
+    rows = np.concatenate([np.zeros(0, dtype=np.intp)] + [r for r, _ in audited])
+    # the boxes are copies of the flagged rows, not views of the shared grids
+    boxes = np.concatenate([np.zeros((0, 4))] + [mi.anchors[r] for mi, (r, _)
+                                                 in zip(matched, audited)])
+    scores = np.concatenate([np.zeros(0)] + [s for _, s in audited])
+    best = np.argsort(-scores, kind="stable")
+    return Flags(image_index[best], rows[best], boxes[best], scores[best])
 
 
 def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
-                config: TrainConfig, t: Optional[float] = None) -> list[Flag]:
+                config: TrainConfig, t: Optional[float] = None) -> Flags:
     """Suspected false negatives of every image at threshold t (default
     config.t), best first. Each image's minibatch is sampled from its own
     generator and attended by the code training uses (_attend), so the
     row-softmax scale matches training's."""
     t = config.t if t is None else t
-    check_extents(records)
     mdl.check_threshold(t)
-    flags = [f for image_flags in _forward_each(
-                 params, match_dataset(records),
-                 lambda idx, mi, batch: _audit_image(batch, mi, idx, config, t))
-             for f in image_flags]
-    flags.sort(key=lambda f: -f.score)
-    return flags
+    matched = match_dataset(records)
+    return _collect_flags(matched, _forward_each(
+        params, matched, lambda idx, mi, batch: _audit_image(batch, mi, idx, config, t)))
 
 
 @dataclass
@@ -592,37 +601,32 @@ class FnScore:
     vacuous: bool = False
 
 
-def score_fn_detection(flags: Sequence[Flag], records: Sequence[ImageRecord]
-                       ) -> FnScore:
+def score_fn_detection(flags: Flags, records: Sequence[ImageRecord]) -> FnScore:
     """Precision/recall of flagged anchors against withheld (dropped) boxes:
     a flag is a true positive when it has IoU >= 0.5 with some dropped box of
     its image. With no dropped boxes anywhere recall is vacuous, reported as
     1 with the vacuous marker; precision is then 0 if anything was flagged."""
     n_dropped = sum(len(rec.dropped) for rec in records)
     if n_dropped == 0:
-        return FnScore(precision=0.0 if flags else 1.0, recall=1.0, vacuous=True)
-    if not flags:
+        return FnScore(precision=0.0 if len(flags) else 1.0, recall=1.0, vacuous=True)
+    if not len(flags):
         return FnScore(precision=1.0, recall=0.0)
-    by_image: dict[int, list[np.ndarray]] = {}
-    for f in flags:
-        by_image.setdefault(f.image_index, []).append(f.box)
     tp = n_hit = 0
-    for idx, boxes in by_image.items():
+    for idx in np.flatnonzero(np.bincount(flags.image_index)):    # images with a flag
         dropped = records[idx].dropped
         if len(dropped):
-            close = iou_matrix(np.stack(boxes), dropped) >= 0.5
+            close = iou_matrix(flags.boxes[flags.image_index == idx], dropped) >= 0.5
             tp += int(close.any(axis=1).sum())
             n_hit += int(close.any(axis=0).sum())
     return FnScore(precision=tp / len(flags), recall=n_hit / n_dropped)
 
 
-def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord]
-                           ) -> float:
+def expected_random_recall(flags: Flags, records: Sequence[ImageRecord]) -> float:
     """Expected dropped-box recall of a size-matched uniformly random anchor
     flag set, computed in closed form per image from the hypergeometric
     no-hit probability (math.comb gives 0 when the flags outnumber the
     anchors that miss a box)."""
-    counts = Counter(f.image_index for f in flags)
+    counts = np.bincount(flags.image_index, minlength=len(records))
     grids = _anchor_grids(records)
     total, expected = 0, 0.0
     for idx, rec in enumerate(records):
@@ -630,7 +634,7 @@ def expected_random_recall(flags: Sequence[Flag], records: Sequence[ImageRecord]
             continue
         anchors = grids[rec.image.shape[:2]]
         n = len(anchors)
-        m = min(counts[idx], n)
+        m = min(int(counts[idx]), n)
         covers = (iou_matrix(rec.dropped, anchors) >= 0.5).sum(axis=1)
         total += len(covers)
         for c in covers:
@@ -652,8 +656,9 @@ def compare(config: TrainConfig, datasets: Iterable[tuple[int, Sequence[ImageRec
     seed_init = seed_sample = seed, and the arm's mode and t. Returns
     {"rows": one per seed and arm, in that order, "means": one per arm, of
     its COMPARE_METRICS over the seeds}. A row holds the arm, seed, t and
-    evaluate's fields; a soft-label arm's also its audit_flags count at t
-    and their expected_random_recall."""
+    evaluate's fields; a soft-label arm's also the count of the flags that
+    evaluate's pass audited at t (audit_flags' count) and their
+    expected_random_recall."""
     arms = [("baseline", {"mode": "baseline"})] + [
         (f"soft_label@{t}", {"mode": "soft_label", "t": t}) for t in thresholds]
     rows = []
@@ -661,10 +666,9 @@ def compare(config: TrainConfig, datasets: Iterable[tuple[int, Sequence[ImageRec
         for arm, over in arms:
             cfg = replace(config, seed_init=seed, seed_sample=seed, **over)
             params, _ = train(cfg, records)
-            rows.append({"arm": arm, "seed": seed, "t": cfg.t,
-                         **evaluate(params, records, cfg).to_dict()})
+            report, flags = _evaluate(params, records, cfg)
+            rows.append({"arm": arm, "seed": seed, "t": cfg.t, **report.to_dict()})
             if cfg.mode == "soft_label":
-                flags = audit_flags(params, records, cfg)
                 rows[-1].update(flags=len(flags),
                                 expected_random_recall=expected_random_recall(flags, records))
     means = [{"arm": arm, **{m: float(np.mean([r[m] for r in rows[k::len(arms)]]))

@@ -93,16 +93,19 @@ def param_shapes(d_embed: int, n_anchors: int) -> dict[str, tuple[int, ...]]:
 
 def init_params(d_embed: int, n_anchors: int, rng: np.random.Generator) -> dict[str, Tensor]:
     """He-initialized parameters of param_shapes, drawn in its order; the
-    biases start at zero."""
+    biases start at zero. A d_embed too large to allocate is a ValueError."""
     params: dict[str, Tensor] = {}
-    for name, shape in param_shapes(d_embed, n_anchors).items():
-        if name.endswith(".b"):
-            data = np.zeros(shape)
-        elif name == "rpn.cls.w":
-            data = rng.standard_normal(shape) * np.sqrt(1.0 / d_embed)
-        else:                                       # a (k, k, Cin, Cout) kernel
-            data = rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[:3]))
-        params[name] = Tensor(data, requires_grad=True)
+    try:
+        for name, shape in param_shapes(d_embed, n_anchors).items():
+            if name.endswith(".b"):
+                data = np.zeros(shape)
+            elif name == "rpn.cls.w":
+                data = rng.standard_normal(shape) * np.sqrt(1.0 / d_embed)
+            else:                                       # a (k, k, Cin, Cout) kernel
+                data = rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[:3]))
+            params[name] = Tensor(data, requires_grad=True)
+    except MemoryError as e:
+        raise ValueError(f"d_embed {d_embed}: {name}: {e}") from e
     return params
 
 

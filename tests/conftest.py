@@ -128,7 +128,6 @@ def train_per_image(config, records):
     divergence rule (harness.DIVERGENCE_LOSS). Kept as an oracle for it."""
     if not records:
         raise ValueError("dataset is empty")
-    hz.check_extents(records)
     matched = hz.match_dataset(records)
     params = mdl.init_params(config.d_embed, mdl.N_ANCHORS,
                              np.random.default_rng(config.seed_init))

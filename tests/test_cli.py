@@ -399,6 +399,46 @@ class TestTrainCmd:
         assert "nested too deeply" in single_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, says", [
+        (None, "Expecting value: line 1 column 1 (char 0)"),
+        (b"{oops", "Expecting property name enclosed in double quotes"),
+        (b'{"t": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["dev-null", "not-json", "not-utf8"])
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_malformed_config_names_the_file(self, command, content, says, dataset,
+                                             tmp_path, capsys):
+        """One error line that names the config file, before any work."""
+        path = "/dev/null"
+        if content is not None:
+            path = str(tmp_path / "bad.json")
+            with open(path, "wb") as f:
+                f.write(content)
+        out = tmp_path / "out"
+        argv = [command, "--data", dataset, "--out", str(out), "--config", path]
+        assert run(argv + (["--seeds", "0"] if command == "compare" else [])) == 1
+        assert single_error_line(capsys).startswith(f"error: {path}: {says}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_unallocatable_d_embed_gives_one_error_line(self, command, dataset, tmp_path,
+                                                        capsys):
+        """A d_embed whose embedding layer (~70 TiB) cannot be allocated,
+        which numpy refuses at once: one error line naming it, no output
+        directory."""
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--data", dataset, "--out", str(out), "--d-embed", "100000000000"]
+        else:
+            path = tmp_path / "wide.json"
+            path.write_text(json.dumps({"d_embed": 10**11, "total_iters": 12}))
+            argv = ["compare", "--data", dataset, "--out", str(out), "--config", str(path),
+                    "--seeds", "0"]
+        assert run(argv) == 1
+        line = single_error_line(capsys)
+        assert line.startswith("error: d_embed 100000000000: rpn.embed.w: Unable to "
+                               "allocate"), line
+        assert not out.exists()
+
     def test_retired_config_keys_still_load(self, dataset, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"total_iters": 12, "image_size": 64, "stride": 8,
@@ -640,20 +680,16 @@ class TestAuditCmd:
 
 
 class TestReportWriter:
-    def test_bytes_equal_json_dumps_across_groups(self, tmp_path):
-        """Reports are streamed in groups of encoder tokens; the bytes are
-        those of json.dumps, however the tokens fall into groups."""
+    def test_bytes_equal_json_dumps(self, tmp_path):
+        """A report's bytes are those of json.dumps with indent 1 and sorted
+        keys, unicode and nesting included."""
         doc = {"t": 0.8, "flags": [{"anchor_index": i, "box": [i, 0.5, i + 16.25, 16.5],
                                     "image_index": i % 7, "attention_score": 1 / (i + 3),
                                     "note": "\u00e9\n" if i % 50 == 0 else ""}
                                    for i in range(300)],
                "empty": {}, "none": None, "nested": [[], [{}], True]}
         want = json.dumps(doc, indent=1, sort_keys=True).encode()
-        n_tokens = sum(1 for _ in json.JSONEncoder(indent=1, sort_keys=True).iterencode(doc))
-        assert n_tokens > 3 * cli.JSON_TOKENS_PER_WRITE
-        chunks = list(cli._json_chunks(doc))
-        assert len(chunks) == -(-n_tokens // cli.JSON_TOKENS_PER_WRITE)
-        assert b"".join(chunks) == want
+        (tmp_path / "r.json").write_text("an older, longer report" * 10_000)
         cli._atomic_write_json(tmp_path / "r.json", doc)
         assert (tmp_path / "r.json").read_bytes() == want
         assert os.listdir(tmp_path) == ["r.json"]
@@ -719,8 +755,12 @@ class TestCompareCmd:
         ("--seeds", "0,x", "invalid literal for int() with base 10: 'x'"),
         ("--seeds", "1.5", "invalid literal for int() with base 10: '1.5'"),
         ("--seeds", "0,-1", "seeds must be non-negative, got -1"),
+        ("--thresholds", "0.5,0.5", "threshold 0.5 given twice"),
+        ("--thresholds", "0.6,0.8,0.80", "threshold 0.8 given twice"),
+        ("--seeds", "0,1,0", "seed 0 given twice"),
     ], ids=["comma", "empty", "not-a-number", "out-of-range", "zero", "seeds-comma",
-            "seeds-empty", "seeds-not-a-number", "seeds-fraction", "seeds-negative"])
+            "seeds-empty", "seeds-not-a-number", "seeds-fraction", "seeds-negative",
+            "repeated", "repeated-spelled-apart", "seeds-repeated"])
     @pytest.mark.parametrize("data", [True, False], ids=["data", "generated"])
     def test_unusable_list_refused_by_name_before_any_work(self, flag, value, says, data,
                                                            tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -417,6 +417,15 @@ class TestAveragePrecision:
         assert np.mean(aps) <= aps[0] + 1e-12
 
 
+class HiddenDropped(dat.ImageRecord):
+    """An ImageRecord whose withheld boxes raise on access."""
+
+    def __getattribute__(self, name):
+        if name == "dropped":
+            raise AssertionError("the withheld boxes were read")
+        return super().__getattribute__(name)
+
+
 class TestTrain:
     def test_deterministic(self):
         cfg = tiny_config()
@@ -474,6 +483,23 @@ class TestTrain:
         assert e.value.iteration == 1
         assert e.value.__cause__ is None
         assert "exceeded 1e+06" in str(e.value)
+
+    @pytest.mark.parametrize("mode", ["baseline", "soft_label"])
+    def test_never_reads_the_withheld_boxes(self, mode):
+        """Training sees only the kept boxes: records whose withheld boxes
+        raise on access train to the same parameters and log."""
+        records = tiny_records()
+        hidden = [HiddenDropped(rec.image_id, rec.file_name, rec.image, rec.kept, rec.dropped)
+                  for rec in records]
+        with pytest.raises(AssertionError, match="withheld"):
+            hidden[0].full
+        cfg = tiny_config(mode=mode)
+        want_params, want_log = hz.train(cfg, records)
+        params, log = hz.train(cfg, hidden)
+        assert log == want_log
+        assert any(rec["flagged"] for rec in log) == (mode == "soft_label")
+        for k, p in params.items():
+            assert p.data.tobytes() == want_params[k].data.tobytes(), k
 
     def test_log_records_loss_components(self):
         cfg = tiny_config(total_iters=3, milestones=(2,))
@@ -548,6 +574,45 @@ class TestEvaluate:
         if drop_rate:
             assert 0.0 < fn.recall < 1.0
 
+    @pytest.mark.parametrize("t", [0.5, 0.8])
+    @pytest.mark.parametrize("name", ["9x64", "64-and-32x48"])
+    def test_flags_equal_audit_flags_at_config_t(self, name, t, audited_model):
+        """The flags evaluate's forward pass audits, which compare counts,
+        are audit_flags' at config.t, array for array."""
+        params, cfg = audited_model
+        cfg = replace(cfg, t=t)
+        records = BLOCK_DATASETS[name]()
+        report, flags = hz._evaluate(params, records, cfg)
+        assert report == hz.evaluate(params, records, cfg)
+        assert_flags_equal(flags, hz.audit_flags(params, records, cfg))
+        assert len(flags)
+
+
+class TestCollectFlags:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_order_of_a_stable_sort_of_per_flag_entries(self, seed):
+        """_collect_flags ranks as list.sort(key=-score) over per-flag
+        entries in dataset and row order: best first, ties kept in order.
+        Scores are drawn from a few values, so ties across and within
+        images are common; some images flag nothing."""
+        gen = np.random.default_rng(seed)
+        matched = hz.match_dataset(tiny_records(int(gen.integers(1, 6)), seed=seed % 7)
+                                   + tiny_records(int(gen.integers(0, 3)), size=32, seed=1))
+        audited, entries = [], []
+        for idx, mi in enumerate(matched):
+            k = int(gen.integers(0, 6))
+            rows = np.sort(gen.choice(len(mi.anchors), size=k, replace=False))
+            scores = gen.choice([0.5, 0.75, 0.9, 1.0], size=k)
+            audited.append((rows, scores))
+            entries += [(idx, r, mi.anchors[r], score)
+                        for r, score in zip(rows.tolist(), scores.tolist())]
+        entries.sort(key=lambda e: -e[3])
+        flags = hz._collect_flags(matched, audited)
+        assert_flags_equal(flags, as_flags(entries))
+        assert len(flags) == len(entries)
+        assert not any(np.shares_memory(flags.boxes, mi.anchors) for mi in matched)
+
 
 def per_image_reference(params, records, config):
     """The report of evaluate and the flags of audit_flags, computed from one
@@ -558,7 +623,9 @@ def per_image_reference(params, records, config):
         with ag.no_grad():
             batch = mdl.forward_rpn(mi.record.image, params)
         boxes, s = hz._proposals(batch, mi.anchors, mi.record.image)
-        flags += hz._audit_image(batch, mi, idx, config, config.t)
+        rows, row_scores = hz._audit_image(batch, mi, idx, config, config.t)
+        flags += [(idx, r, mi.anchors[r], score)
+                  for r, score in zip(rows.tolist(), row_scores.tolist())]
         counts.append(len(s))
         scores.append(s)
         gts = mi.record.full
@@ -570,13 +637,29 @@ def per_image_reference(params, records, config):
     aps = hz.average_precisions(np.repeat(np.arange(len(counts)), counts),
                                 np.concatenate(scores), ious, n_gt,
                                 hz.COCO_IOU_THRESHOLDS).tolist()
-    fn = hz.score_fn_detection(flags, records)
+    fn = hz.score_fn_detection(as_flags(flags), records)
     report = hz.EvalReport(ap50=aps[0], ap75=aps[5], ap=float(np.mean(aps)),
                            recall50=(n_hit / n_gt) if n_gt else 0.0,
                            fn_precision=fn.precision, fn_recall=fn.recall,
                            fn_vacuous=fn.vacuous)
-    flags.sort(key=lambda f: -f.score)
-    return report, flags
+    flags.sort(key=lambda f: -f[3])       # best first, stable on ties
+    return report, as_flags(flags)
+
+
+def as_flags(entries):
+    """The Flags of (image index, anchor index, box, score) entries, in order."""
+    image_index, anchor_index, boxes, scores = zip(*entries) if entries else ((),) * 4
+    return hz.Flags(np.array(image_index, dtype=np.intp), np.array(anchor_index, dtype=np.intp),
+                    np.array(boxes, dtype=np.float64).reshape(-1, 4),
+                    np.array(scores, dtype=np.float64))
+
+
+def assert_flags_equal(got, want):
+    """Every array of two Flags equal in dtype, shape and bytes."""
+    for field in fields(hz.Flags):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+        assert a.tobytes() == b.tobytes(), field.name
 
 
 def cropped(records, h, w):
@@ -635,10 +718,7 @@ class TestBlockInference:
         report = hz.evaluate(params, records, cfg)
         flags = hz.audit_flags(params, records, cfg)
         assert report == want_report
-        assert len(flags) == len(want_flags)
-        for got, want in zip(flags, want_flags):
-            for field in fields(hz.Flag):
-                assert np.all(getattr(got, field.name) == getattr(want, field.name))
+        assert_flags_equal(flags, want_flags)
         if len(records) >= 5:
             assert flags and report.recall50 > 0.0
 
@@ -780,17 +860,21 @@ class TestImageSizeCheck:
     def _no_work(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    @pytest.mark.parametrize("entry", ["train", "evaluate", "audit_flags"])
+    @pytest.mark.parametrize("entry", ["train", "evaluate", "audit_flags",
+                                       "expected_random_recall"])
     def test_mismatch_raises_before_any_work(self, entry, monkeypatch):
         """A 60x60 image, last in the dataset, stops every entry point
-        before the first forward pass or anchor match."""
+        before the first forward pass, anchor match or IoU (the check lives
+        in _anchor_grids, which each of them calls first)."""
         records = tiny_records(2) + [make_record(7, [], [], size=60)]
         cfg = tiny_config()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors,
                                  np.random.default_rng(0))
         monkeypatch.setattr(mdl, "forward_rpn", self._no_work)
-        monkeypatch.setattr(hz, "match_dataset", self._no_work)
-        args = (cfg, records) if entry == "train" else (params, records, cfg)
+        monkeypatch.setattr(hz, "match_anchors", self._no_work)
+        monkeypatch.setattr(hz, "iou_matrix", self._no_work)
+        args = {"train": (cfg, records), "expected_random_recall": (flags_at(), records)
+                }.get(entry, (params, records, cfg))
         with pytest.raises(ValueError, match="img_7.pgm is 60x60; both extents must "
                                              "be multiples of 8 and at least 16"):
             getattr(hz, entry)(*args)
@@ -819,14 +903,14 @@ class TestImageSizeCheck:
                                  image=np.zeros((*shape, 1)), kept=box_array(),
                                  dropped=box_array())
         with pytest.raises(ValueError, match=f"is {shape[0]}x{shape[1]}"):
-            hz.check_extents([record])
+            hz._anchor_grids([record])
 
     @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (128, 128), (64, 128)])
     def test_good_extents_accepted(self, shape):
         record = dat.ImageRecord(image_id=0, file_name="x.pgm",
                                  image=np.zeros((*shape, 1)), kept=box_array(),
                                  dropped=box_array())
-        hz.check_extents([record])
+        assert list(hz._anchor_grids([record])) == [shape]
 
 
 class TestMatchDataset:
@@ -898,12 +982,13 @@ class TestAnchorsFromImage:
         report = hz.evaluate(params, records, cfg)
         for v in (report.ap50, report.ap75, report.ap, report.recall50):
             assert 0.0 <= v <= 1.0
-        for f in hz.audit_flags(params, records, cfg, t=0.5):
-            size = records[f.image_index].image.shape[0]
-            np.testing.assert_array_equal(
-                f.box, hz.anchors_for(records[f.image_index].image)[f.anchor_index])
-            assert f.anchor_index < 3 * (size // 8) ** 2
-            assert f.box.flags.writeable       # a copy, not a view of the shared grid
+        flags = hz.audit_flags(params, records, cfg, t=0.5)
+        assert len(flags)
+        for i, ai, box in zip(flags.image_index, flags.anchor_index, flags.boxes):
+            size = records[i].image.shape[0]
+            np.testing.assert_array_equal(box, hz.anchors_for(records[i].image)[ai])
+            assert ai < 3 * (size // 8) ** 2
+        assert flags.boxes.flags.writeable      # a copy, not a view of the shared grid
 
     @pytest.mark.parametrize("entry", ["evaluate", "audit_flags", "expected_random_recall"])
     def test_anchors_built_once_per_extent(self, entry, monkeypatch):
@@ -922,7 +1007,7 @@ class TestAnchorsFromImage:
         monkeypatch.setattr(hz, "generate_anchors", counting_generate)
         if entry == "expected_random_recall":
             assert all(len(rec.dropped) for rec in records)
-            hz.expected_random_recall([flag_at(0, (0, 0, 8, 8))], records)
+            hz.expected_random_recall(flags_at((0, (0, 0, 8, 8))), records)
         else:
             getattr(hz, entry)(params, records, cfg)
         assert sorted(extents) == [(8, 8), (16, 16)]
@@ -951,22 +1036,23 @@ def make_record(image_id, kept, dropped, size=64):
                            dropped=box_array(*dropped))
 
 
-def flag_at(image_index, box):
-    return hz.Flag(image_index=image_index, anchor_index=0,
-                   box=np.array(box, dtype=np.float64), score=0.9)
+def flags_at(*flags):
+    """The Flags of (image index, box) pairs, at anchor 0 and score 0.9."""
+    return as_flags([(i, 0, box, 0.9) for i, box in flags])
 
 
 def score_oracle(flags, records):
     """score_fn_detection one flag and one withheld box at a time."""
     n_dropped = sum(len(r.dropped) for r in records)
+    flags = list(zip(flags.image_index.tolist(), flags.boxes))
     if n_dropped == 0:
         return hz.FnScore(precision=0.0 if flags else 1.0, recall=1.0, vacuous=True)
     if not flags:
         return hz.FnScore(precision=1.0, recall=0.0)
-    def close(f, g):
-        return iou_matrix(f.box[None], g[None])[0, 0] >= 0.5
-    tp = sum(any(close(f, g) for g in records[f.image_index].dropped) for f in flags)
-    found = sum(any(f.image_index == i and close(f, g) for f in flags)
+    def close(box, g):
+        return iou_matrix(box[None], g[None])[0, 0] >= 0.5
+    tp = sum(any(close(box, g) for g in records[i].dropped) for i, box in flags)
+    found = sum(any(j == i and close(box, g) for j, box in flags)
                 for i, r in enumerate(records) for g in r.dropped)
     return hz.FnScore(precision=tp / len(flags), recall=found / n_dropped)
 
@@ -975,12 +1061,12 @@ class TestScoreFnDetection:
     def test_hand_computed_counts(self):
         dropped = [(8, 8, 24, 24), (40, 40, 56, 56)]
         records = [make_record(0, [(0, 0, 8, 8)], dropped)]
-        flags = [
-            flag_at(0, (8, 8, 24, 24)),     # exact hit on dropped 0
-            flag_at(0, (9, 9, 25, 25)),     # IoU 0.77 with dropped 0: hit
-            flag_at(0, (0, 0, 8, 8)),       # miss (kept, not dropped)
-            flag_at(0, (30, 30, 38, 38)),   # miss
-        ]
+        flags = flags_at(
+            (0, (8, 8, 24, 24)),     # exact hit on dropped 0
+            (0, (9, 9, 25, 25)),     # IoU 0.77 with dropped 0: hit
+            (0, (0, 0, 8, 8)),       # miss (kept, not dropped)
+            (0, (30, 30, 38, 38)),   # miss
+        )
         score = hz.score_fn_detection(flags, records)
         assert score.precision == pytest.approx(2 / 4)
         assert score.recall == pytest.approx(1 / 2)
@@ -989,19 +1075,19 @@ class TestScoreFnDetection:
     def test_perfect_flags(self):
         dropped = [(8, 8, 24, 24)]
         records = [make_record(0, [], dropped)]
-        score = hz.score_fn_detection([flag_at(0, dropped[0])], records)
+        score = hz.score_fn_detection(flags_at((0, dropped[0])), records)
         assert score.precision == 1.0 and score.recall == 1.0
 
     def test_vacuous_no_dropped(self):
         records = [make_record(0, [(0, 0, 8, 8)], [])]
-        empty = hz.score_fn_detection([], records)
+        empty = hz.score_fn_detection(flags_at(), records)
         assert empty.vacuous and empty.recall == 1.0 and empty.precision == 1.0
-        flagged = hz.score_fn_detection([flag_at(0, (0, 0, 8, 8))], records)
+        flagged = hz.score_fn_detection(flags_at((0, (0, 0, 8, 8))), records)
         assert flagged.vacuous and flagged.precision == 0.0
 
     def test_no_flags_zero_recall(self):
         records = [make_record(0, [], [(8, 8, 24, 24)])]
-        score = hz.score_fn_detection([], records)
+        score = hz.score_fn_detection(flags_at(), records)
         assert score.precision == 1.0 and score.recall == 0.0
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -1017,9 +1103,9 @@ class TestScoreFnDetection:
             picks = anchors[gen.integers(0, len(anchors), size=int(gen.integers(0, 4)))]
             records.append(make_record(i, [], picks + gen.uniform(-4, 4, picks.shape)))
             for ai in gen.integers(0, len(anchors), size=int(gen.integers(0, 12))):
-                flags.append(hz.Flag(image_index=i, anchor_index=int(ai),
-                                     box=anchors[ai], score=0.9))
-        flags += [flag_at(0, r.dropped[0]) for r in records[:1] if len(r.dropped)]
+                flags.append((i, int(ai), anchors[ai], 0.9))
+        flags += [(0, 0, r.dropped[0], 0.9) for r in records[:1] if len(r.dropped)]
+        flags = as_flags(flags)
         assert hz.score_fn_detection(flags, records) == score_oracle(flags, records)
 
 
@@ -1031,7 +1117,7 @@ class TestExpectedRandomRecall:
         anchors = hz.anchors_for(records[0].image)
         n = len(anchors)
         m = 10
-        flags = [flag_at(0, (0, 0, 8, 8)) for _ in range(m)]
+        flags = flags_at(*[(0, (0, 0, 8, 8))] * m)
         analytic = hz.expected_random_recall(flags, records)
         covers = (iou_matrix(dropped, anchors) >= 0.5).sum(axis=1)
         assert covers.min() > 0, "toy boxes must match some anchor"
@@ -1049,12 +1135,12 @@ class TestExpectedRandomRecall:
 
     def test_zero_flags_zero_recall(self):
         records = [make_record(0, [], [(6.0, 6.0, 22.0, 22.0)])]
-        assert hz.expected_random_recall([], records) == 0.0
+        assert hz.expected_random_recall(flags_at(), records) == 0.0
 
     def test_flagging_everything_gives_full_recall(self):
         records = [make_record(0, [], [(6.0, 6.0, 22.0, 22.0)])]
         n = len(hz.anchors_for(records[0].image))
-        flags = [flag_at(0, (0, 0, 8, 8)) for _ in range(n)]
+        flags = flags_at(*[(0, (0, 0, 8, 8))] * n)
         assert hz.expected_random_recall(flags, records) == pytest.approx(1.0)
 
 
@@ -1089,6 +1175,24 @@ class TestCompare:
                 want.append(row)
         assert doc["rows"] == want
         assert any(row.get("flags") for row in want)
+
+    def test_forwards_each_image_once_per_arm(self, monkeypatch):
+        """Training forwards BATCH_IMAGES images per iteration; then each
+        arm's evaluate forwards every image once, and its pass also yields
+        a soft-label arm's flags, so no second audit forwards them again."""
+        config = tiny_config(total_iters=6, milestones=(4,))
+        records = tiny_records(6, seed=3)
+        forwarded = []
+        forward_rpn = mdl.forward_rpn
+
+        def recording(image, params):
+            forwarded.append(len(image))
+            return forward_rpn(image, params)
+
+        monkeypatch.setattr(mdl, "forward_rpn", recording)
+        rows = hz.compare(config, [(0, records), (1, records)], (0.6, 0.8))["rows"]
+        assert len(rows) == 2 * 3 and all(r["flags"] for r in rows if r["arm"] != "baseline")
+        assert sum(forwarded) == len(rows) * (6 * hz.BATCH_IMAGES + len(records))
 
     def test_means_are_numpy_means_over_the_seeds(self, study):
         _, _, doc = study
