@@ -264,7 +264,7 @@ def loss_node(value: float, parents: Sequence[Tensor],
               grads: Sequence[np.ndarray]) -> Tensor:
     """A scalar of the given value whose gradient with respect to each
     parent is the matching constant array of grads. A loss computed off the
-    tape, in plain NumPy together with its gradient (model.soft_label_loss),
+    tape, in plain NumPy together with its gradient (model.block_soft_label_loss),
     joins the tape through this one node (see model.heads_loss_node), and
     backward() from it runs the network's backward."""
     return _make(np.asarray(float(value)), parents, lambda g: [g * gp for gp in grads])

@@ -222,17 +222,6 @@ def match_dataset(records: Sequence[ImageRecord]) -> list[MatchedImage]:
     return out
 
 
-def _attend(embeddings: np.ndarray, pos_idx: np.ndarray, neg_idx: np.ndarray
-            ) -> Optional[mdl.AttentionMap]:
-    """Attention of sampled negatives to sampled positives among one image's
-    (N, D) embeddings, for training and the audit alike; None below two
-    positives (one makes every row max 1, the softmax of one logit, flagging
-    all negatives) or without a negative."""
-    if len(pos_idx) < 2 or not len(neg_idx):
-        return None
-    return mdl.attention_map(embeddings[neg_idx], embeddings[pos_idx])
-
-
 def _block(images: Sequence[np.ndarray]) -> np.ndarray:
     """The (B, H, W, 1) block of same-extent images; one image is a view of
     itself with a block axis, not a copy."""
@@ -257,29 +246,35 @@ def _train_blocks(picks: np.ndarray, matched: Sequence[MatchedImage]
 def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
                   config: TrainConfig, rng: np.random.Generator
                   ) -> tuple[Tensor, list[mdl.RpnLosses]]:
-    """Forward a block of same-extent images on one tape, then sample each
-    image's proposal minibatch and compute its loss, in block order. Returns
-    the losses and the node (model.heads_loss_node) whose backward() carries
-    their gradients, added into zeros at each image's sampled rows, into the
-    tape; a head no sampled anchor reached gets a zero gradient, so its
-    momentum still decays."""
+    """Forward a block of same-extent images on one tape, sample every
+    image's proposal minibatch in block order, then attend
+    (model.block_attention, soft_label mode) and compute the losses
+    (model.block_soft_label_loss) once for the whole block. Returns the
+    per-image losses and the node (model.heads_loss_node) whose backward()
+    carries their gradients into the tape: three adds into zeros at the
+    sampled (image, anchor) rows. A head no sampled anchor reached gets a
+    zero gradient, so its momentum still decays."""
     batch = mdl.forward_rpn(_block([mi.record.image for mi in block]), params)
-    probs, deltas = batch.probs, batch.deltas
+    # the flat (B * N,) probabilities and (B * N, 4) deltas, and their gradients
+    probs, deltas = batch.probs.reshape(-1), batch.deltas.reshape(-1, 4)
     g_probs, g_deltas = np.zeros_like(probs), np.zeros_like(deltas)
-    losses = []
-    for j, mi in enumerate(block):
-        pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
-        amap = (_attend(batch.embeddings[j], pos_idx, neg_idx)
-                if config.mode == "soft_label" else None)
-        image = mdl.soft_label_loss(probs[j, pos_idx], probs[j, neg_idx], deltas[j, pos_idx],
-                                    mi.delta_targets[pos_idx], amap, config.t,
-                                    1.0 / BATCH_IMAGES)
-        g_probs[j, pos_idx] += image.grad_pos
-        g_probs[j, neg_idx] += image.grad_neg
-        g_deltas[j, pos_idx] += image.grad_deltas
-        losses.append(image)
+    picks = [mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
+             for mi in block]
+    amaps = (mdl.block_attention(batch.embeddings, picks) if config.mode == "soft_label"
+             else [None] * len(block))
+    n = batch.probs.shape[-1]     # anchors per image
+    pos = mdl.concat_rows([p + j * n for j, (p, _) in enumerate(picks)])
+    neg = mdl.concat_rows([q + j * n for j, (_, q) in enumerate(picks)])
+    losses, (grad_pos, grad_neg, grad_deltas) = mdl.block_soft_label_loss(
+        probs[pos], probs[neg], deltas[pos],
+        mdl.concat_rows([mi.delta_targets[p] for mi, (p, _) in zip(block, picks)]),
+        [len(p) for p, _ in picks], [len(q) for _, q in picks], amaps, config.t,
+        1.0 / BATCH_IMAGES)
+    g_probs[pos] += grad_pos
+    g_probs[neg] += grad_neg
+    g_deltas[pos] += grad_deltas
     root = mdl.heads_loss_node(batch, sum(image.total for image in losses) / BATCH_IMAGES,
-                               g_probs, g_deltas)
+                               g_probs.reshape(batch.probs.shape), g_deltas)
     return root, losses
 
 
@@ -289,9 +284,14 @@ def train(config: TrainConfig, records: Sequence[ImageRecord]
     final parameters and a per-iteration metric log. An iteration's images
     go through as one block when they fit (see _train_blocks), with every
     float that of one forward and one backward per image, in pick order."""
-    if not records:
+    return _train(config, match_dataset(records))
+
+
+def _train(config: TrainConfig, matched: Sequence[MatchedImage]
+           ) -> tuple[dict[str, Tensor], list[dict]]:
+    """train on images already matched (match_dataset)."""
+    if not matched:
         raise ValueError("dataset is empty")
-    matched = match_dataset(records)
     params = mdl.init_params(config.d_embed, mdl.N_ANCHORS,
                              np.random.default_rng(config.seed_init))
     velocity = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -388,38 +388,40 @@ INFER_BLOCK = 4 * 64 * 64
 
 
 def _forward_each(params: dict[str, Tensor], matched: Sequence[MatchedImage],
-                  fn: Callable[[int, MatchedImage, mdl.ProposalBatch], object]) -> list:
-    """[fn(index, matched image, its forward outputs)] of every image, in
-    order. Each run of consecutive same-extent images is forwarded in blocks
-    of at most INFER_BLOCK pixels (or of one image). fn gets views of its
-    block's outputs and must not keep them: as in a loop over single images,
-    a block's outputs are freed before the next forward."""
+                  fn: Callable[[list[int], list[MatchedImage], mdl.ProposalBatch], list]
+                  ) -> list:
+    """fn(indices, matched images, their outputs) of every forward block,
+    concatenated: fn returns one entry per image of its block, so the
+    result holds one per image, in order. Each run of consecutive
+    same-extent images is forwarded in blocks of at most INFER_BLOCK pixels
+    (or of one image). fn gets the block's (B, ...) output arrays, without
+    the tape's outputs, and must not keep them: as in a loop over single
+    images, a block's outputs are freed before the next forward."""
     out = []
     runs = itertools.groupby(enumerate(matched), key=lambda p: p[1].record.image.shape)
     for (h, w, _), run in runs:
         run = list(run)
         per_block = max(1, INFER_BLOCK // (h * w))
         for start in range(0, len(run), per_block):
-            chunk = run[start:start + per_block]
+            indices, chunk = zip(*run[start:start + per_block])
             with ag.no_grad():
-                block = mdl.forward_rpn(_block([mi.record.image for _, mi in chunk]), params)
-            out += [fn(idx, mi, mdl.ProposalBatch(block.probs[j], block.deltas[j],
-                                                  block.embeddings[j]))
-                    for j, (idx, mi) in enumerate(chunk)]
+                block = mdl.forward_rpn(_block([mi.record.image for mi in chunk]), params)
+            out += fn(list(indices), list(chunk),
+                      mdl.ProposalBatch(block.probs, block.deltas, block.embeddings))
             del block
     return out
 
 
-def _proposals(batch: mdl.ProposalBatch, anchors: np.ndarray, image: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _proposals(probs: np.ndarray, deltas: np.ndarray, anchors: np.ndarray,
+               image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decoded, image-clipped, suppressed (NMS_IOU), top-k (TOP_K) proposals
-    of a forward pass over image, whose anchors are given: (boxes, scores)."""
-    boxes = decode_deltas(anchors, batch.deltas)
+    of one image's forward outputs, whose anchors are given: (boxes, scores)."""
+    boxes = decode_deltas(anchors, deltas)
     h, w = image.shape[:2]
     boxes[:, [0, 2]] = boxes[:, [0, 2]].clip(0.0, float(w))
     boxes[:, [1, 3]] = boxes[:, [1, 3]].clip(0.0, float(h))
-    keep = nms(boxes, batch.probs, NMS_IOU, TOP_K)
-    return boxes[keep], batch.probs[keep]
+    keep = nms(boxes, probs, NMS_IOU, TOP_K)
+    return boxes[keep], probs[keep]
 
 
 def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
@@ -427,7 +429,7 @@ def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
     """Proposals of one image (_proposals); config is kept for perfbench/test_bench.py."""
     with ag.no_grad():
         batch = mdl.forward_rpn(record.image, params)
-    return _proposals(batch, anchors_for(record.image), record.image)
+    return _proposals(batch.probs, batch.deltas, anchors_for(record.image), record.image)
 
 
 def _greedy_match(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -506,19 +508,23 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
     """Score proposals single-class against the full (undropped) ground
     truth: COCO-convention AP plus proposal recall at IoU 0.5. The same
     forward pass feeds the audit at config.t (fn_*, see audit_flags)."""
-    return _evaluate(params, records, config)[0]
-
-
-def _evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
-              config: TrainConfig) -> tuple[EvalReport, Flags]:
-    """evaluate's report, and the flags its pass audited: audit_flags' at config.t."""
     mdl.check_threshold(config.t)
+    return _evaluate(params, match_dataset(records), config)[0]
+
+
+def _evaluate(params: dict[str, Tensor], matched: Sequence[MatchedImage],
+              config: TrainConfig) -> tuple[EvalReport, Flags]:
+    """evaluate's report on the matched images, and the flags its pass
+    audited: audit_flags' at config.t."""
     counts, scores, ious = [], [np.zeros(0)], {}
     n_gt = n_hit = 0
-    matched = match_dataset(records)
-    per_image = _forward_each(params, matched, lambda idx, mi, batch: (
-        _proposals(batch, mi.anchors, mi.record.image),
-        _audit_image(batch, mi, idx, config, config.t)))
+
+    def each(indices, block, batch):
+        proposals = [_proposals(batch.probs[j], batch.deltas[j], mi.anchors, mi.record.image)
+                     for j, mi in enumerate(block)]
+        return list(zip(proposals, _audit_block(batch, indices, block, config, config.t)))
+
+    per_image = _forward_each(params, matched, each)
     flags = _collect_flags(matched, [audited for _, audited in per_image])
     for idx, (mi, ((boxes, s), _)) in enumerate(zip(matched, per_image)):
         counts.append(len(s))
@@ -532,7 +538,7 @@ def _evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
     image_ids = np.repeat(np.arange(len(counts)), counts)
     aps = dict(zip(COCO_IOU_THRESHOLDS, average_precisions(
         image_ids, np.concatenate(scores), ious, n_gt, COCO_IOU_THRESHOLDS).tolist()))
-    fn = score_fn_detection(flags, records)
+    fn = score_fn_detection(flags, [mi.record for mi in matched])
     return EvalReport(
         ap50=aps[0.5], ap75=aps[0.75],
         ap=float(np.mean([aps[t] for t in COCO_IOU_THRESHOLDS])),
@@ -555,21 +561,27 @@ class Flags:
         return len(self.scores)
 
 
-def _audit_image(batch: mdl.ProposalBatch, mi: MatchedImage, idx: int,
-                 config: TrainConfig, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The flagged anchor rows of image idx and their scores; see audit_flags."""
-    rng = np.random.default_rng([config.seed_sample, idx, 0xA0D17])
-    pos_idx, neg_idx = mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
-    amap = _attend(batch.embeddings, pos_idx, neg_idx)
-    if amap is None:
-        return np.zeros(0, dtype=np.intp), np.zeros(0)
-    flagged = mdl.detect_false_negatives(amap, t)
-    return neg_idx[flagged], amap.row_max[flagged]
+def _audit_block(batch: mdl.ProposalBatch, indices: Sequence[int],
+                 block: Sequence[MatchedImage], config: TrainConfig, t: float
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The flagged anchor rows and their scores of each image of a forward
+    block, dataset image indices[j] at block row j; see audit_flags."""
+    picks = [mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION,
+                                  np.random.default_rng([config.seed_sample, idx, 0xA0D17]))
+             for idx, mi in zip(indices, block)]
+    out = []
+    for (_, neg_idx), amap in zip(picks, mdl.block_attention(batch.embeddings, picks)):
+        if amap is None:
+            out.append((np.zeros(0, dtype=np.intp), np.zeros(0)))
+        else:
+            flagged = mdl.detect_false_negatives(amap, t)
+            out.append((neg_idx[flagged], amap.row_max[flagged]))
+    return out
 
 
 def _collect_flags(matched: Sequence[MatchedImage],
                    audited: Sequence[tuple[np.ndarray, np.ndarray]]) -> Flags:
-    """The Flags of every image's (rows, scores) from _audit_image, best
+    """The Flags of every image's (rows, scores) from _audit_block, best
     first; the stable sort keeps dataset and row order among equal scores."""
     image_index = np.repeat(np.arange(len(audited)), [len(r) for r, _ in audited])
     rows = np.concatenate([np.zeros(0, dtype=np.intp)] + [r for r, _ in audited])
@@ -585,13 +597,15 @@ def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
                 config: TrainConfig, t: Optional[float] = None) -> Flags:
     """Suspected false negatives of every image at threshold t (default
     config.t), best first. Each image's minibatch is sampled from its own
-    generator and attended by the code training uses (_attend), so the
-    row-softmax scale matches training's."""
+    generator, and each forward block is attended as one, by the code
+    training uses (model.block_attention), so the row-softmax scale
+    matches training's."""
     t = config.t if t is None else t
     mdl.check_threshold(t)
     matched = match_dataset(records)
     return _collect_flags(matched, _forward_each(
-        params, matched, lambda idx, mi, batch: _audit_image(batch, mi, idx, config, t)))
+        params, matched,
+        lambda indices, block, batch: _audit_block(batch, indices, block, config, t)))
 
 
 @dataclass
@@ -658,15 +672,17 @@ def compare(config: TrainConfig, datasets: Iterable[tuple[int, Sequence[ImageRec
     its COMPARE_METRICS over the seeds}. A row holds the arm, seed, t and
     evaluate's fields; a soft-label arm's also the count of the flags that
     evaluate's pass audited at t (audit_flags' count) and their
-    expected_random_recall."""
+    expected_random_recall. Each seed's records are matched once, for
+    every arm's training and evaluation."""
     arms = [("baseline", {"mode": "baseline"})] + [
         (f"soft_label@{t}", {"mode": "soft_label", "t": t}) for t in thresholds]
     rows = []
     for seed, records in datasets:
+        matched = match_dataset(records)
         for arm, over in arms:
             cfg = replace(config, seed_init=seed, seed_sample=seed, **over)
-            params, _ = train(cfg, records)
-            report, flags = _evaluate(params, records, cfg)
+            params, _ = _train(cfg, matched)
+            report, flags = _evaluate(params, matched, cfg)
             rows.append({"arm": arm, "seed": seed, "t": cfg.t, **report.to_dict()})
             if cfg.mode == "soft_label":
                 rows[-1].update(flags=len(flags),

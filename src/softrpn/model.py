@@ -20,6 +20,7 @@ constant of the loss: no gradient flows through it into the embeddings.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ import stat
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -46,8 +47,8 @@ N_ANCHORS = len(ANCHOR_SCALES)
 
 @dataclass
 class AttentionMap:
-    a: np.ndarray             # (N_neg, N_pos), rows sum to 1
-    row_max: np.ndarray       # (N_neg,)
+    a: np.ndarray             # (..., N_neg, N_pos), rows sum to 1
+    row_max: np.ndarray       # (..., N_neg)
 
 
 @dataclass
@@ -55,7 +56,7 @@ class ProposalBatch:
     """Flat per-anchor model outputs for one image in row-major (gy, gx,
     anchor) order, index-aligned with harness.anchors_for on that image; a
     block forward adds a leading axis of one entry per image. The tape ends
-    at logits and regression (None in a view of one image of a block)."""
+    at logits and regression (None in the arrays eval and audit get)."""
     probs: np.ndarray        # (N,) objectness
     deltas: np.ndarray       # (N, 4)
     embeddings: np.ndarray   # (N, D)
@@ -181,35 +182,62 @@ ATTENTION_LOGIT_SCALE = 10.0
 ATTENTION_SHRINKAGE = 0.01
 
 
+# The attention's row statistics are sums divided by counts, and its norms
+# square roots of sums of squares: the floats of mean() and linalg.norm(),
+# without their Python-level wrappers, which cost more than the arithmetic
+# on rows of 32 features.
+
 def whitening_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and shrinkage-regularized ZCA transform of a row batch."""
-    d = rows.shape[1]
-    mean = rows.mean(axis=0)
-    centered = rows - mean
-    cov = centered.T @ centered / len(rows)
-    cov += (ATTENTION_SHRINKAGE * np.trace(cov) / d + 1e-12) * np.eye(d)
+    """Mean and shrinkage-regularized ZCA transform of an (n, D) row batch,
+    or of each batch of a (..., n, D) stack: (..., D) and (..., D, D). Each
+    batch's products, trace and eigh are those of its own call."""
+    *lead, n, d = rows.shape
+    mean = rows.sum(axis=-2) / n
+    centered = rows - mean[..., None, :]
+    cov = (centered.swapaxes(-1, -2) @ centered / n).reshape(-1, d, d)
+    shrink = np.array([ATTENTION_SHRINKAGE * np.trace(c) / d + 1e-12 for c in cov])
+    cov += shrink[:, None, None] * np.eye(d)
     evals, evecs = np.linalg.eigh(cov)
-    transform = evecs @ ((evals ** -0.5)[:, None] * evecs.T)
-    return mean, transform
+    transform = evecs @ ((evals ** -0.5)[..., None] * evecs.swapaxes(-1, -2))
+    return mean, transform.reshape(*lead, d, d)
 
 
 def _standardize_rows(x: np.ndarray) -> np.ndarray:
     """Each row shifted to zero mean and scaled to unit variance."""
-    centered = x - x.mean(axis=1, keepdims=True)
-    return centered / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + 1e-12)
+    d = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    return centered / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + 1e-12)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     """Each row scaled to unit L2 norm; a row of norm below 1e-12 becomes zeros."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     tiny = norms < 1e-12
     return np.where(tiny, 0.0, x / np.where(tiny, 1.0, norms))
+
+
+def _project(zn: np.ndarray, zp: np.ndarray, mean: np.ndarray, transform: np.ndarray
+             ) -> AttentionMap:
+    """The attention of standardized (..., n, D) negatives to (..., m, D)
+    positives under their joint whitening_stats. Each half is projected in
+    its own product, as one image's call makes it: a product over the
+    joint rows rounds some rows differently."""
+    mean = mean[..., None, :]
+    cn = _unit_rows((zn - mean) @ transform)
+    cp = _unit_rows((zp - mean) @ transform)
+    # A contiguous copy of cp.T, not the strided view: BLAS rounds the two
+    # products differently, and the copy reproduces the training logs,
+    # checkpoints and audits of earlier versions bit for bit.
+    logits = (cn @ cp.swapaxes(-1, -2).copy()) * ATTENTION_LOGIT_SCALE
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)
+    return AttentionMap(a=a, row_max=a.max(axis=-1))
 
 
 def attention_map(neg_embeddings: np.ndarray, pos_embeddings: np.ndarray
                   ) -> AttentionMap:
     """Row-stochastic similarity attention between (n, D) negative and
-    positive embeddings.
+    (m, D) positive embeddings: a is (n, m).
 
     Each embedding row is standardized (zero mean, unit variance across its
     features), the joint batch is whitened with a shrinkage-regularized ZCA
@@ -218,23 +246,52 @@ def attention_map(neg_embeddings: np.ndarray, pos_embeddings: np.ndarray
     the variance of every embedding direction: without it the few directions
     the objectness head trains dominate every similarity and all rows go
     flat. Per-row standardization first makes the map invariant to positive
-    rescaling (and shifting) of any single embedding."""
-    if pos_embeddings.shape[0] == 0:
+    rescaling (and shifting) of any single embedding.
+
+    (..., n, D) and (..., m, D) stacks give (..., n, m) maps, each slice
+    that of its own call, float for float."""
+    if pos_embeddings.shape[-2] == 0:
         raise ag.GraphError("attention map needs at least one positive proposal")
-    if neg_embeddings.shape[0] == 0:
+    if neg_embeddings.shape[-2] == 0:
         raise ag.GraphError("attention map needs at least one negative proposal")
     zn = _standardize_rows(neg_embeddings)
     zp = _standardize_rows(pos_embeddings)
-    mean, transform = whitening_stats(np.concatenate([zn, zp]))
-    cn = _unit_rows((zn - mean) @ transform)
-    cp = _unit_rows((zp - mean) @ transform)
-    # A contiguous copy of cp.T, not the strided view: BLAS rounds the two
-    # products differently, and the copy reproduces the training logs,
-    # checkpoints and audits of earlier versions bit for bit.
-    logits = (cn @ cp.T.copy()) * ATTENTION_LOGIT_SCALE
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    a = e / e.sum(axis=1, keepdims=True)
-    return AttentionMap(a=a, row_max=a.max(axis=1))
+    return _project(zn, zp, *whitening_stats(np.concatenate([zn, zp], axis=-2)))
+
+
+def block_attention(embeddings: np.ndarray,
+                    picks: Sequence[tuple[np.ndarray, np.ndarray]]
+                    ) -> list[Optional[AttentionMap]]:
+    """The attention_map of each image's sampled negatives to its sampled
+    positives, for a (B, N, D) block of embeddings and each image's
+    (pos_idx, neg_idx) rows; None below two positives (one makes every row
+    max 1, the softmax of one logit, flagging all negatives) or without a
+    negative. Training and the audit both attend through it.
+
+    The images whose [negative; positive] row sets have one count are
+    standardized and whitened as one stack; those that also share a
+    negative count are projected as one. Each map equals that image's own
+    attention_map call, float for float."""
+    maps: list[Optional[AttentionMap]] = [None] * len(picks)
+    by_count: dict[int, list[int]] = {}
+    for j, (pos, neg) in enumerate(picks):
+        if len(pos) >= 2 and len(neg):
+            by_count.setdefault(len(pos) + len(neg), []).append(j)
+    for members in by_count.values():
+        # by negative count, so the images of each count are one slice of the stack
+        members.sort(key=lambda j: len(picks[j][1]))
+        rows = np.array([np.concatenate(picks[j][::-1]) for j in members])
+        z = _standardize_rows(embeddings[np.array(members)[:, None], rows])
+        mean, transform = whitening_stats(z)
+        start = 0
+        for n_neg, run in itertools.groupby(members, key=lambda j: len(picks[j][1])):
+            run = list(run)
+            s = slice(start, start + len(run))
+            start = s.stop
+            amap = _project(z[s, :n_neg], z[s, n_neg:], mean[s], transform[s])
+            for j, a, row_max in zip(run, amap.a, amap.row_max):
+                maps[j] = AttentionMap(a=a, row_max=row_max)
+    return maps
 
 
 def check_threshold(t: float) -> float:
@@ -253,33 +310,81 @@ def detect_false_negatives(amap: AttentionMap, t: float) -> np.ndarray:
 BCE_EPS = 1e-7
 
 
-def _bce(p: np.ndarray, target: np.ndarray, w: float) -> tuple[float, np.ndarray]:
-    """Summed binary cross-entropy of probabilities p against constant
-    targets in [0, 1], and w times its gradient. p is clamped to [BCE_EPS,
-    1 - BCE_EPS], where the gradient is zero, as for the clamped value."""
+def _bce(p: np.ndarray, target: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Binary cross-entropy of each probability in p against constant
+    targets in [0, 1], and w (per row) times its gradient. p is clamped to
+    [BCE_EPS, 1 - BCE_EPS], where the gradient is zero, as for the clamped
+    value."""
     pc = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     value = -(target * np.log(pc) + (1.0 - target) * np.log1p(-pc))
     inside = (p > BCE_EPS) & (p < 1.0 - BCE_EPS)
-    return value.sum(), np.full_like(p, w) * inside * (pc - target) / (pc * (1.0 - pc))
+    return value, w * inside * (pc - target) / (pc * (1.0 - pc))
 
 
-def _smooth_l1(pred: np.ndarray, target: np.ndarray, w: float) -> tuple[float, np.ndarray]:
-    """Summed smooth-L1 of d = pred - target (0.5 d^2 for |d| < 1, else
-    |d| - 0.5) against constant targets, and w times its gradient."""
+def _smooth_l1(pred: np.ndarray, target: np.ndarray, w: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth-L1 of each (row, coordinate) d = pred - target (0.5 d^2 for
+    |d| < 1, else |d| - 0.5) against constant targets, and w (per row)
+    times its gradient."""
     d = pred - target
     ad = np.abs(d)
     value = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
-    return value.sum(), np.full_like(d, w) * np.clip(d, -1.0, 1.0)
+    return value, w[:, None] * np.clip(d, -1.0, 1.0)
 
 
-def _mean(term, x: np.ndarray, target: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
-    """term's mean over the rows of x, and weight times its gradient: 0.0
-    and an empty gradient without rows."""
-    if not len(x):
-        return 0.0, np.zeros_like(x)
-    inv = 1.0 / len(x)
-    value, grad = term(x, target, weight * inv)
-    return float(value * inv), grad
+def concat_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows of arrays, concatenated in order; one array is returned as
+    it is, not copied, so a block of one image costs no concatenation."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class _Rows:
+    """The consecutive rows of each image of a block: image i holds rows
+    at[i]:at[i + 1]. inv[i] is 1 / its row count (1.0 without rows), and
+    weights holds weight * inv[i] for each of its rows."""
+
+    def __init__(self, counts: Sequence[int], weight: float):
+        self.at = [0, *itertools.accumulate(counts)]
+        self.inv = [1.0 / k if k else 1.0 for k in counts]
+        self.weights = concat_rows([np.full(k, weight * i) for k, i in zip(counts, self.inv)])
+
+    def means(self, term, x: np.ndarray, target) -> tuple[list[float], np.ndarray]:
+        """term's mean over each image's rows of x (0.0 without rows), and
+        the weights times its gradient. Each image's terms are summed on
+        their own slice, as a call on its rows alone sums them."""
+        value, grad = term(x, target, self.weights)
+        # add.reduce over every axis: the pairwise sum of .sum(), without its wrapper
+        return [float(np.add.reduce(value[a:b], axis=None) * i) if b > a else 0.0
+                for a, b, i in zip(self.at, self.at[1:], self.inv)], grad
+
+
+def block_soft_label_loss(pos_probs: np.ndarray, neg_probs: np.ndarray,
+                          pos_deltas: np.ndarray, pos_delta_targets: np.ndarray,
+                          n_pos: Sequence[int], n_neg: Sequence[int],
+                          amaps: Sequence[Optional[AttentionMap]], t: float,
+                          weight: float = 1.0
+                          ) -> tuple[list[RpnLosses], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """soft_label_loss of each image of a block, computed at once. The
+    inputs are the images' sampled rows concatenated in block order, image i
+    holding n_pos[i] positives and n_neg[i] negatives, and amaps[i] its map.
+    Returns the per-image RpnLosses, whose gradients are views of the
+    block's (grad_pos, grad_neg, grad_deltas), also returned. Every value
+    and gradient equals that of the image's own soft_label_loss call."""
+    check_threshold(t)
+    pos, neg = _Rows(n_pos, weight), _Rows(n_neg, weight)
+    row_max = concat_rows([m.row_max if m is not None and k else np.zeros(k)
+                           for m, k in zip(amaps, n_neg)])
+    fires = row_max >= t
+    # 1.0 as a scalar target gives the floats of an array of ones
+    l_neg, grad_neg = neg.means(_bce, neg_probs, np.where(fires, row_max, 0.0))
+    l_pos, grad_pos = pos.means(_bce, pos_probs, 1.0)
+    l_reg, grad_deltas = pos.means(_smooth_l1, pos_deltas, pos_delta_targets)
+    losses = [RpnLosses(l_pos=l_pos[i], l_neg=l_neg[i], l_reg=l_reg[i],
+                        total=(l_pos[i] + l_neg[i]) + l_reg[i],
+                        flagged=fires[a:b].nonzero()[0], grad_pos=grad_pos[p:q],
+                        grad_neg=grad_neg[a:b], grad_deltas=grad_deltas[p:q])
+              for i, (p, q, a, b) in enumerate(zip(pos.at, pos.at[1:], neg.at, neg.at[1:]))]
+    return losses, (grad_pos, grad_neg, grad_deltas)
 
 
 def soft_label_loss(pos_probs: np.ndarray, neg_probs: np.ndarray,
@@ -301,20 +406,11 @@ def soft_label_loss(pos_probs: np.ndarray, neg_probs: np.ndarray,
     iteration's loss, 1 / BATCH_IMAGES.
 
     With amap None (no positives exist) L_pos and L_reg are zero and every
-    negative keeps its hard zero target.
+    negative keeps its hard zero target. This is block_soft_label_loss on a
+    block of one image.
     """
-    check_threshold(t)
-    targets = np.zeros(len(neg_probs))
-    flagged = np.zeros(0, dtype=np.intp)
-    if amap is not None and len(neg_probs):
-        flagged = detect_false_negatives(amap, t)
-        targets[flagged] = amap.row_max[flagged]
-    l_neg, grad_neg = _mean(_bce, neg_probs, targets, weight)
-    l_pos, grad_pos = _mean(_bce, pos_probs, np.ones(len(pos_probs)), weight)
-    l_reg, grad_deltas = _mean(_smooth_l1, pos_deltas, pos_delta_targets, weight)
-    return RpnLosses(l_pos=l_pos, l_neg=l_neg, l_reg=l_reg, total=(l_pos + l_neg) + l_reg,
-                     flagged=flagged, grad_pos=grad_pos, grad_neg=grad_neg,
-                     grad_deltas=grad_deltas)
+    return block_soft_label_loss(pos_probs, neg_probs, pos_deltas, pos_delta_targets,
+                                 [len(pos_probs)], [len(neg_probs)], [amap], t, weight)[0][0]
 
 
 def sample_proposals(labels: np.ndarray, n_total: int, pos_fraction: float,

@@ -104,20 +104,24 @@ def block_and_per_image_grads(loss, images, upstream, params):
     return block, alone
 
 
-def _attend(batch, pos_idx, neg_idx):
-    """harness._attend as it was before training forwarded blocks."""
+def attend_one_image(embeddings, pos_idx, neg_idx):
+    """The attention of one image's sampled negatives to its sampled
+    positives among its (N, D) embeddings, one attention_map call per image,
+    as training and the audit attended before they attended whole blocks;
+    None below two positives or without a negative. Kept as an oracle for
+    model.block_attention."""
     if len(pos_idx) < 2 or not len(neg_idx):
         return None
-    emb = batch.embeddings
-    return mdl.attention_map(emb[neg_idx], emb[pos_idx])
+    return mdl.attention_map(embeddings[neg_idx], embeddings[pos_idx])
 
 
-def _image_loss(params, mi, config, rng):
+def image_loss(params, mi, config, rng):
     """Forward one image, sample a proposal minibatch, and build the loss
     and the node to backpropagate its share of the iteration's loss from."""
     batch = mdl.forward_rpn(mi.record.image, params)
     pos_idx, neg_idx = mdl.sample_proposals(mi.labels, hz.MINIBATCH_SIZE, hz.POS_FRACTION, rng)
-    amap = _attend(batch, pos_idx, neg_idx) if config.mode == "soft_label" else None
+    amap = (attend_one_image(batch.embeddings, pos_idx, neg_idx)
+            if config.mode == "soft_label" else None)
     return sampled_loss(batch, pos_idx, neg_idx, mi.delta_targets[pos_idx], amap, config.t,
                         1.0 / hz.BATCH_IMAGES)
 
@@ -148,7 +152,7 @@ def train_per_image(config, records):
                 sums = {"l_pos": 0.0, "l_neg": 0.0, "l_reg": 0.0, "total": 0.0}
                 n_flagged = 0
                 for k in picks:
-                    losses, root = _image_loss(params, matched[k], config, rng)
+                    losses, root = image_loss(params, matched[k], config, rng)
                     root.backward()
                     for key in sums:
                         sums[key] += getattr(losses, key)

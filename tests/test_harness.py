@@ -13,7 +13,7 @@ from softrpn import harness as hz
 from softrpn import model as mdl
 from softrpn.geometry import iou_matrix
 
-from conftest import match_one_image, train_per_image
+from conftest import attend_one_image, image_loss, match_one_image, train_per_image
 
 
 # A small config and dataset for fast training tests.
@@ -582,7 +582,7 @@ class TestEvaluate:
         params, cfg = audited_model
         cfg = replace(cfg, t=t)
         records = BLOCK_DATASETS[name]()
-        report, flags = hz._evaluate(params, records, cfg)
+        report, flags = hz._evaluate(params, hz.match_dataset(records), cfg)
         assert report == hz.evaluate(params, records, cfg)
         assert_flags_equal(flags, hz.audit_flags(params, records, cfg))
         assert len(flags)
@@ -616,16 +616,23 @@ class TestCollectFlags:
 
 def per_image_reference(params, records, config):
     """The report of evaluate and the flags of audit_flags, computed from one
-    forward pass per (H, W, 1) image: the oracle of the block forward."""
+    forward pass, one minibatch from the image's own generator and one
+    attention_map call per (H, W, 1) image: the oracle of the block forward
+    and of the block attention."""
     counts, scores, ious, flags = [], [np.zeros(0)], {}, []
     n_gt = n_hit = 0
     for idx, mi in enumerate(hz.match_dataset(records)):
         with ag.no_grad():
             batch = mdl.forward_rpn(mi.record.image, params)
-        boxes, s = hz._proposals(batch, mi.anchors, mi.record.image)
-        rows, row_scores = hz._audit_image(batch, mi, idx, config, config.t)
-        flags += [(idx, r, mi.anchors[r], score)
-                  for r, score in zip(rows.tolist(), row_scores.tolist())]
+        boxes, s = hz._proposals(batch.probs, batch.deltas, mi.anchors, mi.record.image)
+        rng = np.random.default_rng([config.seed_sample, idx, 0xA0D17])
+        pos_idx, neg_idx = mdl.sample_proposals(mi.labels, hz.MINIBATCH_SIZE,
+                                                hz.POS_FRACTION, rng)
+        amap = attend_one_image(batch.embeddings, pos_idx, neg_idx)
+        if amap is not None:
+            flagged = mdl.detect_false_negatives(amap, config.t)
+            flags += [(idx, r, mi.anchors[r], score) for r, score in
+                      zip(neg_idx[flagged].tolist(), amap.row_max[flagged].tolist())]
         counts.append(len(s))
         scores.append(s)
         gts = mi.record.full
@@ -750,9 +757,43 @@ class TestBlockInference:
         for b, c, nxt in zip(blocks, capacity, blocks[1:]):
             assert len(b) == c or b.shape[1:] != nxt.shape[1:]
 
-    def test_fn_gets_views_of_its_block_and_no_tensor(self, monkeypatch):
-        """_forward_each hands fn each image's rows of its block's outputs
-        as plain array views, not copies, and no tape output."""
+    @pytest.mark.parametrize("extent", [(64, 64), (16, 16), (16, 24)])
+    def test_block_attention_equals_per_image_maps(self, extent, audited_model):
+        """The block attention of a forward block's sampled minibatches is
+        each image's own attention_map: in full 64x64 blocks (joint row
+        count 64), in 16x16 and 16x24 blocks (12 and 18 anchors, so joint
+        counts below 64 that differ between images), and with one image
+        left one positive (no map) and one left no negative (no map)."""
+        params, _ = audited_model
+        records = cropped(tiny_records(5, seed=11), *extent)
+        with ag.no_grad():
+            batch = mdl.forward_rpn(np.stack([rec.image for rec in records]), params)
+        rng = np.random.default_rng(3)
+        n_anchors = batch.probs.shape[1]
+        # labels with positives to spare, so every image samples at least two
+        picks = [mdl.sample_proposals(rng.choice([1, 1, 0, 0, 0, -1], n_anchors),
+                                      hz.MINIBATCH_SIZE, hz.POS_FRACTION, rng)
+                 for _ in records]
+        picks[1] = (picks[1][0][:1], picks[1][1])
+        picks[3] = (picks[3][0], picks[3][1][:0])
+        maps = mdl.block_attention(batch.embeddings, picks)
+        counts = set()
+        for emb, (pos, neg), got in zip(batch.embeddings, picks, maps):
+            want = attend_one_image(emb, pos, neg)
+            if want is None:
+                assert got is None
+                continue
+            counts.add(len(pos) + len(neg))
+            assert got.a.tobytes() == want.a.tobytes()
+            assert got.row_max.tobytes() == want.row_max.tobytes()
+        assert maps[1] is None and maps[3] is None and counts
+        assert max(counts) == 64 if extent == (64, 64) else max(counts) < 64
+
+    def test_fn_gets_its_whole_block_and_no_tensor(self, monkeypatch):
+        """_forward_each hands fn each forward block at once: the dataset
+        indices and matched images of its images, in order, and the block's
+        (B, ...) output arrays themselves, not copies, with no tape output.
+        fn's one entry per image make up the result, in dataset order."""
         records = interleaved_extents()
         cfg = tiny_config()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
@@ -764,19 +805,25 @@ class TestBlockInference:
             return blocks[-1]
 
         monkeypatch.setattr(mdl, "forward_rpn", recording)
-        # fn keeps its views here only to compare them with the blocks, which
-        # recording keeps alive
-        got = hz._forward_each(params, hz.match_dataset(records),
-                               lambda idx, mi, batch: batch)
-        rows = [(block, j) for block in blocks for j in range(len(block.probs))]
-        assert len(got) == len(rows) == len(records)
-        for batch, (block, j) in zip(got, rows):
+        matched = hz.match_dataset(records)
+        calls = []
+
+        def fn(indices, block, batch):
+            # kept here only to compare with the blocks, which recording keeps alive
+            calls.append((indices, block, batch))
+            return [(idx, j) for j, idx in enumerate(indices)]
+
+        got = hz._forward_each(params, matched, fn)
+        assert len(calls) == len(blocks) and max(len(b.probs) for b in blocks) > 1
+        assert [idx for idx, _ in got] == list(range(len(records)))
+        assert [idx for indices, _, _ in calls for idx in indices] == list(range(len(records)))
+        for (indices, block, batch), whole in zip(calls, blocks):
+            assert len(block) == len(indices) == len(whole.probs)
+            assert all(mi is matched[i] for mi, i in zip(block, indices))
             assert batch.logits is None and batch.regression is None
             for name in ("probs", "deltas", "embeddings"):
-                view, whole = getattr(batch, name), getattr(block, name)
-                assert type(view) is np.ndarray
-                assert np.shares_memory(view, whole)
-                assert view.tobytes() == whole[j].tobytes()
+                arr = getattr(batch, name)
+                assert type(arr) is np.ndarray and arr is getattr(whole, name)
 
 
 # name: (dataset, TrainConfig fields, the block sizes train forwards)
@@ -843,6 +890,25 @@ class TestBlockTraining:
         before, step = starts[k] - starts[k - 1], starts[k + 1] - starts[k]
         assert before.any()
         np.testing.assert_allclose(step, hz.MOMENTUM * before, rtol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["soft_label", "baseline"])
+    def test_block_samples_in_block_order(self, mode):
+        """_block_losses samples every image's minibatch in block order
+        before it attends: its generator ends where sampling the images one
+        at a time leaves it, and each image's losses are those of
+        forwarding, sampling and attending it alone."""
+        matched = hz.match_dataset(tiny_records(4, seed=2))
+        cfg = tiny_config(mode=mode, t=0.5)
+        params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
+        rng, alone = np.random.default_rng(7), np.random.default_rng(7)
+        _, losses = hz._block_losses(params, matched, cfg, rng)
+        want = [image_loss(params, mi, cfg, alone)[0] for mi in matched]
+        assert rng.bit_generator.state == alone.bit_generator.state
+        for got, image in zip(losses, want):
+            assert (got.l_pos, got.l_neg, got.l_reg, got.total) == \
+                (image.l_pos, image.l_neg, image.l_reg, image.total)
+            assert got.flagged.tobytes() == image.flagged.tobytes()
+        assert any(len(image.flagged) for image in want) == (mode == "soft_label")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_at_the_per_image_iteration(self):
@@ -1193,6 +1259,24 @@ class TestCompare:
         rows = hz.compare(config, [(0, records), (1, records)], (0.6, 0.8))["rows"]
         assert len(rows) == 2 * 3 and all(r["flags"] for r in rows if r["arm"] != "baseline")
         assert sum(forwarded) == len(rows) * (6 * hz.BATCH_IMAGES + len(records))
+
+    def test_matches_each_seed_once(self, monkeypatch):
+        """Each seed's records are labelled by one match_dataset call, which
+        every arm's training and evaluation share."""
+        config = tiny_config(total_iters=6, milestones=(4,))
+        datasets = [(0, tiny_records(6, seed=3)), (1, tiny_records(5, seed=4))]
+        matched = []
+        match_dataset = hz.match_dataset
+
+        def counting(records):
+            matched.append(records)
+            return match_dataset(records)
+
+        monkeypatch.setattr(hz, "match_dataset", counting)
+        rows = hz.compare(config, datasets, (0.6, 0.8))["rows"]
+        assert len(rows) == 2 * 3
+        assert len(matched) == 2
+        assert all(got is records for got, (_, records) in zip(matched, datasets))
 
     def test_means_are_numpy_means_over_the_seeds(self, study):
         _, _, doc = study

@@ -295,6 +295,99 @@ class TestAttentionMap:
         assert type(amap.row_max) is np.ndarray and amap.row_max.shape == (5,)
 
 
+def attention_one_image(neg, pos):
+    """attention_map as it was before it took stacks, on (n, D) and (m, D)
+    rows. Kept as an oracle for it: training logs and checkpoints depend on
+    every float, and projecting the joint rows in one product, say, changes
+    some of them. Returns (a, row_max)."""
+    def standardize(x):
+        centered = x - x.mean(axis=1, keepdims=True)
+        return centered / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + 1e-12)
+
+    def unit(x):
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        tiny = norms < 1e-12
+        return np.where(tiny, 0.0, x / np.where(tiny, 1.0, norms))
+
+    zn, zp = standardize(neg), standardize(pos)
+    rows = np.concatenate([zn, zp])
+    d = rows.shape[1]
+    mean = rows.mean(axis=0)
+    centered = rows - mean
+    cov = centered.T @ centered / len(rows)
+    cov += (mdl.ATTENTION_SHRINKAGE * np.trace(cov) / d + 1e-12) * np.eye(d)
+    evals, evecs = np.linalg.eigh(cov)
+    transform = evecs @ ((evals ** -0.5)[:, None] * evecs.T)
+    cn, cp = unit((zn - mean) @ transform), unit((zp - mean) @ transform)
+    logits = (cn @ cp.T.copy()) * mdl.ATTENTION_LOGIT_SCALE
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    a = e / e.sum(axis=1, keepdims=True)
+    return a, a.max(axis=1)
+
+
+class TestStackedAttention:
+    """attention_map and whitening_stats on stacks, and block_attention on
+    ragged blocks, equal one call per image, byte for byte; and one call
+    equals the map as computed before stacks."""
+
+    @given(st.integers(1, 60), st.integers(2, 16), st.integers(2, 40),
+           st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0))
+    @settings(max_examples=80, deadline=None)
+    def test_single_image_equals_the_map_before_stacks(self, n, m, d, seed, log_scale):
+        gen = np.random.default_rng(seed)
+        neg = gen.standard_normal((n, d)) * 10.0 ** log_scale
+        pos = gen.standard_normal((m, d)) * 10.0 ** log_scale
+        got = mdl.attention_map(neg, pos)
+        a, row_max = attention_one_image(neg, pos)
+        assert got.a.tobytes() == a.tobytes()
+        assert got.row_max.tobytes() == row_max.tobytes()
+
+    @given(st.integers(1, 5), st.integers(1, 60), st.integers(2, 16), st.integers(2, 40),
+           st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0))
+    @settings(max_examples=80, deadline=None)
+    def test_stack_equals_separate_calls(self, g, n, m, d, seed, log_scale):
+        gen = np.random.default_rng(seed)
+        neg = gen.standard_normal((g, n, d)) * 10.0 ** log_scale
+        pos = gen.standard_normal((g, m, d)) * 10.0 ** log_scale
+        stacked = mdl.attention_map(neg, pos)
+        assert stacked.a.shape == (g, n, m) and stacked.row_max.shape == (g, n)
+        rows = np.concatenate([neg, pos], axis=1)
+        mean, transform = mdl.whitening_stats(rows)
+        assert mean.shape == (g, d) and transform.shape == (g, d, d)
+        for i in range(g):
+            alone = mdl.attention_map(neg[i], pos[i])
+            assert stacked.a[i].tobytes() == alone.a.tobytes()
+            assert stacked.row_max[i].tobytes() == alone.row_max.tobytes()
+            mean_i, transform_i = mdl.whitening_stats(rows[i])
+            assert mean[i].tobytes() == mean_i.tobytes()
+            assert transform[i].tobytes() == transform_i.tobytes()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(2, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_block_attention_equals_per_image_maps(self, seed, n_images, d):
+        """Ragged blocks: images of one joint row count but other negative
+        counts, of other joint counts, with one positive or no negative
+        (no map); a joint count of 64 is the common one."""
+        gen = np.random.default_rng(seed)
+        n_anchors = 150
+        embeddings = gen.standard_normal((n_images, n_anchors, d)) * 10.0 ** gen.uniform(-2, 2)
+        picks = []
+        for _ in range(n_images):
+            n_pos = int(gen.choice([0, 1, 2, 5, 9, 16]))
+            n_neg = int(gen.choice([0, 64 - n_pos, gen.integers(1, 64)]))
+            rows = gen.permutation(n_anchors)
+            picks.append((np.sort(rows[:n_pos]), np.sort(rows[n_pos:n_pos + n_neg])))
+        maps = mdl.block_attention(embeddings, picks)
+        assert len(maps) == n_images
+        for emb, (pos, neg), got in zip(embeddings, picks, maps):
+            if len(pos) < 2 or not len(neg):
+                assert got is None
+                continue
+            want = mdl.attention_map(emb[neg], emb[pos])
+            assert got.a.tobytes() == want.a.tobytes()
+            assert got.row_max.tobytes() == want.row_max.tobytes()
+
+
 def amap_with_row_maxes(row_maxes):
     """Build an AttentionMap whose row maxima are exactly as given."""
     n = len(row_maxes)
@@ -463,6 +556,99 @@ class TestSoftLabelLoss:
             grads.append({k: p.grad for k, p in params.items()})
         for name, g in grads[0].items():
             np.testing.assert_array_equal(g, grads[1][name], err_msg=name)
+
+
+def loss_one_image(pos_probs, neg_probs, pos_deltas, pos_delta_targets, amap, t, weight):
+    """soft_label_loss as it was before it computed blocks, one image's
+    rows at a time. Kept as an oracle for it: (l_pos, l_neg, l_reg,
+    flagged, grad_pos, grad_neg, grad_deltas)."""
+    def bce(p, target, w):
+        pc = np.clip(p, mdl.BCE_EPS, 1.0 - mdl.BCE_EPS)
+        value = -(target * np.log(pc) + (1.0 - target) * np.log1p(-pc))
+        inside = (p > mdl.BCE_EPS) & (p < 1.0 - mdl.BCE_EPS)
+        return value.sum(), np.full_like(p, w) * inside * (pc - target) / (pc * (1.0 - pc))
+
+    def smooth_l1(pred, target, w):
+        d = pred - target
+        ad = np.abs(d)
+        value = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
+        return value.sum(), np.full_like(d, w) * np.clip(d, -1.0, 1.0)
+
+    def mean(term, x, target):
+        if not len(x):
+            return 0.0, np.zeros_like(x)
+        inv = 1.0 / len(x)
+        value, grad = term(x, target, weight * inv)
+        return float(value * inv), grad
+
+    targets = np.zeros(len(neg_probs))
+    flagged = np.zeros(0, dtype=np.intp)
+    if amap is not None and len(neg_probs):
+        flagged = mdl.detect_false_negatives(amap, t)
+        targets[flagged] = amap.row_max[flagged]
+    l_neg, grad_neg = mean(bce, neg_probs, targets)
+    l_pos, grad_pos = mean(bce, pos_probs, np.ones(len(pos_probs)))
+    l_reg, grad_deltas = mean(smooth_l1, pos_deltas, pos_delta_targets)
+    return l_pos, l_neg, l_reg, flagged, grad_pos, grad_neg, grad_deltas
+
+
+def loss_instance(gen, counts, soft=True):
+    """Concatenated rows of images with the given (n_pos, n_neg) counts:
+    probabilities spanning the clamped ends, deltas on both smooth-L1
+    branches, and for each image with a negative (when soft) a map whose
+    row maxima straddle the thresholds."""
+    n_pos, n_neg = [c[0] for c in counts], [c[1] for c in counts]
+    probs = gen.choice([0.0, 1e-8, 0.2, 0.5, 0.9, 1.0 - 1e-8, 1.0], size=sum(n_pos) + sum(n_neg))
+    probs = np.where(gen.random(len(probs)) < 0.7, gen.uniform(0.01, 0.99, len(probs)), probs)
+    pos_deltas = gen.standard_normal((sum(n_pos), 4)) * 1.5
+    targets = gen.standard_normal((sum(n_pos), 4))
+    amaps = [amap_with_row_maxes(gen.uniform(0.3, 1.0, k)) if soft and k else None
+             for k in n_neg]
+    return probs[:sum(n_pos)], probs[sum(n_pos):], pos_deltas, targets, n_pos, n_neg, amaps
+
+
+class TestBlockSoftLabelLoss:
+    """block_soft_label_loss equals one soft_label_loss call per image:
+    values by ==, gradients by bytes; and soft_label_loss equals the loss as
+    computed before blocks."""
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.integers(0, 16), st.integers(0, 64)), min_size=1, max_size=5),
+           st.sampled_from([0.5, 0.8]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_block_equals_per_image_calls(self, seed, counts, t, soft):
+        counts = counts + [(0, 5), (3, 0)]      # an image without positive, one without negative
+        gen = np.random.default_rng(seed)
+        pos_p, neg_p, pd, td, n_pos, n_neg, amaps = loss_instance(gen, counts, soft)
+        losses, grads = mdl.block_soft_label_loss(pos_p, neg_p, pd, td, n_pos, n_neg,
+                                                  amaps, t, 0.25)
+        assert len(losses) == len(counts)
+        p = q = 0
+        for (k_pos, k_neg), amap, got in zip(counts, amaps, losses):
+            want = mdl.soft_label_loss(pos_p[p:p + k_pos], neg_p[q:q + k_neg],
+                                       pd[p:p + k_pos], td[p:p + k_pos], amap, t, 0.25)
+            for name in ("l_pos", "l_neg", "l_reg", "total"):
+                assert getattr(got, name) == getattr(want, name), name
+            for name in ("flagged", "grad_pos", "grad_neg", "grad_deltas"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            p, q = p + k_pos, q + k_neg
+        for whole, name in zip(grads, ("grad_pos", "grad_neg", "grad_deltas")):
+            assert whole.tobytes() == np.concatenate(
+                [getattr(image, name) for image in losses]).tobytes()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 16), st.integers(0, 64),
+           st.sampled_from([0.5, 0.8]), st.sampled_from([1.0, 0.25]))
+    @settings(max_examples=80, deadline=None)
+    def test_single_image_equals_the_loss_before_blocks(self, seed, k_pos, k_neg, t, weight):
+        gen = np.random.default_rng(seed)
+        pos_p, neg_p, pd, td, _, _, (amap,) = loss_instance(gen, [(k_pos, k_neg)])
+        got = mdl.soft_label_loss(pos_p, neg_p, pd, td, amap, t, weight)
+        want = loss_one_image(pos_p, neg_p, pd, td, amap, t, weight)
+        assert (got.l_pos, got.l_neg, got.l_reg) == want[:3]
+        assert got.total == (want[0] + want[1]) + want[2]
+        for a, b in zip((got.flagged, got.grad_pos, got.grad_neg, got.grad_deltas), want[3:]):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestSampleProposals:
