@@ -16,7 +16,6 @@ losses after them are plain NumPy in model, joined by one loss_node.
 from __future__ import annotations
 
 import contextlib
-import functools
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -60,9 +59,14 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
+        """Add g into grad. A g with one more axis than the tensor holds a
+        block's per-image gradients, added one image at a time in block
+        order: the floats of one backward per image, so any split of images
+        into blocks accumulates the same grad."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        for gi in (g if g.ndim > self.data.ndim else (g,)):
+            self.grad += gi
 
     def backward(self):
         """Reverse-mode sweep from a scalar. Repeated calls without
@@ -113,13 +117,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def _image_sum(per_image: np.ndarray, lead: tuple) -> np.ndarray:
-    """A block's per-image gradients (its leading axis) added in image order,
-    ((g0 + g1) + g2) + ...: the float order in which one backward per image
-    accumulates them. Without a block axis (lead empty), the gradient as is."""
-    return functools.reduce(np.add, per_image) if lead else per_image
-
-
 # -- elementwise ------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -168,10 +165,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     and backward. Each image's (Ho*Wo, k*k*Cin) columns then meet the kernel
     in a BLAS call of their own, so every output float equals that of the
     image convolved alone; one (B*Ho*Wo, k*k*Cin) product would not keep
-    that. Likewise the backward takes each image's kernel and bias gradient
-    on its own and adds them in image order (see _image_sum), so a block's
-    gradients are, bit for bit, those of one backward per image accumulated
-    in turn."""
+    that. Likewise the backward returns each image's kernel and bias gradient
+    on its own, (B, ...) stacks that Tensor._accumulate adds in image order,
+    so a block's gradients are, bit for bit, those of one backward per image
+    accumulated in turn."""
     k = kernel.shape[0]
     if kernel.data.ndim != 4 or kernel.shape[1] != k:
         raise GraphError(f"kernel must be (k, k, Cin, Cout), got {kernel.shape}")
@@ -210,13 +207,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0,
     def backward(g):
         if relu:
             g = g * mask
-        gb = None if bias is None else _image_sum(g.sum(axis=-3).sum(axis=-2), lead)
+        gb = None if bias is None else g.sum(axis=-3).sum(axis=-2)
         g2 = g.reshape(lead + (ho * wo, cout))
         # The columns are freed before gcols is allocated: holding both
         # (~1.2 MB at 128x128) made the allocator return and re-fault heap
         # pages on every backward.
-        gk = _image_sum(np.matmul(_im2col(xp, k, stride, ho, wo).swapaxes(-1, -2), g2),
-                        lead).reshape(kernel.shape)
+        gk = np.matmul(_im2col(xp, k, stride, ho, wo).swapaxes(-1, -2),
+                       g2).reshape(lead + kernel.shape)
         if not needs_gx:
             return (None, gk, gb)[:len(parents)]
         # g @ K^T, laid out tap-major: (..., k*k, Ho*Wo, Cin), one block per tap
@@ -239,20 +236,19 @@ def anchor_scores(fe: Tensor, w: Tensor, b: Tensor) -> Tensor:
     output (..., H, W, na) never mixes embeddings across anchors. Computed
     as a broadcast multiply and a sum over D, cell by cell, so a block of
     images scores each image as it would alone; the backward sums w's and
-    b's gradients over each image's cells, then adds the images in order,
-    as conv2d does."""
+    b's gradients over each image's cells and returns them per image, as
+    conv2d does."""
     na, d = w.shape
     if fe.shape[-1] != na * d:
         raise GraphError(f"embedding channels {fe.shape[-1]} != na*D = {na * d}")
     fe4 = fe.data.reshape(*fe.shape[:-1], na, d)
     data = (fe4 * w.data).sum(axis=-1) + b.data
-    lead = fe.shape[:-3]
 
     def backward(g):
         g4 = g[..., None]
         gfe = (g4 * w.data).reshape(fe.shape)
-        gw = _image_sum((fe4 * g4).sum(axis=(-4, -3)), lead)
-        gb = _image_sum(g.sum(axis=(-3, -2)), lead)
+        gw = (fe4 * g4).sum(axis=(-4, -3))
+        gb = g.sum(axis=(-3, -2))
         return gfe, gw, gb
 
     return _make(data, (fe, w, b), backward)

@@ -110,15 +110,19 @@ def render_noiseless(spec: SceneSpec) -> np.ndarray:
 
 def synthesize_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
     """Render a scene and return (image (H, W, 1) float64 in [0, 1], tight
-    (K, 4) boxes in object order). Deterministic per spec.seed."""
+    (K, 4) boxes in object order). Deterministic per spec.seed. An extent
+    too large to allocate is a ValueError."""
     if not mdl.extent_ok(spec.height, spec.width):
         raise ValueError(f"scene extent {spec.height}x{spec.width} must be >= "
                          f"{mdl.MIN_EXTENT} and divisible by {mdl.BACKBONE_STRIDE}")
     rng = np.random.default_rng(spec.seed)
-    img = render_noiseless(spec)
-    if spec.noise_sigma > 0:
-        img = img + rng.normal(0.0, spec.noise_sigma, size=img.shape)
-    img = np.clip(img, 0.0, 1.0)
+    try:
+        img = render_noiseless(spec)
+        if spec.noise_sigma > 0:
+            img = img + rng.normal(0.0, spec.noise_sigma, size=img.shape)
+        img = np.clip(img, 0.0, 1.0)
+    except MemoryError as e:
+        raise ValueError(f"scene extent {spec.height}x{spec.width}: {e}") from e
     boxes = np.array([ellipse_bounds(e) for e in spec.objects], dtype=np.float64)
     return img[..., None], boxes.reshape(-1, 4)
 

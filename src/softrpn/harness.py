@@ -9,7 +9,7 @@ import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -228,19 +228,28 @@ def _block(images: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(images) if len(images) > 1 else images[0][None]
 
 
-def _train_blocks(picks: np.ndarray, matched: Sequence[MatchedImage]
-                  ) -> list[list[MatchedImage]]:
-    """The blocks an iteration's picks are trained in: all of them together
-    when they share one extent and INFER_BLOCK holds BATCH_IMAGES images of
-    it, else one at a time. Never a partial block: p.grad adds up one
-    gradient per backward, so blocks of 2 + 2 would give (g0 + g1) + (g2 +
-    g3), not the ((g0 + g1) + g2) + g3 of one image at a time."""
-    chosen = [matched[k] for k in picks]
-    h, w, _ = shape = chosen[0].record.image.shape
-    if (INFER_BLOCK // (h * w) >= BATCH_IMAGES
-            and all(mi.record.image.shape == shape for mi in chosen)):
-        return [chosen]
-    return [[mi] for mi in chosen]
+# Image pixels per forward block (see _blocks): 4 images at 64x64, 2 at
+# 80x80 and 1 at 128x128, in training, evaluate and audit_flags alike. A
+# forward block's temporaries take about 1 MB at this size; larger blocks
+# save little more per image and make glibc more likely to hand the freed
+# heap back to the kernel, to be faulted in again by the next block.
+INFER_BLOCK = 4 * 64 * 64
+
+
+def _blocks(matched: Sequence[MatchedImage]
+            ) -> Iterator[tuple[list[int], list[MatchedImage]]]:
+    """The positions in matched and the images of each forward block, in
+    order: every run of consecutive same-extent images cut into blocks of at
+    most INFER_BLOCK pixels (or of one image). The tape adds each image's
+    gradients in order (Tensor._accumulate), so training in these blocks
+    gives the floats of one image at a time, wherever they end."""
+    runs = itertools.groupby(enumerate(matched), key=lambda p: p[1].record.image.shape)
+    for (h, w, _), run in runs:
+        run = list(run)
+        per_block = max(1, INFER_BLOCK // (h * w))
+        for start in range(0, len(run), per_block):
+            indices, block = zip(*run[start:start + per_block])
+            yield list(indices), list(block)
 
 
 def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
@@ -281,8 +290,8 @@ def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
 def train(config: TrainConfig, records: Sequence[ImageRecord]
           ) -> tuple[dict[str, Tensor], list[dict]]:
     """SGD with momentum over per-image sampled RPN losses. Returns the
-    final parameters and a per-iteration metric log. An iteration's images
-    go through as one block when they fit (see _train_blocks), with every
+    final parameters and a per-iteration metric log. An iteration's picks
+    are forwarded and backpropagated in the blocks of _blocks, with every
     float that of one forward and one backward per image, in pick order."""
     return _train(config, match_dataset(records))
 
@@ -310,7 +319,7 @@ def _train(config: TrainConfig, matched: Sequence[MatchedImage]
                 picks = rng.integers(0, len(matched), size=BATCH_IMAGES)
                 sums = {"l_pos": 0.0, "l_neg": 0.0, "l_reg": 0.0, "total": 0.0}
                 n_flagged = 0
-                for block in _train_blocks(picks, matched):
+                for _, block in _blocks([matched[k] for k in picks]):
                     # Rebinding root frees the previous block's tape here,
                     # after this block's forward and before its backward, as
                     # training one image at a time did. Freed before the
@@ -377,38 +386,22 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
     return np.array(keep, dtype=np.intp)
 
 
-# Image pixels per block: evaluate and audit_flags forward runs of
-# consecutive same-extent images together, 4 images at 64x64 and 1 at
-# 128x128, and train forwards and backpropagates an iteration's
-# BATCH_IMAGES images as one block when they fit (see _train_blocks). A
-# forward block's temporaries take about 1 MB at this size; larger blocks
-# save little more per image and make glibc more likely to hand the freed
-# heap back to the kernel, to be faulted in again by the next block.
-INFER_BLOCK = 4 * 64 * 64
-
-
 def _forward_each(params: dict[str, Tensor], matched: Sequence[MatchedImage],
                   fn: Callable[[list[int], list[MatchedImage], mdl.ProposalBatch], list]
                   ) -> list:
-    """fn(indices, matched images, their outputs) of every forward block,
-    concatenated: fn returns one entry per image of its block, so the
-    result holds one per image, in order. Each run of consecutive
-    same-extent images is forwarded in blocks of at most INFER_BLOCK pixels
-    (or of one image). fn gets the block's (B, ...) output arrays, without
-    the tape's outputs, and must not keep them: as in a loop over single
-    images, a block's outputs are freed before the next forward."""
+    """fn(indices, matched images, their outputs) of every forward block
+    (_blocks), concatenated: fn returns one entry per image of its block,
+    so the result holds one per image, in order. fn gets the block's
+    (B, ...) output arrays, without the tape's outputs, and must not keep
+    them: as in a loop over single images, a block's outputs are freed
+    before the next forward."""
     out = []
-    runs = itertools.groupby(enumerate(matched), key=lambda p: p[1].record.image.shape)
-    for (h, w, _), run in runs:
-        run = list(run)
-        per_block = max(1, INFER_BLOCK // (h * w))
-        for start in range(0, len(run), per_block):
-            indices, chunk = zip(*run[start:start + per_block])
-            with ag.no_grad():
-                block = mdl.forward_rpn(_block([mi.record.image for mi in chunk]), params)
-            out += fn(list(indices), list(chunk),
-                      mdl.ProposalBatch(block.probs, block.deltas, block.embeddings))
-            del block
+    for indices, chunk in _blocks(matched):
+        with ag.no_grad():
+            block = mdl.forward_rpn(_block([mi.record.image for mi in chunk]), params)
+        out += fn(indices, chunk,
+                  mdl.ProposalBatch(block.probs, block.deltas, block.embeddings))
+        del block
     return out
 
 

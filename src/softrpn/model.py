@@ -301,10 +301,15 @@ def check_threshold(t: float) -> float:
     return t
 
 
+def flag_mask(row_max: np.ndarray, t: float) -> np.ndarray:
+    """Whether each negative's row max is >= t: the one flag rule of the
+    audit (detect_false_negatives) and of the soft labels."""
+    return row_max >= check_threshold(t)
+
+
 def detect_false_negatives(amap: AttentionMap, t: float) -> np.ndarray:
-    """Sorted indices of the negatives whose row max is >= t."""
-    check_threshold(t)
-    return np.flatnonzero(amap.row_max >= t)
+    """Sorted indices of the negatives of amap that flag_mask flags."""
+    return np.flatnonzero(flag_mask(amap.row_max, t))
 
 
 BCE_EPS = 1e-7
@@ -370,11 +375,10 @@ def block_soft_label_loss(pos_probs: np.ndarray, neg_probs: np.ndarray,
     Returns the per-image RpnLosses, whose gradients are views of the
     block's (grad_pos, grad_neg, grad_deltas), also returned. Every value
     and gradient equals that of the image's own soft_label_loss call."""
-    check_threshold(t)
     pos, neg = _Rows(n_pos, weight), _Rows(n_neg, weight)
     row_max = concat_rows([m.row_max if m is not None and k else np.zeros(k)
                            for m, k in zip(amaps, n_neg)])
-    fires = row_max >= t
+    fires = flag_mask(row_max, t)
     # 1.0 as a scalar target gives the floats of an array of ones
     l_neg, grad_neg = neg.means(_bce, neg_probs, np.where(fires, row_max, 0.0))
     l_pos, grad_pos = pos.means(_bce, pos_probs, 1.0)

@@ -297,6 +297,26 @@ class TestBackward:
         with pytest.raises(ag.GraphError):
             Tensor(np.ones(3), requires_grad=True).backward()
 
+    def test_accumulate_adds_a_stack_one_image_at_a_time(self, rng):
+        """A gradient with one more axis than the tensor is a block's
+        per-image gradients: _accumulate adds them into grad one at a time,
+        in stack order, giving the bytes of one accumulation per image, into
+        a fresh grad and into one already held. Entries of -0.0 leave +0.0
+        as they do one at a time, and a column of 1e16, 1, -1e16, 1 adds to
+        1 in that order, where (1e16 + 1) + (-1e16 + 1) gives 0."""
+        stack = rng.standard_normal((4, 3, 5))
+        stack[:, 0, 0] = -0.0
+        stack[::2, 0, 1] = -0.0
+        stack[:, 1, 0] = [1e16, 1.0, -1e16, 1.0]
+        block, alone = Tensor(np.zeros((3, 5))), Tensor(np.zeros((3, 5)))
+        for _ in range(2):
+            block._accumulate(stack)
+            for g in stack:
+                alone._accumulate(g)
+            assert block.grad.tobytes() == alone.grad.tobytes()
+        assert block.grad[1, 0] == 1.0
+        assert block.grad[0, 0] == 0.0 and not np.signbit(block.grad[0, 0])
+
     def test_repeated_backward_accumulates(self, rng):
         x = Tensor(rng.standard_normal(4), requires_grad=True)
         loss = ag.tsum(x)

@@ -142,6 +142,15 @@ class TestSynth:
         assert f"--size {size}" in line and f"at least {dat.MIN_SCENE_SIZE}" in line, line
         assert not out.exists()
 
+    def test_unallocatable_size_gives_one_error_line(self, tmp_path, capsys):
+        """A size whose first image (116 TiB) numpy refuses to allocate at
+        once: one error line naming the extent, no output directory."""
+        out = tmp_path / "bench"
+        assert run(["synth", "--out", str(out), "--images", "1", "--size", "4000000"]) == 1
+        line = single_error_line(capsys)
+        assert line.startswith("error: scene extent 4000000x4000000: Unable to allocate"), line
+        assert not out.exists()
+
     @pytest.mark.parametrize("images", [0, -1])
     def test_no_images_refused_before_any_work(self, images, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -729,12 +729,14 @@ class TestBlockInference:
         if len(records) >= 5:
             assert flags and report.recall50 > 0.0
 
-    @pytest.mark.parametrize("entry", ["evaluate", "audit_flags"])
+    @pytest.mark.parametrize("entry", ["evaluate", "audit_flags", "train"])
     def test_blocks_keep_order_fill_and_break_at_extent_changes(self, entry,
                                                                 monkeypatch):
-        """Each image is forwarded once, in dataset order; a block holds one
-        extent and at most INFER_BLOCK pixels (or one image), and is cut
-        short only where the extent changes or the dataset ends."""
+        """Each image is forwarded once, in dataset order (train: each
+        iteration's picks, in the order one image at a time forwards them);
+        a block holds one extent and at most INFER_BLOCK pixels (or one
+        image), and is cut short only where the extent changes or the
+        dataset (the iteration's picks) ends."""
         records = interleaved_extents()
         cfg = tiny_config()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
@@ -746,16 +748,25 @@ class TestBlockInference:
             return forward_rpn(image, params)
 
         monkeypatch.setattr(mdl, "forward_rpn", recording)
-        getattr(hz, entry)(params, records, cfg)
+        if entry == "train":
+            train_per_image(cfg, records)
+            want, blocks = [b[None] for b in blocks], []
+            hz.train(cfg, records)
+            ends = set(range(hz.BATCH_IMAGES, len(want) + 1, hz.BATCH_IMAGES))
+        else:
+            getattr(hz, entry)(params, records, cfg)
+            want, ends = [rec.image for rec in records], {len(records)}
         assert all(b.ndim == 4 for b in blocks)
         forwarded = np.concatenate([b.reshape(-1) for b in blocks])
-        assert forwarded.tobytes() == np.concatenate(
-            [rec.image.reshape(-1) for rec in records]).tobytes()
+        assert forwarded.tobytes() == np.concatenate([w.reshape(-1) for w in want]).tobytes()
         capacity = [max(1, hz.INFER_BLOCK // (b.shape[1] * b.shape[2])) for b in blocks]
         assert all(len(b) <= c for b, c in zip(blocks, capacity))
         assert max(map(len, blocks)) > 1
-        for b, c, nxt in zip(blocks, capacity, blocks[1:]):
-            assert len(b) == c or b.shape[1:] != nxt.shape[1:]
+        stops = np.cumsum([len(b) for b in blocks])
+        # no block spans two iterations
+        assert ends <= set(stops.tolist())
+        for b, c, stop, nxt in zip(blocks, capacity, stops, blocks[1:]):
+            assert len(b) == c or b.shape[1:] != nxt.shape[1:] or stop in ends
 
     @pytest.mark.parametrize("extent", [(64, 64), (16, 16), (16, 24)])
     def test_block_attention_equals_per_image_maps(self, extent, audited_model):
@@ -831,21 +842,27 @@ TRAIN_DATASETS = {
     "soft-64": (tiny_records, {}, {4}),
     "baseline-64": (tiny_records, {"mode": "baseline"}, {4}),
     "soft-128": (lambda: tiny_records(4, size=128), {"total_iters": 8, "milestones": (4,)}, {1}),
-    "64-and-32x48": (interleaved_extents, {}, {1, 4}),
+    # picks of both extents: runs of 1 to 4 images, each one block
+    "64-and-32x48": (interleaved_extents, {}, {1, 2, 3, 4}),
     # a block without positives sends deltas a zero gradient, so an
     # iteration without them still decays the regression head's velocity
     "64-one-labelled": (lambda: one_labelled(tiny_records(8)), {}, {4}),
-    # INFER_BLOCK holds two such images, not four: one at a time
+    # INFER_BLOCK holds two such images, not four: blocks of 2 + 2
     "64x128": (lambda: cropped(tiny_records(4, size=128, seed=3), 64, 128),
-               {"total_iters": 8, "milestones": (4,)}, {1}),
+               {"total_iters": 8, "milestones": (4,)}, {2}),
+    "80x80": (lambda: tiny_records(6, size=80, seed=4),
+              {"total_iters": 8, "milestones": (4,)}, {2}),
+    # and three 72x72 images: blocks of 3 + 1
+    "72x72": (lambda: tiny_records(6, size=72, seed=5),
+              {"total_iters": 8, "milestones": (4,)}, {1, 3}),
 }
 
 
 class TestBlockTraining:
-    """train forwards and backpropagates an iteration's images as one block
-    when they share an extent that INFER_BLOCK holds BATCH_IMAGES times,
-    else one at a time; either way its parameters and log are, bit for bit,
-    those of one forward and one backward per image (train_per_image)."""
+    """train forwards and backpropagates each iteration's picks in the
+    blocks of harness._blocks, as evaluate and audit_flags forward the
+    dataset; wherever the blocks end, its parameters and log are, bit for
+    bit, those of one forward and one backward per image (train_per_image)."""
 
     @pytest.mark.parametrize("name", list(TRAIN_DATASETS))
     def test_equals_per_image_training(self, name, monkeypatch):

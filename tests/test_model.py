@@ -428,6 +428,22 @@ class TestDetectFalseNegatives:
         with pytest.raises(ValueError):
             mdl.detect_false_negatives(amap_with_row_maxes([0.5]), 1.0)
 
+    @pytest.mark.parametrize("t", [0.5, 0.8])
+    def test_row_max_equal_to_t_flags_in_the_loss_and_the_audit(self, t):
+        """A row max of exactly t fires in the loss (its flagged, and a soft
+        target of t) and is flagged by the audit (detect_false_negatives);
+        one just below t is neither."""
+        below = np.nextafter(t, 0.0)
+        amaps = [amap_with_row_maxes([t, below, 0.95]), amap_with_row_maxes([below, t])]
+        losses, (_, grad_neg, _) = mdl.block_soft_label_loss(
+            np.full(2, 0.5), np.full(5, 0.3), np.zeros((2, 4)), np.zeros((2, 4)),
+            [1, 1], [3, 2], amaps, t)
+        for image, amap in zip(losses, amaps):
+            assert image.flagged.tolist() == mdl.detect_false_negatives(amap, t).tolist()
+        assert [image.flagged.tolist() for image in losses] == [[0, 2], [1]]
+        # a probability of 0.3 is pulled up toward a soft target >= 0.5, down toward 0
+        assert np.sign(grad_neg).tolist() == [-1, 1, -1, 1, -1]
+
 
 class TestSoftLabelLoss:
     def _losses(self, pos_p, neg_p, amap, t):
