@@ -18,7 +18,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -350,26 +350,14 @@ class CocoFormatError(Exception):
     pass
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:          # an int beyond the float range
-        return False
+# what a field must hold, where that is not an integer
+_WANT = {"file_name": "a plain file name inside images/",
+         "bbox": "four finite numbers [x, y, width, height], width and height >= 0"}
+_NUMBERS = {int, float}       # the types JSON gives a number; a bool is neither
 
 
 def _is_plain_name(v) -> bool:
     return isinstance(v, str) and os.path.basename(v) == v and v not in ("", ".", "..")
-
-
-def _is_bbox(v) -> bool:
-    if not (isinstance(v, list) and len(v) == 4 and all(_is_finite(c) for c in v)):
-        return False
-    x, y, w, h = (float(c) for c in v)
-    return w >= 0 and h >= 0 and math.isfinite(x + w) and math.isfinite(y + h)
 
 
 def _objects(path, doc: dict, key: str) -> list[dict]:
@@ -379,80 +367,56 @@ def _objects(path, doc: dict, key: str) -> list[dict]:
     return items
 
 
-def _field(path, where: str, rec: dict, key: str, ok, want: str):
+def _field_error(path, where: str, rec: dict, key: str) -> CocoFormatError:
+    """The error for field key of rec, the record at where: missing, or not what it must be."""
     if key not in rec:
-        raise CocoFormatError(f"{path}: {where}: missing field {key!r}")
-    if not ok(rec[key]):
-        raise CocoFormatError(f"{path}: {where}: field {key!r} must be {want}, "
-                              f"got {rec[key]!r}")
-    return rec[key]
+        return CocoFormatError(f"{path}: {where}: missing field {key!r}")
+    return CocoFormatError(f"{path}: {where}: field {key!r} must be "
+                           f"{_WANT.get(key, 'an integer')}, got {rec[key]!r}")
 
 
-_INT = "an integer"
-
-
-def _check_images(path, items: list[dict]):
-    """Every check of the images, field by field; raises a CocoFormatError
-    naming the first image and field that fails."""
-    image_ids = set()
+def _read_images(path, items: list[dict]) -> tuple[list[tuple[int, str, int, int]], set[int]]:
+    """(id, file_name, height, width) of each image in file order, and the
+    set of their ids; the first image with a bad field or a repeated id is
+    refused."""
+    images, image_ids = [], set()
     for i, rec in enumerate(items):
-        where = f"images[{i}]"
-        image_id = _field(path, where, rec, "id", _is_int, _INT)
-        _field(path, where, rec, "file_name", _is_plain_name,
-               "a plain file name inside images/")
-        _field(path, where, rec, "height", _is_int, _INT)
-        _field(path, where, rec, "width", _is_int, _INT)
+        image = image_id, file_name, height, width = tuple(
+            map(rec.get, ("id", "file_name", "height", "width")))
+        key = ("id" if type(image_id) is not int else
+               "file_name" if not _is_plain_name(file_name) else
+               "height" if type(height) is not int else
+               "width" if type(width) is not int else None)
+        if key:
+            raise _field_error(path, f"images[{i}]", rec, key)
         if image_id in image_ids:     # its boxes would go to both images
-            raise CocoFormatError(f"{path}: {where}: duplicate id {image_id}")
+            raise CocoFormatError(f"{path}: images[{i}]: duplicate id {image_id}")
         image_ids.add(image_id)
-    raise CocoFormatError(f"{path}: 'images' hold a value that is not plain JSON")
+        images.append(image)
+    return images, image_ids
 
 
-def _check_annotation(path, i: int, rec: dict, image_ids: set):
-    """Every check of annotations[i], field by field; raises a
-    CocoFormatError naming it and the first field that fails."""
-    ann_id = _field(path, f"annotations[{i}]", rec, "id", _is_int, _INT)
-    where = f"annotations[{i}] (id {ann_id})"
-    image_id = _field(path, where, rec, "image_id", _is_int, _INT)
-    if image_id not in image_ids:
-        raise CocoFormatError(f"{path}: {where}: dangling image_id {image_id}")
-    _field(path, where, rec, "bbox", _is_bbox,
-           "four finite numbers [x, y, width, height], width and height >= 0")
-    if "category_id" in rec:
-        _field(path, where, rec, "category_id", _is_int, _INT)
-
-
-def _annotation_boxes(annotations: list[dict], image_ids: set
-                      ) -> Optional[tuple[list[int], np.ndarray]]:
-    """The image id and corner-form box of every annotation, in file order,
-    or None when some annotation fails a check of _check_annotation. Checks
-    the types in one pass and the numbers in bulk: JSON gives exact ints,
-    floats, bools and strings, so a type test accepts what _is_int and
-    _is_bbox accept."""
-    owners, coords = [], []
+def _leading_boxes(coords: list) -> tuple[int, np.ndarray]:
+    """The index of the first bad [x, y, width, height] box in coords, four
+    numbers each (the number of boxes if none is bad), and the corner-form
+    boxes before it. A good box holds four JSON numbers, width and height
+    >= 0, and finite x + width, y + height and width * height."""
+    number = np.fromiter(map(_NUMBERS.__contains__, map(type, coords)), bool, len(coords))
+    number = number.reshape(-1, 4).all(axis=1)
+    n = len(number) if number.all() else int(number.argmin())
     try:
-        for rec in annotations:
-            image_id, bbox = rec["image_id"], rec["bbox"]
-            if not (type(rec["id"]) is int and type(image_id) is int
-                    and image_id in image_ids and type(rec.get("category_id", 1)) is int
-                    and type(bbox) is list and len(bbox) == 4):
-                return None
-            owners.append(image_id)
-            coords += bbox
-    except KeyError:
-        return None
-    if not set(map(type, coords)) <= {int, float}:
-        return None
-    try:
-        xywh = np.array(coords, dtype=np.float64).reshape(-1, 4)
-    except OverflowError:         # an int beyond the float range
-        return None
+        xywh = np.array(coords[:4 * n], dtype=np.float64).reshape(-1, 4)
+    except OverflowError:     # an int float() refuses, from 2**1024 - 2**970 on: not finite
+        xywh = np.array([c if abs(c) < 2 ** 1024 - 2 ** 970 else math.nan
+                         for c in coords[:4 * n]], dtype=np.float64).reshape(-1, 4)
     xy, wh = xywh[:, :2], xywh[:, 2:]
     with np.errstate(over="ignore", invalid="ignore"):     # checked just below
         corners = np.concatenate([xy, xy + wh], axis=1)
-    if not (np.isfinite(xywh).all() and (wh >= 0).all() and np.isfinite(corners).all()):
-        return None
-    return owners, corners
+        area = wh[:, 0] * wh[:, 1]
+    bad = np.flatnonzero(~(np.isfinite(corners).all(axis=1) & np.isfinite(area)
+                           & (wh >= 0).all(axis=1)))
+    n = int(bad[0]) if len(bad) else n
+    return n, corners[:n]
 
 
 def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.ndarray]]:
@@ -468,22 +432,32 @@ def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.n
         raise CocoFormatError(f"{path}: malformed JSON ({e})") from e
     if not isinstance(doc, dict):
         raise CocoFormatError(f"{path}: the top level must be a JSON object")
-    items = _objects(path, doc, "images")
-    images = [(r.get("id"), r.get("file_name"), r.get("height"), r.get("width"))
-              for r in items]
-    if not all(type(i) is int and type(h) is int and type(w) is int and _is_plain_name(f)
-               for i, f, h, w in images):
-        _check_images(path, items)
-    image_ids = {im[0] for im in images}
-    if len(image_ids) < len(images):
-        _check_images(path, items)
+    images, image_ids = _read_images(path, _objects(path, doc, "images"))
     annotations = _objects(path, doc, "annotations")
-    checked = _annotation_boxes(annotations, image_ids)
-    if checked is None:
-        for i, rec in enumerate(annotations):
-            _check_annotation(path, i, rec, image_ids)
-        raise CocoFormatError(f"{path}: 'annotations' hold a value that is not plain JSON")
-    owners, corners = checked
+    # each annotation's field types in turn up to the first fault; bbox numbers in bulk
+    owners, coords, key = [], [], None
+    for i, rec in enumerate(annotations):
+        image_id, bbox = rec.get("image_id"), rec.get("bbox")
+        key = ("id" if type(rec.get("id")) is not int else
+               "image_id" if type(image_id) is not int else
+               "dangling" if image_id not in image_ids else
+               "bbox" if type(bbox) is not list or len(bbox) != 4 else
+               "category_id" if type(rec.get("category_id", 0)) is not int else None)
+        if key:
+            if key == "category_id":      # checked after the bbox, numbers and all
+                coords += bbox
+            break
+        owners.append(image_id)
+        coords += bbox
+    n, corners = _leading_boxes(coords)
+    if n < len(coords) // 4:      # a bad bbox comes before the type fault, if any
+        i, key = n, "bbox"
+    if key:
+        rec = annotations[i]
+        where = f"annotations[{i}]" if key == "id" else f"annotations[{i}] (id {rec['id']})"
+        if key == "dangling":
+            raise CocoFormatError(f"{path}: {where}: dangling image_id {rec['image_id']}")
+        raise _field_error(path, where, rec, key)
     rows: dict[int, list[int]] = {}
     for row, image_id in enumerate(owners):
         rows.setdefault(image_id, []).append(row)

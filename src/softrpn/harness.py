@@ -608,9 +608,16 @@ class FnScore:
     vacuous: bool = False
 
 
+def flag_hits(flag_boxes: np.ndarray, dropped: np.ndarray) -> np.ndarray:
+    """(F, D) whether each flagged box hits each withheld box: IoU >= 0.5.
+    score_fn_detection scores flags by this rule, and expected_random_recall
+    its random baseline, so the two stay comparable."""
+    return iou_matrix(flag_boxes, dropped) >= 0.5
+
+
 def score_fn_detection(flags: Flags, records: Sequence[ImageRecord]) -> FnScore:
     """Precision/recall of flagged anchors against withheld (dropped) boxes:
-    a flag is a true positive when it has IoU >= 0.5 with some dropped box of
+    a flag is a true positive when it hits (flag_hits) some dropped box of
     its image. With no dropped boxes anywhere recall is vacuous, reported as
     1 with the vacuous marker; precision is then 0 if anything was flagged."""
     n_dropped = sum(len(rec.dropped) for rec in records)
@@ -622,9 +629,9 @@ def score_fn_detection(flags: Flags, records: Sequence[ImageRecord]) -> FnScore:
     for idx in np.flatnonzero(np.bincount(flags.image_index)):    # images with a flag
         dropped = records[idx].dropped
         if len(dropped):
-            close = iou_matrix(flags.boxes[flags.image_index == idx], dropped) >= 0.5
-            tp += int(close.any(axis=1).sum())
-            n_hit += int(close.any(axis=0).sum())
+            hits = flag_hits(flags.boxes[flags.image_index == idx], dropped)
+            tp += int(hits.any(axis=1).sum())
+            n_hit += int(hits.any(axis=0).sum())
     return FnScore(precision=tp / len(flags), recall=n_hit / n_dropped)
 
 
@@ -642,7 +649,7 @@ def expected_random_recall(flags: Flags, records: Sequence[ImageRecord]) -> floa
         anchors = grids[rec.image.shape[:2]]
         n = len(anchors)
         m = min(int(counts[idx]), n)
-        covers = (iou_matrix(rec.dropped, anchors) >= 0.5).sum(axis=1)
+        covers = flag_hits(anchors, rec.dropped).sum(axis=0)
         total += len(covers)
         for c in covers:
             expected += 1.0 - math.comb(n - int(c), m) / math.comb(n, m)

@@ -542,7 +542,8 @@ def _read_header(f, path) -> tuple[list[tuple[str, tuple[int, ...]]], dict]:
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
     """Parameters and meta dict of a checkpoint. In a regular file, a tensor
-    larger than the bytes left is refused before its bytes are read."""
+    larger than the bytes left is refused before its bytes are read; a tensor
+    holding a value that is not finite is refused."""
     with open(path, "rb") as f:
         tensors, meta = _read_header(f, path)
         st = os.fstat(f.fileno())
@@ -559,5 +560,7 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
             except ValueError as e:
                 raise CheckpointError(f"{path}: malformed shape {list(shape)} "
                                       f"for tensor {name}") from e
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{path}: tensor {name} holds a value that is not finite")
             params[name] = Tensor(data, requires_grad=True)
     return params, meta

@@ -534,7 +534,8 @@ class TestEvalCmd:
                     "--report", str(tmp_path / "r.json")]) == 1
 
     @pytest.mark.parametrize("kind", ["magic_only", "bad_json", "infinite_shape",
-                                      "oversized_shape", "nested_header", "no_config"])
+                                      "oversized_shape", "nested_header", "no_config",
+                                      "nan_tensor"])
     def test_malformed_checkpoint_gives_one_error_line(self, kind, dataset,
                                                        checkpoint, tmp_path, capsys):
         bad = tmp_path / "bad.srpn"
@@ -547,13 +548,19 @@ class TestEvalCmd:
         elif kind in headers:
             bad.write_bytes(mdl.CHECKPOINT_MAGIC + struct.pack(
                 "<II", mdl.CHECKPOINT_VERSION, len(headers[kind])) + headers[kind])
-        else:
+        elif kind == "no_config":
             params, _ = mdl.load_checkpoint(checkpoint)
             mdl.save_checkpoint(bad, params, meta={})
+        else:                 # one NaN in an otherwise valid checkpoint
+            params, meta = mdl.load_checkpoint(checkpoint)
+            params["rpn.cls.b"].data[0] = np.nan
+            mdl.save_checkpoint(bad, params, meta=meta)
         report = tmp_path / "r.json"
         assert run(["eval", "--checkpoint", str(bad), "--data", dataset,
                     "--report", str(report)]) == 1
-        assert str(bad) in single_error_line(capsys)
+        line = single_error_line(capsys)
+        assert str(bad) in line
+        assert kind != "nan_tensor" or "tensor rpn.cls.b" in line, line
         assert not report.exists()
 
     @pytest.mark.parametrize("command", ["eval", "audit"])
@@ -866,6 +873,7 @@ class TestMalformedInput:
         ("train.json", lambda d: edited(d, "annotations", 0, "bbox", [1, 2, 3]), "'bbox'"),
         ("train.json", lambda d: edited(d, "annotations", 0, "category_id", True),
          "'category_id'"),
+        ("train.json", lambda d: edited(d, "annotations", 0, "bbox", [1e300] * 4), "'bbox'"),
         ("train.json", lambda d: edited(d, "images", 1, "height", 4096),
          "images[1] (id 1) declares height 4096 and width 64"),
         ("dropped.json", stray_sidecar, "field 'images' must list the images of"),
@@ -873,7 +881,8 @@ class TestMalformedInput:
             "bbox-missing", "file-name-missing", "id-string", "height-float", "id-duplicate",
             "image-id-bool", "file-name-outside", "file-name-dotdot", "bbox-string",
             "bbox-nan", "sidecar-bbox-inf", "bbox-negative-width", "bbox-three-numbers",
-            "category-id-bool", "height-differs-from-pgm", "sidecar-image-not-in-train"])
+            "category-id-bool", "bbox-area-overflow", "height-differs-from-pgm",
+            "sidecar-image-not-in-train"])
     def test_malformed_cocolite(self, name, edit, needle, data, capsys):
         path = data / name
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))

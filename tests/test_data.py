@@ -540,14 +540,16 @@ class TestCocolite:
         ("bbox", [1, 2, 3, 4, 5], "got [1, 2, 3, 4, 5]"),
         ("bbox", [1e308, 2, 1e308, 4], "got [1e+308, 2, 1e+308, 4]"),
         ("bbox", [1, -1e308, 3, -1e308], "got [1, -1e+308, 3, -1e+308]"),
+        ("bbox", [1e300] * 4, "got [1e+300, 1e+300, 1e+300, 1e+300]"),
         ("bbox", MISSING, "annotations[{k}] (id {id}): missing field 'bbox'"),
         ("category_id", 1.0, "annotations[{k}] (id {id}): field 'category_id' must be "
                              "an integer, got 1.0"),
         ("category_id", False, "field 'category_id' must be an integer, got False"),
     ])
     def test_first_bad_annotation_named(self, tmp_path, k, key, value, message):
-        """The bulk check refuses what each per-field check refuses, with the
-        message of the first bad annotation, though a later one is bad too."""
+        """Each field rule, whether the loop over the records checks it (a
+        type, a dangling image_id) or the bulk check of the bbox numbers does,
+        names the first bad annotation, though a later one is bad too."""
         doc = self.fifty_annotations()
         if value is MISSING:
             del doc["annotations"][k][key]
@@ -562,6 +564,46 @@ class TestCocolite:
         where = f"{path}: annotations[{k}]"
         assert str(e.value).startswith(where), str(e.value)
         assert message.format(k=k, id=100 + k) in str(e.value)
+
+    def test_bad_bbox_named_before_a_later_type_fault(self, tmp_path):
+        """The bulk check of the bbox numbers finds annotations[3], which
+        comes before the type fault at annotations[31] that stops the loop."""
+        doc = self.fifty_annotations()
+        doc["annotations"][3]["bbox"] = [3, 2.5, -0.5, 4.25]
+        doc["annotations"][31]["id"] = "7"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CocoFormatError) as e:
+            dat.read_cocolite(path)
+        assert str(e.value) == (f"{path}: annotations[3] (id 103): field 'bbox' must be "
+                                f"{self.BBOX_WANT}, got [3, 2.5, -0.5, 4.25]")
+
+    def test_bad_bbox_named_before_its_own_category_id(self, tmp_path):
+        """Within one annotation, the bbox is checked before category_id."""
+        doc = self.fifty_annotations()
+        doc["annotations"][3].update(bbox=[3, 2.5, -0.5, 4.25], category_id=None)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CocoFormatError, match=r"annotations\[3\] \(id 103\): field 'bbox'"):
+            dat.read_cocolite(path)
+
+    def test_int_bbox_numbers_read_as_floats_up_to_the_float_range(self, tmp_path):
+        """Ints beyond int64 but within the float range read as floats, also
+        when a later bbox holds an int beyond it, which alone is refused."""
+        limit = 2 ** 1024 - 2 ** 970            # the least int float() refuses
+        doc = self.fifty_annotations()
+        doc["annotations"][2]["bbox"] = [2 ** 70, 0, 1, 1]
+        doc["annotations"][4]["bbox"] = [-(limit - 1), 0, limit - 1, 1]
+        doc["annotations"][6]["bbox"] = [0, 0, limit, 1]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CocoFormatError, match=r"annotations\[6\] \(id 106\): field 'bbox'"):
+            dat.read_cocolite(path)
+        del doc["annotations"][6]
+        path.write_text(json.dumps(doc))
+        _, boxes = dat.read_cocolite(path)
+        assert boxes[2][0].tolist() == [2.0 ** 70, 0, 2.0 ** 70, 1]
+        assert boxes[4][0].tolist() == [-np.finfo(np.float64).max, 0, 0, 1]
 
     def test_annotation_without_category_reads(self, tmp_path):
         doc = self.fifty_annotations()

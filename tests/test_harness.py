@@ -1192,6 +1192,25 @@ class TestScoreFnDetection:
         assert hz.score_fn_detection(flags, records) == score_oracle(flags, records)
 
 
+class TestFlagHits:
+    def test_iou_of_one_half_hits(self):
+        dropped = box_array((0.0, 0.0, 16.0, 16.0))
+        hits = hz.flag_hits(box_array((0.0, 0.0, 16.0, 8.0), (0.0, 0.0, 16.0, 7.99)), dropped)
+        assert hits.tolist() == [[True], [False]]
+
+    def test_score_and_random_baseline_count_by_it(self, monkeypatch):
+        """Both count a hit by flag_hits alone: where it lets every flag hit
+        every withheld box, a flag far from the box scores recall 1, and so
+        does a random flag set."""
+        records = [make_record(0, [], [(6.0, 6.0, 22.0, 22.0)])]
+        flags = flags_at((0, (40, 40, 56, 56)))
+        assert hz.score_fn_detection(flags, records).recall == 0.0
+        assert hz.expected_random_recall(flags, records) < 1.0
+        monkeypatch.setattr(hz, "flag_hits", lambda a, b: np.ones((len(a), len(b)), bool))
+        assert hz.score_fn_detection(flags, records).recall == 1.0
+        assert hz.expected_random_recall(flags, records) == 1.0
+
+
 class TestExpectedRandomRecall:
     def test_matches_monte_carlo(self):
         """Closed-form hypergeometric expectation vs simulation."""

@@ -721,6 +721,15 @@ class TestCheckpoint:
         with pytest.raises(mdl.CheckpointError):
             mdl.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_names_it(self, params, tmp_path, value):
+        path = tmp_path / "model.srpn"
+        params["rpn.reg.w"].data.flat[5] = value
+        mdl.save_checkpoint(path, params)
+        with pytest.raises(mdl.CheckpointError) as e:
+            mdl.load_checkpoint(path)
+        assert str(e.value) == f"{path}: tensor rpn.reg.w holds a value that is not finite"
+
     def test_shape_beyond_int64_reads_as_truncated(self, tmp_path):
         """2**32 x 2**32 elements overflow an int64 product to 0; counted
         exactly, they exceed the file and are refused before any read."""
