@@ -60,8 +60,15 @@ def _load_config(args) -> hz.TrainConfig:
     return hz.TrainConfig.from_dict(base)
 
 
+def _check_out(args):
+    """Refuse an --out that exists and is not a directory, before any work."""
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out} exists and is not a directory")
+
+
 def cmd_synth(args) -> int:
     started = time.time()
+    _check_out(args)
     if args.images < 1:
         raise ValueError(f"--images must be at least 1, got {args.images}")
     if args.seed < 0:
@@ -85,6 +92,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.time()
+    _check_out(args)
     config = _load_config(args)
     records = dat.load_dataset(args.data)
     params, log = hz.train(config, records)
@@ -211,6 +219,7 @@ def _compare_table(doc: dict) -> str:
 
 def cmd_compare(args) -> int:
     started = time.time()
+    _check_out(args)
     seeds = _parse_list("seeds", args.seeds, _seed, "seed")
     thresholds = _parse_list("thresholds", args.thresholds,
                              lambda v: mdl.check_threshold(float(v)), "threshold")

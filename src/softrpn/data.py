@@ -377,9 +377,9 @@ def _field_error(path, where: str, rec: dict, key: str) -> CocoFormatError:
 
 def _read_images(path, items: list[dict]) -> tuple[list[tuple[int, str, int, int]], set[int]]:
     """(id, file_name, height, width) of each image in file order, and the
-    set of their ids; the first image with a bad field or a repeated id is
-    refused."""
-    images, image_ids = [], set()
+    set of their ids; the first image with a bad field, a repeated id or a
+    repeated file_name is refused."""
+    images, image_ids, file_names = [], set(), set()
     for i, rec in enumerate(items):
         image = image_id, file_name, height, width = tuple(
             map(rec.get, ("id", "file_name", "height", "width")))
@@ -391,7 +391,10 @@ def _read_images(path, items: list[dict]) -> tuple[list[tuple[int, str, int, int
             raise _field_error(path, f"images[{i}]", rec, key)
         if image_id in image_ids:     # its boxes would go to both images
             raise CocoFormatError(f"{path}: images[{i}]: duplicate id {image_id}")
+        if file_name in file_names:   # one PGM would be read as two images
+            raise CocoFormatError(f"{path}: images[{i}]: duplicate file_name {file_name!r}")
         image_ids.add(image_id)
+        file_names.add(file_name)
         images.append(image)
     return images, image_ids
 
@@ -420,10 +423,11 @@ def _leading_boxes(coords: list) -> tuple[int, np.ndarray]:
 
 
 def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.ndarray]]:
-    """Read a COCO-lite file, checking every field the dataset uses; any
-    failure is a CocoFormatError naming the file and the field (the first
-    failing annotation, for annotations). Returns the images in file order
-    as (id, file_name, height, width) and, per annotated image id, its
+    """Read a COCO-lite file, checking every field the dataset uses and
+    that no two images share an id or a file_name and no two annotations an
+    id; any failure is a CocoFormatError naming the file and the field (the
+    first failing annotation, for annotations). Returns the images in file
+    order as (id, file_name, height, width) and, per annotated image id, its
     corner-form (G, 4) boxes in file order."""
     try:
         with open(path) as f:
@@ -435,10 +439,11 @@ def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.n
     images, image_ids = _read_images(path, _objects(path, doc, "images"))
     annotations = _objects(path, doc, "annotations")
     # each annotation's field types in turn up to the first fault; bbox numbers in bulk
-    owners, coords, key = [], [], None
+    owners, coords, ids, key = [], [], set(), None
     for i, rec in enumerate(annotations):
-        image_id, bbox = rec.get("image_id"), rec.get("bbox")
-        key = ("id" if type(rec.get("id")) is not int else
+        ann_id, image_id, bbox = rec.get("id"), rec.get("image_id"), rec.get("bbox")
+        key = ("id" if type(ann_id) is not int else
+               "duplicate" if ann_id in ids else
                "image_id" if type(image_id) is not int else
                "dangling" if image_id not in image_ids else
                "bbox" if type(bbox) is not list or len(bbox) != 4 else
@@ -447,6 +452,7 @@ def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.n
             if key == "category_id":      # checked after the bbox, numbers and all
                 coords += bbox
             break
+        ids.add(ann_id)
         owners.append(image_id)
         coords += bbox
     n, corners = _leading_boxes(coords)
@@ -454,6 +460,8 @@ def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.n
         i, key = n, "bbox"
     if key:
         rec = annotations[i]
+        if key == "duplicate":
+            raise CocoFormatError(f"{path}: annotations[{i}]: duplicate id {rec['id']}")
         where = f"annotations[{i}]" if key == "id" else f"annotations[{i}] (id {rec['id']})"
         if key == "dangling":
             raise CocoFormatError(f"{path}: {where}: dangling image_id {rec['image_id']}")

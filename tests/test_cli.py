@@ -14,6 +14,9 @@ from softrpn import harness as hz
 from softrpn import model as mdl
 from softrpn.cli import main
 
+# a real process prints a warning as a second stderr line, which capsys never sees
+pytestmark = pytest.mark.filterwarnings("error")
+
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
@@ -185,7 +188,8 @@ class TestSynth:
         assert all(r.image.shape == (24, 24, 1) for r in dat.load_dataset(out))
 
     def test_manifest_written(self, dataset):
-        doc = json.loads(open(os.path.join(dataset, "manifest.json")).read())
+        with open(os.path.join(dataset, "manifest.json")) as f:
+            doc = json.load(f)
         assert doc["tool_version"]
         assert doc["artifacts"] == {"images_dir": "images",
                                     "train_annotations": "train.json",
@@ -198,10 +202,12 @@ class TestTrainCmd:
     def test_produces_checkpoint_log_manifest(self, checkpoint):
         out = os.path.dirname(checkpoint)
         assert os.path.exists(checkpoint)
-        lines = open(os.path.join(out, "train_log.jsonl")).read().splitlines()
+        with open(os.path.join(out, "train_log.jsonl")) as f:
+            lines = f.read().splitlines()
         assert len(lines) == 12
         json.loads(lines[0])
-        doc = json.loads(open(os.path.join(out, "manifest.json")).read())
+        with open(os.path.join(out, "manifest.json")) as f:
+            doc = json.load(f)
         assert doc["config"]["total_iters"] == 12
 
     def test_rerun_into_same_out_rewrites_identical_outputs(self, dataset, fast_config,
@@ -643,6 +649,30 @@ class TestReportDirectory:
         assert os.listdir(tmp_path) == ["reports"] and os.listdir(report) == []
 
 
+class TestOutFile:
+    @pytest.mark.parametrize("argv, work", [
+        (["synth"], (dat, "generate_benchmark")),
+        (["train", "--data", "DATA"], (hz, "train")),
+        (["compare", "--data", "DATA", "--seeds", "0"], (hz, "compare")),
+    ], ids=["synth", "train", "compare"])
+    def test_regular_file_out_refused_before_any_work(self, argv, work, dataset, tmp_path,
+                                                      capsys, monkeypatch):
+        """An --out that exists and is not a directory gives one error line
+        naming --out, before the dataset is read or made, and is left as it
+        was."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(*work, no_work)
+        monkeypatch.setattr(dat, "load_dataset", no_work)
+        out = tmp_path / "outfile"
+        out.write_text("kept")
+        argv = [dataset if a == "DATA" else a for a in argv]
+        assert run([*argv, "--out", str(out)]) == 1
+        assert f"--out {out} exists and is not a directory" in single_error_line(capsys)
+        assert os.listdir(tmp_path) == ["outfile"] and out.read_text() == "kept"
+
+
 class TestAuditCmd:
     def test_report_sorted_by_score(self, dataset, checkpoint, tmp_path):
         report = tmp_path / "audit.json"
@@ -857,6 +887,12 @@ class TestMalformedInput:
         ("train.json", lambda d: edited(d, "images", 0, "height", 64.0), "'height'"),
         ("train.json", lambda d: edited(d, "images", 1, "id", d["images"][0]["id"]),
          "duplicate id"),
+        ("train.json", lambda d: edited(d, "images", 1, "file_name",
+                                        d["images"][0]["file_name"]),
+         "images[1]: duplicate file_name 'img_000000.pgm'"),
+        ("dropped.json", lambda d: edited(d, "annotations", 1, "id",
+                                          d["annotations"][0]["id"]),
+         "annotations[1]: duplicate id 1"),
         ("train.json", lambda d: edited(d, "annotations", 0, "image_id", True),
          "'image_id'"),
         ("train.json", lambda d: edited(d, "images", 0, "file_name", "../../x.pgm"),
@@ -879,6 +915,7 @@ class TestMalformedInput:
         ("dropped.json", stray_sidecar, "field 'images' must list the images of"),
     ], ids=["top-level-list", "images-int", "image-not-object", "annotations-object",
             "bbox-missing", "file-name-missing", "id-string", "height-float", "id-duplicate",
+            "file-name-duplicate", "sidecar-annotation-id-duplicate",
             "image-id-bool", "file-name-outside", "file-name-dotdot", "bbox-string",
             "bbox-nan", "sidecar-bbox-inf", "bbox-negative-width", "bbox-three-numbers",
             "category-id-bool", "bbox-area-overflow", "height-differs-from-pgm",

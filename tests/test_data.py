@@ -635,14 +635,36 @@ class TestCocolite:
             dat.read_cocolite(path)
         assert str(e.value) == f"{path}: " + message.format(k=k), str(e.value)
 
-    def test_duplicate_image_id_named(self, tmp_path):
+    @pytest.mark.parametrize("key, value, message", [
+        ("id", 1, "duplicate id 1"),
+        ("file_name", "im1.pgm", "duplicate file_name 'im1.pgm'"),
+    ], ids=["id", "file_name"])
+    def test_duplicate_image_named(self, tmp_path, key, value, message):
         doc = self.fifty_annotations()
-        doc["images"][3]["id"] = 1
+        doc["images"][3][key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(CocoFormatError) as e:
             dat.read_cocolite(path)
-        assert str(e.value) == f"{path}: images[3]: duplicate id 1"
+        assert str(e.value) == f"{path}: images[3]: {message}"
+
+    @pytest.mark.parametrize("bad_bbox_at, named", [
+        (None, "annotations[31]: duplicate id 103"),
+        (3, "annotations[3] (id 103): field 'bbox'"),
+        (40, "annotations[31]: duplicate id 103"),
+    ], ids=["alone", "bad-bbox-before", "bad-bbox-after"])
+    def test_duplicate_annotation_id_named_in_file_order(self, tmp_path, bad_bbox_at, named):
+        """A repeated annotation id is named at its second use, after a bad
+        bbox that comes earlier and before one that comes later."""
+        doc = self.fifty_annotations()
+        doc["annotations"][31]["id"] = 103
+        if bad_bbox_at is not None:
+            doc["annotations"][bad_bbox_at]["bbox"] = [0, 0, -1, 1]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CocoFormatError) as e:
+            dat.read_cocolite(path)
+        assert str(e.value).startswith(f"{path}: {named}"), str(e.value)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
