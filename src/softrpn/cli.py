@@ -61,9 +61,14 @@ def _load_config(args) -> hz.TrainConfig:
 
 
 def _check_out(args):
-    """Refuse an --out that exists and is not a directory, before any work."""
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ValueError(f"--out {args.out} exists and is not a directory")
+    """Refuse an --out whose nearest existing ancestor (or itself, if it
+    exists) is not a directory, before any work."""
+    out = path = os.path.abspath(args.out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        below = "" if path == out else f" is below {path}, which"
+        raise ValueError(f"--out {args.out}{below} exists and is not a directory")
 
 
 def cmd_synth(args) -> int:

@@ -269,15 +269,15 @@ def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
     g_probs, g_deltas = np.zeros_like(probs), np.zeros_like(deltas)
     picks = [mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION, rng)
              for mi in block]
-    amaps = (mdl.block_attention(batch.embeddings, picks) if config.mode == "soft_label"
-             else [None] * len(block))
     n = batch.probs.shape[-1]     # anchors per image
     pos = mdl.concat_rows([p + j * n for j, (p, _) in enumerate(picks)])
     neg = mdl.concat_rows([q + j * n for j, (_, q) in enumerate(picks)])
+    row_max = (mdl.block_attention(batch.embeddings, picks) if config.mode == "soft_label"
+               else np.zeros(len(neg)))
     losses, (grad_pos, grad_neg, grad_deltas) = mdl.block_soft_label_loss(
         probs[pos], probs[neg], deltas[pos],
         mdl.concat_rows([mi.delta_targets[p] for mi, (p, _) in zip(block, picks)]),
-        [len(p) for p, _ in picks], [len(q) for _, q in picks], amaps, config.t,
+        [len(p) for p, _ in picks], [len(q) for _, q in picks], row_max, config.t,
         1.0 / BATCH_IMAGES)
     g_probs[pos] += grad_pos
     g_probs[neg] += grad_neg
@@ -387,20 +387,19 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
 
 
 def _forward_each(params: dict[str, Tensor], matched: Sequence[MatchedImage],
-                  fn: Callable[[list[int], list[MatchedImage], mdl.ProposalBatch], list]
+                  fn: Callable[[list[int], list[MatchedImage], mdl.ProposalBatch], typing.Any]
                   ) -> list:
     """fn(indices, matched images, their outputs) of every forward block
-    (_blocks), concatenated: fn returns one entry per image of its block,
-    so the result holds one per image, in order. fn gets the block's
-    (B, ...) output arrays, without the tape's outputs, and must not keep
-    them: as in a loop over single images, a block's outputs are freed
-    before the next forward."""
+    (_blocks), one entry per block, in order. fn gets the block's (B, ...)
+    output arrays, without the tape's outputs, and must not keep them: as
+    in a loop over single images, a block's outputs are freed before the
+    next forward."""
     out = []
     for indices, chunk in _blocks(matched):
         with ag.no_grad():
             block = mdl.forward_rpn(_block([mi.record.image for mi in chunk]), params)
-        out += fn(indices, chunk,
-                  mdl.ProposalBatch(block.probs, block.deltas, block.embeddings))
+        out.append(fn(indices, chunk,
+                      mdl.ProposalBatch(block.probs, block.deltas, block.embeddings)))
         del block
     return out
 
@@ -513,13 +512,14 @@ def _evaluate(params: dict[str, Tensor], matched: Sequence[MatchedImage],
     n_gt = n_hit = 0
 
     def each(indices, block, batch):
-        proposals = [_proposals(batch.probs[j], batch.deltas[j], mi.anchors, mi.record.image)
-                     for j, mi in enumerate(block)]
-        return list(zip(proposals, _audit_block(batch, indices, block, config, config.t)))
+        return ([_proposals(batch.probs[j], batch.deltas[j], mi.anchors, mi.record.image)
+                 for j, mi in enumerate(block)],
+                _audit_block(batch, indices, block, config, config.t))
 
-    per_image = _forward_each(params, matched, each)
-    flags = _collect_flags(matched, [audited for _, audited in per_image])
-    for idx, (mi, ((boxes, s), _)) in enumerate(zip(matched, per_image)):
+    per_block = _forward_each(params, matched, each)
+    flags = _collect_flags([audited for _, audited in per_block])
+    proposals = itertools.chain.from_iterable(props for props, _ in per_block)
+    for idx, (mi, (boxes, s)) in enumerate(zip(matched, proposals)):
         counts.append(len(s))
         scores.append(s)
         gts = mi.record.full
@@ -556,34 +556,28 @@ class Flags:
 
 def _audit_block(batch: mdl.ProposalBatch, indices: Sequence[int],
                  block: Sequence[MatchedImage], config: TrainConfig, t: float
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The flagged anchor rows and their scores of each image of a forward
-    block, dataset image indices[j] at block row j; see audit_flags."""
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The flags of a forward block, dataset image indices[j] at block row
+    j, as the flat arrays of Flags in block and pick order: image index,
+    anchor row, box and score; see audit_flags."""
     picks = [mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION,
                                   np.random.default_rng([config.seed_sample, idx, 0xA0D17]))
              for idx, mi in zip(indices, block)]
-    out = []
-    for (_, neg_idx), amap in zip(picks, mdl.block_attention(batch.embeddings, picks)):
-        if amap is None:
-            out.append((np.zeros(0, dtype=np.intp), np.zeros(0)))
-        else:
-            flagged = mdl.detect_false_negatives(amap, t)
-            out.append((neg_idx[flagged], amap.row_max[flagged]))
-    return out
+    row_max = mdl.block_attention(batch.embeddings, picks)
+    fires = mdl.flag_mask(row_max, t)
+    image_index = np.repeat(indices, [len(q) for _, q in picks])
+    rows = mdl.concat_rows([q for _, q in picks])
+    boxes = mdl.concat_rows([mi.anchors[q] for mi, (_, q) in zip(block, picks)])
+    return image_index[fires], rows[fires], boxes[fires], row_max[fires]
 
 
-def _collect_flags(matched: Sequence[MatchedImage],
-                   audited: Sequence[tuple[np.ndarray, np.ndarray]]) -> Flags:
-    """The Flags of every image's (rows, scores) from _audit_block, best
+def _collect_flags(audited: Sequence[tuple[np.ndarray, ...]]) -> Flags:
+    """The Flags of every forward block's arrays from _audit_block, best
     first; the stable sort keeps dataset and row order among equal scores."""
-    image_index = np.repeat(np.arange(len(audited)), [len(r) for r, _ in audited])
-    rows = np.concatenate([np.zeros(0, dtype=np.intp)] + [r for r, _ in audited])
-    # the boxes are copies of the flagged rows, not views of the shared grids
-    boxes = np.concatenate([np.zeros((0, 4))] + [mi.anchors[r] for mi, (r, _)
-                                                 in zip(matched, audited)])
-    scores = np.concatenate([np.zeros(0)] + [s for _, s in audited])
-    best = np.argsort(-scores, kind="stable")
-    return Flags(image_index[best], rows[best], boxes[best], scores[best])
+    none = (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros((0, 4)), np.zeros(0))
+    columns = [np.concatenate(c) for c in zip(none, *audited)]
+    best = np.argsort(-columns[-1], kind="stable")
+    return Flags(*(c[best] for c in columns))
 
 
 def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
@@ -596,7 +590,7 @@ def audit_flags(params: dict[str, Tensor], records: Sequence[ImageRecord],
     t = config.t if t is None else t
     mdl.check_threshold(t)
     matched = match_dataset(records)
-    return _collect_flags(matched, _forward_each(
+    return _collect_flags(_forward_each(
         params, matched,
         lambda indices, block, batch: _audit_block(batch, indices, block, config, t)))
 

@@ -56,7 +56,9 @@ class ProposalBatch:
     """Flat per-anchor model outputs for one image in row-major (gy, gx,
     anchor) order, index-aligned with harness.anchors_for on that image; a
     block forward adds a leading axis of one entry per image. The tape ends
-    at logits and regression (None in the arrays eval and audit get)."""
+    at logits and regression (None in the arrays eval and audit get). The
+    attention reduces a block's embeddings to one row-max array
+    (block_attention), in which an image without a map contributes 0."""
     probs: np.ndarray        # (N,) objectness
     deltas: np.ndarray       # (N, 4)
     embeddings: np.ndarray   # (N, D)
@@ -260,19 +262,20 @@ def attention_map(neg_embeddings: np.ndarray, pos_embeddings: np.ndarray
 
 
 def block_attention(embeddings: np.ndarray,
-                    picks: Sequence[tuple[np.ndarray, np.ndarray]]
-                    ) -> list[Optional[AttentionMap]]:
-    """The attention_map of each image's sampled negatives to its sampled
-    positives, for a (B, N, D) block of embeddings and each image's
-    (pos_idx, neg_idx) rows; None below two positives (one makes every row
-    max 1, the softmax of one logit, flagging all negatives) or without a
-    negative. Training and the audit both attend through it.
+                    picks: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The attention row max of every sampled negative of a block: images in
+    block order, rows in pick order, for a (B, N, D) block of embeddings and
+    each image's (pos_idx, neg_idx) rows. Each value is the row_max of that
+    image's own attention_map call, float for float; an image below two
+    positives (one makes every row max 1, the softmax of one logit) gets
+    0.0, which flag_mask never flags. Training and the audit both attend
+    through it.
 
     The images whose [negative; positive] row sets have one count are
     standardized and whitened as one stack; those that also share a
-    negative count are projected as one. Each map equals that image's own
-    attention_map call, float for float."""
-    maps: list[Optional[AttentionMap]] = [None] * len(picks)
+    negative count are projected as one."""
+    at = [0, *itertools.accumulate(len(neg) for _, neg in picks)]
+    row_max = np.zeros(at[-1])
     by_count: dict[int, list[int]] = {}
     for j, (pos, neg) in enumerate(picks):
         if len(pos) >= 2 and len(neg):
@@ -289,9 +292,9 @@ def block_attention(embeddings: np.ndarray,
             s = slice(start, start + len(run))
             start = s.stop
             amap = _project(z[s, :n_neg], z[s, n_neg:], mean[s], transform[s])
-            for j, a, row_max in zip(run, amap.a, amap.row_max):
-                maps[j] = AttentionMap(a=a, row_max=row_max)
-    return maps
+            for j, r in zip(run, amap.row_max):
+                row_max[at[j]:at[j + 1]] = r
+    return row_max
 
 
 def check_threshold(t: float) -> float:
@@ -303,13 +306,8 @@ def check_threshold(t: float) -> float:
 
 def flag_mask(row_max: np.ndarray, t: float) -> np.ndarray:
     """Whether each negative's row max is >= t: the one flag rule of the
-    audit (detect_false_negatives) and of the soft labels."""
+    audit and of the soft labels."""
     return row_max >= check_threshold(t)
-
-
-def detect_false_negatives(amap: AttentionMap, t: float) -> np.ndarray:
-    """Sorted indices of the negatives of amap that flag_mask flags."""
-    return np.flatnonzero(flag_mask(amap.row_max, t))
 
 
 BCE_EPS = 1e-7
@@ -366,18 +364,17 @@ class _Rows:
 def block_soft_label_loss(pos_probs: np.ndarray, neg_probs: np.ndarray,
                           pos_deltas: np.ndarray, pos_delta_targets: np.ndarray,
                           n_pos: Sequence[int], n_neg: Sequence[int],
-                          amaps: Sequence[Optional[AttentionMap]], t: float,
-                          weight: float = 1.0
+                          row_max: np.ndarray, t: float, weight: float = 1.0
                           ) -> tuple[list[RpnLosses], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """soft_label_loss of each image of a block, computed at once. The
     inputs are the images' sampled rows concatenated in block order, image i
-    holding n_pos[i] positives and n_neg[i] negatives, and amaps[i] its map.
-    Returns the per-image RpnLosses, whose gradients are views of the
-    block's (grad_pos, grad_neg, grad_deltas), also returned. Every value
-    and gradient equals that of the image's own soft_label_loss call."""
+    holding n_pos[i] positives and n_neg[i] negatives; row_max is the
+    block's one attention array (block_attention), a row max per negative,
+    0.0 for the negatives of an image without a map. Returns the per-image
+    RpnLosses, whose gradients are views of the block's (grad_pos, grad_neg,
+    grad_deltas), also returned. Every value and gradient equals that of the
+    image's own soft_label_loss call."""
     pos, neg = _Rows(n_pos, weight), _Rows(n_neg, weight)
-    row_max = concat_rows([m.row_max if m is not None and k else np.zeros(k)
-                           for m, k in zip(amaps, n_neg)])
     fires = flag_mask(row_max, t)
     # 1.0 as a scalar target gives the floats of an array of ones
     l_neg, grad_neg = neg.means(_bce, neg_probs, np.where(fires, row_max, 0.0))
@@ -409,12 +406,14 @@ def soft_label_loss(pos_probs: np.ndarray, neg_probs: np.ndarray,
     neg_probs and pos_deltas: training passes each image's share of the
     iteration's loss, 1 / BATCH_IMAGES.
 
-    With amap None (no positives exist) L_pos and L_reg are zero and every
-    negative keeps its hard zero target. This is block_soft_label_loss on a
-    block of one image.
+    This is block_soft_label_loss on a block of one image, with amap's row
+    maxima as its row-max array. With amap None (an image without a map)
+    that array is zeros: every negative keeps its hard zero target, and
+    without positives L_pos and L_reg are zero.
     """
+    row_max = np.zeros(len(neg_probs)) if amap is None else amap.row_max
     return block_soft_label_loss(pos_probs, neg_probs, pos_deltas, pos_delta_targets,
-                                 [len(pos_probs)], [len(neg_probs)], [amap], t, weight)[0][0]
+                                 [len(pos_probs)], [len(neg_probs)], row_max, t, weight)[0][0]
 
 
 def sample_proposals(labels: np.ndarray, n_total: int, pos_fraction: float,

@@ -89,8 +89,8 @@ class TestAttentionInvariants:
             rescaled = mdl.attention_map(scaled_neg, scaled_pos)
             assert np.abs(rescaled.a - amap.a).max() <= 1e-9
 
-            strict = mdl.detect_false_negatives(amap, 0.9)
-            loose = mdl.detect_false_negatives(amap, 0.6)
+            strict = np.flatnonzero(mdl.flag_mask(amap.row_max, 0.9))
+            loose = np.flatnonzero(mdl.flag_mask(amap.row_max, 0.6))
             assert np.isin(strict, loose).all()
 
 

@@ -649,27 +649,34 @@ class TestReportDirectory:
         assert os.listdir(tmp_path) == ["reports"] and os.listdir(report) == []
 
 
+OUT_COMMANDS = {
+    "synth": (["synth"], (dat, "generate_benchmark")),
+    "train": (["train", "--data", "DATA"], (hz, "train")),
+    "compare": (["compare", "--data", "DATA", "--seeds", "0"], (hz, "compare")),
+}
+
+
 class TestOutFile:
-    @pytest.mark.parametrize("argv, work", [
-        (["synth"], (dat, "generate_benchmark")),
-        (["train", "--data", "DATA"], (hz, "train")),
-        (["compare", "--data", "DATA", "--seeds", "0"], (hz, "compare")),
-    ], ids=["synth", "train", "compare"])
-    def test_regular_file_out_refused_before_any_work(self, argv, work, dataset, tmp_path,
+    @pytest.mark.parametrize("name, sub", [(n, sub) for sub in ("", "sub") for n in OUT_COMMANDS],
+                             ids=[*OUT_COMMANDS, *(f"{n}-below" for n in OUT_COMMANDS)])
+    def test_regular_file_out_refused_before_any_work(self, name, sub, dataset, tmp_path,
                                                       capsys, monkeypatch):
-        """An --out that exists and is not a directory gives one error line
-        naming --out, before the dataset is read or made, and is left as it
-        was."""
+        """An --out that exists and is not a directory, or lies below a
+        regular file, gives one error line naming --out, before the dataset
+        is read or made, and the file is left as it was."""
         def no_work(*args, **kwargs):
             raise AssertionError("work started before --out was checked")
 
+        argv, work = OUT_COMMANDS[name]
         monkeypatch.setattr(*work, no_work)
         monkeypatch.setattr(dat, "load_dataset", no_work)
         out = tmp_path / "outfile"
         out.write_text("kept")
         argv = [dataset if a == "DATA" else a for a in argv]
-        assert run([*argv, "--out", str(out)]) == 1
-        assert f"--out {out} exists and is not a directory" in single_error_line(capsys)
+        below = f" is below {out}, which" if sub else ""
+        assert run([*argv, "--out", str(out / sub)]) == 1
+        assert (f"--out {out / sub}{below} exists and is not a directory"
+                in single_error_line(capsys))
         assert os.listdir(tmp_path) == ["outfile"] and out.read_text() == "kept"
 
 

@@ -599,16 +599,20 @@ class TestCollectFlags:
         gen = np.random.default_rng(seed)
         matched = hz.match_dataset(tiny_records(int(gen.integers(1, 6)), seed=seed % 7)
                                    + tiny_records(int(gen.integers(0, 3)), size=32, seed=1))
-        audited, entries = [], []
+        per_image, entries = [], []
         for idx, mi in enumerate(matched):
             k = int(gen.integers(0, 6))
             rows = np.sort(gen.choice(len(mi.anchors), size=k, replace=False))
             scores = gen.choice([0.5, 0.75, 0.9, 1.0], size=k)
-            audited.append((rows, scores))
+            per_image.append((np.full(k, idx, dtype=np.intp), rows, mi.anchors[rows], scores))
             entries += [(idx, r, mi.anchors[r], score)
                         for r, score in zip(rows.tolist(), scores.tolist())]
         entries.sort(key=lambda e: -e[3])
-        flags = hz._collect_flags(matched, audited)
+        # the images in blocks of 1 to 3, each block's arrays in image order
+        cuts = np.cumsum([0, *gen.integers(1, 4, size=len(matched))])
+        audited = [tuple(np.concatenate(c) for c in zip(*per_image[a:b]))
+                   for a, b in zip(cuts, cuts[1:]) if a < len(matched)]
+        flags = hz._collect_flags(audited)
         assert_flags_equal(flags, as_flags(entries))
         assert len(flags) == len(entries)
         assert not any(np.shares_memory(flags.boxes, mi.anchors) for mi in matched)
@@ -630,7 +634,7 @@ def per_image_reference(params, records, config):
                                                 hz.POS_FRACTION, rng)
         amap = attend_one_image(batch.embeddings, pos_idx, neg_idx)
         if amap is not None:
-            flagged = mdl.detect_false_negatives(amap, config.t)
+            flagged = np.flatnonzero(mdl.flag_mask(amap.row_max, config.t))
             flags += [(idx, r, mi.anchors[r], score) for r, score in
                       zip(neg_idx[flagged].tolist(), amap.row_max[flagged].tolist())]
         counts.append(len(s))
@@ -787,24 +791,26 @@ class TestBlockInference:
                  for _ in records]
         picks[1] = (picks[1][0][:1], picks[1][1])
         picks[3] = (picks[3][0], picks[3][1][:0])
-        maps = mdl.block_attention(batch.embeddings, picks)
-        counts = set()
-        for emb, (pos, neg), got in zip(batch.embeddings, picks, maps):
+        row_max = mdl.block_attention(batch.embeddings, picks)
+        assert row_max.shape == (sum(len(neg) for _, neg in picks),)
+        counts, unattended, at = set(), [], 0
+        for j, (emb, (pos, neg)) in enumerate(zip(batch.embeddings, picks)):
+            got, at = row_max[at:at + len(neg)], at + len(neg)
             want = attend_one_image(emb, pos, neg)
             if want is None:
-                assert got is None
+                assert got.tobytes() == np.zeros(len(neg)).tobytes()
+                unattended.append(j)
                 continue
             counts.add(len(pos) + len(neg))
-            assert got.a.tobytes() == want.a.tobytes()
-            assert got.row_max.tobytes() == want.row_max.tobytes()
-        assert maps[1] is None and maps[3] is None and counts
+            assert got.tobytes() == want.row_max.tobytes()
+        assert unattended == [1, 3] and counts
         assert max(counts) == 64 if extent == (64, 64) else max(counts) < 64
 
     def test_fn_gets_its_whole_block_and_no_tensor(self, monkeypatch):
         """_forward_each hands fn each forward block at once: the dataset
         indices and matched images of its images, in order, and the block's
         (B, ...) output arrays themselves, not copies, with no tape output.
-        fn's one entry per image make up the result, in dataset order."""
+        fn's entries, one per block, make up the result, in order."""
         records = interleaved_extents()
         cfg = tiny_config()
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
@@ -822,11 +828,11 @@ class TestBlockInference:
         def fn(indices, block, batch):
             # kept here only to compare with the blocks, which recording keeps alive
             calls.append((indices, block, batch))
-            return [(idx, j) for j, idx in enumerate(indices)]
+            return indices
 
         got = hz._forward_each(params, matched, fn)
         assert len(calls) == len(blocks) and max(len(b.probs) for b in blocks) > 1
-        assert [idx for idx, _ in got] == list(range(len(records)))
+        assert got == [indices for indices, _, _ in calls]
         assert [idx for indices, _, _ in calls for idx in indices] == list(range(len(records)))
         for (indices, block, batch), whole in zip(calls, blocks):
             assert len(block) == len(indices) == len(whole.probs)

@@ -5,13 +5,13 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softrpn import autograd as ag
 from softrpn import model as mdl
 
-from conftest import numeric_grad, sampled_loss
+from conftest import attend_one_image, numeric_grad, sampled_loss
 
 D = 8
 NA = 3
@@ -377,15 +377,58 @@ class TestStackedAttention:
             n_neg = int(gen.choice([0, 64 - n_pos, gen.integers(1, 64)]))
             rows = gen.permutation(n_anchors)
             picks.append((np.sort(rows[:n_pos]), np.sort(rows[n_pos:n_pos + n_neg])))
-        maps = mdl.block_attention(embeddings, picks)
-        assert len(maps) == n_images
-        for emb, (pos, neg), got in zip(embeddings, picks, maps):
+        row_max = mdl.block_attention(embeddings, picks)
+        assert row_max.shape == (sum(len(neg) for _, neg in picks),)
+        at = 0
+        for emb, (pos, neg) in zip(embeddings, picks):
+            got, at = row_max[at:at + len(neg)], at + len(neg)
             if len(pos) < 2 or not len(neg):
-                assert got is None
+                assert got.tobytes() == np.zeros(len(neg)).tobytes()
                 continue
             want = mdl.attention_map(emb[neg], emb[pos])
-            assert got.a.tobytes() == want.a.tobytes()
-            assert got.row_max.tobytes() == want.row_max.tobytes()
+            assert got.tobytes() == want.row_max.tobytes()
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.sampled_from([0, 1, 2, 4, 9]), st.sampled_from([0, 1, 12, 30])),
+                    min_size=1, max_size=5),
+           st.integers(2, 40), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(0, [(0, 12), (1, 12), (4, 0), (4, 12), (2, 14)], 8, 0.5)
+    @example(1, [(4, 12), (4, 12), (9, 30)], 8, 1e-9)
+    @settings(max_examples=60, deadline=None)
+    def test_block_attention_is_the_per_image_row_maxima(self, seed, counts, d, t):
+        """block_attention is the concatenation of each image's own
+        attention row maxima (attend_one_image), byte for byte, with zeros
+        for an image it does not attend: no positive, one positive, or no
+        negative. Those zero rows are never flagged and keep the hard zero
+        target of the loss before blocks, at any t in (0, 1)."""
+        gen = np.random.default_rng(seed)
+        n_anchors = 80
+        embeddings = gen.standard_normal((len(counts), n_anchors, d)) * 10.0 ** gen.uniform(-2, 2)
+        picks = []
+        for n_pos, n_neg in counts:
+            rows = gen.permutation(n_anchors)
+            picks.append((np.sort(rows[:n_pos]), np.sort(rows[n_pos:n_pos + n_neg])))
+        maps = [attend_one_image(emb, pos, neg) for emb, (pos, neg) in zip(embeddings, picks)]
+        want = np.concatenate([np.zeros(len(neg)) if amap is None else amap.row_max
+                               for amap, (_, neg) in zip(maps, picks)])
+        row_max = mdl.block_attention(embeddings, picks)
+        assert (row_max.dtype, row_max.shape) == (want.dtype, want.shape)
+        assert row_max.tobytes() == want.tobytes()
+        n_pos, n_neg = [len(pos) for pos, _ in picks], [len(neg) for _, neg in picks]
+        neg_p = gen.uniform(0.01, 0.99, sum(n_neg))
+        losses, _ = mdl.block_soft_label_loss(
+            np.full(sum(n_pos), 0.5), neg_p, np.zeros((sum(n_pos), 4)),
+            np.zeros((sum(n_pos), 4)), n_pos, n_neg, row_max, t)
+        fires = mdl.flag_mask(row_max, t)
+        at = 0
+        for amap, k, image in zip(maps, n_neg, losses):
+            a, at = at, at + k
+            if amap is None:
+                assert not fires[a:at].any() and image.flagged.shape == (0,)
+                hard = loss_one_image(np.zeros(0), neg_p[a:at], np.zeros((0, 4)),
+                                      np.zeros((0, 4)), None, t, 1.0)
+                assert image.l_neg == hard[1]
+                assert image.grad_neg.tobytes() == hard[5].tobytes()
 
 
 def amap_with_row_maxes(row_maxes):
@@ -400,17 +443,17 @@ def amap_with_row_maxes(row_maxes):
 class TestDetectFalseNegatives:
     def test_direct_comparison(self):
         amap = amap_with_row_maxes([0.85, 0.5, 0.92])
-        np.testing.assert_array_equal(mdl.detect_false_negatives(amap, 0.8), [0, 2])
+        np.testing.assert_array_equal(np.flatnonzero(mdl.flag_mask(amap.row_max, 0.8)), [0, 2])
 
     def test_threshold_above_all_is_empty(self):
         amap = amap_with_row_maxes([0.85, 0.5, 0.92])
-        assert mdl.detect_false_negatives(amap, 0.95).shape == (0,)
+        assert np.flatnonzero(mdl.flag_mask(amap.row_max, 0.95)).shape == (0,)
 
     def test_single_positive_flags_everything(self, rng):
         amap = mdl.attention_map(rng.standard_normal((6, D)),
                                  rng.standard_normal((1, D)))
         # softmax over one logit is exactly 1, so any t < 1 flags every row
-        np.testing.assert_array_equal(mdl.detect_false_negatives(amap, 0.999999),
+        np.testing.assert_array_equal(np.flatnonzero(mdl.flag_mask(amap.row_max, 0.999999)),
                                       np.arange(6))
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
@@ -419,27 +462,28 @@ class TestDetectFalseNegatives:
     def test_flag_sets_nested_in_threshold(self, maxes, t1, t2):
         lo, hi = sorted((t1, t2))
         amap = amap_with_row_maxes(maxes)
-        strict = mdl.detect_false_negatives(amap, hi)
-        loose = mdl.detect_false_negatives(amap, lo)
+        strict = np.flatnonzero(mdl.flag_mask(amap.row_max, hi))
+        loose = np.flatnonzero(mdl.flag_mask(amap.row_max, lo))
         assert np.isin(strict, loose).all()
         assert (np.diff(loose) > 0).all()
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            mdl.detect_false_negatives(amap_with_row_maxes([0.5]), 1.0)
+            np.flatnonzero(mdl.flag_mask(amap_with_row_maxes([0.5]).row_max, 1.0))
 
     @pytest.mark.parametrize("t", [0.5, 0.8])
     def test_row_max_equal_to_t_flags_in_the_loss_and_the_audit(self, t):
         """A row max of exactly t fires in the loss (its flagged, and a soft
-        target of t) and is flagged by the audit (detect_false_negatives);
+        target of t) and is flagged by the audit (flag_mask);
         one just below t is neither."""
         below = np.nextafter(t, 0.0)
         amaps = [amap_with_row_maxes([t, below, 0.95]), amap_with_row_maxes([below, t])]
         losses, (_, grad_neg, _) = mdl.block_soft_label_loss(
             np.full(2, 0.5), np.full(5, 0.3), np.zeros((2, 4)), np.zeros((2, 4)),
-            [1, 1], [3, 2], amaps, t)
+            [1, 1], [3, 2], np.concatenate([amap.row_max for amap in amaps]), t)
         for image, amap in zip(losses, amaps):
-            assert image.flagged.tolist() == mdl.detect_false_negatives(amap, t).tolist()
+            assert image.flagged.tolist() == np.flatnonzero(
+                mdl.flag_mask(amap.row_max, t)).tolist()
         assert [image.flagged.tolist() for image in losses] == [[0, 2], [1]]
         # a probability of 0.3 is pulled up toward a soft target >= 0.5, down toward 0
         assert np.sign(grad_neg).tolist() == [-1, 1, -1, 1, -1]
@@ -600,7 +644,7 @@ def loss_one_image(pos_probs, neg_probs, pos_deltas, pos_delta_targets, amap, t,
     targets = np.zeros(len(neg_probs))
     flagged = np.zeros(0, dtype=np.intp)
     if amap is not None and len(neg_probs):
-        flagged = mdl.detect_false_negatives(amap, t)
+        flagged = np.flatnonzero(mdl.flag_mask(amap.row_max, t))
         targets[flagged] = amap.row_max[flagged]
     l_neg, grad_neg = mean(bce, neg_probs, targets)
     l_pos, grad_pos = mean(bce, pos_probs, np.ones(len(pos_probs)))
@@ -636,8 +680,10 @@ class TestBlockSoftLabelLoss:
         counts = counts + [(0, 5), (3, 0)]      # an image without positive, one without negative
         gen = np.random.default_rng(seed)
         pos_p, neg_p, pd, td, n_pos, n_neg, amaps = loss_instance(gen, counts, soft)
+        row_max = np.concatenate([np.zeros(k) if amap is None else amap.row_max
+                                  for amap, k in zip(amaps, n_neg)])
         losses, grads = mdl.block_soft_label_loss(pos_p, neg_p, pd, td, n_pos, n_neg,
-                                                  amaps, t, 0.25)
+                                                  row_max, t, 0.25)
         assert len(losses) == len(counts)
         p = q = 0
         for (k_pos, k_neg), amap, got in zip(counts, amaps, losses):
