@@ -62,13 +62,16 @@ def _load_config(args) -> hz.TrainConfig:
 
 def _check_out(args):
     """Refuse an --out whose nearest existing ancestor (or itself, if it
-    exists) is not a directory, before any work."""
+    exists) is not a directory, before any work; a dangling symlink exists
+    as a link, and is refused too."""
     out = path = os.path.abspath(args.out)
-    while not os.path.exists(path):
+    while not os.path.lexists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         below = "" if path == out else f" is below {path}, which"
-        raise ValueError(f"--out {args.out}{below} exists and is not a directory")
+        what = ("exists and is not a directory" if os.path.exists(path)
+                else "is a symlink to a missing path")
+        raise ValueError(f"--out {args.out}{below} {what}")
 
 
 def cmd_synth(args) -> int:
@@ -135,7 +138,9 @@ def _load_for_report(args) -> tuple[dict, hz.TrainConfig, list[dat.ImageRecord]]
     """Checkpoint, config and dataset, once --report's directory is known."""
     report_dir = os.path.dirname(os.path.abspath(args.report))
     if not os.path.isdir(report_dir):
-        raise ValueError(f"--report {args.report}: directory {report_dir} does not exist")
+        what = ("exists and is not a directory" if os.path.exists(report_dir)
+                else "does not exist")
+        raise ValueError(f"--report {args.report}: directory {report_dir} {what}")
     if os.path.isdir(args.report):
         raise ValueError(f"--report {args.report} is a directory, not a file")
     params, config = _load_checkpoint_config(args.checkpoint)

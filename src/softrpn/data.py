@@ -17,6 +17,7 @@ import json
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -375,11 +376,12 @@ def _field_error(path, where: str, rec: dict, key: str) -> CocoFormatError:
                            f"{_WANT.get(key, 'an integer')}, got {rec[key]!r}")
 
 
-def _read_images(path, items: list[dict]) -> tuple[list[tuple[int, str, int, int]], set[int]]:
-    """(id, file_name, height, width) of each image in file order, and the
-    set of their ids; the first image with a bad field, a repeated id or a
-    repeated file_name is refused."""
-    images, image_ids, file_names = [], set(), set()
+def _read_images(path, items: list[dict]) -> tuple[list[tuple[int, str, int, int]],
+                                                  dict[int, int]]:
+    """(id, file_name, height, width) of each image in file order, and each
+    id's position in it; the first image with a bad field, a repeated id or
+    a repeated file_name is refused."""
+    images, image_ids, file_names = [], {}, set()
     for i, rec in enumerate(items):
         image = image_id, file_name, height, width = tuple(
             map(rec.get, ("id", "file_name", "height", "width")))
@@ -393,7 +395,7 @@ def _read_images(path, items: list[dict]) -> tuple[list[tuple[int, str, int, int
             raise CocoFormatError(f"{path}: images[{i}]: duplicate id {image_id}")
         if file_name in file_names:   # one PGM would be read as two images
             raise CocoFormatError(f"{path}: images[{i}]: duplicate file_name {file_name!r}")
-        image_ids.add(image_id)
+        image_ids[image_id] = len(images)
         file_names.add(file_name)
         images.append(image)
     return images, image_ids
@@ -450,6 +452,7 @@ def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.n
                "category_id" if type(rec.get("category_id", 0)) is not int else None)
         if key:
             if key == "category_id":      # checked after the bbox, numbers and all
+                owners.append(image_id)
                 coords += bbox
             break
         ids.add(ann_id)
@@ -458,6 +461,20 @@ def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.n
     n, corners = _leading_boxes(coords)
     if n < len(coords) // 4:      # a bad bbox comes before the type fault, if any
         i, key = n, "bbox"
+    # A box can be trained and scored only with area and inside its image's
+    # declared extent. The leading good boxes all come before a number or
+    # type fault, so the first of them to break either rule is named.
+    extent = [(width, height) for _, _, height, width in images]
+    try:
+        extents = np.array(extent, dtype=np.float64).reshape(-1, 2)
+    except OverflowError:     # an extent beyond the float range holds every finite box
+        far = sys.float_info.max
+        extents = np.array([[min(max(v, -far), far) for v in wh] for wh in extent])
+    lo, hi = corners[:, :2], corners[:, 2:]
+    bounds = extents[np.fromiter(map(image_ids.__getitem__, owners[:n]), np.intp, n)]
+    if len(bad := np.flatnonzero(((hi <= lo) | (lo < 0) | (hi > bounds)).any(axis=1))):
+        i = int(bad[0])
+        key = "flat" if (hi[i] <= lo[i]).any() else "outside"
     if key:
         rec = annotations[i]
         if key == "duplicate":
@@ -465,6 +482,14 @@ def read_cocolite(path) -> tuple[list[tuple[int, str, int, int]], dict[int, np.n
         where = f"annotations[{i}]" if key == "id" else f"annotations[{i}] (id {rec['id']})"
         if key == "dangling":
             raise CocoFormatError(f"{path}: {where}: dangling image_id {rec['image_id']}")
+        if key == "flat":
+            raise CocoFormatError(f"{path}: {where}: bbox {rec['bbox']!r} has no area: "
+                                  f"its width and height must be above 0")
+        if key == "outside":
+            _, _, height, width = images[image_ids[rec["image_id"]]]
+            raise CocoFormatError(
+                f"{path}: {where}: bbox {rec['bbox']!r} does not lie inside image "
+                f"{rec['image_id']}, which declares width {width} and height {height}")
         raise _field_error(path, where, rec, key)
     rows: dict[int, list[int]] = {}
     for row, image_id in enumerate(owners):

@@ -1,6 +1,7 @@
 """Boxes, anchor grids, IoU, ground-truth matching, and delta coding.
 
-Boxes are (N, 4) float64 corner-form arrays (x1, y1, x2, y2)."""
+Boxes are (N, 4) float64 corner-form arrays (x1, y1, x2, y2); iou_matrix
+and decode_deltas also take stacks of them, (..., N, 4)."""
 
 from __future__ import annotations
 
@@ -29,19 +30,37 @@ def generate_anchors(feat_h: int, feat_w: int, stride: int,
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of (N, 4) against (M, 4) corner-form boxes."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]))
-    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
-    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
-    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
-    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
-    inter = np.clip(ix2 - ix1, 0, None) * np.clip(iy2 - iy1, 0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    """Pairwise IoU of (..., N, 4) against (..., M, 4) corner-form boxes:
+    (..., N, M), the leading axes broadcast. Every op is elementwise, so each
+    slice is byte for byte the IoU of a 2-D call on its two slices."""
+    if a.shape[-2] == 0 or b.shape[-2] == 0:
+        return np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                        + (a.shape[-2], b.shape[-2]))
+    # in place where the result is the operand's own float: fewer (..., N, M)
+    # temporaries, the same IoUs
+    iw = np.minimum(a[..., :, None, 2], b[..., None, :, 2])
+    iw -= np.maximum(a[..., :, None, 0], b[..., None, :, 0])
+    ih = np.minimum(a[..., :, None, 3], b[..., None, :, 3])
+    ih -= np.maximum(a[..., :, None, 1], b[..., None, :, 1])
+    inter = np.clip(iw, 0, None, out=iw)
+    inter *= np.clip(ih, 0, None, out=ih)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a[..., :, None] + area_b[..., None, :]
+    union -= inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
+    return out
+
+
+def pad_boxes(boxes: Sequence[np.ndarray]) -> np.ndarray:
+    """The (B, G_max, 4) stack of B (G_i, 4) box arrays, each padded to the
+    largest count with (0, 0, 0, 0) rows. A padding box has IoU exactly 0
+    with every box (iou_matrix): its intersection is empty and, where the
+    other box has no area either, the union is 0 and so is the IoU."""
+    out = np.zeros((len(boxes), max(map(len, boxes), default=0), 4))
+    for row, b in enumerate(boxes):
+        out[row, :len(b)] = b
     return out
 
 
@@ -75,9 +94,7 @@ def match_anchors(anchors: np.ndarray, gts: Sequence[np.ndarray], pos_thresh: fl
     if not len(annotated):
         return labels, targets
     g_max = int(counts.max())
-    padded = np.zeros((len(annotated), g_max, 4))
-    for row, b in enumerate(annotated):
-        padded[row, :counts[b]] = gts[b]
+    padded = pad_boxes([gts[b] for b in annotated])
     # (B', G_max, N): image by box by anchor. IoU is symmetric float for
     # float (+, min and max commute), so this is iou_matrix(anchors, gt).T.
     m = iou_matrix(padded.reshape(-1, 4), anchors).reshape(len(annotated), g_max, -1)
@@ -102,9 +119,9 @@ def match_anchors(anchors: np.ndarray, gts: Sequence[np.ndarray], pos_thresh: fl
 
 
 def _centers_and_sizes(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
-    w = boxes[:, 2] - boxes[:, 0]
-    h = boxes[:, 3] - boxes[:, 1]
-    return (boxes[:, 0] + boxes[:, 2]) / 2, (boxes[:, 1] + boxes[:, 3]) / 2, w, h
+    w = boxes[..., 2] - boxes[..., 0]
+    h = boxes[..., 3] - boxes[..., 1]
+    return (boxes[..., 0] + boxes[..., 2]) / 2, (boxes[..., 1] + boxes[..., 3]) / 2, w, h
 
 
 def encode_deltas(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -122,10 +139,12 @@ def encode_deltas(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 def decode_deltas(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Inverse of encode_deltas: anchors (N, 4) corner form, deltas
-    (N, 4)."""
+    (..., N, 4), such as a block's (B, N, 4), the anchors broadcast over the
+    leading axes. Every op is elementwise, so each slice is byte for byte
+    that slice's own 2-D call."""
     ax, ay, aw, ah = _centers_and_sizes(anchors)
-    cx = ax + deltas[:, 0] * aw
-    cy = ay + deltas[:, 1] * ah
-    w = aw * np.exp(deltas[:, 2])
-    h = ah * np.exp(deltas[:, 3])
-    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
+    cx = ax + deltas[..., 0] * aw
+    cy = ay + deltas[..., 1] * ah
+    w = aw * np.exp(deltas[..., 2])
+    h = ah * np.exp(deltas[..., 3])
+    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)

@@ -17,7 +17,7 @@ from . import autograd as ag
 from . import model as mdl
 from .autograd import Tensor
 from .data import ImageRecord
-from .geometry import decode_deltas, generate_anchors, iou_matrix, match_anchors
+from .geometry import decode_deltas, generate_anchors, iou_matrix, match_anchors, pad_boxes
 
 
 # Mean total loss above which training has diverged (lr 1e30 reaches 6.7e151
@@ -208,18 +208,30 @@ def match_dataset(records: Sequence[ImageRecord]) -> list[MatchedImage]:
     for extent, indices in by_extent.items():
         anchors = grids[extent]
         indices.sort(key=lambda i: len(records[i].kept))
-        blocks: list[list[int]] = [[]]
-        for i in indices:
-            if len(anchors) * (len(blocks[-1]) + 1) * len(records[i].kept) > MATCH_BLOCK:
-                blocks.append([])
-            blocks[-1].append(i)
-        for block in filter(None, blocks):
+        for run in _iou_blocks([(len(records[i].kept), len(anchors)) for i in indices]):
+            block = [indices[k] for k in run]
             labels, targets = match_anchors(anchors, [records[i].kept for i in block],
                                             POS_THRESH, NEG_THRESH)
             for i, lab, tgt in zip(block, labels, targets):
                 out[i] = MatchedImage(record=records[i], anchors=anchors, labels=lab,
                                       delta_targets=tgt)
     return out
+
+
+def _iou_blocks(shapes: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Consecutive runs of the indices of (rows, cols) IoU matrices, each run
+    padding its matrices to at most MATCH_BLOCK IoUs or holding one matrix.
+    Callers give the matrices by ascending rows (box count), so a run's
+    last has its largest."""
+    runs: list[list[int]] = []
+    cols = 0
+    for k, (n_rows, n_cols) in enumerate(shapes):
+        if not runs or (len(runs[-1]) + 1) * n_rows * max(cols, n_cols) > MATCH_BLOCK:
+            runs.append([])
+            cols = 0
+        runs[-1].append(k)
+        cols = max(cols, n_cols)
+    return runs
 
 
 def _block(images: Sequence[np.ndarray]) -> np.ndarray:
@@ -351,39 +363,63 @@ def _train(config: TrainConfig, matched: Sequence[MatchedImage]
 # -- inference / evaluation ----------------------------------------------------
 
 # Ranked boxes per NMS block: the kept boxes usually run out (top_k) within
-# the first block, and larger blocks spend more on IoUs never read.
+# the first block, and larger blocks spend more on IoUs never read. On
+# perfbench/ckpt64.srpn the first block keeps 61-64 of its 64 boxes, so every
+# image of a 64x64 forward block ends inside it, and its fixed point takes at
+# most two passes.
 NMS_BLOCK = 64
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
-        top_k: Optional[int] = None) -> np.ndarray:
-    """Greedy suppression by descending score (stable on ties); returns kept
-    indices in rank order, at most top_k of them (the same prefix an
-    unlimited run keeps).
+        top_k: Optional[int] = None):
+    """Greedy suppression by descending score (stable on ties) of one
+    image's (N, 4) boxes and (N,) scores: kept indices in rank order, at
+    most top_k of them (the same prefix an unlimited run keeps). Given a
+    block's (B, N, 4) boxes and (B, N) scores, the list of each image's.
 
-    Exact greedy NMS, taken NMS_BLOCK ranked boxes at a time. A box is
-    suppressed only by higher-ranked kept boxes, and every one of those is
-    either kept in an earlier block or earlier in its own block. So each
-    block needs two IoU matrices: one against the boxes kept so far, which
-    seeds which of its boxes are still alive, and one within the block, which
-    the greedy walk reads row by row. The suppressing box is always
+    Exact greedy NMS, taken NMS_BLOCK ranked boxes at a time, all images of
+    a block together. A box is suppressed only by higher-ranked kept boxes,
+    and every one of those is either kept in an earlier NMS block or earlier
+    in its own. So each NMS block needs two IoU stacks: one against the
+    boxes each image kept so far (padded with (0, 0, 0, 0) rows, masked out),
+    which seeds which of its boxes are still alive, and one within the
+    block. The greedy set of the block is then the fixed point of "kept iff
+    alive and no kept, higher-ranked box of the block overlaps it by more
+    than iou_thresh", iterated from the alive set: a box's value depends
+    only on the boxes ranked above it, so after k passes the first k are
+    final and the fixed point is unique. The suppressing box is always
     iou_matrix's first argument, as in a per-box loop, so every IoU is the
     same float."""
-    order = np.argsort(-scores, kind="stable")
-    keep: list[int] = []
-    for start in range(0, len(order), NMS_BLOCK):
-        block = order[start:start + NMS_BLOCK]
-        ranked = boxes[block]
-        kept = boxes[np.array(keep, dtype=np.intp)]
-        alive = ~(iou_matrix(kept, ranked) > iou_thresh).any(axis=0)
+    single = boxes.ndim == 2
+    if single:
+        boxes, scores = boxes[None], scores[None]
+    n_img, n = scores.shape
+    limit = n if top_k is None else top_k
+    order = np.argsort(-scores, axis=1, kind="stable")
+    keep = [np.zeros(0, dtype=np.intp) for _ in range(n_img)]
+    rows = np.arange(n_img)[:, None]
+    for start in range(0, n, NMS_BLOCK):
+        active = [i for i in range(n_img) if len(keep[i]) < limit]
+        if not active:
+            break
+        block = order[active, start:start + NMS_BLOCK]            # (A, b)
+        ranked = boxes[rows[active], block]                       # (A, b, 4)
+        kept_boxes = pad_boxes([boxes[i, keep[i]] for i in active])      # (A, K, 4)
+        real = np.arange(kept_boxes.shape[1]) < np.array([len(keep[i]) for i in active])[:, None]
+        alive = ~((iou_matrix(kept_boxes, ranked) > iou_thresh)
+                  & real[:, :, None]).any(axis=1)
+        # over[a, i, j]: box i of image a suppresses box j if kept, i ranked above j
         over = iou_matrix(ranked, ranked) > iou_thresh
-        for j in range(len(block)):
-            if alive[j]:
-                keep.append(block[j])
-                if len(keep) == top_k:
-                    return np.array(keep, dtype=np.intp)
-                alive &= ~over[j]
-    return np.array(keep, dtype=np.intp)
+        over &= np.arange(block.shape[1])[:, None] < np.arange(block.shape[1])
+        kept = alive
+        while True:
+            nxt = alive & ~(over & kept[:, :, None]).any(axis=1)
+            if np.array_equal(nxt, kept):
+                break
+            kept = nxt
+        for r, i in enumerate(active):
+            keep[i] = np.concatenate([keep[i], block[r][kept[r]]])[:limit]
+    return keep[0] if single else keep
 
 
 def _forward_each(params: dict[str, Tensor], matched: Sequence[MatchedImage],
@@ -405,15 +441,17 @@ def _forward_each(params: dict[str, Tensor], matched: Sequence[MatchedImage],
 
 
 def _proposals(probs: np.ndarray, deltas: np.ndarray, anchors: np.ndarray,
-               image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               image: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Decoded, image-clipped, suppressed (NMS_IOU), top-k (TOP_K) proposals
-    of one image's forward outputs, whose anchors are given: (boxes, scores)."""
+    of a forward block's (B, N) probs and (B, N, 4) deltas, whose anchors and
+    (one) image extent are given, decoded, clipped and suppressed as one:
+    each image's (boxes, scores)."""
     boxes = decode_deltas(anchors, deltas)
     h, w = image.shape[:2]
-    boxes[:, [0, 2]] = boxes[:, [0, 2]].clip(0.0, float(w))
-    boxes[:, [1, 3]] = boxes[:, [1, 3]].clip(0.0, float(h))
+    boxes[..., [0, 2]] = boxes[..., [0, 2]].clip(0.0, float(w))
+    boxes[..., [1, 3]] = boxes[..., [1, 3]].clip(0.0, float(h))
     keep = nms(boxes, probs, NMS_IOU, TOP_K)
-    return boxes[keep], probs[keep]
+    return [(b[k], p[k]) for b, p, k in zip(boxes, probs, keep)]
 
 
 def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
@@ -421,27 +459,34 @@ def predict(params: dict[str, Tensor], record: ImageRecord, config: TrainConfig
     """Proposals of one image (_proposals); config is kept for perfbench/test_bench.py."""
     with ag.no_grad():
         batch = mdl.forward_rpn(record.image, params)
-    return _proposals(batch.probs, batch.deltas, anchors_for(record.image), record.image)
+    return _proposals(batch.probs[None], batch.deltas[None], anchors_for(record.image),
+                      record.image)[0]
 
 
 def _greedy_match(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Greedy matching of one image's detections against its ground truth at
-    every threshold at once. ``ious`` is (D, G) with rows in rank order; each
+    """Greedy matching of C images' detections against their ground truth at
+    every threshold at once, the images in lockstep over detection rank.
+    ``ious`` is the (C, D, G) stack of their IoU matrices, rows in rank
+    order, padded with -1.0, the value a matched box is masked to. A padding
+    column never beats a real box and loses ties to it, as argmax keeps the
+    first of tied indices; padding rows follow an image's real rows, so they
+    change none of its hits. (An image without boxes, all padding, hits
+    nothing at thresholds above -1; average_precisions leaves it out.) Each
     detection takes its best still-unmatched box when that IoU reaches the
-    threshold. Returns (T, D) true-positive flags."""
-    n_det, n_gt = ious.shape
-    hits = np.zeros((len(thresholds), n_det), dtype=bool)
+    threshold. Returns (T, C, D) true-positive flags; those of padding rows
+    mean nothing."""
+    n_img, n_rows, n_gt = ious.shape
+    hits = np.zeros((len(thresholds), n_img, n_rows), dtype=bool)
     if n_gt == 0:
         return hits
-    matched = np.zeros((len(thresholds), n_gt), dtype=bool)
-    rows = np.arange(len(thresholds))
-    # Masking only lowers IoUs, so a row below every threshold never matches.
-    for d in np.flatnonzero(ious.max(axis=1) >= thresholds.min()):
-        cand = np.where(matched, -1.0, ious[d])
-        j = cand.argmax(axis=1)
-        hit = cand[rows, j] >= thresholds
-        matched[rows[hit], j[hit]] = True
-        hits[:, d] = hit
+    matched = np.zeros((len(thresholds), n_img, n_gt), dtype=bool)
+    t_idx, c_idx = np.arange(len(thresholds))[:, None], np.arange(n_img)
+    for d in range(n_rows):
+        cand = np.where(matched, -1.0, ious[:, d])
+        j = cand.argmax(axis=2)
+        hit = cand[t_idx, c_idx, j] >= thresholds[:, None]
+        matched[t_idx, c_idx, j] |= hit
+        hits[:, :, d] = hit
     return hits
 
 
@@ -451,8 +496,10 @@ def average_precisions(image_ids: np.ndarray, scores: np.ndarray,
     """Single-class AP at each threshold. Detections are ranked globally by
     descending score, then image id, then index; ``ious[img]`` is the (D, G)
     IoU matrix of image img's detections, rows in index order, against its
-    ground truth. Integrates precision over recall with all-points
-    interpolation, summing terms from the last rank to the first."""
+    ground truth. The images are matched (_greedy_match) in stacks of at
+    most MATCH_BLOCK IoUs (or of one image), fewest boxes first. Integrates
+    precision over recall with all-points interpolation, summing terms from
+    the last rank to the first."""
     thresholds = np.asarray(thresholds, dtype=np.float64)
     n = len(scores)
     if n_gt == 0 or n == 0:
@@ -460,11 +507,31 @@ def average_precisions(image_ids: np.ndarray, scores: np.ndarray,
     order = np.lexsort((np.arange(n), image_ids, -scores))
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
+    # each image's detections in index order, the rows of its IoU matrix
+    by_image = np.argsort(image_ids, kind="stable")
+    starts = np.searchsorted(image_ids[by_image], list(ious))
+    # Each image's rows that reach some threshold, in rank order, with their
+    # ranks: masking only lowers IoUs, so the other rows never match.
+    rows = []
+    for m, start in zip(ious.values(), starts):
+        if m.size:
+            r = rank[by_image[start:start + len(m)]]
+            by_rank = np.argsort(r)
+            live = by_rank[m.max(axis=1)[by_rank] >= thresholds.min()]
+            if len(live):
+                rows.append((r[live], m[live]))
+    rows.sort(key=lambda item: item[1].shape[1])
     tp = np.zeros((len(thresholds), n), dtype=bool)
-    for img, m in ious.items():
-        ranks = rank[image_ids == img]
-        by_rank = np.argsort(ranks)
-        tp[:, ranks[by_rank]] = _greedy_match(m[by_rank], thresholds)
+    for run in _iou_blocks([m.shape[::-1] for _, m in rows]):
+        run = [rows[k] for k in run]
+        n_det = np.array([len(r) for r, _ in run])
+        stack = np.full((len(run), n_det.max(), run[-1][1].shape[1]), -1.0)
+        ranks = np.zeros(stack.shape[:2], dtype=np.intp)
+        for c, (r, m) in enumerate(run):
+            stack[c, :len(m), :m.shape[1]] = m
+            ranks[c, :len(r)] = r
+        real = np.arange(stack.shape[1]) < n_det[:, None]
+        tp[:, ranks[real]] = _greedy_match(stack, thresholds)[:, real]
     # One threshold at a time keeps the float temporaries at O(n).
     aps = np.empty(len(thresholds))
     for t, hits in enumerate(tp):
@@ -507,30 +574,32 @@ def evaluate(params: dict[str, Tensor], records: Sequence[ImageRecord],
 def _evaluate(params: dict[str, Tensor], matched: Sequence[MatchedImage],
               config: TrainConfig) -> tuple[EvalReport, Flags]:
     """evaluate's report on the matched images, and the flags its pass
-    audited: audit_flags' at config.t."""
-    counts, scores, ious = [], [np.zeros(0)], {}
-    n_gt = n_hit = 0
+    audited: audit_flags' at config.t. Each forward block's proposals are
+    decoded, clipped and suppressed as one (_proposals), and scored against
+    the full ground truth as one (B, K_max, G_max) IoU stack, each image's
+    proposals and boxes padded with (0, 0, 0, 0) rows, whose IoU with every
+    box is exactly 0."""
 
     def each(indices, block, batch):
-        return ([_proposals(batch.probs[j], batch.deltas[j], mi.anchors, mi.record.image)
-                 for j, mi in enumerate(block)],
+        props = _proposals(batch.probs, batch.deltas, block[0].anchors, block[0].record.image)
+        fulls = [mi.record.full for mi in block]
+        stack = iou_matrix(pad_boxes([boxes for boxes, _ in props]), pad_boxes(fulls))
+        n_hit = int((stack.max(axis=1) >= 0.5).sum()) if stack.shape[1] else 0
+        ious = {idx: stack[j, :len(props[j][0]), :len(gts)]
+                for j, (idx, gts) in enumerate(zip(indices, fulls)) if len(gts)}
+        return ([s for _, s in props], ious, n_hit,
                 _audit_block(batch, indices, block, config, config.t))
 
     per_block = _forward_each(params, matched, each)
-    flags = _collect_flags([audited for _, audited in per_block])
-    proposals = itertools.chain.from_iterable(props for props, _ in per_block)
-    for idx, (mi, (boxes, s)) in enumerate(zip(matched, proposals)):
-        counts.append(len(s))
-        scores.append(s)
-        gts = mi.record.full
-        n_gt += len(gts)
-        if len(gts):
-            ious[idx] = m = iou_matrix(boxes, gts)
-            if len(boxes):
-                n_hit += int((m.max(axis=0) >= 0.5).sum())
-    image_ids = np.repeat(np.arange(len(counts)), counts)
+    flags = _collect_flags([audited for *_, audited in per_block])
+    scores = [s for block_scores, *_ in per_block for s in block_scores]
+    ious = {idx: m for _, block_ious, *_ in per_block for idx, m in block_ious.items()}
+    n_gt = sum(len(mi.record.full) for mi in matched)
+    n_hit = sum(n for *_, n, _ in per_block)
+    image_ids = np.repeat(np.arange(len(scores)), [len(s) for s in scores])
     aps = dict(zip(COCO_IOU_THRESHOLDS, average_precisions(
-        image_ids, np.concatenate(scores), ious, n_gt, COCO_IOU_THRESHOLDS).tolist()))
+        image_ids, np.concatenate([np.zeros(0)] + scores), ious, n_gt,
+        COCO_IOU_THRESHOLDS).tolist()))
     fn = score_fn_detection(flags, [mi.record for mi in matched])
     return EvalReport(
         ap50=aps[0.5], ap75=aps[0.75],
@@ -603,9 +672,10 @@ class FnScore:
 
 
 def flag_hits(flag_boxes: np.ndarray, dropped: np.ndarray) -> np.ndarray:
-    """(F, D) whether each flagged box hits each withheld box: IoU >= 0.5.
-    score_fn_detection scores flags by this rule, and expected_random_recall
-    its random baseline, so the two stay comparable."""
+    """(..., F, D) whether each flagged box hits each withheld box: IoU >=
+    0.5, of (..., F, 4) against (..., D, 4) boxes. score_fn_detection scores
+    flags by this rule, and expected_random_recall its random baseline, so
+    the two stay comparable."""
     return iou_matrix(flag_boxes, dropped) >= 0.5
 
 
@@ -613,19 +683,29 @@ def score_fn_detection(flags: Flags, records: Sequence[ImageRecord]) -> FnScore:
     """Precision/recall of flagged anchors against withheld (dropped) boxes:
     a flag is a true positive when it hits (flag_hits) some dropped box of
     its image. With no dropped boxes anywhere recall is vacuous, reported as
-    1 with the vacuous marker; precision is then 0 if anything was flagged."""
+    1 with the vacuous marker; precision is then 0 if anything was flagged.
+
+    The flagged images with dropped boxes are scored in stacks of at most
+    MATCH_BLOCK IoUs (or of one image), fewest dropped boxes first, each
+    image's flags and dropped boxes padded with (0, 0, 0, 0) rows, which hit
+    nothing."""
     n_dropped = sum(len(rec.dropped) for rec in records)
     if n_dropped == 0:
         return FnScore(precision=0.0 if len(flags) else 1.0, recall=1.0, vacuous=True)
     if not len(flags):
         return FnScore(precision=1.0, recall=0.0)
+    by_image = np.argsort(flags.image_index, kind="stable")
+    flagged, starts, n_flags = np.unique(flags.image_index[by_image], return_index=True,
+                                         return_counts=True)
+    scored = sorted(((records[i].dropped, flags.boxes[by_image[s:s + n]])
+                     for i, s, n in zip(flagged, starts, n_flags) if len(records[i].dropped)),
+                    key=lambda item: len(item[0]))
     tp = n_hit = 0
-    for idx in np.flatnonzero(np.bincount(flags.image_index)):    # images with a flag
-        dropped = records[idx].dropped
-        if len(dropped):
-            hits = flag_hits(flags.boxes[flags.image_index == idx], dropped)
-            tp += int(hits.any(axis=1).sum())
-            n_hit += int(hits.any(axis=0).sum())
+    for run in _iou_blocks([(len(d), len(f)) for d, f in scored]):
+        hits = flag_hits(pad_boxes([scored[k][1] for k in run]),
+                         pad_boxes([scored[k][0] for k in run]))     # (R, F_max, D_max)
+        tp += int(hits.any(axis=2).sum())
+        n_hit += int(hits.any(axis=1).sum())
     return FnScore(precision=tp / len(flags), recall=n_hit / n_dropped)
 
 

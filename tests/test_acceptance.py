@@ -226,10 +226,13 @@ class TestFormatRoundTrips:
             for i in range(int(gen.integers(1, 6))):
                 image = dat.dequantize_image(dat.quantize_image(
                     gen.random((int(gen.integers(2, 17)), int(gen.integers(2, 17))))))
+                # boxes with area, inside the image with room to spare
+                half = np.array(image.shape[::-1]) / 2
                 boxes = []
                 for _ in range(2):
-                    xy = gen.random((int(gen.integers(0, 5)), 2)) * 40
-                    boxes.append(np.concatenate([xy, xy + gen.random(xy.shape) * 20], axis=1))
+                    xy = gen.random((int(gen.integers(0, 5)), 2)) * half
+                    wh = (0.1 + 0.8 * gen.random(xy.shape)) * half
+                    boxes.append(np.concatenate([xy, xy + wh], axis=1))
                 records.append(dat.ImageRecord(
                     image_id=5 * i - 3, file_name=f"im_{i}.pgm", image=image[..., None],
                     kept=boxes[0], dropped=boxes[1]))

@@ -630,6 +630,27 @@ class TestReportDirectory:
 
     @pytest.mark.parametrize("command, work", [("eval", "evaluate"),
                                                ("audit", "audit_flags")])
+    def test_report_below_a_regular_file_refused_before_any_work(
+            self, command, work, dataset, checkpoint, tmp_path, capsys, monkeypatch):
+        """A --report whose directory is a regular file gives one error line
+        naming --report and saying that the file exists and is not a
+        directory, before the checkpoint is read; the file is left as it was."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --report was checked")
+
+        monkeypatch.setattr(hz, work, no_work)
+        monkeypatch.setattr(mdl, "load_checkpoint", no_work)
+        rfile = tmp_path / "rfile"
+        rfile.write_text("kept")
+        report = rfile / "r.json"
+        assert run([command, "--checkpoint", checkpoint, "--data", dataset,
+                    "--report", str(report)]) == 1
+        assert (f"--report {report}: directory {rfile} exists and is not a directory"
+                == single_error_line(capsys).removeprefix("error: "))
+        assert os.listdir(tmp_path) == ["rfile"] and rfile.read_text() == "kept"
+
+    @pytest.mark.parametrize("command, work", [("eval", "evaluate"),
+                                               ("audit", "audit_flags")])
     def test_directory_report_refused_before_any_work(self, command, work, dataset,
                                                       checkpoint, tmp_path, capsys,
                                                       monkeypatch):
@@ -678,6 +699,28 @@ class TestOutFile:
         assert (f"--out {out / sub}{below} exists and is not a directory"
                 in single_error_line(capsys))
         assert os.listdir(tmp_path) == ["outfile"] and out.read_text() == "kept"
+
+    @pytest.mark.parametrize("name, sub", [(n, sub) for sub in ("", "sub") for n in OUT_COMMANDS],
+                             ids=[*OUT_COMMANDS, *(f"{n}-below" for n in OUT_COMMANDS)])
+    def test_dangling_symlink_out_refused_before_any_work(self, name, sub, dataset, tmp_path,
+                                                          capsys, monkeypatch):
+        """An --out that is, or lies below, a symlink to a missing path gives
+        one error line naming --out before the dataset is read or made, and
+        the link is left dangling."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        argv, work = OUT_COMMANDS[name]
+        monkeypatch.setattr(*work, no_work)
+        monkeypatch.setattr(dat, "load_dataset", no_work)
+        link = tmp_path / "brokenlink"
+        link.symlink_to(tmp_path / "missing")
+        argv = [dataset if a == "DATA" else a for a in argv]
+        below = f" is below {link}, which" if sub else ""
+        assert run([*argv, "--out", str(link / sub)]) == 1
+        assert (f"--out {link / sub}{below} is a symlink to a missing path"
+                in single_error_line(capsys))
+        assert os.listdir(tmp_path) == ["brokenlink"] and not link.exists()
 
 
 class TestAuditCmd:
@@ -917,6 +960,10 @@ class TestMalformedInput:
         ("train.json", lambda d: edited(d, "annotations", 0, "category_id", True),
          "'category_id'"),
         ("train.json", lambda d: edited(d, "annotations", 0, "bbox", [1e300] * 4), "'bbox'"),
+        ("train.json", lambda d: edited(d, "annotations", 0, "bbox", [1, 2, 0, 4]),
+         "annotations[0] (id 1): bbox [1, 2, 0, 4] has no area"),
+        ("dropped.json", lambda d: edited(d, "annotations", 0, "bbox", [0, 0, 1e154, 1e154]),
+         "annotations[0] (id 1): bbox [0, 0, 1e+154, 1e+154] does not lie inside image"),
         ("train.json", lambda d: edited(d, "images", 1, "height", 4096),
          "images[1] (id 1) declares height 4096 and width 64"),
         ("dropped.json", stray_sidecar, "field 'images' must list the images of"),
@@ -925,7 +972,8 @@ class TestMalformedInput:
             "file-name-duplicate", "sidecar-annotation-id-duplicate",
             "image-id-bool", "file-name-outside", "file-name-dotdot", "bbox-string",
             "bbox-nan", "sidecar-bbox-inf", "bbox-negative-width", "bbox-three-numbers",
-            "category-id-bool", "bbox-area-overflow", "height-differs-from-pgm",
+            "category-id-bool", "bbox-area-overflow", "bbox-zero-width",
+            "sidecar-bbox-outside-image", "height-differs-from-pgm",
             "sidecar-image-not-in-train"])
     def test_malformed_cocolite(self, name, edit, needle, data, capsys):
         path = data / name

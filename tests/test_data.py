@@ -335,21 +335,25 @@ class TestRewriteInPlace:
         assert not any(flags & os.O_TRUNC for flags in opened.values())
 
 
-def random_boxes(gen) -> np.ndarray:
-    """Up to five corner-form boxes with non-integer corners."""
-    xy = gen.uniform(0, 40, (int(gen.integers(0, 6)), 2))
-    return np.concatenate([xy, xy + gen.uniform(1, 20, xy.shape)], axis=1)
+def random_boxes(gen, h, w) -> np.ndarray:
+    """Up to five corner-form boxes with non-integer corners, each inside an
+    h x w image with room to spare, so reading them back keeps them inside."""
+    half = np.array([w, h]) / 2
+    xy = gen.uniform(0, half, (int(gen.integers(0, 6)), 2))
+    return np.concatenate([xy, xy + gen.uniform(0.5, half - 0.5, xy.shape)], axis=1)
 
 
 def random_dataset(seed) -> list[dat.ImageRecord]:
     """Up to four records of random extent with random kept and withheld
     boxes; some records have none of either."""
     gen = np.random.default_rng(seed)
-    return [dat.ImageRecord(image_id=3 * i + 1, file_name=f"img_{i:06d}.pgm",
-                            image=np.zeros((8 * int(gen.integers(1, 5)),
-                                            8 * int(gen.integers(1, 5)), 1)),
-                            kept=random_boxes(gen), dropped=random_boxes(gen))
-            for i in range(int(gen.integers(0, 5)))]
+    records = []
+    for i in range(int(gen.integers(0, 5))):
+        h, w = 8 * gen.integers(1, 5, 2)
+        records.append(dat.ImageRecord(
+            image_id=3 * i + 1, file_name=f"img_{i:06d}.pgm", image=np.zeros((h, w, 1)),
+            kept=random_boxes(gen, h, w), dropped=random_boxes(gen, h, w)))
+    return records
 
 
 SPLITS = (("train", "kept"), ("dropped", "dropped"))
@@ -403,7 +407,7 @@ class TestCocolite:
 
     def test_bbox_corner_conversion(self, tmp_path):
         """Corner boxes go to disk as [x, y, width, height] and come back."""
-        rec = dat.ImageRecord(image_id=0, file_name="a.pgm", image=np.zeros((16, 16, 1)),
+        rec = dat.ImageRecord(image_id=0, file_name="a.pgm", image=np.zeros((64, 64, 1)),
                               kept=np.array([[10.0, 20.0, 40.0, 60.0]]),
                               dropped=np.zeros((0, 4)))
         dat.save_dataset(tmp_path, [rec])
@@ -542,6 +546,16 @@ class TestCocolite:
         ("bbox", [1, -1e308, 3, -1e308], "got [1, -1e+308, 3, -1e+308]"),
         ("bbox", [1e300] * 4, "got [1e+300, 1e+300, 1e+300, 1e+300]"),
         ("bbox", MISSING, "annotations[{k}] (id {id}): missing field 'bbox'"),
+        ("bbox", [1, 2, 0, 4], "annotations[{k}] (id {id}): bbox [1, 2, 0, 4] has no area: "
+                               "its width and height must be above 0"),
+        ("bbox", [1, 2, 3, 0.0], "bbox [1, 2, 3, 0.0] has no area"),
+        ("bbox", [2 ** 60, 2, 1, 4], "has no area"),      # x + width rounds to x
+        ("bbox", [-1, 2, 3, 4], "annotations[{k}] (id {id}): bbox [-1, 2, 3, 4] does not lie "
+                                "inside image {img}, which declares width 64 and height 64"),
+        ("bbox", [1, -0.5, 3, 4], "bbox [1, -0.5, 3, 4] does not lie inside image {img}"),
+        ("bbox", [60, 2, 4.5, 4], "bbox [60, 2, 4.5, 4] does not lie inside image {img}"),
+        ("bbox", [1, 60, 3, 4.5], "bbox [1, 60, 3, 4.5] does not lie inside image {img}"),
+        ("bbox", [0, 0, 1e154, 1e154], "does not lie inside image {img}"),
         ("category_id", 1.0, "annotations[{k}] (id {id}): field 'category_id' must be "
                              "an integer, got 1.0"),
         ("category_id", False, "field 'category_id' must be an integer, got False"),
@@ -563,7 +577,38 @@ class TestCocolite:
             dat.read_cocolite(path)
         where = f"{path}: annotations[{k}]"
         assert str(e.value).startswith(where), str(e.value)
-        assert message.format(k=k, id=100 + k) in str(e.value)
+        assert message.format(k=k, id=100 + k, img=k % 5) in str(e.value)
+
+    @pytest.mark.parametrize("flat_at, bad_at, named", [
+        (3, 40, 3), (40, 3, 3), (3, None, 3)], ids=["before", "after", "alone"])
+    @pytest.mark.parametrize("breach", [[1, 2, 0, 4], [62, 2, 3, 4]], ids=["flat", "outside"])
+    def test_box_without_area_or_outside_named_in_file_order(self, tmp_path, breach,
+                                                             flat_at, bad_at, named):
+        """A box without area or outside its image is named when it comes
+        before a bad bbox and before a type fault (id "7" at annotations[31]
+        in the "alone" case), not when a bad bbox comes first."""
+        doc = self.fifty_annotations()
+        doc["annotations"][flat_at]["bbox"] = breach
+        if bad_at is None:
+            doc["annotations"][31]["id"] = "7"
+        else:
+            doc["annotations"][bad_at]["bbox"] = [0, 0, -1, 1]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CocoFormatError) as e:
+            dat.read_cocolite(path)
+        assert str(e.value).startswith(f"{path}: annotations[{named}] (id {100 + named}): "
+                                       + ("field 'bbox'" if named == bad_at else "bbox ["))
+
+    def test_box_on_the_image_edge_reads(self, tmp_path):
+        """A box may touch every edge of its image: x + width equal to the
+        declared width is inside."""
+        doc = self.fifty_annotations()
+        doc["annotations"][7]["bbox"] = [0, 0, 64, 64]
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        _, boxes = dat.read_cocolite(path)
+        assert boxes[2][1].tolist() == [0, 0, 64, 64]
 
     def test_bad_bbox_named_before_a_later_type_fault(self, tmp_path):
         """The bulk check of the bbox numbers finds annotations[3], which
@@ -589,11 +634,14 @@ class TestCocolite:
 
     def test_int_bbox_numbers_read_as_floats_up_to_the_float_range(self, tmp_path):
         """Ints beyond int64 but within the float range read as floats, also
-        when a later bbox holds an int beyond it, which alone is refused."""
+        when a later bbox holds an int beyond it, which alone is refused; the
+        images declare a width beyond the float range, which holds them."""
         limit = 2 ** 1024 - 2 ** 970            # the least int float() refuses
         doc = self.fifty_annotations()
-        doc["annotations"][2]["bbox"] = [2 ** 70, 0, 1, 1]
-        doc["annotations"][4]["bbox"] = [-(limit - 1), 0, limit - 1, 1]
+        for image in doc["images"]:
+            image["width"] = 2 ** 1100
+        doc["annotations"][2]["bbox"] = [2 ** 70, 0, 2 ** 70, 1]
+        doc["annotations"][4]["bbox"] = [0, 0, limit - 1, 1]
         doc["annotations"][6]["bbox"] = [0, 0, limit, 1]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -602,8 +650,8 @@ class TestCocolite:
         del doc["annotations"][6]
         path.write_text(json.dumps(doc))
         _, boxes = dat.read_cocolite(path)
-        assert boxes[2][0].tolist() == [2.0 ** 70, 0, 2.0 ** 70, 1]
-        assert boxes[4][0].tolist() == [-np.finfo(np.float64).max, 0, 0, 1]
+        assert boxes[2][0].tolist() == [2.0 ** 70, 0, 2.0 ** 71, 1]
+        assert boxes[4][0].tolist() == [0, 0, np.finfo(np.float64).max, 1]
 
     def test_annotation_without_category_reads(self, tmp_path):
         doc = self.fifty_annotations()
@@ -704,8 +752,9 @@ class TestBenchmarkDataset:
         assert all(r.dropped.shape == (0, 4) for r in records)
 
 
-bbox_rows = st.tuples(st.integers(0, 5), st.booleans(),
-                      *[st.floats(0, 50, allow_nan=False)] * 4)
+# x, y, width and height of a box with area inside an 8x8 image
+bbox_rows = st.tuples(st.integers(0, 5), st.booleans(), *[st.floats(0, 4)] * 2,
+                      *[st.floats(0.25, 4)] * 2)
 
 
 class TestLoadGrouping:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softrpn.geometry import (GeometryError, decode_deltas, encode_deltas,
-                              generate_anchors, iou_matrix, match_anchors)
+                              generate_anchors, iou_matrix, match_anchors, pad_boxes)
 
 from conftest import match_one_image
 
@@ -334,3 +334,54 @@ class TestDeltaCoding:
         for i in range(10):
             np.testing.assert_allclose(got[i], decode_oracle(anchors[i], deltas[i]),
                                        rtol=0, atol=1e-12)
+
+
+def box_stack(gen, n_img, n):
+    """(n_img, n, 4) boxes on a coarse grid, some reaching below 0, so that
+    duplicates, zero-area and inverted boxes occur."""
+    xy = gen.integers(-2, 10, (n_img, n, 2)) * 4.0
+    wh = gen.integers(-1, 5, (n_img, n, 2)) * 4.0
+    return np.concatenate([xy, xy + wh], axis=2)
+
+
+class TestStacks:
+    """iou_matrix and decode_deltas on stacks: each slice is byte for byte
+    the 2-D call on its slices."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 12),
+           st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_iou_of_stacks_equals_per_slice_calls(self, seed, n_img, n, m):
+        gen = np.random.default_rng(seed)
+        a, b = box_stack(gen, n_img, n), box_stack(gen, n_img, m)
+        got = iou_matrix(a, b)
+        assert got.shape == (n_img, n, m)
+        for j in range(n_img):
+            assert got[j].tobytes() == iou_matrix(a[j], b[j]).tobytes()
+        # a 2-D side broadcasts over the other's leading axis
+        shared = iou_matrix(a[0], b)
+        assert shared.shape == (n_img, n, m)
+        for j in range(n_img):
+            assert shared[j].tobytes() == iou_matrix(a[0], b[j]).tobytes()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_decode_of_a_stack_equals_per_slice_calls(self, seed, n_img, n):
+        gen = np.random.default_rng(seed)
+        xy = gen.uniform(0, 40, (n, 2))
+        anchors = np.concatenate([xy, xy + gen.uniform(2, 20, (n, 2))], axis=1)
+        deltas = gen.standard_normal((n_img, n, 4))
+        got = decode_deltas(anchors, deltas)
+        assert got.shape == (n_img, n, 4)
+        for j in range(n_img):
+            assert got[j].tobytes() == decode_deltas(anchors, deltas[j]).tobytes()
+
+    def test_padding_box_has_iou_zero_with_every_box(self):
+        boxes = box_stack(np.random.default_rng(0), 1, 200)[0]
+        padded = pad_boxes([boxes[:3], np.zeros((0, 4)), boxes])
+        assert padded.shape == (3, 200, 4)
+        assert padded[0, :3].tobytes() == boxes[:3].tobytes()
+        assert not padded[0, 3:].any() and not padded[1].any()
+        zero = np.zeros((1, 4))
+        assert (iou_matrix(zero, boxes) == 0).all() and (iou_matrix(boxes, zero) == 0).all()
+        assert pad_boxes([]).shape == (0, 0, 4)

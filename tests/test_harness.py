@@ -167,11 +167,12 @@ def nms_oracle(boxes, scores, iou_thresh, top_k=None):
     return np.array(keep, dtype=np.intp)
 
 
-def nms_instance(gen, n):
-    """n boxes on a coarse grid, so exact duplicates and zero-area boxes are
-    common, with a few rows copied outright; scores on a 0.1 grid (ties)."""
-    xy = gen.integers(0, 12, (n, 2)) * 4.0
-    wh = gen.integers(0, 6, (n, 2)) * 4.0
+def nms_instance(gen, n, pitch=4):
+    """n boxes on a coarse grid of the given pitch, so exact duplicates and
+    zero-area boxes are common, with a few rows copied outright; scores on a
+    0.1 grid (ties)."""
+    xy = gen.integers(0, 12, (n, 2)) * float(pitch)
+    wh = gen.integers(0, 6, (n, 2)) * float(pitch)
     boxes = np.concatenate([xy, xy + wh], axis=1)
     if n > 1:
         boxes[gen.integers(0, n, n // 8)] = boxes[gen.integers(0, n, n // 8)]
@@ -194,18 +195,60 @@ class TestNms:
 
     @pytest.mark.parametrize("size", [64, 128])
     def test_evaluate_equals_evaluate_with_oracle(self, size, monkeypatch):
-        """A trained model's report is unchanged with the per-box oracle in
-        place of nms, at the fixed TOP_K and with (nearly) no limit."""
+        """A trained model's report is unchanged with the per-box oracle,
+        applied to each image of a forward block, in place of nms, at the
+        fixed TOP_K and with (nearly) no limit."""
         records = tiny_records(6, size=size)
         cfg = tiny_config()
         params, _ = hz.train(cfg, records)
+
+        def per_image_oracle(boxes, scores, iou_thresh, top_k):
+            assert boxes.ndim == 3
+            return [nms_oracle(b, s, iou_thresh, top_k) for b, s in zip(boxes, scores)]
+
         for top_k in (hz.TOP_K, 1000):
             monkeypatch.setattr(hz, "TOP_K", top_k)
             report = hz.evaluate(params, records, cfg)
             with monkeypatch.context() as m:
-                m.setattr(hz, "nms", nms_oracle)
+                m.setattr(hz, "nms", per_image_oracle)
                 assert hz.evaluate(params, records, cfg) == report
             assert report.recall50 > 0.0
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 200),
+           st.sampled_from([0.0, 0.5, 1.0]),
+           st.sampled_from(["none", 1, hz.NMS_BLOCK - 1, hz.NMS_BLOCK, hz.NMS_BLOCK + 1,
+                            2 * hz.NMS_BLOCK + 5, "more"]))
+    @settings(max_examples=150, deadline=None)
+    def test_block_equals_per_box_oracle_image_by_image(self, seed, n_img, n, iou_thresh,
+                                                        top_k):
+        """A block of B images with n boxes each keeps, image by image, what
+        the per-box oracle keeps. The images' boxes lie on grids of different
+        pitch, so their kept counts differ and the images reach top_k in
+        different NMS blocks, or never."""
+        top_k = {"none": None, "more": n + 1}.get(top_k, top_k)
+        gen = np.random.default_rng(seed)
+        boxes, scores = map(np.stack, zip(*(nms_instance(gen, n, int(gen.integers(1, 5)))
+                                            for _ in range(n_img))))
+        keep = hz.nms(boxes, scores, iou_thresh, top_k)
+        assert isinstance(keep, list) and len(keep) == n_img
+        for b, s, k in zip(boxes, scores, keep):
+            assert k.dtype == np.intp
+            assert np.array_equal(k, nms_oracle(b, s, iou_thresh, top_k))
+
+    def test_suppression_chain_equals_per_box_oracle(self):
+        """Worst case of the fixed point: a chain of NMS_BLOCK boxes, each
+        overlapping only its neighbours, ranked along the chain, so greedy
+        keeps every other box and each pass settles one more box. The second
+        image is the chain ranked the other way round."""
+        x = 4.0 * np.arange(hz.NMS_BLOCK)
+        chain = np.stack([x, 0 * x, x + 10.0, 0 * x + 10.0], axis=1)   # neighbours: IoU 3/7
+        scores = 1.0 - np.arange(hz.NMS_BLOCK) / 100
+        boxes, scores = np.stack([chain, chain]), np.stack([scores, scores[::-1]])
+        keep = hz.nms(boxes, scores, 0.3)
+        assert keep[0].tolist() == list(range(0, hz.NMS_BLOCK, 2))
+        assert keep[1].tolist() == list(range(hz.NMS_BLOCK - 1, -1, -2))
+        for b, s, k in zip(boxes, scores, keep):
+            assert np.array_equal(k, nms_oracle(b, s, 0.3))
 
     def test_disjoint_boxes_all_kept(self):
         boxes = np.array([[0, 0, 10, 10], [20, 20, 30, 30]], float)
@@ -415,6 +458,68 @@ class TestAveragePrecision:
         aps = [hz.average_precision(detections, gt_boxes, t)
                for t in hz.COCO_IOU_THRESHOLDS]
         assert np.mean(aps) <= aps[0] + 1e-12
+
+
+def greedy_match_oracle(ious, thresholds):
+    """Greedy matching of one image's (D, G) IoUs, rows in rank order, at
+    every threshold, one detection at a time: each takes its best
+    still-unmatched box when that IoU reaches the threshold. (T, D) hits."""
+    hits = np.zeros((len(thresholds), len(ious)), dtype=bool)
+    for t, thr in enumerate(thresholds):
+        matched = np.zeros(ious.shape[1], dtype=bool)
+        for d, row in enumerate(ious):
+            if not len(row):
+                continue
+            cand = np.where(matched, -1.0, row)
+            j = int(cand.argmax())
+            if cand[j] >= thr:
+                matched[j] = hits[t, d] = True
+    return hits
+
+
+class TestLockstepMatching:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_image_matching_on_ragged_stacks(self, seed, n_img):
+        """Images of 0-8 detections and 0-5 boxes, padded with -1.0 into one
+        stack, match as each does alone, at any threshold if it has boxes.
+        IoUs lie on a 0.1 grid, so ties between boxes and IoUs equal to a
+        threshold are common."""
+        gen = np.random.default_rng(seed)
+        thresholds = np.array(hz.COCO_IOU_THRESHOLDS + (0.0, -1.0, -2.0))
+        mats = [gen.integers(0, 11, (gen.integers(0, 9), gen.integers(0, 6))) / 10
+                for _ in range(n_img)]
+        stack = np.full((n_img, max(map(len, mats)), max(m.shape[1] for m in mats)), -1.0)
+        for c, m in enumerate(mats):
+            stack[c, :m.shape[0], :m.shape[1]] = m
+        hits = hz._greedy_match(stack, thresholds)
+        assert hits.shape == (len(thresholds),) + stack.shape[:2]
+        for c, m in enumerate(mats):
+            if m.shape[1]:
+                assert np.array_equal(hits[:, c, :len(m)], greedy_match_oracle(m, thresholds))
+            else:       # only padding columns: no hit at any threshold above -1
+                assert not hits[thresholds > -1, c].any()
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_any_chunking_gives_the_oracle_ap(self, seed):
+        """average_precisions matches in stacks of at most MATCH_BLOCK IoUs;
+        stacks of one image, of a few, and of all give the oracle's AP."""
+        gen = np.random.default_rng(seed)
+        detections, gt_boxes = multi_image_instance(gen)
+        image_ids = np.array([d[0] for d in detections], dtype=np.int64)
+        scores = np.array([d[1] for d in detections])
+        boxes = np.array([d[2] for d in detections]).reshape(-1, 4)
+        ious = {img: iou_matrix(boxes[image_ids == img], gts)
+                for img, gts in gt_boxes.items() if len(gts)}
+        n_gt = sum(len(b) for b in gt_boxes.values())
+        want = [ap_oracle(detections, gt_boxes, t) for t in hz.COCO_IOU_THRESHOLDS]
+        for block in (1, 12, 2 ** 40):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(hz, "MATCH_BLOCK", block)
+                got = hz.average_precisions(image_ids, scores, ious, n_gt,
+                                            hz.COCO_IOU_THRESHOLDS)
+            assert got.tolist() == want
 
 
 class HiddenDropped(dat.ImageRecord):
@@ -628,7 +733,8 @@ def per_image_reference(params, records, config):
     for idx, mi in enumerate(hz.match_dataset(records)):
         with ag.no_grad():
             batch = mdl.forward_rpn(mi.record.image, params)
-        boxes, s = hz._proposals(batch.probs, batch.deltas, mi.anchors, mi.record.image)
+        (boxes, s), = hz._proposals(batch.probs[None], batch.deltas[None], mi.anchors,
+                                    mi.record.image)
         rng = np.random.default_rng([config.seed_sample, idx, 0xA0D17])
         pos_idx, neg_idx = mdl.sample_proposals(mi.labels, hz.MINIBATCH_SIZE,
                                                 hz.POS_FRACTION, rng)
@@ -1197,6 +1303,40 @@ class TestScoreFnDetection:
         flags = as_flags(flags)
         assert hz.score_fn_detection(flags, records) == score_oracle(flags, records)
 
+    @pytest.mark.parametrize("block", [1, None], ids=["one-image", "default"])
+    def test_stacks_bounded_beside_a_crowded_image(self, block, monkeypatch):
+        """One image with many withheld boxes among many with one: each
+        flag_hits stack pads only its own images' flags and boxes, holds at
+        most MATCH_BLOCK IoUs unless it holds one image, and the score is
+        the per-flag scan's."""
+        if block is not None:
+            monkeypatch.setattr(hz, "MATCH_BLOCK", block)
+        gen = np.random.default_rng(5)
+        anchors = hz.anchors_for(np.zeros((64, 64, 1)))
+        records, flags = [], []
+        for i in range(40):
+            crowded = i == 17
+            picks = anchors[gen.integers(0, len(anchors), size=150 if crowded else 1)]
+            records.append(make_record(i, [], picks + gen.uniform(-4, 4, picks.shape)))
+            for ai in gen.integers(0, len(anchors), size=64 if crowded else 6):
+                flags.append((i, int(ai), anchors[ai], 0.9))
+            flags.append((i, 0, records[-1].dropped[0], 0.9))
+        flags = as_flags(flags)
+        shapes = []
+        flag_hits = hz.flag_hits
+
+        def recording(boxes, dropped):
+            shapes.append(boxes.shape[:2] + dropped.shape[1:2])
+            return flag_hits(boxes, dropped)
+
+        monkeypatch.setattr(hz, "flag_hits", recording)
+        assert hz.score_fn_detection(flags, records) == score_oracle(flags, records)
+        assert sum(b for b, _, _ in shapes) == len(records)
+        assert all(b == 1 or b * f * d <= hz.MATCH_BLOCK for b, f, d in shapes)
+        assert max(b * f * d for b, f, d in shapes) <= 150 * 65
+        if block is None:        # the small images share stacks
+            assert len(shapes) < len(records) // 2
+
 
 class TestFlagHits:
     def test_iou_of_one_half_hits(self):
@@ -1212,7 +1352,8 @@ class TestFlagHits:
         flags = flags_at((0, (40, 40, 56, 56)))
         assert hz.score_fn_detection(flags, records).recall == 0.0
         assert hz.expected_random_recall(flags, records) < 1.0
-        monkeypatch.setattr(hz, "flag_hits", lambda a, b: np.ones((len(a), len(b)), bool))
+        monkeypatch.setattr(hz, "flag_hits",
+                            lambda a, b: np.ones(a.shape[:-1] + b.shape[-2:-1], bool))
         assert hz.score_fn_detection(flags, records).recall == 1.0
         assert hz.expected_random_recall(flags, records) == 1.0
 
