@@ -176,16 +176,16 @@ def cmd_audit(args) -> int:
                   for i, box, score in zip(flags.image_index.tolist(), flags.boxes.tolist(),
                                            flags.scores.tolist())],
     }
-    if any(len(rec.dropped) for rec in records):
-        fn = hz.score_fn_detection(flags, records)
+    fn = hz.score_fn_detection(flags, records)
+    if not fn.vacuous:
         doc["fn_precision"], doc["fn_recall"] = fn.precision, fn.recall
     _write_report(args, config, doc, started)
     print(f"{len(flags)} regions flagged; report at {args.report}")
     return 0
 
 
-# compare without --data trains seed s on generate_benchmark(*COMPARE_DATA,
-# seed=s): images, size and drop rate of the acceptance tests' benchmark.
+# The acceptance tests' benchmark (images, size, drop rate): synth's defaults,
+# and what compare without --data generates for each seed (generate_benchmark).
 COMPARE_DATA = (200, 64, 0.3)
 
 
@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--images", type=int, default=200)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--drop-rate", dest="drop_rate", type=float, default=0.3)
+    p.add_argument("--images", type=int, default=COMPARE_DATA[0])
+    p.add_argument("--size", type=int, default=COMPARE_DATA[1])
+    p.add_argument("--drop-rate", dest="drop_rate", type=float, default=COMPARE_DATA[2])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--mode", choices=["baseline", "soft_label"])
+    p.add_argument("--mode", choices=hz.MODES)
     p.add_argument("--t", type=float)
     p.add_argument("--lr", type=float)
     p.add_argument("--total-iters", dest="total_iters", type=int)
@@ -306,13 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The failures main reports as one `error:` line and exit 1.
+ERRORS = (OSError, ValueError, mdl.CheckpointError, dat.CocoFormatError, hz.DivergenceError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, mdl.CheckpointError, dat.CocoFormatError,
-            hz.DivergenceError) as e:
+    except ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

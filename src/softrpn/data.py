@@ -271,14 +271,26 @@ def save_dataset(directory, records: Sequence[ImageRecord]):
 
 def load_dataset(directory) -> list[ImageRecord]:
     """Records of every image in train.json, with its kept boxes from there
-    and its withheld boxes from the dropped.json sidecar. Each PGM must have
-    the extent that train.json declares for it, and the sidecar must list
-    the same images as train.json."""
+    and its withheld boxes from the dropped.json sidecar. Before any PGM is
+    read, the sidecar must list train.json's images, and no box of it repeat
+    a kept box of its image (the full annotation would count it twice)."""
     directory = str(directory)
     train_path = os.path.join(directory, "train.json")
     images, kept = read_cocolite(train_path)
     sidecar_path = os.path.join(directory, "dropped.json")
     sidecar_images, dropped = read_cocolite(sidecar_path)
+    if sidecar_images != images:
+        at = next((i for i, (a, b) in enumerate(zip(sidecar_images, images)) if a != b),
+                  min(len(sidecar_images), len(images)))
+        raise CocoFormatError(
+            f"{sidecar_path}: field 'images' must list the images of {train_path} "
+            f"(id, file_name, height, width), but differs at images[{at}]")
+    kept_boxes = {(image_id, *box) for image_id, boxes in kept.items() for box in boxes.tolist()}
+    for image_id, boxes in dropped.items():
+        for box in boxes.tolist():
+            if (image_id, *box) in kept_boxes:
+                raise CocoFormatError(f"{sidecar_path}: image {image_id}: the box with corners "
+                                      f"{box} repeats a kept box of {train_path}")
     empty = np.zeros((0, 4))
     records = []
     for i, (image_id, file_name, height, width) in enumerate(images):
@@ -291,12 +303,6 @@ def load_dataset(directory) -> list[ImageRecord]:
         records.append(ImageRecord(
             image_id=image_id, file_name=file_name, image=dequantize_image(q)[..., None],
             kept=kept.get(image_id, empty), dropped=dropped.get(image_id, empty)))
-    if sidecar_images != images:
-        at = next((i for i, (a, b) in enumerate(zip(sidecar_images, images)) if a != b),
-                  min(len(sidecar_images), len(images)))
-        raise CocoFormatError(
-            f"{sidecar_path}: field 'images' must list the images of {train_path} "
-            f"(id, file_name, height, width), but differs at images[{at}]")
     return records
 
 
@@ -328,10 +334,11 @@ def write_pgm(path, img: np.ndarray):
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 graymap back as uint16 (H, W)."""
+    """Read a binary P5 graymap back as uint16 (H, W). A header number of more
+    than 18 digits, beyond any array and int()'s digit limit, is not PGM."""
     with open(path, "rb") as f:
         raw = f.read()
-    m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
+    m = re.match(rb"P5\s+(\d{1,18})\s+(\d{1,18})\s+(\d{1,18})\s", raw)
     if not m:
         raise ValueError(f"{path}: not a binary PGM file")
     w, h, maxval = (int(m.group(i)) for i in (1, 2, 3))

@@ -56,6 +56,7 @@ FIXED_CONFIG = dict(
     batch_images=BATCH_IMAGES, minibatch_size=MINIBATCH_SIZE, pos_fraction=POS_FRACTION,
     pos_thresh=POS_THRESH, neg_thresh=NEG_THRESH, nms_iou=NMS_IOU, top_k=TOP_K)
 IGNORED_CONFIG_KEYS = ("image_size", "n_images", "drop_rate", "seed_data")
+MODES = ("baseline", "soft_label")    # TrainConfig.mode's values
 
 
 @dataclass
@@ -64,7 +65,7 @@ class TrainConfig:
     to reproduce a run exactly. The rest of the recipe is fixed above."""
     t: float = 0.8
     d_embed: int = 32
-    mode: str = "soft_label"           # "baseline" | "soft_label"
+    mode: str = "soft_label"           # one of MODES
     lr: float = 0.02 * BATCH_IMAGES / 48   # reference LR scaled linearly to the batch
     total_iters: int = 1000
     milestones: Optional[tuple[int, ...]] = None   # None: half and 4/5 of total_iters
@@ -76,7 +77,7 @@ class TrainConfig:
         for name in ("total_iters", "d_embed"):
             if (value := getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        if self.mode not in ("baseline", "soft_label"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.lr <= sys.float_info.max:     # refuses nan
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
@@ -197,9 +198,8 @@ MATCH_BLOCK = 2 ** 14
 def match_dataset(records: Sequence[ImageRecord]) -> list[MatchedImage]:
     """Label every image's anchors; each distinct extent's anchor grid is
     built once and shared by its images. The images of an extent are
-    labelled in blocks of at most MATCH_BLOCK IoUs (or of one image), fewest
-    boxes first, so a block's last image has its largest box count and
-    padding to it costs little."""
+    labelled in the blocks of _iou_blocks, fewest boxes first, so padding
+    each image to its block's largest box count costs little."""
     grids = _anchor_grids(records)
     by_extent: dict[tuple[int, ...], list[int]] = {}
     for i, rec in enumerate(records):
@@ -207,7 +207,6 @@ def match_dataset(records: Sequence[ImageRecord]) -> list[MatchedImage]:
     out: list[Optional[MatchedImage]] = [None] * len(records)
     for extent, indices in by_extent.items():
         anchors = grids[extent]
-        indices.sort(key=lambda i: len(records[i].kept))
         for run in _iou_blocks([(len(records[i].kept), len(anchors)) for i in indices]):
             block = [indices[k] for k in run]
             labels, targets = match_anchors(anchors, [records[i].kept for i in block],
@@ -219,13 +218,12 @@ def match_dataset(records: Sequence[ImageRecord]) -> list[MatchedImage]:
 
 
 def _iou_blocks(shapes: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Consecutive runs of the indices of (rows, cols) IoU matrices, each run
-    padding its matrices to at most MATCH_BLOCK IoUs or holding one matrix.
-    Callers give the matrices by ascending rows (box count), so a run's
-    last has its largest."""
+    """Runs of the indices of (rows, cols) IoU matrices, fewest rows first
+    (a stable sort: a run's last matrix has its most rows), each padding its
+    matrices to at most MATCH_BLOCK IoUs or holding one matrix."""
     runs: list[list[int]] = []
     cols = 0
-    for k, (n_rows, n_cols) in enumerate(shapes):
+    for k, (n_rows, n_cols) in sorted(enumerate(shapes), key=lambda item: item[1][0]):
         if not runs or (len(runs[-1]) + 1) * n_rows * max(cols, n_cols) > MATCH_BLOCK:
             runs.append([])
             cols = 0
@@ -266,15 +264,15 @@ def _blocks(matched: Sequence[MatchedImage]
 
 def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
                   config: TrainConfig, rng: np.random.Generator
-                  ) -> tuple[Tensor, list[mdl.RpnLosses]]:
+                  ) -> tuple[Tensor, dict[str, list[float]], np.ndarray]:
     """Forward a block of same-extent images on one tape, sample every
     image's proposal minibatch in block order, then attend
     (model.block_attention, soft_label mode) and compute the losses
-    (model.block_soft_label_loss) once for the whole block. Returns the
-    per-image losses and the node (model.heads_loss_node) whose backward()
-    carries their gradients into the tape: three adds into zeros at the
-    sampled (image, anchor) rows. A head no sampled anchor reached gets a
-    zero gradient, so its momentum still decays."""
+    (model.block_soft_label_loss) once for the whole block. Returns the loss's
+    per-image values and fires mask, after the node (model.heads_loss_node)
+    whose backward() carries its gradients into the tape: three adds into
+    zeros at the sampled (image, anchor) rows. A head no sampled anchor
+    reached gets a zero gradient, so its momentum still decays."""
     batch = mdl.forward_rpn(_block([mi.record.image for mi in block]), params)
     # the flat (B * N,) probabilities and (B * N, 4) deltas, and their gradients
     probs, deltas = batch.probs.reshape(-1), batch.deltas.reshape(-1, 4)
@@ -286,7 +284,7 @@ def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
     neg = mdl.concat_rows([q + j * n for j, (_, q) in enumerate(picks)])
     row_max = (mdl.block_attention(batch.embeddings, picks) if config.mode == "soft_label"
                else np.zeros(len(neg)))
-    losses, (grad_pos, grad_neg, grad_deltas) = mdl.block_soft_label_loss(
+    values, fires, (grad_pos, grad_neg, grad_deltas) = mdl.block_soft_label_loss(
         probs[pos], probs[neg], deltas[pos],
         mdl.concat_rows([mi.delta_targets[p] for mi, (p, _) in zip(block, picks)]),
         [len(p) for p, _ in picks], [len(q) for _, q in picks], row_max, config.t,
@@ -294,9 +292,9 @@ def _block_losses(params: dict[str, Tensor], block: Sequence[MatchedImage],
     g_probs[pos] += grad_pos
     g_probs[neg] += grad_neg
     g_deltas[pos] += grad_deltas
-    root = mdl.heads_loss_node(batch, sum(image.total for image in losses) / BATCH_IMAGES,
+    root = mdl.heads_loss_node(batch, sum(values["total"]) / BATCH_IMAGES,
                                g_probs.reshape(batch.probs.shape), g_deltas)
-    return root, losses
+    return root, values, fires
 
 
 def train(config: TrainConfig, records: Sequence[ImageRecord]
@@ -339,12 +337,12 @@ def _train(config: TrainConfig, matched: Sequence[MatchedImage]
                     # glibc to hand back to the kernel, and the forward and
                     # backward fault it in again: ~180 minor faults per
                     # iteration at 64x64 and ~1,100 at 128x128, against tens.
-                    root, losses = _block_losses(params, block, config, rng)
+                    root, values, fires = _block_losses(params, block, config, rng)
                     root.backward()
-                    for image in losses:
-                        for key in sums:
-                            sums[key] += getattr(image, key)
-                        n_flagged += len(image.flagged)
+                    for key, per_image in values.items():
+                        for value in per_image:
+                            sums[key] += value
+                    n_flagged += int(fires.sum())
                 means = {k: v / BATCH_IMAGES for k, v in sums.items()}
                 if not means["total"] <= DIVERGENCE_LOSS:     # also refuses nan
                     raise DivergenceError(it)
@@ -443,9 +441,8 @@ def _forward_each(params: dict[str, Tensor], matched: Sequence[MatchedImage],
 def _proposals(probs: np.ndarray, deltas: np.ndarray, anchors: np.ndarray,
                image: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Decoded, image-clipped, suppressed (NMS_IOU), top-k (TOP_K) proposals
-    of a forward block's (B, N) probs and (B, N, 4) deltas, whose anchors and
-    (one) image extent are given, decoded, clipped and suppressed as one:
-    each image's (boxes, scores)."""
+    of a forward block's (B, N) probs and (B, N, 4) deltas, as one, given
+    their anchors and (one) image extent: each image's (boxes, scores)."""
     boxes = decode_deltas(anchors, deltas)
     h, w = image.shape[:2]
     boxes[..., [0, 2]] = boxes[..., [0, 2]].clip(0.0, float(w))
@@ -520,18 +517,16 @@ def average_precisions(image_ids: np.ndarray, scores: np.ndarray,
             live = by_rank[m.max(axis=1)[by_rank] >= thresholds.min()]
             if len(live):
                 rows.append((r[live], m[live]))
-    rows.sort(key=lambda item: item[1].shape[1])
     tp = np.zeros((len(thresholds), n), dtype=bool)
     for run in _iou_blocks([m.shape[::-1] for _, m in rows]):
         run = [rows[k] for k in run]
         n_det = np.array([len(r) for r, _ in run])
         stack = np.full((len(run), n_det.max(), run[-1][1].shape[1]), -1.0)
-        ranks = np.zeros(stack.shape[:2], dtype=np.intp)
-        for c, (r, m) in enumerate(run):
+        for c, (_, m) in enumerate(run):
             stack[c, :len(m), :m.shape[1]] = m
-            ranks[c, :len(r)] = r
+        # the real rows in row-major order: each image's ranks in turn
         real = np.arange(stack.shape[1]) < n_det[:, None]
-        tp[:, ranks[real]] = _greedy_match(stack, thresholds)[:, real]
+        tp[:, np.concatenate([r for r, _ in run])] = _greedy_match(stack, thresholds)[:, real]
     # One threshold at a time keeps the float temporaries at O(n).
     aps = np.empty(len(thresholds))
     for t, hits in enumerate(tp):
@@ -578,24 +573,22 @@ def _evaluate(params: dict[str, Tensor], matched: Sequence[MatchedImage],
     decoded, clipped and suppressed as one (_proposals), and scored against
     the full ground truth as one (B, K_max, G_max) IoU stack, each image's
     proposals and boxes padded with (0, 0, 0, 0) rows, whose IoU with every
-    box is exactly 0."""
+    box is exactly 0. Each block appends to one running record."""
+    scores, ious, n_hit, audited = [], {}, [], []
 
     def each(indices, block, batch):
         props = _proposals(batch.probs, batch.deltas, block[0].anchors, block[0].record.image)
         fulls = [mi.record.full for mi in block]
         stack = iou_matrix(pad_boxes([boxes for boxes, _ in props]), pad_boxes(fulls))
-        n_hit = int((stack.max(axis=1) >= 0.5).sum()) if stack.shape[1] else 0
-        ious = {idx: stack[j, :len(props[j][0]), :len(gts)]
-                for j, (idx, gts) in enumerate(zip(indices, fulls)) if len(gts)}
-        return ([s for _, s in props], ious, n_hit,
-                _audit_block(batch, indices, block, config, config.t))
+        n_hit.append(int((stack.max(axis=1) >= 0.5).sum()) if stack.shape[1] else 0)
+        ious.update((idx, stack[j, :len(props[j][0]), :len(gts)])
+                    for j, (idx, gts) in enumerate(zip(indices, fulls)) if len(gts))
+        scores.extend(s for _, s in props)
+        audited.append(_audit_block(batch, indices, block, config, config.t))
 
-    per_block = _forward_each(params, matched, each)
-    flags = _collect_flags([audited for *_, audited in per_block])
-    scores = [s for block_scores, *_ in per_block for s in block_scores]
-    ious = {idx: m for _, block_ious, *_ in per_block for idx, m in block_ious.items()}
+    _forward_each(params, matched, each)
+    flags = _collect_flags(audited)
     n_gt = sum(len(mi.record.full) for mi in matched)
-    n_hit = sum(n for *_, n, _ in per_block)
     image_ids = np.repeat(np.arange(len(scores)), [len(s) for s in scores])
     aps = dict(zip(COCO_IOU_THRESHOLDS, average_precisions(
         image_ids, np.concatenate([np.zeros(0)] + scores), ious, n_gt,
@@ -604,7 +597,7 @@ def _evaluate(params: dict[str, Tensor], matched: Sequence[MatchedImage],
     return EvalReport(
         ap50=aps[0.5], ap75=aps[0.75],
         ap=float(np.mean([aps[t] for t in COCO_IOU_THRESHOLDS])),
-        recall50=(n_hit / n_gt) if n_gt else 0.0,
+        recall50=(sum(n_hit) / n_gt) if n_gt else 0.0,
         fn_precision=fn.precision, fn_recall=fn.recall, fn_vacuous=fn.vacuous,
     ), flags
 
@@ -628,16 +621,15 @@ def _audit_block(batch: mdl.ProposalBatch, indices: Sequence[int],
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The flags of a forward block, dataset image indices[j] at block row
     j, as the flat arrays of Flags in block and pick order: image index,
-    anchor row, box and score; see audit_flags."""
+    anchor row, box (of the block's one anchor grid) and score."""
     picks = [mdl.sample_proposals(mi.labels, MINIBATCH_SIZE, POS_FRACTION,
                                   np.random.default_rng([config.seed_sample, idx, 0xA0D17]))
              for idx, mi in zip(indices, block)]
     row_max = mdl.block_attention(batch.embeddings, picks)
     fires = mdl.flag_mask(row_max, t)
     image_index = np.repeat(indices, [len(q) for _, q in picks])
-    rows = mdl.concat_rows([q for _, q in picks])
-    boxes = mdl.concat_rows([mi.anchors[q] for mi, (_, q) in zip(block, picks)])
-    return image_index[fires], rows[fires], boxes[fires], row_max[fires]
+    rows = mdl.concat_rows([q for _, q in picks])[fires]
+    return image_index[fires], rows, block[0].anchors[rows], row_max[fires]
 
 
 def _collect_flags(audited: Sequence[tuple[np.ndarray, ...]]) -> Flags:
@@ -697,9 +689,8 @@ def score_fn_detection(flags: Flags, records: Sequence[ImageRecord]) -> FnScore:
     by_image = np.argsort(flags.image_index, kind="stable")
     flagged, starts, n_flags = np.unique(flags.image_index[by_image], return_index=True,
                                          return_counts=True)
-    scored = sorted(((records[i].dropped, flags.boxes[by_image[s:s + n]])
-                     for i, s, n in zip(flagged, starts, n_flags) if len(records[i].dropped)),
-                    key=lambda item: len(item[0]))
+    scored = [(records[i].dropped, flags.boxes[by_image[s:s + n]])
+              for i, s, n in zip(flagged, starts, n_flags) if len(records[i].dropped)]
     tp = n_hit = 0
     for run in _iou_blocks([(len(d), len(f)) for d, f in scored]):
         hits = flag_hits(pad_boxes([scored[k][1] for k in run]),

@@ -365,27 +365,24 @@ def block_soft_label_loss(pos_probs: np.ndarray, neg_probs: np.ndarray,
                           pos_deltas: np.ndarray, pos_delta_targets: np.ndarray,
                           n_pos: Sequence[int], n_neg: Sequence[int],
                           row_max: np.ndarray, t: float, weight: float = 1.0
-                          ) -> tuple[list[RpnLosses], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                          ) -> tuple[dict[str, list[float]], np.ndarray, tuple[np.ndarray, ...]]:
     """soft_label_loss of each image of a block, computed at once. The
     inputs are the images' sampled rows concatenated in block order, image i
     holding n_pos[i] positives and n_neg[i] negatives; row_max is the
     block's one attention array (block_attention), a row max per negative,
-    0.0 for the negatives of an image without a map. Returns the per-image
-    RpnLosses, whose gradients are views of the block's (grad_pos, grad_neg,
-    grad_deltas), also returned. Every value and gradient equals that of the
-    image's own soft_label_loss call."""
+    0.0 for the negatives of an image without a map. Returns each image's
+    l_pos, l_neg, l_reg and total, as lists keyed by those names; the fires
+    mask (flag_mask of row_max); and (grad_pos, grad_neg, grad_deltas). Each
+    value and image slice equals that of the image's own soft_label_loss."""
     pos, neg = _Rows(n_pos, weight), _Rows(n_neg, weight)
     fires = flag_mask(row_max, t)
     # 1.0 as a scalar target gives the floats of an array of ones
     l_neg, grad_neg = neg.means(_bce, neg_probs, np.where(fires, row_max, 0.0))
     l_pos, grad_pos = pos.means(_bce, pos_probs, 1.0)
     l_reg, grad_deltas = pos.means(_smooth_l1, pos_deltas, pos_delta_targets)
-    losses = [RpnLosses(l_pos=l_pos[i], l_neg=l_neg[i], l_reg=l_reg[i],
-                        total=(l_pos[i] + l_neg[i]) + l_reg[i],
-                        flagged=fires[a:b].nonzero()[0], grad_pos=grad_pos[p:q],
-                        grad_neg=grad_neg[a:b], grad_deltas=grad_deltas[p:q])
-              for i, (p, q, a, b) in enumerate(zip(pos.at, pos.at[1:], neg.at, neg.at[1:]))]
-    return losses, (grad_pos, grad_neg, grad_deltas)
+    values = {"l_pos": l_pos, "l_neg": l_neg, "l_reg": l_reg,
+              "total": [(p + n) + r for p, n, r in zip(l_pos, l_neg, l_reg)]}
+    return values, fires, (grad_pos, grad_neg, grad_deltas)
 
 
 def soft_label_loss(pos_probs: np.ndarray, neg_probs: np.ndarray,
@@ -411,9 +408,10 @@ def soft_label_loss(pos_probs: np.ndarray, neg_probs: np.ndarray,
     that array is zeros: every negative keeps its hard zero target, and
     without positives L_pos and L_reg are zero.
     """
-    row_max = np.zeros(len(neg_probs)) if amap is None else amap.row_max
-    return block_soft_label_loss(pos_probs, neg_probs, pos_deltas, pos_delta_targets,
-                                 [len(pos_probs)], [len(neg_probs)], row_max, t, weight)[0][0]
+    values, fires, grads = block_soft_label_loss(
+        pos_probs, neg_probs, pos_deltas, pos_delta_targets, [len(pos_probs)], [len(neg_probs)],
+        np.zeros(len(neg_probs)) if amap is None else amap.row_max, t, weight)
+    return RpnLosses(*(v[0] for v in values.values()), fires.nonzero()[0], *grads)
 
 
 def sample_proposals(labels: np.ndarray, n_total: int, pos_fraction: float,

@@ -5,6 +5,8 @@ training runs (module-scoped fixture), so this file takes several minutes.
 """
 
 import json
+import os
+import re
 import time
 
 import numpy as np
@@ -184,6 +186,68 @@ class TestDetectionSignal:
         detail = "; ".join(f"seed {r['seed']}: {r['fn_recall']:.4f} vs random "
                            f"{r['random_recall']:.4f}" for r in runs)
         assert wins >= 4, detail
+
+
+# -- the README's quoted numbers -------------------------------------
+
+def known_limitations() -> str:
+    """The README's "Known limitations" section."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        return f.read().split("\n## Known limitations\n", 1)[1].split("\n## ", 1)[0]
+
+
+def quoted(pattern: str, text: str) -> tuple[str, ...]:
+    """The groups of pattern's one match in text, whitespace runs read as one space."""
+    found = re.findall(pattern, " ".join(text.split()))
+    assert len(found) == 1, f"README: {pattern!r} matches {len(found)} times"
+    return found[0]
+
+
+class TestReadmeNumbers:
+    """Every number in the README's "Known limitations" that the
+    benchmark_runs fixture computes equals it at the README's printed
+    precision. The soft-label arm's mean flag count is not checked: the
+    fixture keeps no flag counts."""
+
+    def test_mean_rows(self, benchmark_runs):
+        runs, _ = benchmark_runs
+        table = known_limitations().split("```")[1].strip().splitlines()
+        columns = table[0].split()[2:]      # after "arm" and "seed"
+        rows = {cells[0]: dict(zip(columns, cells[2:]))
+                for cells in map(str.split, table[1:]) if cells[1:2] == ["mean"]}
+        assert set(rows) == {"baseline", "soft_label@0.8"}
+        checked = 0
+        for arm, report in (("baseline", "base"), ("soft_label@0.8", "soft")):
+            for column, printed in rows[arm].items():
+                if column == "flags":
+                    continue
+                values = [r["random_recall"] if column == "expected_random_recall"
+                          else getattr(r[report], column) for r in runs]
+                want = "-" if arm == "baseline" and column == "expected_random_recall" else \
+                    f"{float(np.mean(values)):.4f}"
+                assert printed == want, f"{arm} {column}: README {printed}, computed {want}"
+                checked += printed != "-"
+        assert checked == 13
+
+    def test_prose(self, benchmark_runs):
+        runs, _ = benchmark_runs
+        text = known_limitations()
+
+        def mean(report, name):
+            return f"{float(np.mean([getattr(r[report], name) for r in runs])):.4f}"
+
+        assert quoted(r"win on recall50 \((\S+) vs (\S+)\) and lose on AP50 \((\S+) vs (\S+)\)",
+                      text) == (mean("soft", "recall50"), mean("base", "recall50"),
+                                mean("soft", "ap50"), mean("base", "ap50"))
+        precision = [r["soft"].fn_precision for r in runs]
+        assert quoted(r"`fn_precision` (\S+)–(\S+) per seed", text) == \
+            (f"{min(precision):.4f}", f"{max(precision):.4f}")
+        ratio = [r["fn_recall"] / r["random_recall"] for r in runs]
+        assert quoted(r"`fn_recall` is (\S+)–(\S+) times the `expected_random_recall`", text) == \
+            (f"{min(ratio):.1f}", f"{max(ratio):.1f}")
+        seed0 = runs[SEEDS.index(0)]
+        assert quoted(r"\((\S+) vs (\S+) for seed 0\)", text) == \
+            (f"{seed0['fn_recall']:.4f}", f"{seed0['random_recall']:.4f}")
 
 
 # -- ablation shape --------------------------------------------------

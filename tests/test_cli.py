@@ -964,8 +964,6 @@ class TestMalformedInput:
          "annotations[0] (id 1): bbox [1, 2, 0, 4] has no area"),
         ("dropped.json", lambda d: edited(d, "annotations", 0, "bbox", [0, 0, 1e154, 1e154]),
          "annotations[0] (id 1): bbox [0, 0, 1e+154, 1e+154] does not lie inside image"),
-        ("train.json", lambda d: edited(d, "images", 1, "height", 4096),
-         "images[1] (id 1) declares height 4096 and width 64"),
         ("dropped.json", stray_sidecar, "field 'images' must list the images of"),
     ], ids=["top-level-list", "images-int", "image-not-object", "annotations-object",
             "bbox-missing", "file-name-missing", "id-string", "height-float", "id-duplicate",
@@ -973,12 +971,37 @@ class TestMalformedInput:
             "image-id-bool", "file-name-outside", "file-name-dotdot", "bbox-string",
             "bbox-nan", "sidecar-bbox-inf", "bbox-negative-width", "bbox-three-numbers",
             "category-id-bool", "bbox-area-overflow", "bbox-zero-width",
-            "sidecar-bbox-outside-image", "height-differs-from-pgm",
-            "sidecar-image-not-in-train"])
+            "sidecar-bbox-outside-image", "sidecar-image-not-in-train"])
     def test_malformed_cocolite(self, name, edit, needle, data, capsys):
         path = data / name
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         self.assert_refused(data, path, capsys, needle)
+
+    def test_declared_height_differs_from_pgm(self, data, capsys):
+        """Both files declare a height that image 1's PGM does not have (the
+        sidecar is checked first, so it must agree with train.json)."""
+        for name in ("train.json", "dropped.json"):
+            path = data / name
+            path.write_text(json.dumps(edited(json.loads(path.read_text()),
+                                              "images", 1, "height", 4096)))
+        self.assert_refused(data, data / "train.json", capsys,
+                            "images[1] (id 1) declares height 4096 and width 64")
+
+    def test_withheld_box_repeats_a_kept_box(self, data, capsys):
+        kept = json.loads((data / "train.json").read_text())["annotations"][0]
+        path = data / "dropped.json"
+        doc = json.loads(path.read_text())
+        doc["annotations"].append({**kept, "id": 1000})
+        path.write_text(json.dumps(doc))
+        self.assert_refused(data, path, capsys,
+                            f"image {kept['image_id']}: the box with corners ")
+
+    def test_pgm_header_number_too_long(self, data, capsys):
+        """A width of 5,000 digits, which int() refuses, is named by file."""
+        path = data / "images" / "img_000001.pgm"
+        raw = path.read_bytes()
+        path.write_bytes(b"P5\n" + b"9" * 5000 + raw[raw.index(b" "):])
+        self.assert_refused(data, path, capsys, "not a binary PGM file")
 
     def test_truncated_pgm(self, data, capsys):
         path = data / "images" / "img_000001.pgm"

@@ -293,6 +293,18 @@ class TestPgm:
         with pytest.raises(ValueError):
             dat.read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\n" + b"9" * 5000 + b" 2\n65535\n",
+                                        b"P5\n2 2\n" + b"6" * 19 + b"\n"],
+                             ids=["width-5000-digits", "maxval-19-digits"])
+    def test_header_number_too_long_names_the_file(self, tmp_path, header):
+        """A number int() refuses (over 4,300 digits) or no array could
+        have is refused as not PGM, by a message that names the file."""
+        path = tmp_path / "long.pgm"
+        path.write_bytes(header + bytes(8))
+        with pytest.raises(ValueError, match="not a binary PGM file") as e:
+            dat.read_pgm(path)
+        assert str(e.value).startswith(f"{path}: ")
+
 
 class TestRewriteInPlace:
     def test_shorter_content_leaves_exactly_its_bytes(self, tmp_path):
@@ -484,6 +496,49 @@ class TestCocolite:
         with pytest.raises(CocoFormatError,
                            match=rf"dropped\.json: field 'images' .* images\[{at}\]"):
             dat.load_dataset(tmp_path)
+
+    def test_withheld_box_repeating_a_kept_box_is_refused(self, tmp_path):
+        """A dropped.json box whose four corners equal a train.json box of
+        its own image is refused, naming dropped.json, the image id and the
+        box; the same box on another image is no repeat."""
+        dat.save_dataset(tmp_path, dat.generate_benchmark(3, 64, 0.5, seed=2))
+        kept = json.loads((tmp_path / "train.json").read_text())["annotations"][-1]
+        path = tmp_path / "dropped.json"
+        doc = json.loads(path.read_text())
+        other = next(r.image_id for r in dat.load_dataset(tmp_path)
+                     if r.image_id != kept["image_id"])
+        doc["annotations"].append({**kept, "id": 1000, "image_id": other})
+        path.write_text(json.dumps(doc))
+        dat.load_dataset(tmp_path)
+        doc["annotations"].append({**kept, "id": 1001})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CocoFormatError) as e:
+            dat.load_dataset(tmp_path)
+        x, y, w, h = kept["bbox"]
+        assert str(e.value) == (
+            f"{path}: image {kept['image_id']}: the box with corners {[x, y, x + w, y + h]} "
+            f"repeats a kept box of {tmp_path / 'train.json'}")
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda doc, train: doc["images"].pop(), "field 'images' must list"),
+        (lambda doc, train: doc["annotations"].append({**train["annotations"][0], "id": 1000}),
+         "repeats a kept box"),
+    ], ids=["images-differ", "repeated-box"])
+    def test_bad_sidecar_is_named_before_any_pgm_is_read(self, tmp_path, monkeypatch,
+                                                          edit, needle):
+        dat.save_dataset(tmp_path, dat.generate_benchmark(3, 64, 0.5, seed=2))
+        path = tmp_path / "dropped.json"
+        doc = json.loads(path.read_text())
+        edit(doc, json.loads((tmp_path / "train.json").read_text()))
+        path.write_text(json.dumps(doc))
+
+        def no_read(path):
+            raise AssertionError(f"read {path} before the sidecar was checked")
+
+        monkeypatch.setattr(dat, "read_pgm", no_read)
+        with pytest.raises(CocoFormatError, match=needle) as e:
+            dat.load_dataset(tmp_path)
+        assert str(e.value).startswith(f"{path}: ")
 
     def test_unknown_keys_ignored(self, tmp_path):
         path = tmp_path / "ds.json"
@@ -763,7 +818,9 @@ class TestLoadGrouping:
     @settings(max_examples=40, deadline=None)
     def test_group_by_equals_per_image_filter(self, n_images, anns, id_offset):
         """load_dataset's one-pass grouping gives each image exactly the boxes
-        of a per-image filter, in file order, and (0, 4) where it has none."""
+        of a per-image filter, in file order, and (0, 4) where it has none;
+        a dataset in which a withheld box repeats a kept box of its image
+        is refused instead."""
         ids = [7 * i + id_offset for i in range(n_images)]
         images = [{"id": i, "file_name": f"im{i}.pgm", "height": 8, "width": 8}
                   for i in ids]
@@ -784,6 +841,11 @@ class TestLoadGrouping:
             for name, doc in (("train.json", train), ("dropped.json", sidecar)):
                 with open(os.path.join(root, name), "w") as f:
                     json.dump(doc, f)
+            if any(set(map(tuple, filter_oracle(sidecar, i).tolist()))
+                   & set(map(tuple, filter_oracle(train, i).tolist())) for i in ids):
+                with pytest.raises(CocoFormatError, match="repeats a kept box"):
+                    dat.load_dataset(root)
+                return
             records = dat.load_dataset(root)
         assert [r.image_id for r in records] == ids
         for rec in records:

@@ -1030,13 +1030,17 @@ class TestBlockTraining:
         cfg = tiny_config(mode=mode, t=0.5)
         params = mdl.init_params(cfg.d_embed, cfg.n_anchors, np.random.default_rng(0))
         rng, alone = np.random.default_rng(7), np.random.default_rng(7)
-        _, losses = hz._block_losses(params, matched, cfg, rng)
+        _, values, fires = hz._block_losses(params, matched, cfg, rng)
         want = [image_loss(params, mi, cfg, alone)[0] for mi in matched]
         assert rng.bit_generator.state == alone.bit_generator.state
-        for got, image in zip(losses, want):
-            assert (got.l_pos, got.l_neg, got.l_reg, got.total) == \
-                (image.l_pos, image.l_neg, image.l_reg, image.total)
-            assert got.flagged.tobytes() == image.flagged.tobytes()
+        assert list(values) == ["l_pos", "l_neg", "l_reg", "total"]
+        at = 0
+        for i, image in enumerate(want):
+            assert [values[key][i] for key in values] == \
+                [image.l_pos, image.l_neg, image.l_reg, image.total]
+            a, at = at, at + len(image.grad_neg)     # this image's negatives
+            assert fires[a:at].nonzero()[0].tobytes() == image.flagged.tobytes()
+        assert at == len(fires)
         assert any(len(image.flagged) for image in want) == (mode == "soft_label")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -416,19 +416,19 @@ class TestStackedAttention:
         assert row_max.tobytes() == want.tobytes()
         n_pos, n_neg = [len(pos) for pos, _ in picks], [len(neg) for _, neg in picks]
         neg_p = gen.uniform(0.01, 0.99, sum(n_neg))
-        losses, _ = mdl.block_soft_label_loss(
+        values, fires, (_, grad_neg, _) = mdl.block_soft_label_loss(
             np.full(sum(n_pos), 0.5), neg_p, np.zeros((sum(n_pos), 4)),
             np.zeros((sum(n_pos), 4)), n_pos, n_neg, row_max, t)
-        fires = mdl.flag_mask(row_max, t)
+        assert fires.tobytes() == mdl.flag_mask(row_max, t).tobytes()
         at = 0
-        for amap, k, image in zip(maps, n_neg, losses):
+        for i, (amap, k) in enumerate(zip(maps, n_neg)):
             a, at = at, at + k
             if amap is None:
-                assert not fires[a:at].any() and image.flagged.shape == (0,)
+                assert not fires[a:at].any()
                 hard = loss_one_image(np.zeros(0), neg_p[a:at], np.zeros((0, 4)),
                                       np.zeros((0, 4)), None, t, 1.0)
-                assert image.l_neg == hard[1]
-                assert image.grad_neg.tobytes() == hard[5].tobytes()
+                assert values["l_neg"][i] == hard[1]
+                assert grad_neg[a:at].tobytes() == hard[5].tobytes()
 
 
 def amap_with_row_maxes(row_maxes):
@@ -478,13 +478,13 @@ class TestDetectFalseNegatives:
         one just below t is neither."""
         below = np.nextafter(t, 0.0)
         amaps = [amap_with_row_maxes([t, below, 0.95]), amap_with_row_maxes([below, t])]
-        losses, (_, grad_neg, _) = mdl.block_soft_label_loss(
+        _, fires, (_, grad_neg, _) = mdl.block_soft_label_loss(
             np.full(2, 0.5), np.full(5, 0.3), np.zeros((2, 4)), np.zeros((2, 4)),
             [1, 1], [3, 2], np.concatenate([amap.row_max for amap in amaps]), t)
-        for image, amap in zip(losses, amaps):
-            assert image.flagged.tolist() == np.flatnonzero(
-                mdl.flag_mask(amap.row_max, t)).tolist()
-        assert [image.flagged.tolist() for image in losses] == [[0, 2], [1]]
+        flagged = [np.flatnonzero(fires[a:b]).tolist() for a, b in ((0, 3), (3, 5))]
+        for image, amap in zip(flagged, amaps):
+            assert image == np.flatnonzero(mdl.flag_mask(amap.row_max, t)).tolist()
+        assert flagged == [[0, 2], [1]]
         # a probability of 0.3 is pulled up toward a soft target >= 0.5, down toward 0
         assert np.sign(grad_neg).tolist() == [-1, 1, -1, 1, -1]
 
@@ -682,22 +682,24 @@ class TestBlockSoftLabelLoss:
         pos_p, neg_p, pd, td, n_pos, n_neg, amaps = loss_instance(gen, counts, soft)
         row_max = np.concatenate([np.zeros(k) if amap is None else amap.row_max
                                   for amap, k in zip(amaps, n_neg)])
-        losses, grads = mdl.block_soft_label_loss(pos_p, neg_p, pd, td, n_pos, n_neg,
-                                                  row_max, t, 0.25)
-        assert len(losses) == len(counts)
+        values, fires, (grad_pos, grad_neg, grad_deltas) = mdl.block_soft_label_loss(
+            pos_p, neg_p, pd, td, n_pos, n_neg, row_max, t, 0.25)
+        assert list(values) == ["l_pos", "l_neg", "l_reg", "total"]
+        assert all(len(per_image) == len(counts) for per_image in values.values())
+        assert (fires.dtype, fires.shape) == (bool, neg_p.shape)
         p = q = 0
-        for (k_pos, k_neg), amap, got in zip(counts, amaps, losses):
+        for i, ((k_pos, k_neg), amap) in enumerate(zip(counts, amaps)):
             want = mdl.soft_label_loss(pos_p[p:p + k_pos], neg_p[q:q + k_neg],
                                        pd[p:p + k_pos], td[p:p + k_pos], amap, t, 0.25)
-            for name in ("l_pos", "l_neg", "l_reg", "total"):
-                assert getattr(got, name) == getattr(want, name), name
-            for name in ("flagged", "grad_pos", "grad_neg", "grad_deltas"):
-                a, b = getattr(got, name), getattr(want, name)
+            for name, per_image in values.items():
+                assert per_image[i] == getattr(want, name), name
+            got = {"flagged": fires[q:q + k_neg].nonzero()[0], "grad_pos": grad_pos[p:p + k_pos],
+                   "grad_neg": grad_neg[q:q + k_neg], "grad_deltas": grad_deltas[p:p + k_pos]}
+            for name, a in got.items():
+                b = getattr(want, name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
             p, q = p + k_pos, q + k_neg
-        for whole, name in zip(grads, ("grad_pos", "grad_neg", "grad_deltas")):
-            assert whole.tobytes() == np.concatenate(
-                [getattr(image, name) for image in losses]).tobytes()
+        assert (p, q) == (len(pos_p), len(neg_p))
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 16), st.integers(0, 64),
            st.sampled_from([0.5, 0.8]), st.sampled_from([1.0, 0.25]))
