@@ -27,6 +27,21 @@ def _atomic_write_json(path, doc):
     mdl.write_file(path, [json.dumps(doc, indent=1, sort_keys=True).encode()])
 
 
+# One flag of an audit report as json.dumps(..., indent=1) lays it out.
+_FLAG_JSON = ('  {\n   "attention_score": %r,\n   "box": [\n    %r,\n    %r,\n    %r,\n'
+              '    %r\n   ],\n   "image_id": %r\n  }')
+
+
+def _audit_json(doc) -> str:
+    """json.dumps(doc, indent=1, sort_keys=True) of an audit report, without
+    indent's pure-Python encoder for the flags (~5x slower on hundreds): their
+    floats are finite and image ids ints, so %r in a template writes them."""
+    flags = ",\n".join([_FLAG_JSON % (f["attention_score"], *f["box"], f["image_id"])
+                        for f in doc["flags"]])
+    text = json.dumps({**doc, "flags": []}, indent=1, sort_keys=True)
+    return text.replace('"flags": []', f'"flags": [\n{flags}\n ]') if flags else text
+
+
 def _write_manifest(path, config: hz.TrainConfig | None, artifacts: dict,
                     started: float, extra: dict | None = None):
     doc = {
@@ -147,9 +162,9 @@ def _load_for_report(args) -> tuple[dict, hz.TrainConfig, list[dat.ImageRecord]]
     return params, config, dat.load_dataset(args.data)
 
 
-def _write_report(args, config: hz.TrainConfig, doc, started: float):
+def _write_report(args, config: hz.TrainConfig, text: str, started: float):
     """The report of eval or audit, then <report>.manifest.json naming it."""
-    _atomic_write_json(args.report, doc)
+    mdl.write_file(args.report, [text.encode()])
     _write_manifest(args.report + ".manifest.json", config,
                     {"report": os.path.abspath(args.report),
                      "checkpoint": os.path.abspath(args.checkpoint)}, started)
@@ -159,7 +174,7 @@ def cmd_eval(args) -> int:
     started = time.time()
     params, config, records = _load_for_report(args)
     report = hz.evaluate(params, records, config)
-    _write_report(args, config, report.to_dict(), started)
+    _write_report(args, config, json.dumps(report.to_dict(), indent=1, sort_keys=True), started)
     print(json.dumps(report.to_dict(), indent=1))
     return 0
 
@@ -179,7 +194,7 @@ def cmd_audit(args) -> int:
     fn = hz.score_fn_detection(flags, records)
     if not fn.vacuous:
         doc["fn_precision"], doc["fn_recall"] = fn.precision, fn.recall
-    _write_report(args, config, doc, started)
+    _write_report(args, config, _audit_json(doc), started)
     print(f"{len(flags)} regions flagged; report at {args.report}")
     return 0
 

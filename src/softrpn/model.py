@@ -197,7 +197,7 @@ def whitening_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = rows.sum(axis=-2) / n
     centered = rows - mean[..., None, :]
     cov = (centered.swapaxes(-1, -2) @ centered / n).reshape(-1, d, d)
-    shrink = np.array([ATTENTION_SHRINKAGE * np.trace(c) / d + 1e-12 for c in cov])
+    shrink = ATTENTION_SHRINKAGE * np.trace(cov, axis1=1, axis2=2) / d + 1e-12
     cov += shrink[:, None, None] * np.eye(d)
     evals, evecs = np.linalg.eigh(cov)
     transform = evecs @ ((evals ** -0.5)[..., None] * evecs.swapaxes(-1, -2))
@@ -218,22 +218,32 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return np.where(tiny, 0.0, x / np.where(tiny, 1.0, norms))
 
 
-def _project(zn: np.ndarray, zp: np.ndarray, mean: np.ndarray, transform: np.ndarray
-             ) -> AttentionMap:
-    """The attention of standardized (..., n, D) negatives to (..., m, D)
-    positives under their joint whitening_stats. Each half is projected in
-    its own product, as one image's call makes it: a product over the
-    joint rows rounds some rows differently."""
-    mean = mean[..., None, :]
-    cn = _unit_rows((zn - mean) @ transform)
-    cp = _unit_rows((zp - mean) @ transform)
+def _project(rows: np.ndarray, n_neg: Iterable[int]) -> np.ndarray:
+    """The standardized, whitened unit rows of a (k, n + m, D) stack of
+    [negatives; positives], batch i's first n_neg[i] rows its negatives.
+    The stack is centred once and projected into one buffer, each batch's
+    two halves in products of their own, as one image's call makes them: a
+    product over the joint rows rounds some rows differently."""
+    z = _standardize_rows(rows)
+    mean, transform = whitening_stats(z)
+    centered = z - mean[:, None, :]
+    out = np.empty_like(z)
+    for c, t, o, n in zip(centered, transform, out, n_neg):
+        np.matmul(c[:n], t, out=o[:n])
+        np.matmul(c[n:], t, out=o[n:])
+    return _unit_rows(out)
+
+
+def _exp_logits(cn: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """exp of each row's scaled cosine logits less the row's largest, for
+    unit rows cn (..., n, D) and cp (..., m, D): the softmax numerators,
+    whose row maximum is exactly exp(0) = 1."""
     # A contiguous copy of cp.T, not the strided view: BLAS rounds the two
     # products differently, and the copy reproduces the training logs,
     # checkpoints and audits of earlier versions bit for bit.
     logits = (cn @ cp.swapaxes(-1, -2).copy()) * ATTENTION_LOGIT_SCALE
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    a = e / e.sum(axis=-1, keepdims=True)
-    return AttentionMap(a=a, row_max=a.max(axis=-1))
+    logits -= logits.max(axis=-1, keepdims=True)
+    return np.exp(logits, out=logits)
 
 
 def attention_map(neg_embeddings: np.ndarray, pos_embeddings: np.ndarray
@@ -256,9 +266,12 @@ def attention_map(neg_embeddings: np.ndarray, pos_embeddings: np.ndarray
         raise ag.GraphError("attention map needs at least one positive proposal")
     if neg_embeddings.shape[-2] == 0:
         raise ag.GraphError("attention map needs at least one negative proposal")
-    zn = _standardize_rows(neg_embeddings)
-    zp = _standardize_rows(pos_embeddings)
-    return _project(zn, zp, *whitening_stats(np.concatenate([zn, zp], axis=-2)))
+    n = neg_embeddings.shape[-2]
+    rows = np.concatenate([neg_embeddings, pos_embeddings], axis=-2)
+    c = _project(rows.reshape(-1, *rows.shape[-2:]), itertools.repeat(n)).reshape(rows.shape)
+    e = _exp_logits(c[..., :n, :], c[..., n:, :])
+    a = e / e.sum(axis=-1, keepdims=True)
+    return AttentionMap(a=a, row_max=a.max(axis=-1))
 
 
 def block_attention(embeddings: np.ndarray,
@@ -272,8 +285,9 @@ def block_attention(embeddings: np.ndarray,
     through it.
 
     The images whose [negative; positive] row sets have one count are
-    standardized and whitened as one stack; those that also share a
-    negative count are projected as one."""
+    standardized, whitened and projected as one stack (_project). A row's
+    max is 1 / (sum of its exp_logits): its largest numerator is exactly
+    1.0, and division rounds monotonically, so this is a.max() bit for bit."""
     at = [0, *itertools.accumulate(len(neg) for _, neg in picks)]
     row_max = np.zeros(at[-1])
     by_count: dict[int, list[int]] = {}
@@ -281,19 +295,11 @@ def block_attention(embeddings: np.ndarray,
         if len(pos) >= 2 and len(neg):
             by_count.setdefault(len(pos) + len(neg), []).append(j)
     for members in by_count.values():
-        # by negative count, so the images of each count are one slice of the stack
-        members.sort(key=lambda j: len(picks[j][1]))
+        n_neg = [len(picks[j][1]) for j in members]
         rows = np.array([np.concatenate(picks[j][::-1]) for j in members])
-        z = _standardize_rows(embeddings[np.array(members)[:, None], rows])
-        mean, transform = whitening_stats(z)
-        start = 0
-        for n_neg, run in itertools.groupby(members, key=lambda j: len(picks[j][1])):
-            run = list(run)
-            s = slice(start, start + len(run))
-            start = s.stop
-            amap = _project(z[s, :n_neg], z[s, n_neg:], mean[s], transform[s])
-            for j, r in zip(run, amap.row_max):
-                row_max[at[j]:at[j + 1]] = r
+        c = _project(embeddings[np.array(members)[:, None], rows], n_neg)
+        for j, ci, n in zip(members, c, n_neg):
+            row_max[at[j]:at[j + 1]] = 1.0 / _exp_logits(ci[:n], ci[n:]).sum(axis=-1)
     return row_max
 
 

@@ -39,6 +39,17 @@ def assert_grad_matches(fn, tensor: ag.Tensor, rel_tol: float = 1e-3,
                                        "finite differences")
 
 
+def im2col_strided(xp, k, stride, ho, wo):
+    """autograd._im2col's columns as a reshape (a copy) of the strided
+    window view, for any channel count: the one way they were built before
+    a one-channel input had them gathered. Kept as an oracle for it."""
+    lead = xp.shape[:-3]
+    s0, s1, s2 = xp.strides[-3:]
+    windows = np.ndarray(lead + (ho, wo, k, k, xp.shape[-1]), xp.dtype, xp, 0,
+                         xp.strides[:-3] + (s0 * stride, s1 * stride, s0, s1, s2))
+    return windows.reshape(lead + (ho * wo, -1))
+
+
 def match_one_image(anchors, gt, pos_thresh, neg_thresh):
     """Label (N, 4) anchors against one image's (G, 4) ground truth, one
     image per call: match_anchors as it was before it labelled blocks of

@@ -7,7 +7,7 @@ from softrpn import autograd as ag
 from softrpn import model as mdl
 from softrpn.autograd import Tensor
 
-from conftest import assert_grad_matches, block_and_per_image_grads, dot_loss
+from conftest import assert_grad_matches, block_and_per_image_grads, dot_loss, im2col_strided
 
 
 def conv_oracle(x, k, stride, pad, g, bias=None, relu=False):
@@ -217,6 +217,77 @@ class TestConv2d:
         base = Tensor(data.copy(), requires_grad=True)
         grads(ag.add(base, Tensor(np.zeros_like(data))))
         np.testing.assert_array_equal(base.grad, tracked.grad)
+
+
+# Values at which a ReLU written another way than np.where(v > 0, v, 0.0)
+# could differ from it: signed zeros, infinities, NaN, subnormals (5e-324 and
+# 2**-1060), and products that underflow to a signed zero (1e-200 * 1e-200).
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.0 ** -1060,
+                  -(2.0 ** -1060), 1e-200, -1e-200, 1.0, -1.0]
+
+
+class TestReluAndColumns:
+    @given(st.integers(1, 3), st.sampled_from([1, 8]), st.integers(3, 7), st.integers(3, 7),
+           st.sampled_from([None, -1e-200, -0.0, np.nan]), st.booleans(),
+           st.sampled_from([0.0, -0.0, 1e-300, -1e-300, np.nan, -np.inf]),
+           st.integers(0, 2 ** 32 - 1))
+    # Products that underflow to -0.0, on outputs of 27 and 54 floats: fmax
+    # keeps a -0.0 in the scalar tail of NumPy's SIMD loop, past the last
+    # multiple of 8, and returns +0.0 within it.
+    @example(1, 1, 5, 5, -1e-200, True, -0.0, 0)
+    @example(2, 8, 6, 5, -1e-200, True, -0.0, 1)
+    @example(1, 8, 5, 5, None, True, 0.0, 2)
+    @settings(max_examples=80, deadline=None)
+    def test_relu_is_where_after_the_bias(self, n_images, cin, h, w, fill, tiny_kernel, b, seed):
+        """conv2d's ReLU, applied in place to the biased output, gives that
+        output's np.where(v > 0, v, 0.0), bytes and all, for inputs (random
+        SPECIAL_FLOATS, or one fill value), kernels and biases that make v
+        hold signed zeros, infinities, NaN and subnormals; its gradients are
+        those of the unrectified conv under the upstream gradient masked by
+        v > 0."""
+        gen = np.random.default_rng(seed)
+        images = (gen.choice(SPECIAL_FLOATS, (n_images, h, w, cin)) if fill is None
+                  else np.full((n_images, h, w, cin), fill))
+        kernel_data = (np.full((3, 3, cin, 3), 1e-200) if tiny_kernel
+                       else gen.choice(SPECIAL_FLOATS, (3, 3, cin, 3)))
+        bias_data = np.array([b, b, gen.choice(SPECIAL_FLOATS)])
+
+        def run(relu, upstream):
+            x = Tensor(images.copy(), requires_grad=True)
+            kernel = Tensor(kernel_data.copy(), requires_grad=True)
+            bias = Tensor(bias_data.copy(), requires_grad=True)
+            with np.errstate(all="ignore"):
+                out = ag.conv2d(x, kernel, stride=2, pad=1, bias=bias, relu=relu)
+                dot_loss((out,), (upstream(out.data),)).backward()
+            return out.data, [t.grad.tobytes() for t in (x, kernel, bias)]
+
+        g = gen.standard_normal((n_images, (h + 1) // 2, (w + 1) // 2, 3))
+        v, _ = run(False, lambda _: g)
+        out, grads = run(True, lambda _: g)
+        assert out.tobytes() == np.where(v > 0, v, 0.0).tobytes()
+        _, want = run(False, lambda _: g * (v > 0))
+        assert grads == want
+
+    @pytest.mark.parametrize("size", [16, 64, 80, 128])
+    @pytest.mark.parametrize("n_images", [None, 1, 2, 3, 4])
+    def test_one_channel_columns_are_the_strided_copy(self, rng, size, n_images):
+        """conv0's gathered columns equal the strided windows' copy, bytes,
+        shape and layout, for one image and for blocks of 1 to 4; the band
+        index is built once per (padded width, k, stride)."""
+        lead = () if n_images is None else (n_images,)
+        for k, stride, pad in ((3, 2, 1), (3, 1, 1), (1, 1, 0), (5, 2, 2)):
+            xp = np.pad(rng.standard_normal(lead + (size, size + 6, 1)),
+                        [(0, 0)] * len(lead) + [(pad, pad), (pad, pad), (0, 0)])
+            ho, wo = (size + 2 * pad - k) // stride + 1, (size + 6 + 2 * pad - k) // stride + 1
+            want = im2col_strided(xp, k, stride, ho, wo)
+            got = ag._im2col(xp, k, stride, ho, wo)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+            cached = dict(ag._BAND_INDEX)
+            assert (size + 6 + 2 * pad, k, stride) in cached
+            again = ag._im2col(xp, k, stride, ho, wo)
+            assert again.tobytes() == want.tobytes()
+            assert ag._BAND_INDEX.keys() == cached.keys()
+            assert all(ag._BAND_INDEX[key] is index for key, index in cached.items())
 
 
 def anchor_scores_oracle(fe, w, b, g):

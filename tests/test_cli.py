@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from softrpn import cli
 from softrpn import data as dat
@@ -733,6 +735,8 @@ class TestAuditCmd:
         scores = [f["attention_score"] for f in doc["flags"]]
         assert scores == sorted(scores, reverse=True)
         assert "fn_precision" in doc and "fn_recall" in doc
+        assert doc["flags"]
+        assert report.read_text() == json.dumps(doc, indent=1, sort_keys=True)
 
     def test_bad_extents_give_one_error_line(self, dataset60, checkpoint, tmp_path,
                                              capsys):
@@ -789,6 +793,28 @@ class TestReportWriter:
         cli._atomic_write_json(tmp_path / "r.json", doc)
         assert (tmp_path / "r.json").read_bytes() == want
         assert os.listdir(tmp_path) == ["r.json"]
+
+    @given(st.lists(st.tuples(st.integers(0, 2 ** 63 - 1),
+                              st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                       min_size=4, max_size=4),
+                              st.floats(0.0, 1.0)),
+                    max_size=400),
+           st.sampled_from([0.5, 0.8, 1e-9]), st.booleans())
+    @example([], 0.8, True)
+    @example([(0, [0.0, -0.0, 63.5, 64.0], 1.0)], 0.8, False)
+    @example([(2 ** 63 - 1, [5e-324, 0.1 + 0.2, 1e16, 1.0], 5e-324),
+              (7, [1.0, 2.0, 3.0, 4.0], 0.1 + 0.2)] * 150, 0.5, True)
+    @settings(max_examples=60, deadline=None)
+    def test_audit_bytes_equal_json_dumps(self, flags, t, with_fn):
+        """An audit report, written through one template per flag, has the
+        bytes of json.dumps(doc, indent=1, sort_keys=True): 0, 1 or hundreds
+        of flags, scores such as 5e-324, 0.1 + 0.2 and 1.0, large image ids,
+        with and without the fn_* fields."""
+        doc = {"t": t, "flags": [{"image_id": i, "box": box, "attention_score": score}
+                                 for i, box, score in flags]}
+        if with_fn:
+            doc["fn_precision"], doc["fn_recall"] = 0.1 + 0.2, 1.0
+        assert cli._audit_json(doc) == json.dumps(doc, indent=1, sort_keys=True)
 
 
 def no_generator(*args, **kwargs):

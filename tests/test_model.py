@@ -362,21 +362,35 @@ class TestStackedAttention:
             assert mean[i].tobytes() == mean_i.tobytes()
             assert transform[i].tobytes() == transform_i.tobytes()
 
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(2, 40))
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(2, 40), st.booleans(),
+           st.sampled_from(["none", "pair", "all"]))
+    @example(0, 4, 8, True, "none")
+    @example(1, 4, 8, True, "all")
+    @example(2, 3, 32, False, "pair")
     @settings(max_examples=60, deadline=None)
-    def test_block_attention_equals_per_image_maps(self, seed, n_images, d):
+    def test_block_attention_equals_per_image_maps(self, seed, n_images, d, shared, ties):
         """Ragged blocks: images of one joint row count but other negative
         counts, of other joint counts, with one positive or no negative
-        (no map); a joint count of 64 is the common one."""
+        (no map); a joint count of 64 is the common one. With shared, every
+        image has the first image's counts, so all of them are projected
+        into one buffer. ties copies one positive's embedding onto another
+        ("pair") or onto every positive ("all"), so rows hold cosines tied
+        up to BLAS rounding, or exactly, the largest among them. Each row
+        max equals that of the image's own attention_map, its a.max(-1)."""
         gen = np.random.default_rng(seed)
         n_anchors = 150
         embeddings = gen.standard_normal((n_images, n_anchors, d)) * 10.0 ** gen.uniform(-2, 2)
         picks = []
-        for _ in range(n_images):
+        for i in range(n_images):
             n_pos = int(gen.choice([0, 1, 2, 5, 9, 16]))
             n_neg = int(gen.choice([0, 64 - n_pos, gen.integers(1, 64)]))
+            if shared and picks:
+                n_pos, n_neg = len(picks[0][0]), len(picks[0][1])
             rows = gen.permutation(n_anchors)
-            picks.append((np.sort(rows[:n_pos]), np.sort(rows[n_pos:n_pos + n_neg])))
+            pos = np.sort(rows[:n_pos])
+            if ties != "none" and n_pos >= 2:
+                embeddings[i, pos[1:] if ties == "all" else pos[1]] = embeddings[i, pos[0]]
+            picks.append((pos, np.sort(rows[n_pos:n_pos + n_neg])))
         row_max = mdl.block_attention(embeddings, picks)
         assert row_max.shape == (sum(len(neg) for _, neg in picks),)
         at = 0
@@ -387,6 +401,7 @@ class TestStackedAttention:
                 continue
             want = mdl.attention_map(emb[neg], emb[pos])
             assert got.tobytes() == want.row_max.tobytes()
+            assert got.tobytes() == want.a.max(axis=-1).tobytes()
 
     @given(st.integers(0, 2 ** 32 - 1),
            st.lists(st.tuples(st.sampled_from([0, 1, 2, 4, 9]), st.sampled_from([0, 1, 12, 30])),
