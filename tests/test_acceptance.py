@@ -4,6 +4,7 @@ The method-effect and detection-signal tests share one set of full-scale
 training runs (module-scoped fixture), so this file takes several minutes.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -136,26 +137,20 @@ SEEDS = (0, 1, 2, 3, 4)
 
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    """Train baseline and soft-label models on the default benchmark for five
-    seeds; evaluations are against the complete (undropped) ground truth."""
+    """`softrpn compare`'s study: baseline and soft-label models trained on the
+    default benchmark for five seeds, evaluated against the complete
+    (undropped) ground truth, one run per seed."""
     started = time.time()
-    runs = []
-    for seed in SEEDS:
-        records = dat.generate_benchmark(200, 64, 0.3, seed=seed)
-        common = dict(seed_init=seed, seed_sample=seed)
-        base_cfg = hz.TrainConfig(mode="baseline", **common)
-        soft_cfg = hz.TrainConfig(mode="soft_label", t=0.8, **common)
-        base_params, _ = hz.train(base_cfg, records)
-        soft_params, _ = hz.train(soft_cfg, records)
-        flags = hz.audit_flags(soft_params, records, soft_cfg)
-        fn = hz.score_fn_detection(flags, records)
-        runs.append({
-            "seed": seed,
-            "base": hz.evaluate(base_params, records, base_cfg),
-            "soft": hz.evaluate(soft_params, records, soft_cfg),
-            "fn_recall": fn.recall,
-            "random_recall": hz.expected_random_recall(flags, records),
-        })
+    doc = hz.compare(hz.TrainConfig(), ((s, dat.generate_benchmark(200, 64, 0.3, seed=s))
+                                        for s in SEEDS), (0.8,))
+
+    def report(row):
+        return hz.EvalReport(**{f.name: row[f.name] for f in dataclasses.fields(hz.EvalReport)})
+
+    runs = [{"seed": base["seed"], "base": report(base), "soft": report(soft),
+             "fn_recall": soft["fn_recall"], "random_recall": soft["expected_random_recall"],
+             "flags": soft["flags"]}
+            for base, soft in zip(doc["rows"][0::2], doc["rows"][1::2])]
     return runs, time.time() - started
 
 
@@ -206,8 +201,7 @@ def quoted(pattern: str, text: str) -> tuple[str, ...]:
 class TestReadmeNumbers:
     """Every number in the README's "Known limitations" that the
     benchmark_runs fixture computes equals it at the README's printed
-    precision. The soft-label arm's mean flag count is not checked: the
-    fixture keeps no flag counts."""
+    precision."""
 
     def test_mean_rows(self, benchmark_runs):
         runs, _ = benchmark_runs
@@ -216,18 +210,17 @@ class TestReadmeNumbers:
         rows = {cells[0]: dict(zip(columns, cells[2:]))
                 for cells in map(str.split, table[1:]) if cells[1:2] == ["mean"]}
         assert set(rows) == {"baseline", "soft_label@0.8"}
+        soft_only = {"flags": "flags", "expected_random_recall": "random_recall"}
         checked = 0
         for arm, report in (("baseline", "base"), ("soft_label@0.8", "soft")):
             for column, printed in rows[arm].items():
-                if column == "flags":
-                    continue
-                values = [r["random_recall"] if column == "expected_random_recall"
+                values = [r[soft_only[column]] if column in soft_only
                           else getattr(r[report], column) for r in runs]
-                want = "-" if arm == "baseline" and column == "expected_random_recall" else \
+                want = "-" if arm == "baseline" and column in soft_only else \
                     f"{float(np.mean(values)):.4f}"
                 assert printed == want, f"{arm} {column}: README {printed}, computed {want}"
                 checked += printed != "-"
-        assert checked == 13
+        assert checked == 14
 
     def test_prose(self, benchmark_runs):
         runs, _ = benchmark_runs
