@@ -113,11 +113,23 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _load_data(directory) -> list[dat.ImageRecord]:
+    """The dataset under directory (--data). The first image that
+    model.forward_rpn cannot run is refused here, by its PGM's path, before
+    any work starts."""
+    records = dat.load_dataset(directory)
+    for rec in records:
+        if not mdl.extent_ok(*(extent := rec.image.shape[:2])):
+            raise ValueError(f"{os.path.join(directory, 'images', rec.file_name)} is "
+                             f"{extent[0]}x{extent[1]}; {mdl.EXTENT_RULE}")
+    return records
+
+
 def cmd_train(args) -> int:
     started = time.time()
     _check_out(args)
     config = _load_config(args)
-    records = dat.load_dataset(args.data)
+    records = _load_data(args.data)
     params, log = hz.train(config, records)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.srpn")
@@ -141,11 +153,10 @@ def _load_checkpoint_config(path) -> tuple[dict, hz.TrainConfig]:
         raise mdl.CheckpointError(f"{path}: no valid meta.config ({e!r})") from e
     for name, shape in mdl.param_shapes(config.d_embed, mdl.N_ANCHORS).items():
         if name not in params:
-            raise mdl.CheckpointError(f"checkpoint is missing tensor {name}")
+            raise mdl.CheckpointError(f"{path}: missing tensor {name}")
         if params[name].shape != shape:
-            raise mdl.CheckpointError(
-                f"checkpoint tensor {name} has shape {params[name].shape}, "
-                f"config implies {shape}")
+            raise mdl.CheckpointError(f"{path}: tensor {name} has shape "
+                                      f"{params[name].shape}, config implies {shape}")
     return params, config
 
 
@@ -159,7 +170,7 @@ def _load_for_report(args) -> tuple[dict, hz.TrainConfig, list[dat.ImageRecord]]
     if os.path.isdir(args.report):
         raise ValueError(f"--report {args.report} is a directory, not a file")
     params, config = _load_checkpoint_config(args.checkpoint)
-    return params, config, dat.load_dataset(args.data)
+    return params, config, _load_data(args.data)
 
 
 def _write_report(args, config: hz.TrainConfig, text: str, started: float):
@@ -250,7 +261,7 @@ def cmd_compare(args) -> int:
                              lambda v: mdl.check_threshold(float(v)), "threshold")
     config = _load_config(args)
     if args.data:
-        records = dat.load_dataset(args.data)
+        records = _load_data(args.data)
         datasets = ((seed, records) for seed in seeds)
     else:
         datasets = ((seed, dat.generate_benchmark(*COMPARE_DATA, seed=seed)) for seed in seeds)

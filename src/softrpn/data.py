@@ -7,6 +7,13 @@ darker than the mid-gray background, painted with 4x supersampled coverage
 and finished with Gaussian noise. Intensity contrast is the only object
 cue, which keeps flakes distinguishable from background but mutually
 similar — the regime where dropped annotations look just like kept ones.
+
+Coverage is rendered for a chunk of scenes at once. In each row of
+supersamples, an ellipse covers one chord, whose ends are computed
+analytically; the samples well inside it are counted by interval
+arithmetic, and only the few that bracket its ends go through the
+per-sample inside test, so every pixel gets the bytes a sample-by-sample
+render gives it (see _inside_runs).
 """
 
 from __future__ import annotations
@@ -27,6 +34,11 @@ from . import model as mdl
 
 BACKGROUND = 0.5
 SUPERSAMPLE = 4
+# generate_benchmark renders as many scenes at once as fit their frames'
+# sample rows (SUPERSAMPLE per pixel row) in this many: four 64x64 scenes,
+# whose rendering temporaries then stay below 128 KiB each (below 300 KiB
+# for the densest scenes, 24x24)
+RENDER_ROWS = 1024
 # random_scene draws an object count, two semi-axes (px) per ellipse and its
 # contrast to the background uniformly from these ranges, and keeps each
 # centre its larger semi-axis plus EDGE_GAP px from every edge
@@ -64,68 +76,177 @@ def ellipse_bounds(e: EllipseSpec) -> tuple[float, float, float, float]:
     return e.cx - half_x, e.cy - half_y, e.cx + half_x, e.cy + half_y
 
 
-def _coverage(e: EllipseSpec, height: int, width: int
-              ) -> tuple[int, int, int, int, np.ndarray]:
-    """Per-pixel area fraction covered by the ellipse (supersampled), over
-    its clipped bounding window (y0, y1, x0, x1) only; every pixel outside
-    the window has coverage 0. The window may be empty."""
+def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given lengths laid end to end: each element's run,
+    and its position within that run."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    return run, np.arange(len(run)) - starts[run]
+
+
+def _chord_brackets(dy, ell, cx, ax, ay, c, s) -> np.ndarray:
+    """(2, R): per sample row, the sample columns at or left of its two
+    chord ends, computed analytically; an empty chord has both ends at its
+    vertex. Row i belongs to ellipse ell[i] (an index into the per-ellipse
+    arrays) and lies dy[i] below its centre; sample column k lies at
+    dx = (k + 0.5) / SUPERSAMPLE - cx."""
+    # along a row, the test's left side is a * dx**2 + 2 * beta * dx + gamma
+    a = ((c / ax) ** 2 + (s / ay) ** 2)[ell]
+    beta = dy * (s * c * (1 / ax ** 2 - 1 / ay ** 2))[ell]
+    gamma = dy * dy * ((s / ax) ** 2 + (c / ay) ** 2)[ell]
+    half = np.sqrt(np.maximum(beta * beta - a * (gamma - 1), 0.0)) / a
+    mid = cx[ell] - beta / a
+    return np.floor(SUPERSAMPLE * np.stack([mid - half, mid + half]) - 0.5)
+
+
+def _inside_runs(dy, ell, cx, ax, ay, c, s) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample row (as in _chord_brackets), the run [start, stop) of
+    sample columns whose samples pass the per-sample test
+    ((dy*s + dx*c)/ax)**2 + ((dy*c - dx*s)/ay)**2 <= 1; start is inf and
+    stop -inf where none does.
+
+    Only the samples f1, f1 + 1 and f2, f2 + 1 that bracket the computed
+    chord ends (or, for an empty chord, its vertex) go through the test,
+    with its operands in its order; those from f1 + 2 to before f2 pass
+    unseen. That is exact: along a row the test's left side is
+    1 + alpha * (dx - r1) * (dx - r2), alpha = (c/ax)**2 + (s/ay)**2, so any
+    sample at least one spacing h = 1/SUPERSAMPLE from both true ends r1, r2
+    differs from 1 by at least alpha * h**2 = alpha / 16, at least 1.9e-4
+    for semi-axes up to 18 px and still far above the test's ~1e-14
+    rounding for semi-axes up to ~1e5 px; the computed ends are off by far
+    less than h. For the same reason a sample between two that pass is at
+    least alpha / 16 inside (the left side is convex in dx), so a row's
+    passing samples form one run."""
     ss = SUPERSAMPLE
-    bx1, by1, bx2, by2 = ellipse_bounds(e)
-    y0, y1 = max(0, int(by1) - 1), min(height, int(by2) + 2)
-    x0, x1 = max(0, int(bx1) - 1), min(width, int(bx2) + 2)
-    if y0 >= y1 or x0 >= x1:
-        return y0, y0, x0, x0, np.zeros((0, 0))
-    dy = (np.arange(y0 * ss, y1 * ss) + 0.5) / ss - e.cy
-    dx = (np.arange(x0 * ss, x1 * ss) + 0.5) / ss - e.cx
-    c, s = math.cos(e.theta), math.sin(e.theta)
-    # rotated sample coordinates from 1-D row and column terms; each sample
-    # gets the same two products and the same sum as on a 2-D grid
-    u = np.add.outer(dy * s, dx * c)
-    u /= e.ax
-    v = np.subtract.outer(dy * c, dx * s)
-    v /= e.ay
-    u *= u
-    v *= v
-    u += v
-    inside = u <= 1.0
-    # each sample is 0 or 1, so its count over the ss x ss block is exact in
-    # any order: sum each pixel's rows of samples, then its columns
-    h, w = y1 - y0, x1 - x0
-    count = inside.reshape(h, ss, w * ss).sum(axis=1, dtype=np.uint8)
-    count = count.reshape(h, w, ss).sum(axis=2)
-    return y0, y1, x0, x1, count / (ss * ss)
+    f1, f2 = _chord_brackets(dy, ell, cx, ax, ay, c, s)
+    full = f1 + 2 < f2
+    start = np.where(full, f1 + 2, np.inf)
+    stop = np.where(full, f2, -np.inf)
+    cxr, axr, ayr, cr, sr = cx[ell], ax[ell], ay[ell], c[ell], s[ell]
+    ds, dc = dy * sr, dy * cr
+    for f in (f1, f2):
+        k = f + np.array([[0.0], [1.0]])
+        dx = (k + 0.5) / ss - cxr
+        u = ds + dx * cr
+        u /= axr
+        v = dc - dx * sr
+        v /= ayr
+        u *= u
+        v *= v
+        u += v
+        inside = u <= 1.0
+        start = np.minimum(start, np.where(inside, k, np.inf).min(axis=0))
+        stop = np.maximum(stop, np.where(inside, k + 1, -np.inf).max(axis=0))
+    return start, stop
 
 
-def render_noiseless(spec: SceneSpec) -> np.ndarray:
-    """Paint ellipses over the background in list order; overlaps are opaque.
-    Each ellipse blends only its own window: outside it the coverage is 0,
-    which would leave every pixel as it is."""
-    img = np.full((spec.height, spec.width), BACKGROUND)
-    for e in spec.objects:
-        y0, y1, x0, x1, cov = _coverage(e, spec.height, spec.width)
-        win = img[y0:y1, x0:x1]
-        win *= 1.0 - cov
-        win += e.intensity * cov
+def _window_counts(run, h, w, x0, y0, cy, cx, ax, ay, c, s
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Inside-sample counts of the window pixels, for windows of h x w
+    pixels from (y0, x0): each window's pixel rows in turn from slot run,
+    every row followed by one pad slot. Returns the slots whose count is
+    nonzero (no pad is), and their counts."""
+    ss = SUPERSAMPLE
+    ell, row = _ragged(ss * h)
+    start, stop = _inside_runs((ss * y0[ell] + row + 0.5) / ss - cy[ell], ell,
+                               cx, ax, ay, c, s)
+    lo = ss * x0[ell]
+    hi = lo + ss * w[ell]
+    start = np.clip(start, lo, hi)
+    stop = np.maximum(np.clip(stop, lo, hi), start)
+    # A row's run adds ss to each whole pixel it spans and its part of each
+    # end pixel, written as steps of a cumulative sum that closes within the
+    # row's slots (a step of 0 may spill over)
+    ends = np.stack([start, stop])
+    q = np.floor(ends / ss)
+    r = ends - ss * q
+    slot = (run[ell] + (row // ss) * (w[ell] + 1) - x0[ell] + q).astype(np.intp)
+    steps = np.concatenate([slot[0], slot[0] + 1, slot[1], slot[1] + 1])
+    weights = np.concatenate([ss - r[0], r[0], r[1] - ss, -r[1]])
+    total = int(run[-1] + h[-1] * (w[-1] + 1))
+    count = np.cumsum(np.bincount(steps, weights, minlength=total + 1)[:total])
+    slots = np.flatnonzero(count)
+    return slots, count[slots]
+
+
+def render_noiseless(specs: Sequence[SceneSpec]) -> np.ndarray:
+    """Paint each scene's ellipses over the background in list order;
+    overlaps are opaque. The scenes share one extent; returns (N, H, W).
+
+    A pixel's coverage is the count of its SUPERSAMPLE x SUPERSAMPLE samples
+    (at (k + 0.5) / SUPERSAMPLE px) inside the ellipse over their number,
+    counted per sample row from the exact run of inside samples that
+    _inside_runs finds. Each ellipse covers only its clipped bounding window
+    (one pixel of slack on every side), and blends the pixels it covers as
+    win = win * (1 - cov) + intensity * cov, in list order: elsewhere the
+    coverage is 0, which would leave the pixel as it is. The k-th ellipses
+    of all scenes blend together."""
+    ss = SUPERSAMPLE
+    n, height, width = len(specs), specs[0].height, specs[0].width
+    img = np.full((n, height, width), BACKGROUND)
+    n_objects = np.array([len(spec.objects) for spec in specs], dtype=np.intp)
+    if not n_objects.sum():
+        return img
+    fields = np.array([(e.cy, e.cx, e.ay, e.ax, e.intensity, math.cos(e.theta),
+                        math.sin(e.theta)) for spec in specs for e in spec.objects])
+    # every scene's first ellipse, then every scene's second, ...
+    scene, layer = _ragged(n_objects)
+    order = np.lexsort((scene, layer))
+    scene, layer = scene[order], layer[order]
+    cy, cx, ay, ax, intensity, c, s = fields[order].T
+    # windows from ellipse_bounds' closed form, which need not match it
+    # bit for bit: they have a pixel of slack
+    half_x = np.sqrt((ax * c) ** 2 + (ay * s) ** 2)
+    half_y = np.sqrt((ax * s) ** 2 + (ay * c) ** 2)
+    x0 = np.clip(np.trunc(cx - half_x) - 1, 0, width).astype(np.intp)
+    x1 = np.clip(np.trunc(cx + half_x) + 2, 0, width).astype(np.intp)
+    y0 = np.clip(np.trunc(cy - half_y) - 1, 0, height).astype(np.intp)
+    y1 = np.clip(np.trunc(cy + half_y) + 2, 0, height).astype(np.intp)
+    h = np.where(x1 > x0, np.maximum(y1 - y0, 0), 0)
+    w = np.where(h > 0, x1 - x0, 0)
+
+    run = np.cumsum(h * (w + 1)) - h * (w + 1)
+    slots, count = _window_counts(run, h, w, x0, y0, cy, cx, ax, ay, c, s)
+
+    # blend, layer after layer, each ellipse's pixels of nonzero count
+    seg_ell, seg_row = _ragged(h)
+    seg_len = w[seg_ell] + 1
+    seg_off = ((scene[seg_ell] * height + y0[seg_ell] + seg_row) * width + x0[seg_ell]
+               - (np.cumsum(seg_len) - seg_len))
+    pixel = slots + np.repeat(seg_off, seg_len)[slots]
+    paint = np.repeat(intensity, h * (w + 1))[slots]
+    cov = count / (ss * ss)
+    cuts = np.searchsorted(slots, run[np.searchsorted(layer, np.arange(1, layer[-1] + 1))])
+    flat = img.reshape(-1)
+    for at, cv, ink in zip(np.split(pixel, cuts), np.split(cov, cuts), np.split(paint, cuts)):
+        win = flat[at]
+        win *= 1.0 - cv
+        win += ink * cv
+        flat[at] = win
     return img
 
 
-def synthesize_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Render a scene and return (image (H, W, 1) float64 in [0, 1], tight
-    (K, 4) boxes in object order). Deterministic per spec.seed. An extent
-    too large to allocate is a ValueError."""
-    if not mdl.extent_ok(spec.height, spec.width):
-        raise ValueError(f"scene extent {spec.height}x{spec.width} must be >= "
+def synthesize_scenes(specs: Sequence[SceneSpec]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Render scenes of one extent together, and return each one's (image
+    (H, W, 1) float64 in [0, 1], tight (K, 4) boxes in object order).
+    Deterministic per spec.seed. An extent too large to allocate is a
+    ValueError."""
+    height, width = specs[0].height, specs[0].width
+    if not mdl.extent_ok(height, width):
+        raise ValueError(f"scene extent {height}x{width} must be >= "
                          f"{mdl.MIN_EXTENT} and divisible by {mdl.BACKBONE_STRIDE}")
-    rng = np.random.default_rng(spec.seed)
+    out = []
     try:
-        img = render_noiseless(spec)
-        if spec.noise_sigma > 0:
-            img = img + rng.normal(0.0, spec.noise_sigma, size=img.shape)
-        img = np.clip(img, 0.0, 1.0)
+        for spec, img in zip(specs, render_noiseless(specs)):
+            rng = np.random.default_rng(spec.seed)
+            if spec.noise_sigma > 0:
+                img = img + rng.normal(0.0, spec.noise_sigma, size=img.shape)
+            img = np.clip(img, 0.0, 1.0)
+            boxes = np.array([ellipse_bounds(e) for e in spec.objects], dtype=np.float64)
+            out.append((img[..., None], boxes.reshape(-1, 4)))
     except MemoryError as e:
-        raise ValueError(f"scene extent {spec.height}x{spec.width}: {e}") from e
-    boxes = np.array([ellipse_bounds(e) for e in spec.objects], dtype=np.float64)
-    return img[..., None], boxes.reshape(-1, 4)
+        raise ValueError(f"scene extent {height}x{width}: {e}") from e
+    return out
 
 
 def scene_size_ok(size: int) -> bool:
@@ -219,14 +340,16 @@ def generate_benchmark(n_images: int, image_size: int, drop_rate: float,
         raise ValueError(f"image size {image_size} is unusable: scenes need a multiple "
                          f"of {mdl.BACKBONE_STRIDE} that is at least {MIN_SCENE_SIZE}")
     records = []
-    for i in range(n_images):
-        img, boxes = synthesize_scene(
-            random_scene(image_size, image_size, seed=_derived_seed(seed, i, 0)))
-        img = dequantize_image(quantize_image(img[..., 0]))[..., None]
-        kept, dropped = drop_annotations(boxes, drop_rate,
-                                         rng_seed=_derived_seed(seed, i, 1))
-        records.append(ImageRecord(image_id=i, file_name=f"img_{i:06d}.pgm",
-                                   image=img, kept=kept, dropped=dropped))
+    chunk = max(1, RENDER_ROWS // (SUPERSAMPLE * image_size))
+    for start in range(0, n_images, chunk):
+        specs = [random_scene(image_size, image_size, seed=_derived_seed(seed, i, 0))
+                 for i in range(start, min(start + chunk, n_images))]
+        for i, (img, boxes) in enumerate(synthesize_scenes(specs), start):
+            img = dequantize_image(quantize_image(img[..., 0]))[..., None]
+            kept, dropped = drop_annotations(boxes, drop_rate,
+                                             rng_seed=_derived_seed(seed, i, 1))
+            records.append(ImageRecord(image_id=i, file_name=f"img_{i:06d}.pgm",
+                                       image=img, kept=kept, dropped=dropped))
     return records
 
 

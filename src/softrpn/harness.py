@@ -180,9 +180,8 @@ def _anchor_grids(records: Sequence[ImageRecord]) -> dict[tuple[int, ...], np.nd
     for rec in records:
         if (extent := rec.image.shape[:2]) not in grids:
             if not mdl.extent_ok(*extent):
-                raise ValueError(
-                    f"image {rec.file_name} is {extent[0]}x{extent[1]}; both extents must "
-                    f"be multiples of {mdl.BACKBONE_STRIDE} and at least {mdl.MIN_EXTENT}")
+                raise ValueError(f"image {rec.file_name} is {extent[0]}x{extent[1]}; "
+                                 f"{mdl.EXTENT_RULE}")
             grids[extent] = grid = anchors_for(rec.image)
             grid.flags.writeable = False      # shared: no image may edit it
     return grids

@@ -112,9 +112,12 @@ def init_params(d_embed: int, n_anchors: int, rng: np.random.Generator) -> dict[
     return params
 
 
+EXTENT_RULE = (f"both extents must be multiples of {BACKBONE_STRIDE} "
+               f"and at least {MIN_EXTENT}")
+
+
 def extent_ok(h: int, w: int) -> bool:
-    """Whether forward_rpn runs on an h x w image: both extents multiples of
-    BACKBONE_STRIDE and at least MIN_EXTENT."""
+    """Whether forward_rpn runs on an h x w image (EXTENT_RULE)."""
     return not (h % BACKBONE_STRIDE or w % BACKBONE_STRIDE
                 or h < MIN_EXTENT or w < MIN_EXTENT)
 
@@ -520,6 +523,16 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None):
     write_file(path, chunks())
 
 
+def _shape(path, rec: dict) -> tuple[int, ...]:
+    """The shape of a header's tensor record; an infinite dimension, like
+    one no array has, is a malformed shape."""
+    try:
+        return tuple(int(d) for d in rec["shape"])
+    except OverflowError as e:
+        raise CheckpointError(f"{path}: malformed shape {rec['shape']} "
+                              f"for tensor {rec['name']}") from e
+
+
 def _read_header(f, path) -> tuple[list[tuple[str, tuple[int, ...]]], dict]:
     """(name, shape) of each tensor in payload order, and the meta dict."""
     if f.read(4) != CHECKPOINT_MAGIC:
@@ -532,11 +545,9 @@ def _read_header(f, path) -> tuple[list[tuple[str, tuple[int, ...]]], dict]:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     try:
         header = json.loads(f.read(hlen).decode("utf-8"))
-        tensors = [(str(rec["name"]), tuple(int(d) for d in rec["shape"]))
-                   for rec in header["tensors"]]
+        tensors = [(str(rec["name"]), _shape(path, rec)) for rec in header["tensors"]]
         meta = header.get("meta", {})
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
-            RecursionError) as e:     # overflow: an infinite dimension
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint header ({e!r})") from e
     if not isinstance(meta, dict) or any(d < 0 for _, shape in tensors for d in shape):
         raise CheckpointError(f"{path}: malformed checkpoint header")

@@ -25,16 +25,22 @@ def scene_with(objects, seed=0, size=64, noise=0.03):
                      noise_sigma=noise, seed=seed)
 
 
+def synthesize_one(spec):
+    """synthesize_scenes of one scene."""
+    (scene,) = dat.synthesize_scenes([spec])
+    return scene
+
+
 class TestSynthesizeScene:
     def test_zero_objects_pure_noise(self):
-        img, boxes = dat.synthesize_scene(scene_with([]))
+        img, boxes = synthesize_one(scene_with([]))
         assert boxes.shape == (0, 4) and boxes.dtype == np.float64
         assert img.shape == (64, 64, 1)
         assert abs(img.mean() - dat.BACKGROUND) < 0.02
 
     def test_axis_aligned_ellipse_box(self):
         e = EllipseSpec(cy=32, cx=32, ay=8, ax=8, theta=0.0, intensity=0.9)
-        _, (box,) = dat.synthesize_scene(scene_with([e]))
+        _, (box,) = synthesize_one(scene_with([e]))
         x1, y1, x2, y2 = box
         assert x2 - x1 == pytest.approx(16.0, abs=1.0)
         assert y2 - y1 == pytest.approx(16.0, abs=1.0)
@@ -42,13 +48,13 @@ class TestSynthesizeScene:
 
     def test_deterministic_per_seed(self):
         e = EllipseSpec(cy=20, cx=40, ay=6, ax=9, theta=0.7, intensity=0.2)
-        a, _ = dat.synthesize_scene(scene_with([e], seed=5))
-        b, _ = dat.synthesize_scene(scene_with([e], seed=5))
+        a, _ = synthesize_one(scene_with([e], seed=5))
+        b, _ = synthesize_one(scene_with([e], seed=5))
         assert a.tobytes() == b.tobytes()
 
     def test_extent_must_divide_by_8(self):
         with pytest.raises(ValueError):
-            dat.synthesize_scene(SceneSpec(60, 60, [], 0.0, 0))
+            synthesize_one(SceneSpec(60, 60, [], 0.0, 0))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -59,7 +65,7 @@ class TestSynthesizeScene:
         renderer's coverage code; at whole-pixel resolution the +-1 px
         discretization bias alone would dominate for ~12 px objects."""
         spec = dat.random_scene(64, 64, seed=seed, noise_sigma=0.0)
-        _, boxes = dat.synthesize_scene(spec)
+        _, boxes = synthesize_one(spec)
         sub = 8
         coords = (np.arange(64 * sub) + 0.5) / sub
         for e, box in zip(spec.objects, boxes):
@@ -72,7 +78,7 @@ class TestSynthesizeScene:
                     coords[xs.max()], coords[ys.max()])
             assert iou(box, scan) >= 0.9
             # whole-pixel scan of the actual render stays consistent too
-            solo = dat.render_noiseless(scene_with([e], noise=0.0))
+            (solo,) = dat.render_noiseless([scene_with([e], noise=0.0)])
             hit = np.abs(solo - dat.BACKGROUND) > abs(e.intensity - dat.BACKGROUND) / 2
             py, px = np.nonzero(hit)
             coarse = (px.min(), py.min(), px.max() + 1, py.max() + 1)
@@ -80,7 +86,7 @@ class TestSynthesizeScene:
 
     def test_values_in_unit_interval(self):
         spec = dat.random_scene(64, 64, seed=3, noise_sigma=0.2)
-        img, _ = dat.synthesize_scene(spec)
+        img, _ = synthesize_one(spec)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
 
@@ -137,38 +143,59 @@ def random_scene_oracle(height: int, width: int, seed: int,
                      noise_sigma=noise_sigma, seed=seed)
 
 
+def eighths(low, high):
+    """Numbers on the 1/8-px grid from low to high."""
+    return st.integers(math.ceil(8 * low), math.floor(8 * high)).map(lambda v: v / 8)
+
+
 @st.composite
 def edge_scenes(draw):
-    """Ellipses with centres near and past every frame edge, any axes in and
-    beyond AXES_RANGE, any angle, plus one ellipse wholly above the frame."""
+    """One to three scenes of one extent, each with ellipses whose centres
+    lie near and past every frame edge, with any axes in and beyond
+    AXES_RANGE: at any angle, or axis-aligned (0, pi/2, pi) with centre and
+    axes on the 1/8-px grid, so that an ellipse's top, bottom or side is
+    often tangent to a row or column of samples (at odd eighths). Each
+    scene also holds one ellipse wholly above the frame."""
     height, width = draw(st.sampled_from([(24, 24), (64, 64), (72, 72), (48, 96)]))
     pad = 2 * dat.AXES_RANGE[1]
-    ellipse = st.builds(
+    anywhere = st.builds(
         EllipseSpec,
         cy=st.floats(-pad, height + pad), cx=st.floats(-pad, width + pad),
         ay=st.floats(0.5, pad), ax=st.floats(0.5, pad),
         theta=st.floats(0.0, math.pi), intensity=st.floats(0.0, 1.0))
-    objects = draw(st.lists(ellipse, max_size=8))
-    outside = EllipseSpec(cy=-(pad + 3.0), cx=draw(st.floats(0.0, width)),
-                          ay=pad, ax=pad, theta=draw(st.floats(0.0, math.pi)),
-                          intensity=0.9)
-    objects.insert(draw(st.integers(0, len(objects))), outside)
-    return SceneSpec(height=height, width=width, objects=objects,
-                     noise_sigma=0.0, seed=0), outside
+    tangent = st.builds(
+        EllipseSpec,
+        cy=eighths(-pad, height + pad), cx=eighths(-pad, width + pad),
+        ay=eighths(0.5, pad), ax=eighths(0.5, pad),
+        theta=st.sampled_from([0.0, math.pi / 2, math.pi]), intensity=st.floats(0.0, 1.0))
+    scenes = []
+    for _ in range(draw(st.integers(1, 3))):
+        objects = draw(st.lists(st.one_of(anywhere, tangent), max_size=8))
+        outside = EllipseSpec(cy=-(pad + 3.0), cx=draw(st.floats(0.0, width)),
+                              ay=pad, ax=pad, theta=draw(st.floats(0.0, math.pi)),
+                              intensity=0.9)
+        objects.insert(draw(st.integers(0, len(objects))), outside)
+        scenes.append((SceneSpec(height=height, width=width, objects=objects,
+                                 noise_sigma=0.0, seed=0), outside))
+    return scenes
 
 
 class TestRenderOracle:
     @given(case=edge_scenes())
     @settings(max_examples=150, deadline=None)
     def test_window_render_equals_full_frame_blend(self, case):
-        """Blending each ellipse only inside its window gives every pixel the
-        float the full-frame blend gives it, edges and empty windows too."""
-        spec, outside = case
-        assert not coverage_oracle(outside, spec.height, spec.width).any()
-        got = dat.render_noiseless(spec)
-        want = render_oracle(spec)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert (got == want).all()
+        """Rendering scenes together, from row chords, each ellipse blended
+        only inside its window, gives every pixel the float the full-frame
+        blend of the per-sample test gives it: edges, empty windows and
+        tangent rows too."""
+        for spec, outside in case:
+            assert not coverage_oracle(outside, spec.height, spec.width).any()
+        got = dat.render_noiseless([spec for spec, _ in case])
+        assert len(got) == len(case)
+        for (spec, _), image in zip(case, got):
+            want = render_oracle(spec)
+            assert image.dtype == want.dtype and image.shape == want.shape
+            assert (image == want).all()
 
     @pytest.mark.parametrize("height,width", [(24, 24), (64, 64), (128, 128), (48, 96)])
     def test_scene_draws_equal_scalar_draws(self, height, width):
@@ -801,6 +828,22 @@ class TestBenchmarkDataset:
         with pytest.raises(ValueError, match=rf"image size {size} .* at least "
                                              rf"{dat.MIN_SCENE_SIZE}"):
             dat.generate_benchmark(1, size, 0.3, seed=0)
+
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_records_do_not_depend_on_render_chunks(self, size):
+        """generate_benchmark(n) is the first n records of
+        generate_benchmark(m), for n just below and just above the first
+        render chunk boundary and m past the second."""
+        chunk = dat.RENDER_ROWS // (dat.SUPERSAMPLE * size)
+        assert chunk >= 2
+        more = dat.generate_benchmark(2 * chunk + 1, size, 0.3, seed=4)
+        for n in (chunk - 1, chunk + 1):
+            fewer = dat.generate_benchmark(n, size, 0.3, seed=4)
+            assert len(fewer) == n
+            for a, b in zip(fewer, more):
+                assert (a.image_id, a.file_name) == (b.image_id, b.file_name)
+                for attr in ("image", "kept", "dropped"):
+                    assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
 
     def test_drop_rate_zero_sidecar_empty(self, tmp_path):
         records = dat.generate_benchmark(3, 64, 0.0, seed=2)
